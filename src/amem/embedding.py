@@ -16,7 +16,7 @@ import hashlib
 import os
 import re
 from collections import Counter
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 import requests
@@ -57,11 +57,14 @@ class HashEncoder:
     """Deterministic reference encoder built on keyed blake2b hashing.
 
     Text is lowercased and split into word tokens. Each distinct token's
-    seeded 64-bit-keyed hash stream selects dimension/8 signed coordinates,
-    and each selected coordinate accumulates the token's frequency with that
-    sign. The accumulated vector is L2-normalized. Accumulation runs in
-    float64 over tokens in sorted order so results never depend on text
-    order, then narrows to float32 once at the end.
+    seeded 64-bit-keyed hash stream, read as big-endian 32-bit words, selects
+    dimension/8 signed coordinates: word >> 1 modulo the dimension is the
+    coordinate and the low bit its sign. Each selected coordinate
+    accumulates the token's frequency with that sign, and the accumulated
+    vector is L2-normalized in float64, then narrowed to float32 once at the
+    end. Every accumulated value is a small integer, exact in float64, so
+    neither the order of tokens in the text nor the order of the additions
+    (one vectorized bincount per text) can change a bit.
 
     Same seed, same text, same vector, on any platform.
     """
@@ -77,43 +80,45 @@ class HashEncoder:
         self.seed = int(seed)
         self._key = seed.to_bytes(8, "big")
         self._coords_per_token = max(1, self.dimension // 8)
-        self._coord_cache: dict[str, tuple[tuple[int, int], ...]] = {}
+        # 64-byte digests needed for 4 bytes per coordinate
+        self._digests_per_token = -(-self._coords_per_token * 4 // 64)
+        self._coord_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _coordinates(self, token: str) -> tuple[tuple[int, int], ...]:
+    def _coordinates(self, token: str) -> tuple[np.ndarray, np.ndarray]:
+        """The token's coordinates (intp) and their signs (float64 +-1)."""
         cached = self._coord_cache.get(token)
         if cached is not None:
             return cached
-        needed = self._coords_per_token * 4
-        stream = b""
-        block = 0
         data = token.encode("utf-8")
-        while len(stream) < needed:
-            stream += hashlib.blake2b(
+        stream = b"".join(
+            hashlib.blake2b(
                 data + block.to_bytes(4, "big"), key=self._key, digest_size=64
             ).digest()
-            block += 1
-        coords: list[tuple[int, int]] = []
-        for i in range(self._coords_per_token):
-            word = int.from_bytes(stream[4 * i : 4 * i + 4], "big")
-            index = (word >> 1) % self.dimension
-            sign = 1 if word & 1 else -1
-            coords.append((index, sign))
-        result = tuple(coords)
+            for block in range(self._digests_per_token)
+        )
+        words = np.frombuffer(stream, dtype=">u4", count=self._coords_per_token)
+        result = (
+            ((words >> 1) % self.dimension).astype(np.intp),
+            np.where(words & 1, 1.0, -1.0),
+        )
         if len(self._coord_cache) >= 65536:
             self._coord_cache.clear()
         self._coord_cache[token] = result
         return result
 
     def encode(self, text: str) -> np.ndarray:
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
+        counts = Counter(_TOKEN_RE.findall(text.lower()))
+        if not counts:
             return basis_vector(self.dimension)
-        acc = np.zeros(self.dimension, dtype=np.float64)
-        counts = Counter(tokens)
-        for token in sorted(counts):
-            weight = float(counts[token])
-            for index, sign in self._coordinates(token):
-                acc[index] += sign * weight
+        coords = [self._coordinates(token) for token in counts]
+        frequency = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        weights = np.concatenate([signs for _, signs in coords])
+        weights *= np.repeat(frequency, self._coords_per_token)
+        acc = np.bincount(
+            np.concatenate([index for index, _ in coords]),
+            weights=weights,
+            minlength=self.dimension,
+        )
         norm = float(np.sqrt(np.dot(acc, acc)))
         if norm == 0.0:
             # All signed contributions cancelled; fall back to the empty-text vector.
@@ -166,16 +171,14 @@ class RemoteEncoder:
 
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         texts = list(texts)
-        out: list[np.ndarray | None] = [None] * len(texts)
+        # blank texts never go over the wire; the shared basis vector is read-only
+        out = [basis_vector(self.dimension)] * len(texts)
         remote_indices = [i for i, text in enumerate(texts) if text.strip()]
-        for i in range(len(texts)):
-            if i not in set(remote_indices):
-                out[i] = basis_vector(self.dimension)
         if remote_indices:
             vectors = self._fetch([texts[i] for i in remote_indices])
             for slot, vec in zip(remote_indices, vectors):
                 out[slot] = vec
-        return [vec for vec in out if vec is not None]
+        return out
 
     def _fetch(self, texts: list[str]) -> list[np.ndarray]:
         payload = {"model": self.model, "input": texts}
@@ -213,12 +216,3 @@ class RemoteEncoder:
             out.setflags(write=False)
             vectors.append(out)
         return vectors
-
-
-def encoder_token_pattern() -> re.Pattern[str]:
-    """The tokenizer used by HashEncoder, exposed for tests and tooling."""
-    return _TOKEN_RE
-
-
-def unit_norm_check(vectors: Iterable[np.ndarray], tol: float = 1e-6) -> bool:
-    return all(is_unit(vec, tol) for vec in vectors)

@@ -1,9 +1,26 @@
 """Exact in-memory vector index with deterministic cosine ranking.
 
 Brute force by design: every query scores every stored vector, so results
-are exact and reproducible. Similarity math accumulates in float64 even
-though vectors are stored as float32, and ties are broken by ascending id,
-so a given store and query always produce the identical ranking.
+are exact and reproducible. Vectors are stored as float32. A score is the
+float64 cosine: the row widened to float64 times the float64 query, over
+the product of the float64 norms, clipped to [-1, 1]. Ties are broken by
+ascending id, so a given store and query always produce the identical
+ranking.
+
+A query scans the unmodified float32 matrix with one BLAS product, then
+rescores a proven candidate set in float64. In any summation order the
+float32 dot product of row r and query q is within γ_d(2⁻²⁴)·‖r‖‖q‖ of the
+exact one, where γ_d(u) = d·u/(1−d·u) (Higham, *Accuracy and Stability of
+Numerical Algorithms*, §3.1). So every row whose float64 score reaches the
+k-th best lies within 2ε of the k-th best float32 score, and only those
+rows are rescored. A rescored row gets the bits that a float64 product over
+the whole matrix would give it on one BLAS thread. A gathered row would not:
+BLAS treats a row by its position in small aligned groups and has a separate
+kernel for the tail, so the last ulp can differ. The product over the row's
+aligned 64-row block reproduces it; at the dimensions of text embeddings
+that block is too small for BLAS to split across threads. The ranking and
+the scores are those of the whole-matrix float64 scan, whatever the BLAS
+thread count.
 
 A reader-writer lock allows concurrent queries while inserts and updates
 stay exclusive.
@@ -19,9 +36,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, DuplicateId, UnknownId
 
-# Rows are promoted to float64 in blocks of this many during scoring, which
-# bounds temporary memory at ~200 MB for 384-dimensional vectors.
-_SCORE_CHUNK = 65536
+# A candidate is rescored through the float64 product of its aligned block of
+# this many rows, a multiple of every row grouping of the BLAS kernels.
+_RESCORE_BLOCK = 64
+
+# bulk_load checks finiteness this many rows at a time, which bounds the
+# temporary mask.
+_CHECK_CHUNK = 65536
 
 _INITIAL_CAPACITY = 1024
 
@@ -85,6 +106,27 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """dots / denom clipped to [-1, 1]; a zero denominator gives 0.0."""
+    scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def _score_error_bound(dimension: int) -> float:
+    """ε: how far a float32-scanned score can lie from the float64 score.
+
+    One γ_d each for the float32 and the float64 dot product; 4·2⁻⁵³ covers
+    the two divisions by the shared denominator, the rounding of the cut
+    kth − 2ε, and the 2⁻⁵³ that float32 underflow may cost a row whose
+    ‖r‖‖q‖ is at least d·2⁻⁹⁶.
+    """
+
+    def gamma(u: float) -> float:
+        return dimension * u / (1.0 - dimension * u) if dimension * u < 1.0 else np.inf
+
+    return gamma(2.0**-24) + gamma(2.0**-53) + 4 * 2.0**-53
+
+
 class VectorIndex:
     """Flat store of (id, float32 vector) rows supporting exact top-k queries."""
 
@@ -92,6 +134,7 @@ class VectorIndex:
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self._dim = dimension
+        self._epsilon = _score_error_bound(dimension)
         self._lock = ReadWriteLock()
         self._rows = np.empty((0, dimension), dtype=np.float32)
         self._norms = np.empty(0, dtype=np.float64)
@@ -185,8 +228,8 @@ class VectorIndex:
         n = matrix.shape[0]
         if n == 0:
             return
-        for start in range(0, n, _SCORE_CHUNK):
-            if not np.all(np.isfinite(matrix[start : start + _SCORE_CHUNK])):
+        for start in range(0, n, _CHECK_CHUNK):
+            if not np.all(np.isfinite(matrix[start : start + _CHECK_CHUNK])):
                 raise ValueError("bulk batch contains NaN or Inf")
         with self._lock.write():
             for note_id in ids:
@@ -208,15 +251,6 @@ class VectorIndex:
                 self._ids.append(note_id)
             self._count += n
 
-    def get(self, note_id: str) -> np.ndarray:
-        with self._lock.read():
-            row = self._slot.get(note_id)
-            if row is None:
-                raise UnknownId(f"id not present in index: {note_id}")
-            vec = self._rows[row].copy()
-        vec.setflags(write=False)
-        return vec
-
     def top_k(
         self, query: np.ndarray, k: int, exclude: Iterable[str] = ()
     ) -> list[tuple[str, float]]:
@@ -229,48 +263,63 @@ class VectorIndex:
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer")
         q = self._check_vector(query)
+        q64 = q.astype(np.float64)
+        q_norm = float(np.sqrt(np.dot(q64, q64)))
         with self._lock.read():
             n = self._count
             if n == 0:
                 return []
-            scores = self._score_all(q, n)
+            denom = self._norms[:n] * q_norm
+            # ε holds when the float32 product neither overflows, which
+            # leaves a non-finite dot, nor underflows on a row with a tiny
+            # ‖r‖‖q‖. Such rows are always rescored.
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = (self._rows[:n] @ q).astype(np.float64)
+            scores = _cosines(dots, denom)
+            unsure = ~np.isfinite(dots) | (
+                (denom > 0.0) & (denom < self._dim * 2.0**-96)
+            )
             for excluded in exclude:
                 row = self._slot.get(excluded)
                 if row is not None:
+                    unsure[row] = False
                     scores[row] = -np.inf
+            scores[unsure] = -np.inf
             take = min(k, n)
-            if take < n:
-                part = np.argpartition(-scores, take - 1)[:take]
-                threshold = float(scores[part].min())
-                if threshold == -np.inf:
-                    candidates = np.flatnonzero(scores > -np.inf)
-                else:
-                    # Keep every row tied with the boundary score so the id
-                    # tie-break decides which of them survive the cut.
-                    candidates = np.flatnonzero(scores >= threshold)
-            else:
-                candidates = np.flatnonzero(scores > -np.inf)
+            kth = float(np.partition(scores, n - take)[n - take])
+            # Scores lie in [-1, 1]: a cut of -2 keeps every row but the -inf
+            # ones, when fewer than k rows are eligible or ε is unbounded.
+            cut = max(kth - 2.0 * self._epsilon, -2.0)
+            candidates = np.flatnonzero((scores >= cut) | unsure)
+            exact = self._rescore(candidates, q64, denom)
             ranked = sorted(
-                ((self._ids[row], float(scores[row])) for row in candidates),
+                zip([self._ids[row] for row in candidates], exact.tolist()),
                 key=lambda pair: (-pair[1], pair[0]),
             )
         return ranked[:k]
 
-    def _score_all(self, q: np.ndarray, n: int) -> np.ndarray:
-        q64 = q.astype(np.float64)
-        q_norm = float(np.sqrt(np.dot(q64, q64)))
-        scores = np.zeros(n, dtype=np.float64)
-        if q_norm == 0.0:
-            return scores
-        for start in range(0, n, _SCORE_CHUNK):
-            stop = min(start + _SCORE_CHUNK, n)
-            block = self._rows[start:stop].astype(np.float64)
-            scores[start:stop] = block @ q64
-        denom = self._norms[:n] * q_norm
-        nonzero = denom > 0.0
-        scores = np.divide(scores, denom, out=np.zeros_like(scores), where=nonzero)
-        np.clip(scores, -1.0, 1.0, out=scores)
-        return scores
+    def _rescore(self, rows: np.ndarray, q64: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        """Float64 scores of the given ascending rows, bit-identical to a
+        float64 product over the whole matrix.
+
+        Each row is read from the product of its aligned 64-row block,
+        computed once per block. A last block of one row joins the block
+        before it: numpy computes a one-row product with a dot kernel, not
+        the matrix-vector kernel that a product over more rows uses.
+        Zero-denominator rows score 0.0 and need no product.
+        """
+        n = self._count
+        dots = np.zeros(rows.size, dtype=np.float64)
+        live = np.flatnonzero(denom[rows] > 0.0)
+        last = max(n - 2, 0) // _RESCORE_BLOCK
+        blocks = np.minimum(rows[live] // _RESCORE_BLOCK, last)
+        for block in np.unique(blocks).tolist():
+            start = block * _RESCORE_BLOCK
+            stop = n if block == last else start + _RESCORE_BLOCK
+            product = self._rows[start:stop].astype(np.float64) @ q64
+            here = live[blocks == block]
+            dots[here] = product[rows[here] - start]
+        return _cosines(dots, denom[rows])
 
     def memory_bytes(self) -> tuple[int, int]:
         """(exact vector payload bytes, estimated bookkeeping bytes)."""

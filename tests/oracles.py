@@ -84,6 +84,31 @@ def full_sort_top_k(ids, vectors, query, k, exclude=()):
     return [note_id for note_id, _ in scored[:k]]
 
 
+def full_product_top_k(ids, rows, query, k, exclude=()):
+    """(id, score) pairs from one float64 product over the whole matrix.
+
+    Scores follow the index's documented arithmetic: the float32 rows
+    widened to float64, times the widened float32 query, over the product
+    of the float64 norms, clipped to [-1, 1], 0.0 where that product is 0.
+    Every row is then sorted by descending score, ids ascending on ties.
+    This is the bit-exact reference for the index's returned scores.
+    """
+    matrix = np.asarray(rows, dtype=np.float32).astype(np.float64)
+    q = np.asarray(query, dtype=np.float32).astype(np.float64)
+    q_norm = float(np.sqrt(np.dot(q, q)))
+    dots = matrix @ q
+    excluded = set(exclude)
+    scored = []
+    for note_id, row, dot in zip(ids, matrix, dots):
+        if note_id in excluded:
+            continue
+        denom = float(np.sqrt(np.dot(row, row))) * q_norm
+        score = max(-1.0, min(1.0, float(dot) / denom)) if denom > 0.0 else 0.0
+        scored.append((note_id, score))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
 # ---------------------------------------------------------------------------
 # metric oracles
 

@@ -5,7 +5,9 @@ the system leans on, so its contract (same seed + same text = same bytes,
 unit norm, fixed empty-text vector) is pinned tightly here.
 """
 
+import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from amem.embedding import (
     is_unit,
 )
 from amem.errors import BackendUnavailable, DimensionMismatch
+
+DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 
 WORDS = (
     "photography camera hiking trail soup recipe chess opening garden tomato "
@@ -97,6 +101,24 @@ def test_encode_many_matches_encode():
     assert len(many) == len(texts)
     for text, vec in zip(texts, many):
         assert np.array_equal(vec, enc.encode(text))
+
+
+@pytest.mark.parametrize(
+    "dimension, seed, digest",
+    [
+        (DEFAULT_DIMENSION, 0, "4d4c2b5a49820f115c784d78833d6d6b67b0c93a66505bc7430d90f3181c4a22"),
+        (64, 7, "49946f3f57fbd21afa758ae43d71fbba558479b2ae604540f6d2d675ff835925"),
+    ],
+    ids=["default", "d64-seed7"],
+)
+def test_hash_encoder_golden_digest(dimension, seed, digest):
+    # Pins the encoder's exact bytes: stored embeddings and the embedding
+    # check on open depend on every bit staying the same.
+    enc = HashEncoder(dimension=dimension, seed=seed)
+    stream = hashlib.sha256()
+    for line in DIALOGUE.read_text("utf-8").splitlines():
+        stream.update(enc.encode(line).tobytes())
+    assert stream.hexdigest() == digest
 
 
 def test_output_is_read_only():

@@ -1,20 +1,30 @@
-"""Vector index tests: exactness against a full-sort oracle, determinism, locks.
+"""Vector index tests: exactness against full-sort oracles, determinism, locks.
 
 The index is the benchmarkable hot path, so correctness is established by
-comparing every ranking against an independently coded oracle (per-row dot
-products plus one full sort), including stores salted with duplicate vectors
-to force score ties.
+comparing every ranking against independently coded oracles, including
+stores salted with duplicate vectors to force score ties. Rankings are
+checked against per-row dot products plus one full sort; ids and scores,
+bit for bit, against one float64 product over the whole matrix.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import amem
 from amem.errors import DimensionMismatch, DuplicateId, UnknownId
 from amem.index import VectorIndex, cosine
-from oracles import full_sort_top_k, naive_cosine
+from oracles import full_product_top_k, full_sort_top_k, naive_cosine
 
 
 def seeded_ids(n, prefix=0):
@@ -105,9 +115,11 @@ def test_update_replaces_vector():
     assert abs(top[0][1] - 1.0) < 1e-6
     with pytest.raises(UnknownId):
         index.update("f" * 32, query)
-    with pytest.raises(UnknownId):
-        index.get("f" * 32)
-    assert np.array_equal(index.get(ids[7]), query)
+    # the failed update added no row, and the stored row is exactly the query
+    assert "f" * 32 not in index
+    expected = build_index(ids, np.vstack([rows[:7], query, rows[8:]]))
+    for probe in unit_rows(rng, 5, 8):
+        assert index.top_k(probe, 10) == expected.top_k(probe, 10)
 
 
 def test_update_never_leaves_stale_ranking():
@@ -232,6 +244,144 @@ def test_determinism_same_store_same_query():
     first = index.top_k(query, 20)
     for _ in range(5):
         assert index.top_k(query, 20) == first
+
+
+# ---------------------------------------------------------------------------
+# bit-exact scores against one float64 product over the whole matrix
+#
+# That product is a reproducible referee only while BLAS runs it on one
+# thread. OpenBLAS threads a float64 matrix-vector product from about 460,800
+# elements and may split the rows at a position that is not 4-aligned, which
+# moves the last ulp of the rows beside the split. The in-process stores stay
+# below that size; the subprocess test pins the thread count for a larger one.
+
+EXACT_DIMENSION = 96
+
+
+def near_tie_rows(rng, base, count):
+    """Copies of base, each moved by one float32 ulp in one coordinate."""
+    rows = np.repeat(base[None, :], count, axis=0)
+    for row in rows:
+        j = rng.integers(base.size)
+        row[j] = np.nextafter(row[j], np.float32(np.inf if rng.random() < 0.5 else -np.inf))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 3, 63, 64, 65, 1001, 4099])
+def test_top_k_scores_equal_whole_product_oracle(n):
+    rng = np.random.default_rng(n)
+    dimension = EXACT_DIMENSION
+    # not unit length, so the norms take part
+    rows = (rng.standard_normal((n, dimension)) * rng.uniform(0.5, 2.0, (n, 1))).astype(
+        np.float32
+    )
+    queries = [rng.standard_normal(dimension).astype(np.float32), np.zeros(dimension, np.float32)]
+    if n >= 3:
+        rows[n // 2] = rows[0]
+        rows[1] = 0.0
+    if n >= 63:
+        # a cluster of near-ties, far inside 2ε of each other, that the
+        # k = 10 cut of the second query falls inside
+        cluster = rng.choice(np.arange(2, n), size=24, replace=False)
+        rows[cluster] = near_tie_rows(rng, rows[cluster[0]], cluster.size)
+        queries.append(rows[cluster[0]].copy())
+    ordered = seeded_ids(n)
+    ids = [ordered[i] for i in rng.permutation(n)]
+    index = VectorIndex(dimension)
+    index.bulk_load(ids, rows)
+    excluded = {ids[0], ids[n // 2], "f" * 32}
+    for query in queries:
+        for k in (1, 10, n, n + 5):
+            for exclude in ((), excluded):
+                got = index.top_k(query, k, exclude)
+                assert got == full_product_top_k(ids, rows, query, k, exclude)
+
+
+def test_top_k_rescores_rows_outside_the_float32_bound():
+    # the float32 scan's error bound fails where its product overflows or
+    # underflows; those rows must still rank by their float64 scores
+    ids = seeded_ids(3)
+    tiny = np.float32(2.0**-149)
+    cases = [
+        # 3e38 * 3e38 overflows: inf, and inf - inf is NaN, for a true score 0
+        (np.float32([[3e38, -3e38], [1.0, -1.0001], [-1.0, -1.0]]), np.float32([3e38, 3e38])),
+        # the overflowing row reads as 1.0 but scores 0.9487 < 0.995
+        (np.float32([[3e38, 1e38], [1.0, 0.1], [-1.0, 0.0]]), np.float32([3e38, 0.0])),
+        # a subnormal row loses a sixth of its dot product to underflow, yet
+        # ties exactly with its copy scaled by 2**100 and wins on id
+        (np.float32([[3 * tiny, 3 * tiny], [3 * 2.0**-49, 3 * 2.0**-49], [1.0, -1.0]]), np.float32([0.4, 0.4])),
+    ]
+    for rows, query in cases:
+        index = build_index(ids, rows)
+        for k in (1, 2, 3):
+            assert index.top_k(query, k) == full_product_top_k(ids, rows, query, k)
+
+
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_top_k_equals_whole_product_oracle_property(data):
+    # every finite float32, subnormal and near-overflow ones included
+    dimension = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 80))
+    distinct = data.draw(
+        hnp.arrays(np.float32, (data.draw(st.integers(1, n)), dimension), elements=FLOAT32)
+    )
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows = distinct[picks]
+    query = data.draw(hnp.arrays(np.float32, dimension, elements=FLOAT32))
+    ids = data.draw(st.permutations(seeded_ids(n)))
+    exclude = data.draw(st.sets(st.sampled_from(ids)))
+    k = data.draw(st.integers(1, n + 2))
+    index = build_index(ids, rows)
+    assert index.top_k(query, k, exclude) == full_product_top_k(ids, rows, query, k, exclude)
+
+
+_THREADS_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:3]
+from amem.index import VectorIndex
+from oracles import full_product_top_k
+rng = np.random.default_rng(0)
+n, dimension = 4099, 384
+rows = rng.standard_normal((n, dimension)).astype(np.float32)
+ids = [f"{i:032x}" for i in range(n)]
+index = VectorIndex(dimension)
+index.bulk_load(ids, rows)
+queries = rng.standard_normal((3, dimension)).astype(np.float32)
+got = [index.top_k(q, n) for q in queries]
+agrees = got == [full_product_top_k(ids, rows, q, n) for q in queries]
+print(json.dumps({"got": got, "oracle_agrees": agrees}))
+"""
+
+
+def run_with_blas_threads(threads):
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    source = str(Path(amem.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT, source, tests],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_scores_do_not_depend_on_blas_threads():
+    # 4099 x 384 is past the size at which BLAS threads a float64 product;
+    # every row is ranked, so the rows beside a thread split are compared too
+    one = run_with_blas_threads(1)
+    two = run_with_blas_threads(2)
+    assert one["oracle_agrees"]
+    assert two["got"] == one["got"]
 
 
 # ---------------------------------------------------------------------------
