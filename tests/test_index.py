@@ -309,7 +309,10 @@ def test_top_k_rescores_rows_outside_the_float32_bound():
         (np.float32([[3e38, 1e38], [1.0, 0.1], [-1.0, 0.0]]), np.float32([3e38, 0.0])),
         # a subnormal row loses a sixth of its dot product to underflow, yet
         # ties exactly with its copy scaled by 2**100 and wins on id
-        (np.float32([[3 * tiny, 3 * tiny], [3 * 2.0**-49, 3 * 2.0**-49], [1.0, -1.0]]), np.float32([0.4, 0.4])),
+        (
+            np.float32([[3 * tiny, 3 * tiny], [3 * 2.0**-49, 3 * 2.0**-49], [1.0, -1.0]]),
+            np.float32([0.4, 0.4]),
+        ),
     ]
     for rows, query in cases:
         index = build_index(ids, rows)
