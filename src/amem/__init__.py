@@ -49,13 +49,11 @@ from .metrics import (
     tokenize,
 )
 from .notes import (
-    DraftNote,
     IdGenerator,
     MemoryNote,
     canonical_bytes,
     canonical_json,
     decode_note,
-    new_draft,
     note_text,
     now_timestamp,
     validate_timestamp,
@@ -71,7 +69,6 @@ __all__ = [
     "ConcurrentRow",
     "DEFAULT_DIMENSION",
     "DimensionMismatch",
-    "DraftNote",
     "DuplicateId",
     "EmptyContent",
     "EmptyQuery",
@@ -112,7 +109,6 @@ __all__ = [
     "f1",
     "load_store",
     "meteor",
-    "new_draft",
     "note_text",
     "now_timestamp",
     "open_engine",

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gateway import LlmGateway, MockBackend, RemoteChatBackend
 from .metrics import METRIC_NAMES, evaluate_pair, mean_report
-from .notes import format_float32
+from .notes import join_float32
 from .persistence import open_engine, snapshot_engine
 
 logger = logging.getLogger(__name__)
@@ -326,8 +326,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
             header = ["id"] + [f"dim_{i}" for i in range(dimension)]
             handle.write(",".join(header) + "\n")
             for note in notes:
-                values = ",".join(format_float32(v) for v in note.embedding)
-                handle.write(f"{note.id},{values}\n")
+                handle.write(f"{note.id},{join_float32(note.embedding)}\n")
     logger.info("wrote %d embedding rows to %s", len(notes), args.out)
     return EXIT_OK
 

@@ -26,8 +26,8 @@ from .errors import EmptyContent, InvalidTimestamp
 
 NoteId = str
 
-_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
+_ID_RE = re.compile(r"[0-9a-f]{32}")
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
 _TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 # Fixed field order of the canonical JSON encoding. Decoders require exactly
@@ -46,7 +46,7 @@ CANONICAL_FIELDS = (
 
 def is_note_id(value: Any) -> bool:
     """True when value is a 32-character lowercase hex note id."""
-    return isinstance(value, str) and _ID_RE.match(value) is not None
+    return isinstance(value, str) and _ID_RE.fullmatch(value) is not None
 
 
 class IdGenerator:
@@ -76,7 +76,7 @@ def validate_timestamp(value: str) -> str:
     fields, so lexicographic order on valid timestamps matches time order.
     Raises InvalidTimestamp otherwise.
     """
-    if not isinstance(value, str) or _TIMESTAMP_RE.match(value) is None:
+    if not isinstance(value, str) or _TIMESTAMP_RE.fullmatch(value) is None:
         raise InvalidTimestamp(f"timestamp not in YYYY-MM-DDTHH:MM:SSZ form: {value!r}")
     try:
         datetime.strptime(value, _TIMESTAMP_FMT)
@@ -116,26 +116,6 @@ def compose_note_text(
 def note_text(note: "MemoryNote") -> str:
     """The enriched text a stored note's embedding must correspond to."""
     return compose_note_text(note.content, note.keywords, note.tags, note.context)
-
-
-@dataclass(frozen=True)
-class DraftNote:
-    """A note before enrichment: fresh id, raw content, validated timestamp."""
-
-    id: NoteId
-    content: str
-    timestamp: str
-
-
-def new_draft(content: str, timestamp: str, ids: IdGenerator | None = None) -> DraftNote:
-    """Validate raw inputs and allocate an id for a note under construction."""
-    if not isinstance(content, str) or not content.strip():
-        raise EmptyContent("note content is empty or whitespace-only")
-    generator = ids if ids is not None else _DEFAULT_IDS
-    return DraftNote(id=generator.fresh(), content=content, timestamp=validate_timestamp(timestamp))
-
-
-_DEFAULT_IDS = IdGenerator()
 
 
 def _check_terms(label: str, terms: tuple[str, ...]) -> None:
@@ -216,36 +196,60 @@ class MemoryNote:
         return hash(self.id)
 
 
-def format_float32(value: float) -> str:
-    """Render one float32 component at 9 significant digits.
-
-    Nine digits are enough to round-trip any float32 exactly through a
-    decimal string, so canonical bytes stay bitwise stable across encode
-    and decode cycles.
-    """
-    return format(float(value), ".9g")
-
-
 def _dumps(value: Any) -> str:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
+def join_float32(vec: np.ndarray) -> str:
+    """Comma-joined text of every component of a float32 vector.
+
+    Each component is written at 9 significant digits ("%.9g" of the value
+    widened to a Python float). Nine digits are enough to round-trip any
+    float32 exactly through a decimal string, so canonical bytes stay
+    bitwise stable across encode and decode cycles.
+
+    Each distinct value is formatted once and its text reused wherever the
+    value recurs: a HashEncoder embedding holds about a dozen distinct
+    values in 384 slots. Distinct values are keyed on their bit patterns
+    (see encode_embedding).
+    """
+    bits = np.ascontiguousarray(vec, dtype=np.float32).view(np.uint32)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # One %-format call renders every distinct value; no text holds a comma.
+    values = distinct.view(np.float32).tolist()
+    texts = np.array((("%.9g," * len(values))[:-1] % tuple(values)).split(","), dtype=object)
+    return ",".join(texts[inverse].tolist())
+
+
 def encode_embedding(vec: np.ndarray) -> str:
-    return "[" + ",".join(format_float32(v) for v in vec) + "]"
+    """The JSON array text of an embedding, as written in canonical JSON.
+
+    Every distinct float32 is formatted once (join_float32). The distinct
+    values are keyed on their bit patterns, not on the values: -0.0 == 0.0,
+    so a value-keyed cache would write whichever of "-0" and "0" it met
+    first at every position holding either.
+    """
+    return "[" + join_float32(vec) + "]"
 
 
 def canonical_json(note: MemoryNote) -> str:
-    """Canonical JSON text for a note: fixed field order, 9-digit floats."""
+    """Canonical JSON text for a note: fixed field order, 9-digit floats.
+
+    Ids (the note's and its links') and the timestamp go between literal
+    quotes: validation admits no quote, backslash or control character in
+    them, the only characters json.dumps escapes when ensure_ascii is off.
+    """
+    links = '","'.join(sorted(note.links))
     return "".join(
         (
-            '{"id":', _dumps(note.id),
-            ',"content":', _dumps(note.content),
-            ',"timestamp":', _dumps(note.timestamp),
-            ',"keywords":', _dumps(list(note.keywords)),
+            '{"id":"', note.id,
+            '","content":', _dumps(note.content),
+            ',"timestamp":"', note.timestamp,
+            '","keywords":', _dumps(list(note.keywords)),
             ',"tags":', _dumps(list(note.tags)),
             ',"context":', _dumps(note.context),
             ',"embedding":', encode_embedding(note.embedding),
-            ',"links":', _dumps(sorted(note.links)),
+            ',"links":', f'["{links}"]' if links else "[]",
             "}",
         )
     )

@@ -24,7 +24,7 @@ import re
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -235,17 +235,27 @@ def replay_events(
     return last
 
 
-def snapshot_text(
+def _snapshot_parts(
     notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int
-) -> str:
+) -> Iterator[str]:
     config_json = json.dumps(
         config.to_mapping(), ensure_ascii=False, separators=(",", ":"), sort_keys=True
     )
-    body = ",".join(canonical_json(notes[nid]) for nid in sorted(notes))
-    return (
+    yield (
         f'{{"format_version":{FORMAT_VERSION},"config":{config_json},'
-        f'"last_seq":{last_seq},"notes":[{body}]}}'
+        f'"last_seq":{last_seq},"notes":['
     )
+    separator = ""
+    for nid in sorted(notes):
+        yield separator + canonical_json(notes[nid])
+        separator = ","
+    yield "]}"
+
+
+def snapshot_text(
+    notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int
+) -> str:
+    return "".join(_snapshot_parts(notes, config, last_seq))
 
 
 def _fsync_dir(path: Path) -> None:
@@ -265,12 +275,16 @@ def write_snapshot(
     config: EngineConfig,
     last_seq: int,
 ) -> None:
-    """Write a snapshot atomically: temp file in the same directory, then rename."""
+    """Write a snapshot atomically: temp file in the same directory, then rename.
+
+    The text is written note by note, so no copy of the whole snapshot is
+    ever held in memory.
+    """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    data = snapshot_text(notes, config, last_seq).encode("utf-8")
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        for part in _snapshot_parts(notes, config, last_seq):
+            handle.write(part.encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
@@ -389,7 +403,9 @@ def open_engine(
 
     Config precedence: explicit argument, then the snapshot's config echo,
     then defaults. Read-only engines get no journal handle, so any mutation
-    attempt fails loudly rather than silently diverging from disk.
+    attempt fails loudly rather than silently diverging from disk. A writable
+    open first cuts a torn journal tail back to the last good event; a
+    read-only open leaves the journal file as it is.
     """
     base = Path(store_dir)
     base.mkdir(parents=True, exist_ok=True)
@@ -404,8 +420,27 @@ def open_engine(
     )
     engine.adopt_state(result.notes)
     if not read_only:
+        if result.journal_truncated_at is not None:
+            _truncate_torn_tail(journal_path, result.journal_truncated_at)
         engine.attach_journal(Journal(journal_path, last_seq=result.last_seq))
     return engine
+
+
+def _truncate_torn_tail(journal_path: Path, offset: int) -> None:
+    """Cut the journal back to its last good event before appending to it.
+
+    Appends after a torn line would be unreachable: every later load stops
+    at that line. This is the tolerate-corrupted-tail recovery of a
+    write-ahead log.
+    """
+    with open(journal_path, "r+b") as handle:
+        dropped = handle.seek(0, os.SEEK_END) - offset
+        handle.truncate(offset)
+        os.fsync(handle.fileno())
+    logger.warning(
+        "journal %s: truncated a torn tail of %d bytes at byte %d",
+        journal_path, dropped, offset,
+    )
 
 
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:

@@ -110,6 +110,19 @@ def full_product_top_k(ids, rows, query, k, exclude=()):
 
 
 # ---------------------------------------------------------------------------
+# canonical float text
+
+
+def per_element_embedding(vec) -> str:
+    """JSON array text of a float32 vector, one format call per element.
+
+    This is the canonical encoding's original per-element join: each
+    component widened to a Python float and written at 9 significant digits.
+    """
+    return "[" + ",".join(format(float(v), ".9g") for v in vec) + "]"
+
+
+# ---------------------------------------------------------------------------
 # metric oracles
 
 

@@ -22,8 +22,8 @@ from amem.cli import (
 )
 from amem.metrics import METRIC_NAMES
 from amem.notes import is_note_id
-from amem.persistence import JOURNAL_FILENAME, SNAPSHOT_FILENAME
-from oracles import DATA_DIR
+from amem.persistence import JOURNAL_FILENAME, SNAPSHOT_FILENAME, open_engine
+from oracles import DATA_DIR, per_element_embedding
 
 CONTENT_A = "photography camera tripod photography camera"
 CONTENT_B = "photography camera darkroom darkroom photography camera"
@@ -254,6 +254,12 @@ def test_export_embeddings_round_trip(tmp_path):
     assert len(rows[1]) == 1 + 384
     for value in rows[1][1:]:
         float(value)
+    # each row holds the note's embedding as canonical JSON writes it
+    engine = open_engine(tmp_path / "store", read_only=True)
+    embeddings = {note.id: note.embedding for note in engine.iter_notes()}
+    engine.close()
+    for row in rows[1:]:
+        assert "[" + ",".join(row[1:]) + "]" == per_element_embedding(embeddings[row[0]])
 
 
 def test_export_embeddings_empty_store(tmp_path):

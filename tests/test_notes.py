@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amem.errors import EmptyContent, InvalidTimestamp
 from amem.notes import (
@@ -20,15 +22,16 @@ from amem.notes import (
     canonical_json,
     compose_note_text,
     decode_note,
-    format_float32,
+    encode_embedding,
     is_note_id,
-    new_draft,
+    join_float32,
     normalize_terms,
     note_from_fields,
     note_text,
     now_timestamp,
     validate_timestamp,
 )
+from oracles import per_element_embedding
 
 IDS = IdGenerator(seed=7)
 
@@ -91,6 +94,8 @@ def test_is_note_id_rejects_malformed():
     assert not is_note_id("xyz")
     assert not is_note_id("A" * 32)
     assert not is_note_id("0" * 31)
+    # canonical_json writes ids between literal quotes
+    assert not is_note_id("0" * 32 + "\n")
     assert not is_note_id(123)
     assert is_note_id("0" * 32)
 
@@ -113,6 +118,7 @@ def test_validate_timestamp_rejects_bad_shapes():
         "2023-13-01T00:00:00Z",
         "2023-02-30T00:00:00Z",
         "2023-11-17T24:00:00Z",
+        "2023-11-17T10:54:00Z\n",
         "",
         None,
     ):
@@ -162,17 +168,7 @@ def test_note_text_uses_note_fields(rng=random.Random(0)):
 
 
 # ---------------------------------------------------------------------------
-# drafts and note invariants
-
-
-def test_new_draft_validates_inputs():
-    draft = new_draft("hello", "2023-11-17T10:54:00Z", ids=IdGenerator(seed=1))
-    assert is_note_id(draft.id)
-    assert draft.content == "hello"
-    with pytest.raises(EmptyContent):
-        new_draft("   ", "2023-11-17T10:54:00Z")
-    with pytest.raises(InvalidTimestamp):
-        new_draft("hello", "yesterday")
+# note invariants
 
 
 def test_note_rejects_malformed_id():
@@ -316,14 +312,13 @@ def test_note_equality_covers_every_field():
 # canonical encoding
 
 
-def test_format_float32_round_trips_bitwise():
+def test_join_float32_round_trips_bitwise():
     rng = random.Random(6)
     values = [rng.uniform(-1e6, 1e6) for _ in range(500)]
     values += [0.0, -0.0, 1e-30, -1e-30, 3.4e38, 1.1754944e-38]
-    for value in values:
-        narrowed = np.float32(value)
-        reparsed = np.float32(float(format_float32(narrowed)))
-        assert reparsed.tobytes() == narrowed.tobytes()
+    narrowed = np.asarray(values, dtype=np.float32)
+    reparsed = np.asarray([float(text) for text in join_float32(narrowed).split(",")], dtype=np.float32)
+    assert reparsed.tobytes() == narrowed.tobytes()
 
 
 def test_canonical_json_field_order_and_separators():
@@ -372,6 +367,79 @@ def test_canonical_round_trip_randomized():
         assert back == note
         assert back.embedding.dtype == np.float32
         assert canonical_bytes(back) == blob
+
+
+def test_canonical_json_matches_a_json_dumps_reference():
+    # ids, timestamps and links are written without json.dumps; the text
+    # must be what json.dumps would have written.
+    rng = random.Random(11)
+
+    def dumps(value):
+        return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+    for n_links in (0, 1, 2, 5):
+        note = make_note(rng, links=[IDS.fresh() for _ in range(n_links)])
+        reference = (
+            f'{{"id":{dumps(note.id)},"content":{dumps(note.content)},'
+            f'"timestamp":{dumps(note.timestamp)},"keywords":{dumps(list(note.keywords))},'
+            f'"tags":{dumps(list(note.tags))},"context":{dumps(note.context)},'
+            f'"embedding":{per_element_embedding(note.embedding)},'
+            f'"links":{dumps(sorted(note.links))}}}'
+        )
+        assert canonical_json(note) == reference
+
+
+def _float32s(*values):
+    return np.asarray(values, dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        _float32s(0.0, -0.0, 0.0, 1.0, -0.0),
+        _float32s(-0.0, 0.0, -0.0),
+        _float32s(1e-45, -1e-45, 1.17549435e-38, 1e-45, 0.0),
+        _float32s(3.40282347e38, -3.40282347e38, 3.40282347e38),
+        _float32s(1e-05, 1e09, -1e-05, 1e09, 0.1),
+        np.full(384, 0.0510310382, dtype=np.float32),
+        _float32s(-0.0),
+        _float32s(0.25),
+        np.arange(-8, 8, dtype=np.float32) / np.float32(3.0),
+    ],
+    ids=[
+        "signed-zeros",
+        "negative-zero-first",
+        "subnormals",
+        "max-finite",
+        "exponent-form",
+        "all-one-value",
+        "one-negative-zero",
+        "one-element",
+        "all-distinct",
+    ],
+)
+def test_encode_embedding_matches_per_element_oracle(vec):
+    assert encode_embedding(vec) == per_element_embedding(vec)
+
+
+# Any finite float32 by its bits, with the signed zeros, the smallest
+# subnormals and the largest finite values drawn often.
+FINITE_FLOAT32_BITS = st.one_of(
+    st.sampled_from([0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x7F7FFFFF, 0xFF7FFFFF]),
+    st.integers(0, 2**32 - 1).filter(lambda b: (b >> 23) & 0xFF != 0xFF),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=400),
+    picks=st.lists(st.integers(0, 399), min_size=1, max_size=400),
+)
+def test_encode_embedding_matches_per_element_oracle_property(pool, picks):
+    # Vectors drawn from raw bit patterns: every finite float32, signed
+    # zeros and subnormals included, with as many repeats as the pool allows.
+    vec = np.asarray([pool[i % len(pool)] for i in picks], dtype=np.uint32).view(np.float32)
+    assert encode_embedding(vec) == per_element_embedding(vec)
 
 
 def test_note_from_fields_rejects_wrong_key_sets():

@@ -6,7 +6,10 @@ consistent store. Prefix loading is exercised exhaustively over every
 possible truncation point of a real journal.
 """
 
+import hashlib
 import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,3 +468,73 @@ def test_reload_then_continue_then_reload_again(tmp_path):
     linked = [note for note in third.iter_notes() if note.links]
     assert len(linked) == 2
     third.close()
+
+
+def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
+        engine.add_memory(content, TS[i])
+    engine.close()
+    journal_path = store / JOURNAL_FILENAME
+    torn = journal_path.read_bytes()[:-40]
+    journal_path.write_bytes(torn)
+    before = load_store(*store_paths(store))
+    torn_at = before.journal_truncated_at
+    assert torn_at is not None
+
+    # a read-only open recovers in memory and leaves the file alone
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert len(reader.state_snapshot()[0]) == len(before.notes)
+    reader.close()
+    assert journal_path.read_bytes() == torn
+
+    with caplog.at_level(logging.WARNING, logger="amem.persistence"):
+        recovered = open_engine(store, encoder=encoder(), id_seed=8)
+    assert journal_path.read_bytes() == torn[:torn_at]
+    assert f"at byte {torn_at}" in caplog.text
+    recovered.add_memory("fresh note written after the recovery", TS[10])
+    live = state_map(recovered.state_snapshot()[0])
+    recovered.close()
+    assert len(live) == len(before.notes) + 1
+
+    reloaded = load_store(*store_paths(store), encoder=encoder())
+    assert reloaded.journal_truncated_at is None
+    assert state_map(reloaded.notes) == live
+
+
+# ---------------------------------------------------------------------------
+# pinned store bytes
+
+DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
+
+
+def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
+    # The referee for every change to the write path: the same adds, ids and
+    # timestamps must give the same journal and the same snapshot, byte for
+    # byte. Full-size HashEncoder embeddings, with evolution and a snapshot
+    # taken partway through the run.
+    lines = DIALOGUE.read_text("utf-8").splitlines()
+    contents = lines + [f"{line} Revisited a second time." for line in lines[:12]]
+    engine = open_engine(
+        tmp_path, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=20231117
+    )
+    for i, content in enumerate(contents):
+        if i == 40:
+            snapshot_engine(engine, tmp_path)
+        engine.add_memory(content, "2024-03-01T%02d:%02d:00Z" % divmod(i, 60))
+    engine.close()
+
+    events, truncated = read_journal(tmp_path / JOURNAL_FILENAME)
+    assert truncated is None
+    assert sum(event.kind == "note_evolved" for event in events) == 66
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert digest(JOURNAL_FILENAME) == (
+        "70097fcbf074621894f057456b93e7508869155974860e14b296e74ce6ec6c82"
+    )
+    assert digest(SNAPSHOT_FILENAME) == (
+        "7111fd3062a35704de2322a8545ac05ccb6d2883c49891f99bc51197e37d0d17"
+    )
