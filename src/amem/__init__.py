@@ -17,6 +17,7 @@ from .errors import (
     DuplicateId,
     EmptyContent,
     EmptyQuery,
+    EngineFailed,
     InvalidTimestamp,
     LoadIntegrityError,
     MissingSlot,
@@ -74,6 +75,7 @@ __all__ = [
     "EmptyQuery",
     "Encoder",
     "EngineConfig",
+    "EngineFailed",
     "EvolutionDirective",
     "HashEncoder",
     "IdGenerator",

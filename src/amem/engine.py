@@ -8,8 +8,8 @@ whether the new memory should evolve; an affirmative opinion yields a
 concrete directive that links the new note to chosen neighbors (both
 directions), extends the new note's tags, and may rewrite neighbor context
 or tags. Rewritten notes replace the originals and are re-encoded so every
-stored embedding always matches its note text. All changes from one add are
-journaled before the call returns.
+stored embedding always matches its note text. Every change is journaled
+and synced before readers can see it.
 
 Backend calls happen strictly before any state is touched, so a backend
 failure leaves the store exactly as it was.
@@ -18,15 +18,16 @@ failure leaves the store exactly as it was.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .embedding import Encoder
-from .errors import EmptyContent, EmptyQuery, UnknownId
+from .errors import EmptyContent, EmptyQuery, EngineFailed, UnknownId
 from .gateway import EvolutionDirective, LlmGateway
-from .index import ReadWriteLock, VectorIndex, cosine
+from .index import VectorIndex, cosine
 from .notes import (
     IdGenerator,
     MemoryNote,
@@ -37,16 +38,6 @@ from .notes import (
     now_timestamp,
     validate_timestamp,
 )
-
-_CONFIG_FIELDS = (
-    "k_link",
-    "k_retrieve",
-    "enable_link_generation",
-    "enable_evolution",
-    "enable_link_expansion",
-    "k_by_category",
-)
-
 
 @dataclass
 class EngineConfig:
@@ -82,21 +73,17 @@ class EngineConfig:
         return self.k_retrieve
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "k_link": self.k_link,
-            "k_retrieve": self.k_retrieve,
-            "enable_link_generation": self.enable_link_generation,
-            "enable_evolution": self.enable_evolution,
-            "enable_link_expansion": self.enable_link_expansion,
-            "k_by_category": dict(sorted(self.k_by_category.items())),
-        }
+        data = asdict(self)
+        data["k_by_category"] = dict(sorted(self.k_by_category.items()))
+        return data
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "EngineConfig":
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        names = [f.name for f in fields(cls)]
+        unknown = set(data) - set(names)
         if unknown:
             raise ValueError(f"unknown engine config keys: {sorted(unknown)}")
-        kwargs = {key: data[key] for key in _CONFIG_FIELDS if key in data}
+        kwargs = {key: data[key] for key in names if key in data}
         if "k_by_category" in kwargs:
             kwargs["k_by_category"] = dict(kwargs["k_by_category"])
         return cls(**kwargs)
@@ -119,13 +106,61 @@ def _extend_terms(existing: tuple[str, ...], additions: Sequence[str]) -> tuple[
     return tuple(merged)
 
 
+class ReadWriteLock:
+    """Many concurrent readers or one writer. A waiting writer goes first,
+    so a steady stream of readers cannot starve it."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._readers = self._waiting = 0
+        self._writer = False
+
+    @contextmanager
+    def read(self) -> Iterator[None]:
+        with self._cond:
+            self._cond.wait_for(lambda: not (self._writer or self._waiting))
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if self._readers == 0:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def write(self) -> Iterator[None]:
+        with self._cond:
+            self._waiting += 1
+            self._cond.wait_for(lambda: not (self._writer or self._readers))
+            self._waiting -= 1
+            self._writer = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writer = False
+                self._cond.notify_all()
+
+
+class _State(NamedTuple):
+    """The published store: a notes map never mutated once published, and
+    the last journaled sequence number it includes."""
+
+    notes: dict[NoteId, MemoryNote]
+    last_seq: int
+
+
 class MemoryEngine:
     """Owns the note store and wires encoder, index, gateway, and journal.
 
-    Mutations (add_memory, apply_evolution) are serialized; reads
-    (retrieve, get_note, audit, iteration) run concurrently against a
-    consistent snapshot. The notes map is swapped wholesale on commit, so a
-    reader never observes a half-applied update.
+    Mutations hold the writer lock and commit through _commit. Reads of the
+    notes (get_note, iter_notes, note_ids, len, membership, state_snapshot)
+    take no lock: they read the published _State. retrieve and audit also
+    read the index, which changes in place, so they hold the view lock for
+    reading while _commit holds it for writing. After a failed journal
+    write the engine refuses mutations (EngineFailed) until the store is
+    reopened; reads go on.
     """
 
     def __init__(
@@ -141,10 +176,11 @@ class MemoryEngine:
         self.config = config if config is not None else EngineConfig()
         self._journal = journal
         self._ids = IdGenerator(id_seed)
-        self._notes: dict[NoteId, MemoryNote] = {}
+        self._state = _State({}, journal.last_seq if journal is not None else 0)
         self._index = VectorIndex(encoder.dimension)
-        self._mutate = threading.RLock()
+        self._mutate = threading.Lock()
         self._view = ReadWriteLock()
+        self._failed: BaseException | None = None
 
     @property
     def encoder(self) -> Encoder:
@@ -155,30 +191,35 @@ class MemoryEngine:
         return self._journal
 
     def __len__(self) -> int:
-        return len(self._notes)
+        return len(self._state.notes)
 
     def __contains__(self, note_id: str) -> bool:
-        return note_id in self._notes
+        return note_id in self._state.notes
 
     def note_ids(self) -> list[NoteId]:
-        with self._view.read():
-            return sorted(self._notes)
+        return sorted(self._state.notes)
 
     def iter_notes(self) -> Iterator[MemoryNote]:
         """Notes in ascending id order, from one consistent snapshot."""
-        with self._view.read():
-            notes = self._notes
+        notes = self._state.notes
         for note_id in sorted(notes):
             yield notes[note_id]
 
     def get_note(self, note_id: NoteId) -> MemoryNote:
-        with self._view.read():
-            note = self._notes.get(note_id)
+        note = self._state.notes.get(note_id)
         if note is None:
             raise UnknownId(f"no note with id {note_id}")
         return note
 
     # -- mutation pipeline --------------------------------------------------
+
+    @contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Hold the writer lock; refuse once a journal write has failed."""
+        with self._mutate:
+            if self._failed is not None:
+                raise EngineFailed(f"a journal write failed ({self._failed!r}); reopen the store")
+            yield
 
     def add_memory(self, content: str, timestamp: str | None = None) -> NoteId:
         """Construct, link, and evolve one new memory. Returns its id.
@@ -191,14 +232,15 @@ class MemoryEngine:
         if not isinstance(content, str) or not content.strip():
             raise EmptyContent("note content is empty or whitespace-only")
         ts = validate_timestamp(timestamp) if timestamp is not None else now_timestamp()
-        with self._mutate:
+        with self._writing():
+            notes = self._state.notes
             attrs = self._gateway.generate_note_attributes(content, ts)
             keywords = normalize_terms(attrs.keywords)
             tags = normalize_terms(attrs.tags)
             context = attrs.context
             text = compose_note_text(content, keywords, tags, context)
             note = MemoryNote(
-                id=self._ids.fresh(self._notes.keys()),
+                id=self._ids.fresh(notes.keys()),
                 content=content,
                 timestamp=ts,
                 keywords=keywords,
@@ -209,9 +251,11 @@ class MemoryEngine:
 
             directive: EvolutionDirective | None = None
             neighbor_ids: list[NoteId] = []
-            if self.config.enable_link_generation and self._notes:
+            if self.config.enable_link_generation and notes:
+                # Only a writer changes the index, and this thread is the
+                # writer, so the scan needs no view lock.
                 ranked = self._index.top_k(note.embedding, self.config.k_link, exclude=(note.id,))
-                neighbors = [self._notes[nid] for nid, _ in ranked]
+                neighbors = [notes[nid] for nid, _ in ranked]
                 neighbor_ids = [n.id for n in neighbors]
                 opinion = self._gateway.opine_links(note, neighbors)
                 if opinion.should_evolve:
@@ -219,20 +263,51 @@ class MemoryEngine:
                     if not self.config.enable_evolution:
                         directive = directive.without_rewrites()
 
-            self._commit_insert(note)
+            self._commit({note.id: note})
             if directive is not None and directive.should_evolve:
                 self._apply_evolution_locked(directive, note.id, neighbor_ids)
             return note.id
 
-    def _commit_insert(self, note: MemoryNote) -> None:
-        with self._view.write():
-            notes = dict(self._notes)
-            notes[note.id] = note
-            self._notes = notes
-            self._index.insert(note.id, note.embedding)
-        if self._journal is not None:
-            self._journal.note_added(note)
-            self._journal.sync()
+    def _commit(self, changes: Mapping[NoteId, MemoryNote]) -> None:
+        """Journal one change, then publish it. Called with the writer lock.
+
+        changes maps each id to its new note, in event order; an id not in
+        the store is an insert. The events are appended and synced before
+        anything is published (the write-ahead rule), so a failed write
+        leaves memory as it was. Then the index is changed and the notes
+        and last_seq are published in one assignment.
+        """
+        before = self._state.notes
+        journal = self._journal
+        try:
+            if journal is not None:
+                for nid, after in changes.items():
+                    old = before.get(nid)
+                    if old is None:
+                        journal.note_added(after)
+                    elif (old.context, old.tags, old.keywords) != (
+                        after.context, after.tags, after.keywords
+                    ):
+                        journal.note_evolved(after)
+                    else:
+                        added, removed = after.links - old.links, old.links - after.links
+                        journal.links_changed(nid, added, removed)
+                journal.sync()
+            notes = {**before, **changes}
+            with self._view.write():
+                for nid, after in changes.items():
+                    old = before.get(nid)
+                    if old is None:
+                        self._index.insert(nid, after.embedding)
+                    elif note_text(after) != note_text(old):
+                        self._index.update(nid, after.embedding)
+                last_seq = journal.last_seq if journal is not None else self._state.last_seq
+                self._state = _State(notes, last_seq)
+        except BaseException as exc:
+            # The journal may now end in torn or unsynced bytes, or hold
+            # events memory lacks; a later append would land after them.
+            self._failed = exc
+            raise
 
     def apply_evolution(
         self,
@@ -246,7 +321,7 @@ class MemoryEngine:
         exposed so evolution logic is testable with hand-built directives.
         Returns the ids of notes that actually changed.
         """
-        with self._mutate:
+        with self._writing():
             return self._apply_evolution_locked(directive, new_id, list(neighbor_ids))
 
     def _apply_evolution_locked(
@@ -255,10 +330,8 @@ class MemoryEngine:
         new_id: NoteId,
         neighbor_ids: list[NoteId],
     ) -> list[NoteId]:
-        notes = self._notes
-        if new_id not in notes:
-            raise UnknownId(f"no note with id {new_id}")
-        for nid in neighbor_ids:
+        notes = self._state.notes
+        for nid in [new_id, *neighbor_ids]:
             if nid not in notes:
                 raise UnknownId(f"no note with id {nid}")
         if not directive.should_evolve:
@@ -287,70 +360,33 @@ class MemoryEngine:
             if new_id not in neighbor.links:
                 staged[nid] = replace(neighbor, links=neighbor.links | {new_id})
 
+        contexts = directive.new_context_neighborhood
+        tag_lists = directive.new_tags_neighborhood
         for position, nid in enumerate(neighbor_ids):
-            context = (
-                directive.new_context_neighborhood[position]
-                if position < len(directive.new_context_neighborhood)
-                else ""
-            )
-            raw_tags = (
-                directive.new_tags_neighborhood[position]
-                if position < len(directive.new_tags_neighborhood)
-                else ()
-            )
-            # Blank entries mean "leave this neighbor alone".
-            new_context = context.strip()
+            # Blank or missing entries mean "leave this neighbor alone".
+            new_context = contexts[position].strip() if position < len(contexts) else ""
+            raw_tags = tag_lists[position] if position < len(tag_lists) else ()
             rewrite_tags = normalize_terms(raw_tags)
             if not new_context and not rewrite_tags:
                 continue
             neighbor = current(nid)
-            fields: dict[str, Any] = {}
+            rewrite: dict[str, Any] = {}
             if new_context and new_context != neighbor.context:
-                fields["context"] = new_context
+                rewrite["context"] = new_context
             if rewrite_tags and rewrite_tags != neighbor.tags:
-                fields["tags"] = rewrite_tags
-            if fields:
-                staged[nid] = replace(neighbor, **fields)
+                rewrite["tags"] = rewrite_tags
+            if rewrite:
+                staged[nid] = replace(neighbor, **rewrite)
 
-        ordered = [nid for nid in [new_id, *neighbor_ids] if nid in staged]
-        if not ordered:
-            return []
-
-        # Re-encode every staged note whose enriched text changed, so the
-        # embedding-coherence invariant survives rewrites.
-        for nid in ordered:
-            before, after = notes[nid], staged[nid]
-            if note_text(after) != note_text(before):
-                staged[nid] = replace(
-                    after, embedding=self._encoder.encode(note_text(after))
-                )
-
-        with self._view.write():
-            merged = dict(self._notes)
-            merged.update(staged)
-            self._notes = merged
-            for nid in ordered:
-                if note_text(staged[nid]) != note_text(notes[nid]):
-                    self._index.update(nid, staged[nid].embedding)
-
-        if self._journal is not None:
-            for nid in ordered:
-                before, after = notes[nid], staged[nid]
-                content_changed = (
-                    before.context != after.context
-                    or before.tags != after.tags
-                    or before.keywords != after.keywords
-                )
-                if content_changed:
-                    self._journal.note_evolved(after)
-                else:
-                    self._journal.links_changed(
-                        nid,
-                        added=sorted(after.links - before.links),
-                        removed=sorted(before.links - after.links),
-                    )
-            self._journal.sync()
-        return ordered
+        # In event order; every note whose enriched text changed is
+        # re-encoded, so the embedding-coherence invariant survives rewrites.
+        changes = {nid: staged[nid] for nid in [new_id, *neighbor_ids] if nid in staged}
+        for nid, after in changes.items():
+            if note_text(after) != note_text(notes[nid]):
+                changes[nid] = replace(after, embedding=self._encoder.encode(note_text(after)))
+        if changes:
+            self._commit(changes)
+        return list(changes)
 
     # -- reads ---------------------------------------------------------------
 
@@ -370,23 +406,22 @@ class MemoryEngine:
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be >= 1")
         query_vec = self._encoder.encode(query)
+        # The lock is kept because VectorIndex.update overwrites rows in
+        # place; a copy-on-write matrix would cost O(n*d) per evolution.
+        # The notes are read under it too, so they match the ranked ids.
         with self._view.read():
             ranked = self._index.top_k(query_vec, k)
-            notes = self._notes
+            notes = self._state.notes
         results = [RetrievedMemory(notes[nid], score) for nid, score in ranked]
         if self.config.enable_link_expansion:
             seen = {nid for nid, _ in ranked}
             linked = sorted(
                 {lid for hit in results for lid in hit.note.links if lid not in seen}
             )
-            for lid in linked:
-                results.append(
-                    RetrievedMemory(
-                        notes[lid],
-                        cosine(query_vec, notes[lid].embedding),
-                        expanded=True,
-                    )
-                )
+            results.extend(
+                RetrievedMemory(notes[lid], cosine(query_vec, notes[lid].embedding), expanded=True)
+                for lid in linked
+            )
         return results
 
     # -- integrity -----------------------------------------------------------
@@ -402,14 +437,12 @@ class MemoryEngine:
         Symmetry checking is optional because a journal prefix recovered
         after a crash may legitimately hold a half-linked pair.
         """
-        verify = (
-            getattr(self._encoder, "deterministic", False)
-            if verify_embeddings is None
-            else verify_embeddings
-        )
+        verify = verify_embeddings
+        if verify is None:
+            verify = getattr(self._encoder, "deterministic", False)
         problems: list[str] = []
         with self._view.read():
-            notes = self._notes
+            notes = self._state.notes
             index_ids = set(self._index.ids())
         note_ids = set(notes)
         for missing in sorted(note_ids - index_ids):
@@ -433,34 +466,47 @@ class MemoryEngine:
 
     def adopt_state(self, notes: Mapping[NoteId, MemoryNote]) -> None:
         """Install a loaded note set wholesale. Only for empty engines."""
-        with self._mutate:
-            if self._notes:
+        with self._writing():
+            if self._state.notes:
                 raise RuntimeError("adopt_state requires an empty engine")
             ordered = sorted(notes)
             with self._view.write():
-                self._notes = {nid: notes[nid] for nid in ordered}
                 if ordered:
                     matrix = np.stack([notes[nid].embedding for nid in ordered])
                     self._index.bulk_load(ordered, matrix)
+                self._state = self._state._replace(notes={nid: notes[nid] for nid in ordered})
 
     def attach_journal(self, journal: Any) -> None:
-        self._journal = journal
+        """Journal later commits to journal, continuing after its last_seq."""
+        with self._mutate:
+            self._journal = journal
+            self._state = self._state._replace(last_seq=journal.last_seq)
 
     def state_snapshot(self) -> tuple[dict[NoteId, MemoryNote], int]:
-        """Current notes map plus the last journaled sequence number.
+        """Current notes map plus the last journaled sequence number it holds.
 
-        The returned map is the engine's live copy-on-write dict; commits
-        swap in a new dict, so holding this one is safe.
+        Both come from one published state. Commits publish a new dict, so
+        holding this one is safe.
         """
-        with self._view.read():
-            notes = self._notes
-        last_seq = self._journal.last_seq if self._journal is not None else 0
-        return notes, last_seq
+        return self._state
+
+    def compact(self, write: Callable[[dict[NoteId, MemoryNote], int], None]) -> None:
+        """Pass the current notes and last_seq to write, then empty the journal.
+
+        The writer lock is held throughout, so no commit can land between
+        the state that write saves and the truncation.
+        """
+        with self._writing():
+            write(*self.state_snapshot())
+            if self._journal is not None:
+                self._journal.truncate()
 
     def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        with self._mutate:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def memory_bytes(self) -> tuple[int, int]:
-        return self._index.memory_bytes()
+        with self._view.read():
+            return self._index.memory_bytes()

@@ -52,6 +52,10 @@ class SequenceGap(AmemError):
     """Journal sequence numbers are not strictly increasing."""
 
 
+class EngineFailed(AmemError):
+    """A journal write failed; the engine refuses mutations until the store is reopened."""
+
+
 class LoadIntegrityError(AmemError):
     """Persisted state failed integrity checks during load."""
 

@@ -22,15 +22,15 @@ that block is too small for BLAS to split across threads. The ranking and
 the scores are those of the whole-matrix float64 scan, whatever the BLAS
 thread count.
 
-A reader-writer lock allows concurrent queries while inserts and updates
-stay exclusive.
+The index takes no lock. Concurrent queries are safe on their own, but
+insert, update and bulk_load change the arrays in place, so a caller that
+mutates the index while others query must keep them apart; MemoryEngine
+does so with its view lock.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,42 +49,6 @@ _INITIAL_CAPACITY = 1024
 # Rough per-entry bookkeeping bytes besides the raw vector: the id string
 # object, its hash-table slot, the row list slot, and the cached norm.
 _PER_ENTRY_OVERHEAD = 160
-
-
-class ReadWriteLock:
-    """Many concurrent readers or one writer."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,27 +99,20 @@ class VectorIndex:
             raise ValueError("dimension must be a positive integer")
         self._dim = dimension
         self._epsilon = _score_error_bound(dimension)
-        self._lock = ReadWriteLock()
         self._rows = np.empty((0, dimension), dtype=np.float32)
         self._norms = np.empty(0, dtype=np.float64)
         self._ids: list[str] = []
         self._slot: dict[str, int] = {}
         self._count = 0
 
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, note_id: str) -> bool:
-        with self._lock.read():
-            return note_id in self._slot
+        return note_id in self._slot
 
     def ids(self) -> list[str]:
-        with self._lock.read():
-            return list(self._ids)
+        return list(self._ids)
 
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
         vec = np.asarray(vector, dtype=np.float32)
@@ -189,25 +146,23 @@ class VectorIndex:
 
     def insert(self, note_id: str, vector: np.ndarray) -> None:
         vec = self._check_vector(vector)
-        with self._lock.write():
-            if note_id in self._slot:
-                raise DuplicateId(f"id already present in index: {note_id}")
-            self._ensure_capacity(1)
-            row = self._count
-            self._rows[row] = vec
-            self._norms[row] = self._row_norm(vec)
-            self._ids.append(note_id)
-            self._slot[note_id] = row
-            self._count += 1
+        if note_id in self._slot:
+            raise DuplicateId(f"id already present in index: {note_id}")
+        self._ensure_capacity(1)
+        row = self._count
+        self._rows[row] = vec
+        self._norms[row] = self._row_norm(vec)
+        self._ids.append(note_id)
+        self._slot[note_id] = row
+        self._count += 1
 
     def update(self, note_id: str, vector: np.ndarray) -> None:
         vec = self._check_vector(vector)
-        with self._lock.write():
-            row = self._slot.get(note_id)
-            if row is None:
-                raise UnknownId(f"id not present in index: {note_id}")
-            self._rows[row] = vec
-            self._norms[row] = self._row_norm(vec)
+        row = self._slot.get(note_id)
+        if row is None:
+            raise UnknownId(f"id not present in index: {note_id}")
+        self._rows[row] = vec
+        self._norms[row] = self._row_norm(vec)
 
     def bulk_load(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Insert many rows at once. Equivalent to repeated insert, much faster.
@@ -231,25 +186,24 @@ class VectorIndex:
         for start in range(0, n, _CHECK_CHUNK):
             if not np.all(np.isfinite(matrix[start : start + _CHECK_CHUNK])):
                 raise ValueError("bulk batch contains NaN or Inf")
-        with self._lock.write():
-            for note_id in ids:
-                if note_id in self._slot:
-                    raise DuplicateId(f"id already present in index: {note_id}")
-            base = self._count
-            if base == 0 and matrix.flags["C_CONTIGUOUS"]:
-                self._rows = matrix
-                self._norms = np.empty(n, dtype=np.float64)
-            else:
-                self._ensure_capacity(n)
-                self._rows[base : base + n] = matrix
-            # per row, not vectorized: a batched reduction can differ from
-            # insert() in the last ulp, and both build paths must score alike
-            for offset in range(n):
-                self._norms[base + offset] = self._row_norm(matrix[offset])
-            for offset, note_id in enumerate(ids):
-                self._slot[note_id] = base + offset
-                self._ids.append(note_id)
-            self._count += n
+        for note_id in ids:
+            if note_id in self._slot:
+                raise DuplicateId(f"id already present in index: {note_id}")
+        base = self._count
+        if base == 0 and matrix.flags["C_CONTIGUOUS"]:
+            self._rows = matrix
+            self._norms = np.empty(n, dtype=np.float64)
+        else:
+            self._ensure_capacity(n)
+            self._rows[base : base + n] = matrix
+        # per row, not vectorized: a batched reduction can differ from
+        # insert() in the last ulp, and both build paths must score alike
+        for offset in range(n):
+            self._norms[base + offset] = self._row_norm(matrix[offset])
+        for offset, note_id in enumerate(ids):
+            self._slot[note_id] = base + offset
+            self._ids.append(note_id)
+        self._count += n
 
     def top_k(
         self, query: np.ndarray, k: int, exclude: Iterable[str] = ()
@@ -265,37 +219,36 @@ class VectorIndex:
         q = self._check_vector(query)
         q64 = q.astype(np.float64)
         q_norm = float(np.sqrt(np.dot(q64, q64)))
-        with self._lock.read():
-            n = self._count
-            if n == 0:
-                return []
-            denom = self._norms[:n] * q_norm
-            # ε holds when the float32 product neither overflows, which
-            # leaves a non-finite dot, nor underflows on a row with a tiny
-            # ‖r‖‖q‖. Such rows are always rescored.
-            with np.errstate(over="ignore", invalid="ignore"):
-                dots = (self._rows[:n] @ q).astype(np.float64)
-            scores = _cosines(dots, denom)
-            unsure = ~np.isfinite(dots) | (
-                (denom > 0.0) & (denom < self._dim * 2.0**-96)
-            )
-            for excluded in exclude:
-                row = self._slot.get(excluded)
-                if row is not None:
-                    unsure[row] = False
-                    scores[row] = -np.inf
-            scores[unsure] = -np.inf
-            take = min(k, n)
-            kth = float(np.partition(scores, n - take)[n - take])
-            # Scores lie in [-1, 1]: a cut of -2 keeps every row but the -inf
-            # ones, when fewer than k rows are eligible or ε is unbounded.
-            cut = max(kth - 2.0 * self._epsilon, -2.0)
-            candidates = np.flatnonzero((scores >= cut) | unsure)
-            exact = self._rescore(candidates, q64, denom)
-            ranked = sorted(
-                zip([self._ids[row] for row in candidates], exact.tolist()),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
+        n = self._count
+        if n == 0:
+            return []
+        denom = self._norms[:n] * q_norm
+        # ε holds when the float32 product neither overflows, which
+        # leaves a non-finite dot, nor underflows on a row with a tiny
+        # ‖r‖‖q‖. Such rows are always rescored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = (self._rows[:n] @ q).astype(np.float64)
+        scores = _cosines(dots, denom)
+        unsure = ~np.isfinite(dots) | (
+            (denom > 0.0) & (denom < self._dim * 2.0**-96)
+        )
+        for excluded in exclude:
+            row = self._slot.get(excluded)
+            if row is not None:
+                unsure[row] = False
+                scores[row] = -np.inf
+        scores[unsure] = -np.inf
+        take = min(k, n)
+        kth = float(np.partition(scores, n - take)[n - take])
+        # Scores lie in [-1, 1]: a cut of -2 keeps every row but the -inf
+        # ones, when fewer than k rows are eligible or ε is unbounded.
+        cut = max(kth - 2.0 * self._epsilon, -2.0)
+        candidates = np.flatnonzero((scores >= cut) | unsure)
+        exact = self._rescore(candidates, q64, denom)
+        ranked = sorted(
+            zip([self._ids[row] for row in candidates], exact.tolist()),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
         return ranked[:k]
 
     def _rescore(self, rows: np.ndarray, q64: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -323,7 +276,4 @@ class VectorIndex:
 
     def memory_bytes(self) -> tuple[int, int]:
         """(exact vector payload bytes, estimated bookkeeping bytes)."""
-        with self._lock.read():
-            vector_bytes = self._count * self._dim * 4
-            overhead_bytes = self._count * _PER_ENTRY_OVERHEAD
-        return vector_bytes, overhead_bytes
+        return self._count * self._dim * 4, self._count * _PER_ENTRY_OVERHEAD

@@ -27,7 +27,7 @@ from .errors import EmptyContent, InvalidTimestamp
 NoteId = str
 
 _ID_RE = re.compile(r"[0-9a-f]{32}")
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 # Fixed field order of the canonical JSON encoding. Decoders require exactly

@@ -402,14 +402,12 @@ def open_engine(
     """Open (or initialize) a store directory and return a live engine.
 
     Config precedence: explicit argument, then the snapshot's config echo,
-    then defaults. Read-only engines get no journal handle, so any mutation
-    attempt fails loudly rather than silently diverging from disk. A writable
-    open first cuts a torn journal tail back to the last good event; a
-    read-only open leaves the journal file as it is.
+    then defaults. Read-only engines get no journal handle: their mutations
+    stay in memory and never reach disk. A writable open creates the store
+    directory if needed and first cuts a torn journal tail back to the last
+    good event; a read-only open writes nothing, not even the directory.
     """
-    base = Path(store_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    snapshot_path, journal_path = store_paths(base)
+    snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
         encoder = HashEncoder()
     result = load_store(snapshot_path, journal_path, encoder=encoder)
@@ -420,6 +418,7 @@ def open_engine(
     )
     engine.adopt_state(result.notes)
     if not read_only:
+        journal_path.parent.mkdir(parents=True, exist_ok=True)
         if result.journal_truncated_at is not None:
             _truncate_torn_tail(journal_path, result.journal_truncated_at)
         engine.attach_journal(Journal(journal_path, last_seq=result.last_seq))
@@ -444,10 +443,19 @@ def _truncate_torn_tail(journal_path: Path, offset: int) -> None:
 
 
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:
-    """Snapshot a live engine's store; optionally drop journaled history."""
+    """Snapshot a live engine's store; optionally drop journaled history.
+
+    A plain snapshot takes no lock. A compacting one runs under the
+    engine's writer lock, so no commit lands between the snapshot and the
+    journal truncation.
+    """
     snapshot_path, _ = store_paths(store_dir)
-    notes, last_seq = engine.state_snapshot()
-    write_snapshot(snapshot_path, notes, engine.config, last_seq)
-    if compact and engine.journal is not None:
-        engine.journal.truncate()
+
+    def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
+        write_snapshot(snapshot_path, notes, engine.config, last_seq)
+
+    if compact:
+        engine.compact(write)
+    else:
+        write(*engine.state_snapshot())
     return snapshot_path

@@ -7,6 +7,9 @@ frequency, alphabetical on ties) yields known keyword sets.
 """
 
 import json
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -453,6 +456,52 @@ def test_link_expansion_off_by_default():
     engine = corpus_engine()
     results = engine.retrieve("photography darkroom camera", k=1)
     assert len(results) == 1
+
+
+def test_retrieve_while_adding_stays_consistent():
+    # Readers scan the index while a writer inserts and, through evolution,
+    # rewrites rows in place; the engine's view lock keeps them apart.
+    engine = fresh_engine()
+    engine.add_memory(CONTENT_A, TS[0])
+    words = "camera photography tripod darkroom lens soup recipe lentil trail hiking".split()
+    rng = random.Random(5)
+    contents = [" ".join(rng.choices(words, k=6)) for _ in range(80)]
+    queries = ["camera tripod", "soup recipe", "trail hiking boots", "darkroom lens"]
+    stop = threading.Event()
+    errors = []
+    reads = []
+
+    def reader(query):
+        try:
+            while not stop.is_set():
+                hits = engine.retrieve(query, k=5)
+                scores = [hit.score for hit in hits]
+                if scores != sorted(scores, reverse=True):
+                    errors.append(f"unsorted: {scores}")
+                for hit in hits:
+                    assert engine.get_note(hit.note.id) is not None
+                reads.append(len(hits))
+        except BaseException as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=reader, args=(q,)) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for i, content in enumerate(contents, start=1):
+            engine.add_memory(content, "2023-06-01T%02d:%02d:00Z" % divmod(i, 60))
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert reads
+    assert len(engine) == 81
+    assert engine.audit() == []
 
 
 # ---------------------------------------------------------------------------

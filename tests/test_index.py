@@ -500,31 +500,3 @@ def test_concurrent_readers_see_consistent_results():
     for thread in pool:
         thread.join()
     assert not failures
-
-
-def test_writer_and_readers_interleave_safely():
-    rng = np.random.default_rng(19)
-    dimension = 8
-    index = VectorIndex(dimension)
-    stop = threading.Event()
-    errors = []
-
-    def reader():
-        query = unit_rows(rng, 1, dimension)[0]
-        while not stop.is_set():
-            result = index.top_k(query, 5) if len(index) else []
-            scores = [s for _, s in result]
-            if scores != sorted(scores, reverse=True):
-                errors.append("unsorted")
-
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    rows = unit_rows(rng, 300, dimension)
-    for note_id, row in zip(seeded_ids(300), rows):
-        index.insert(note_id, row)
-    stop.set()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert len(index) == 300

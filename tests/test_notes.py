@@ -119,6 +119,7 @@ def test_validate_timestamp_rejects_bad_shapes():
         "2023-02-30T00:00:00Z",
         "2023-11-17T24:00:00Z",
         "2023-11-17T10:54:00Z\n",
+        "\u0662\u0660\u0662\u0663-11-17T10:54:00Z",
         "",
         None,
     ):

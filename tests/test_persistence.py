@@ -6,17 +6,21 @@ consistent store. Prefix loading is exercised exhaustively over every
 possible truncation point of a real journal.
 """
 
+import errno
 import hashlib
 import json
 import logging
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amem import persistence
 from amem.embedding import HashEncoder, basis_vector
 from amem.engine import EngineConfig, MemoryEngine
 from amem.errors import (
+    EngineFailed,
     LoadIntegrityError,
     SequenceGap,
     VersionMismatch,
@@ -501,6 +505,149 @@ def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
     reloaded = load_store(*store_paths(store), encoder=encoder())
     assert reloaded.journal_truncated_at is None
     assert state_map(reloaded.notes) == live
+
+
+def test_read_only_open_of_a_missing_store_writes_nothing(tmp_path):
+    store = tmp_path / "missing" / "store"
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert len(reader) == 0
+    reader.close()
+    assert not (tmp_path / "missing").exists()
+
+
+# ---------------------------------------------------------------------------
+# races and journal faults
+
+
+class GatedJournal(Journal):
+    """Once armed, blocks in its next note_added until released."""
+
+    def __init__(self, path, last_seq=0):
+        super().__init__(path, last_seq)
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def note_added(self, note):
+        if self.armed:
+            self.armed = False
+            self.entered.set()
+            assert self.release.wait(10)
+        super().note_added(note)
+
+
+def run_in_thread(target, *args):
+    """Start target(*args) in a thread; returns the thread and its errors."""
+    errors = []
+
+    def run():
+        try:
+            target(*args)
+        except BaseException as exc:  # reported by the joining test
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, errors
+
+
+def test_snapshot_taken_while_an_add_journals_reloads_to_the_live_store(tmp_path):
+    journal = GatedJournal(tmp_path / JOURNAL_FILENAME)
+    engine = live_engine(journal=journal)
+    engine.add_memory(CONTENT_A, TS[0])
+    journal.armed = True
+    writer, errors = run_in_thread(engine.add_memory, CONTENT_B, TS[1])
+    assert journal.entered.wait(10)
+    # the add is between its gateway calls and its note_added event
+    snapshot_engine(engine, tmp_path)
+    journal.release.set()
+    writer.join(10)
+    assert not writer.is_alive() and errors == []
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+
+    reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
+    assert state_map(reloaded.notes) == live
+    assert len(live) == 2
+
+
+def test_add_racing_a_compaction_survives_reopen(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_B, TS[1])
+    writing = threading.Event()
+    added = threading.Event()
+    real_write = persistence.write_snapshot
+
+    def slow_write(*args, **kwargs):
+        writing.set()
+        # Give the racing add time to finish inside the write, if the
+        # engine lets it; with the writer lock held it waits instead.
+        added.wait(1.0)
+        real_write(*args, **kwargs)
+
+    def add_during_the_write():
+        assert writing.wait(10)
+        engine.add_memory(CONTENT_C, TS[2])
+        added.set()
+
+    monkeypatch.setattr(persistence, "write_snapshot", slow_write)
+    racer, errors = run_in_thread(add_during_the_write)
+    snapshot_engine(engine, store, compact=True)
+    racer.join(10)
+    assert not racer.is_alive() and errors == []
+    engine.add_memory(CONTENT_D, TS[3])
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    assert len(live) == 4
+    assert reopened.audit() == []
+    reopened.close()
+
+
+class FailingSyncJournal(Journal):
+    """A journal whose next `failures` syncs raise EIO."""
+
+    failures = 0
+
+    def sync(self):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(errno.EIO, "injected fsync failure")
+        super().sync()
+
+
+def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    monkeypatch.setattr(persistence, "Journal", FailingSyncJournal)
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    live = state_map(engine.state_snapshot()[0])
+    engine.journal.failures = 1
+
+    with pytest.raises(OSError):
+        engine.add_memory(CONTENT_B, TS[1])
+    # nothing was published: memory is not ahead of disk
+    assert len(engine) == 1
+    assert state_map(engine.state_snapshot()[0]) == live
+    with pytest.raises(EngineFailed):
+        engine.add_memory(CONTENT_C, TS[2])
+    with pytest.raises(EngineFailed):
+        snapshot_engine(engine, store, compact=True)
+    # reads and plain snapshots go on
+    assert len(engine.retrieve("camera", k=1)) == 1
+    snapshot_engine(engine, store)
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    # the unacknowledged add may or may not have reached the disk
+    reloaded = state_map(reopened.state_snapshot()[0])
+    assert reloaded.items() >= live.items()
+    assert reopened.audit() == []
+    reopened.close()
 
 
 # ---------------------------------------------------------------------------
