@@ -6,12 +6,15 @@ a new note should evolve given its nearest neighbors. Template s3 asks for
 the concrete evolution decision: which neighbors to connect, which tags the
 new note gains, and rewritten context/tags for neighbors.
 
-The gateway validates every backend response against the expected schema,
-retries malformed completions a bounded number of times, and guarantees that
-whatever it hands to the engine is schema-valid. The mock backend is a pure
-function of its inputs and makes the whole pipeline runnable offline with
-reproducible results; it also serves as the fallback when a live backend
-keeps returning garbage for attribute extraction.
+One schema table, _RESPONSE_SCHEMAS, declares the JSON shape each template
+returns. The remote backend sends it to the model as the response format,
+and the gateway validates every response against the same entry. One rule
+holds for all three tasks: a response carries exactly the keys its schema
+lists. Malformed completions are retried a bounded number of times, so
+whatever the gateway hands to the engine is schema-valid. The mock backend
+is a pure function of its inputs and makes the whole pipeline runnable
+offline with reproducible results; it also serves as the fallback when a
+live backend keeps returning garbage for attribute extraction.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -124,7 +127,6 @@ class EvolutionDirective:
     """
 
     should_evolve: bool
-    actions: tuple[str, ...] = ()
     suggested_connections: tuple[str, ...] = ()
     tags_to_update: tuple[str, ...] = ()
     new_context_neighborhood: tuple[str, ...] = ()
@@ -136,117 +138,115 @@ class EvolutionDirective:
 
     def without_rewrites(self) -> "EvolutionDirective":
         """Keep link and tag suggestions, drop neighbor rewrites."""
-        return EvolutionDirective(
-            should_evolve=self.should_evolve,
-            actions=tuple(a for a in self.actions if a != "update_neighbor"),
-            suggested_connections=self.suggested_connections,
-            tags_to_update=self.tags_to_update,
-        )
+        return replace(self, new_context_neighborhood=(), new_tags_neighborhood=())
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaViolation(message)
+def _array(items: dict[str, Any], **limits: int) -> dict[str, Any]:
+    return {"type": "array", "items": items, **limits}
 
 
-def _string_list(value: Any, label: str, minimum: int = 0) -> tuple[str, ...]:
-    _require(isinstance(value, list), f"{label} must be a list")
-    out = []
-    for entry in value:
-        _require(isinstance(entry, str), f"{label} entries must be strings")
-        out.append(entry)
-    _require(len(out) >= minimum, f"{label} needs at least {minimum} entries")
-    return tuple(out)
+def _exact_object(**properties: dict[str, Any]) -> dict[str, Any]:
+    """An object schema whose keys are exactly the given properties."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
+_STRING: dict[str, Any] = {"type": "string"}
+_BOOLEAN: dict[str, Any] = {"type": "boolean"}
+
+# The one declaration of the s1/s2/s3 output shapes. RemoteChatBackend sends
+# each entry as the task's response format, and the parse_* functions
+# enforce the same entry through _validate.
+_RESPONSE_SCHEMAS: dict[str, dict[str, Any]] = {
+    "note_attributes": _exact_object(
+        keywords=_array(_STRING, minItems=3),
+        context=_STRING,
+        tags=_array(_STRING, minItems=3),
+    ),
+    "link_opinion": _exact_object(should_evolve=_BOOLEAN, rationale=_STRING),
+    "evolution_directive": _exact_object(
+        should_evolve=_BOOLEAN,
+        actions=_array(_STRING),
+        suggested_connections=_array(_STRING),
+        tags_to_update=_array(_STRING),
+        new_context_neighborhood=_array(_STRING),
+        new_tags_neighborhood=_array(_array(_STRING)),
+    ),
+}
+
+_JSON_TYPES: dict[str, type] = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _validate(value: Any, schema: Mapping[str, Any], label: str) -> None:
+    """Raise SchemaViolation unless value fits schema, in the JSON-Schema
+    subset _RESPONSE_SCHEMAS uses: type (object, array, string, boolean),
+    required, additionalProperties false, items and minItems."""
+    kind = schema["type"]
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise SchemaViolation(f"{label} must be of type {kind}")
+    if kind == "object":
+        properties = schema["properties"]
+        missing = [key for key in schema["required"] if key not in value]
+        if missing:
+            raise SchemaViolation(f"{label} is missing keys {missing}")
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in properties]
+            if extra:
+                raise SchemaViolation(f"{label} has unexpected keys {extra}")
+        for key, child in properties.items():
+            if key in value:
+                _validate(value[key], child, key)
+    elif kind == "array":
+        minimum = schema.get("minItems", 0)
+        if len(value) < minimum:
+            raise SchemaViolation(f"{label} needs at least {minimum} entries")
+        items, entry = schema["items"], label + "[]"
+        for item in value:
+            _validate(item, items, entry)
 
 
 def parse_note_attributes(raw: Any) -> NoteAttributes:
-    """Validate a backend response against the s1 output shape."""
-    _require(isinstance(raw, dict), "attribute response must be a JSON object")
-    _require(
-        set(raw.keys()) == {"keywords", "context", "tags"},
-        f"attribute response has wrong keys: {sorted(raw.keys())}",
-    )
-    keywords = _string_list(raw["keywords"], "keywords", minimum=3)
-    tags = _string_list(raw["tags"], "tags", minimum=3)
-    _require(all(k.strip() for k in keywords), "keywords contain blank entries")
-    _require(all(t.strip() for t in tags), "tags contain blank entries")
-    context = raw["context"]
-    _require(isinstance(context, str) and bool(context.strip()), "context must be non-empty text")
+    """Validate a backend response against the s1 schema; nothing may be blank."""
+    _validate(raw, _RESPONSE_SCHEMAS["note_attributes"], "note_attributes")
+    keywords, tags, context = tuple(raw["keywords"]), tuple(raw["tags"]), raw["context"]
+    if not (all(term.strip() for term in keywords + tags) and context.strip()):
+        raise SchemaViolation("keywords, tags and context must not be blank")
     return NoteAttributes(keywords=keywords, context=context, tags=tags)
 
 
 def parse_link_opinion(raw: Any) -> LinkOpinion:
-    _require(isinstance(raw, dict), "link opinion must be a JSON object")
-    _require("should_evolve" in raw, "link opinion missing should_evolve")
-    _require("rationale" in raw, "link opinion missing rationale")
-    should = raw["should_evolve"]
-    rationale = raw["rationale"]
-    _require(isinstance(should, bool), "should_evolve must be a boolean")
-    _require(isinstance(rationale, str), "rationale must be text")
-    return LinkOpinion(should_evolve=should, rationale=rationale)
-
-
-_DIRECTIVE_KEYS = (
-    "should_evolve",
-    "actions",
-    "suggested_connections",
-    "tags_to_update",
-    "new_context_neighborhood",
-    "new_tags_neighborhood",
-)
+    """Validate a backend response against the s2 schema."""
+    _validate(raw, _RESPONSE_SCHEMAS["link_opinion"], "link_opinion")
+    return LinkOpinion(should_evolve=raw["should_evolve"], rationale=raw["rationale"])
 
 
 def parse_evolution_directive(raw: Any, neighbor_ids: Sequence[str]) -> EvolutionDirective:
-    """Validate and sanitize a backend response against the s3 output shape.
+    """Validate a backend response against the s3 schema, then sanitize it.
 
-    Unknown actions are dropped with a warning rather than rejected, since
-    live models occasionally emit actions nobody defined semantics for.
-    Connection suggestions outside the candidate neighbor set are filtered
-    out, and the positional neighborhood lists are truncated to the number
-    of candidates.
+    Unknown actions are logged, not rejected, since live models occasionally
+    emit actions nobody defined semantics for; the engine reads no action
+    list. Connection suggestions outside the candidate neighbor set are
+    filtered out, and the positional neighborhood lists are truncated to the
+    number of candidates.
     """
-    _require(isinstance(raw, dict), "evolution directive must be a JSON object")
-    for key in _DIRECTIVE_KEYS:
-        _require(key in raw, f"evolution directive missing key {key!r}")
-    should = raw["should_evolve"]
-    _require(isinstance(should, bool), "should_evolve must be a boolean")
-
-    actions_in = _string_list(raw["actions"], "actions")
-    actions: list[str] = []
-    for action in actions_in:
-        if action in SUPPORTED_ACTIONS:
-            if action not in actions:
-                actions.append(action)
-        else:
-            logger.warning("dropping unsupported evolution action %r", action)
-
-    allowed = set(neighbor_ids)
-    connections = tuple(
-        nid
-        for nid in _string_list(raw["suggested_connections"], "suggested_connections")
-        if nid in allowed
-    )
-    tags_to_update = _string_list(raw["tags_to_update"], "tags_to_update")
-
-    contexts = _string_list(raw["new_context_neighborhood"], "new_context_neighborhood")
-    contexts = contexts[: len(neighbor_ids)]
-
-    raw_tag_lists = raw["new_tags_neighborhood"]
-    _require(isinstance(raw_tag_lists, list), "new_tags_neighborhood must be a list")
-    tag_lists = tuple(
-        _string_list(entry, "new_tags_neighborhood entry")
-        for entry in raw_tag_lists[: len(neighbor_ids)]
-    )
-
-    if not should:
+    _validate(raw, _RESPONSE_SCHEMAS["evolution_directive"], "evolution_directive")
+    for action in raw["actions"]:
+        if action not in SUPPORTED_ACTIONS:
+            logger.warning("ignoring unsupported evolution action %r", action)
+    if not raw["should_evolve"]:
         return EvolutionDirective.no_op()
+    allowed = set(neighbor_ids)
+    count = len(neighbor_ids)
     return EvolutionDirective(
         should_evolve=True,
-        actions=tuple(actions),
-        suggested_connections=connections,
-        tags_to_update=tags_to_update,
-        new_context_neighborhood=contexts,
-        new_tags_neighborhood=tag_lists,
+        suggested_connections=tuple(nid for nid in raw["suggested_connections"] if nid in allowed),
+        tags_to_update=tuple(raw["tags_to_update"]),
+        new_context_neighborhood=tuple(raw["new_context_neighborhood"][:count]),
+        new_tags_neighborhood=tuple(tuple(tags) for tags in raw["new_tags_neighborhood"][:count]),
     )
 
 
@@ -357,14 +357,8 @@ def mock_evolution_directive(
                     merged.append(tag)
             tag_lists[position] = merged
     if not connections:
-        return {
-            "should_evolve": False,
-            "actions": [],
-            "suggested_connections": [],
-            "tags_to_update": [],
-            "new_context_neighborhood": [],
-            "new_tags_neighborhood": [],
-        }
+        keys = _RESPONSE_SCHEMAS["evolution_directive"]["required"]
+        return {**{key: [] for key in keys}, "should_evolve": False}
     actions = ["strengthen"] + (["update_neighbor"] if any_rewrite else [])
     return {
         "should_evolve": True,
@@ -401,52 +395,6 @@ class MockBackend:
         if task == "evolution_directive":
             return mock_evolution_directive(payload["new_note"], payload["neighbors"])
         raise ValueError(f"unknown gateway task: {task!r}")
-
-
-_RESPONSE_SCHEMAS: dict[str, dict[str, Any]] = {
-    "note_attributes": {
-        "type": "object",
-        "properties": {
-            "keywords": {"type": "array", "items": {"type": "string"}, "minItems": 3},
-            "context": {"type": "string"},
-            "tags": {"type": "array", "items": {"type": "string"}, "minItems": 3},
-        },
-        "required": ["keywords", "context", "tags"],
-        "additionalProperties": False,
-    },
-    "link_opinion": {
-        "type": "object",
-        "properties": {
-            "should_evolve": {"type": "boolean"},
-            "rationale": {"type": "string"},
-        },
-        "required": ["should_evolve", "rationale"],
-        "additionalProperties": False,
-    },
-    "evolution_directive": {
-        "type": "object",
-        "properties": {
-            "should_evolve": {"type": "boolean"},
-            "actions": {"type": "array", "items": {"type": "string"}},
-            "suggested_connections": {"type": "array", "items": {"type": "string"}},
-            "tags_to_update": {"type": "array", "items": {"type": "string"}},
-            "new_context_neighborhood": {"type": "array", "items": {"type": "string"}},
-            "new_tags_neighborhood": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "required": [
-            "should_evolve",
-            "actions",
-            "suggested_connections",
-            "tags_to_update",
-            "new_context_neighborhood",
-            "new_tags_neighborhood",
-        ],
-        "additionalProperties": False,
-    },
-}
 
 
 def _strip_code_fences(text: str) -> str:

@@ -154,14 +154,10 @@ def meteor(candidate: TokenSequence, reference: TokenSequence) -> float:
     return f_mean * (1.0 - penalty)
 
 
-def embed_sim_raw(a: str, b: str, encoder: Encoder) -> float:
-    """Raw cosine similarity between the encodings of two texts, in [-1, 1]."""
-    return cosine(encoder.encode(a), encoder.encode(b))
-
-
 def embed_sim(a: str, b: str, encoder: Encoder) -> float:
-    """Embedding similarity for reports: raw cosine clamped below at 0."""
-    return max(0.0, embed_sim_raw(a, b, encoder))
+    """Embedding similarity for reports: the cosine of the two encodings,
+    clamped below at 0."""
+    return max(0.0, cosine(encoder.encode(a), encoder.encode(b)))
 
 
 @dataclass(frozen=True)

@@ -272,8 +272,10 @@ def note_from_fields(data: dict[str, Any]) -> MemoryNote:
             raise ValueError(f"{name} must be a list")
     if not isinstance(data["embedding"], list):
         raise ValueError("embedding must be a list of numbers")
-    if not isinstance(data["links"], list):
-        raise ValueError("links must be a list")
+    if not isinstance(data["links"], list) or not all(
+        isinstance(link, str) for link in data["links"]
+    ):
+        raise ValueError("links must be a list of ids")
     embedding = np.asarray(data["embedding"], dtype=np.float32)
     return MemoryNote(
         id=data["id"],

@@ -49,7 +49,7 @@ FORMAT_VERSION = 1
 EVENT_KINDS = ("note_added", "note_evolved", "links_changed")
 
 _LINE_RE = re.compile(
-    r'^\{"seq":(\d+),"kind":"(note_added|note_evolved|links_changed)",'
+    r'^\{"seq":(\d+),"kind":"(' + "|".join(map(re.escape, EVENT_KINDS)) + r')",'
     r'"payload":(.*),"crc":(\d+)\}\s*$'
 )
 
@@ -96,14 +96,18 @@ def _parse_line(text: str) -> JournalEvent:
 class Journal:
     """Writable handle on a journal file.
 
-    Appends buffer in process memory until sync(), which flushes and fsyncs;
-    the engine syncs once per mutating operation, after the last event of
-    that operation.
+    Appends buffer in process memory until sync(), which writes and fsyncs
+    them; the engine syncs once per mutating operation, after the last event
+    of that operation. So events not synced at close() belong to a change
+    that failed and was never acknowledged: close() drops them, and cuts
+    off any bytes a failed sync() left past the last successful one.
     """
 
     def __init__(self, path: str | os.PathLike[str], last_seq: int = 0) -> None:
         self._path = Path(path)
-        self._file = open(self._path, "ab")
+        self._file = open(self._path, "ab", buffering=0)
+        self._synced = os.fstat(self._file.fileno()).st_size
+        self._pending: list[bytes] = []
         self._last = int(last_seq)
 
     @property
@@ -121,7 +125,7 @@ class Journal:
             raise SequenceGap(
                 f"journal expected seq {self._last + 1}, got {event.seq}"
             )
-        self._file.write(event.line().encode("utf-8"))
+        self._pending.append(event.line().encode("utf-8"))
         self._last = event.seq
 
     def note_added(self, note: MemoryNote) -> None:
@@ -139,20 +143,31 @@ class Journal:
         self.append(JournalEvent(self._last + 1, "links_changed", payload))
 
     def sync(self) -> None:
-        self._file.flush()
+        data = b"".join(self._pending)
+        self._pending.clear()
+        rest = memoryview(data)
+        while rest:
+            rest = rest[self._file.write(rest):]
         os.fsync(self._file.fileno())
+        self._synced += len(data)
 
     def truncate(self) -> None:
         """Discard all journal bytes; the sequence counter keeps counting."""
-        self._file.flush()
-        self._file.seek(0)
-        self._file.truncate()
+        self._pending.clear()
+        self._file.truncate(0)
         os.fsync(self._file.fileno())
+        self._synced = 0
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        """Close the file, keeping exactly what the last sync() made durable."""
+        if self._file.closed:
+            return
+        self._pending.clear()
+        try:
+            if os.fstat(self._file.fileno()).st_size != self._synced:
+                self._file.truncate(self._synced)
+                os.fsync(self._file.fileno())
+        finally:
             self._file.close()
 
     def __enter__(self) -> "Journal":
@@ -200,6 +215,10 @@ def read_journal(path: str | os.PathLike[str]) -> tuple[list[JournalEvent], int 
     return events, truncated
 
 
+def _is_string_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(entry, str) for entry in value)
+
+
 def replay_events(
     notes: dict[str, MemoryNote], events: Iterable[JournalEvent], start_after: int = 0
 ) -> int:
@@ -223,6 +242,12 @@ def replay_events(
             else:
                 if set(payload.keys()) != {"id", "added", "removed"}:
                     raise ValueError("links_changed payload has wrong fields")
+                if not (
+                    isinstance(payload["id"], str)
+                    and _is_string_list(payload["added"])
+                    and _is_string_list(payload["removed"])
+                ):
+                    raise ValueError("links_changed payload has wrong types")
                 note = notes.get(payload["id"])
                 if note is None:
                     raise ValueError(f"links_changed for unknown note {payload['id']}")
@@ -307,8 +332,10 @@ def read_snapshot(
         if key not in document:
             raise LoadIntegrityError(f"snapshot missing key {key!r}")
     last_seq = document["last_seq"]
-    if not isinstance(last_seq, int) or last_seq < 0:
+    if type(last_seq) is not int or last_seq < 0:
         raise LoadIntegrityError("snapshot last_seq must be a non-negative integer")
+    if not isinstance(document["notes"], list):
+        raise LoadIntegrityError("snapshot notes must be a JSON array")
     notes: dict[str, MemoryNote] = {}
     for entry in document["notes"]:
         try:

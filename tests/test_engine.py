@@ -306,7 +306,6 @@ def test_apply_evolution_extends_new_note_tags():
     id_d = engine.add_memory(CONTENT_D, TS[1])
     directive = EvolutionDirective(
         should_evolve=True,
-        actions=("strengthen",),
         suggested_connections=(id_a,),
         tags_to_update=("topic:gear", "topic:soup"),
         new_context_neighborhood=(),

@@ -7,13 +7,15 @@ sanitization rules get exercised with hostile inputs.
 """
 
 import hashlib
+import json
+import logging
 
 import numpy as np
 import pytest
 
 from amem.errors import BackendUnavailable, EmptyContent, MissingSlot, SchemaViolation
 from amem.gateway import (
-    SUPPORTED_ACTIONS,
+    _RESPONSE_SCHEMAS,
     EvolutionDirective,
     LlmGateway,
     MockBackend,
@@ -165,10 +167,23 @@ def test_parse_link_opinion():
         {"rationale": "x"},
         {"should_evolve": "yes", "rationale": "x"},
         {"should_evolve": True, "rationale": 5},
+        {"should_evolve": True, "rationale": "x", "confidence": 0.9},
         [],
     ):
         with pytest.raises(SchemaViolation):
             parse_link_opinion(bad)
+
+
+def test_response_schema_table_is_pinned():
+    # RemoteChatBackend sends these entries; the request bytes must not drift.
+    # The plain dump keeps key order, which is what goes on the wire.
+    sorted_dump = json.dumps(_RESPONSE_SCHEMAS, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(sorted_dump).hexdigest() == (
+        "70c200186b4d886250fcca0b44f813abc9513c387a5536372d904c1988882ccc"
+    )
+    assert hashlib.sha256(json.dumps(_RESPONSE_SCHEMAS).encode("utf-8")).hexdigest() == (
+        "0efad045284d7336e3dbe54af00d48a8d62d07821679fd09b6291b00b991ff6e"
+    )
 
 
 def full_directive(neighbors, **overrides):
@@ -188,17 +203,22 @@ def test_parse_directive_happy_path():
     ids = [IDS.fresh(), IDS.fresh()]
     directive = parse_evolution_directive(full_directive(ids), ids)
     assert directive.should_evolve is True
-    assert directive.actions == ("strengthen",)
     assert directive.suggested_connections == tuple(ids)
     assert directive.tags_to_update == ("topic:new",)
 
 
-def test_parse_directive_drops_unknown_actions():
+def test_parse_directive_drops_unknown_actions(caplog):
+    # unknown actions are logged and do not reject the directive
     ids = [IDS.fresh()]
     raw = full_directive(ids, actions=["strengthen", "merge", "prune", "update_neighbor"])
-    directive = parse_evolution_directive(raw, ids)
-    assert directive.actions == ("strengthen", "update_neighbor")
-    assert set(directive.actions) <= set(SUPPORTED_ACTIONS)
+    with caplog.at_level(logging.WARNING, logger="amem.gateway"):
+        directive = parse_evolution_directive(raw, ids)
+    assert directive == parse_evolution_directive(full_directive(ids), ids)
+    warnings = [record.getMessage() for record in caplog.records]
+    assert warnings == [
+        "ignoring unsupported evolution action 'merge'",
+        "ignoring unsupported evolution action 'prune'",
+    ]
 
 
 def test_parse_directive_filters_foreign_connections():
@@ -226,7 +246,6 @@ def test_parse_directive_false_collapses_to_no_op():
     raw = full_directive(ids, should_evolve=False)
     directive = parse_evolution_directive(raw, ids)
     assert directive == EvolutionDirective.no_op()
-    assert directive.actions == ()
 
 
 def test_parse_directive_rejections():
@@ -238,6 +257,9 @@ def test_parse_directive_rejections():
         lambda d: d.update(actions="strengthen"),
         lambda d: d.update(new_tags_neighborhood=["flat", "strings"]),
         lambda d: d.update(suggested_connections=[1, 2]),
+        lambda d: d.update(confidence=0.9),
+        # an entry past the neighbor count is checked too, not skipped
+        lambda d: d.update(new_tags_neighborhood=[[], "flat"]),
     ):
         raw = full_directive(ids)
         mutate(raw)
@@ -254,7 +276,6 @@ def test_directive_without_rewrites_keeps_links_and_tags():
         new_tags_neighborhood=[["t1"]],
     )
     directive = parse_evolution_directive(raw, ids).without_rewrites()
-    assert directive.actions == ("strengthen",)
     assert directive.suggested_connections == tuple(ids)
     assert directive.tags_to_update == ("topic:new",)
     assert directive.new_context_neighborhood == ()
@@ -314,11 +335,11 @@ def test_mock_directive_strengthen_vs_rewrite():
     stranger = note_with(["soup", "recipe", "leek"])
 
     raw = mock_evolution_directive(new, [stranger, one_shared, two_shared])
+    assert raw["actions"] == ["strengthen", "update_neighbor"]
     directive = parse_evolution_directive(
         raw, [stranger.id, one_shared.id, two_shared.id]
     )
     assert directive.should_evolve is True
-    assert directive.actions == ("strengthen", "update_neighbor")
     assert directive.suggested_connections == (one_shared.id, two_shared.id)
     assert "topic:camera" in directive.tags_to_update
     assert "topic:photography" in directive.tags_to_update
@@ -504,6 +525,33 @@ def test_remote_chat_backend_round_trip():
     assert sent["model"] == "m"
     assert sent["messages"] == [{"role": "user", "content": "the prompt"}]
     assert sent["response_format"]["json_schema"]["name"] == "link_opinion"
+
+
+def test_remote_chat_backend_sends_the_schema_the_parser_enforces():
+    ids = [IDS.fresh()]
+    valid = {
+        "note_attributes": (GOOD_ATTRS, parse_note_attributes),
+        "link_opinion": ({"should_evolve": True, "rationale": "r"}, parse_link_opinion),
+        "evolution_directive": (
+            full_directive(ids),
+            lambda raw: parse_evolution_directive(raw, ids),
+        ),
+    }
+    assert set(valid) == set(_RESPONSE_SCHEMAS)
+    for task, (response, parse) in valid.items():
+        session = FakeSession([FakeResponse(200, chat_body(json.dumps(response)))])
+        backend = RemoteChatBackend(url="http://llm", model="m", session=session)
+        parse(backend.complete(task, "p", {}))
+        schema = session.requests[0]["json"]["response_format"]["json_schema"]["schema"]
+        assert schema == _RESPONSE_SCHEMAS[task]
+        # the parser takes exactly the keys the backend was told to send
+        assert set(schema["required"]) == set(response)
+        assert schema["additionalProperties"] is False
+        for key in schema["required"]:
+            with pytest.raises(SchemaViolation):
+                parse({k: v for k, v in response.items() if k != key})
+        with pytest.raises(SchemaViolation):
+            parse({**response, "unlisted": []})
 
 
 def test_remote_chat_backend_strips_code_fences():

@@ -13,12 +13,12 @@ import random
 import pytest
 
 from amem.embedding import HashEncoder
+from amem.index import cosine
 from amem.metrics import (
     METRIC_NAMES,
     MetricReport,
     bleu1,
     embed_sim,
-    embed_sim_raw,
     evaluate_pair,
     f1,
     lcs_length,
@@ -204,7 +204,7 @@ def test_embed_sim_matches_oracle_and_properties():
         assert value == embed_sim(b, a, ENCODER)
     assert embed_sim("same words here", "same words here", ENCODER) == pytest.approx(1.0)
     # raw similarity may go negative; the report value is clamped
-    assert embed_sim_raw("a", "b", ENCODER) >= -1.0
+    assert cosine(ENCODER.encode("a"), ENCODER.encode("b")) >= -1.0
     assert embed_sim("", "", ENCODER) == pytest.approx(1.0)
 
 

@@ -10,6 +10,7 @@ import errno
 import hashlib
 import json
 import logging
+import os
 import threading
 from pathlib import Path
 
@@ -296,6 +297,40 @@ def test_read_snapshot_rejects_damage(tmp_path):
     path.write_text(duplicated, "utf-8")
     with pytest.raises(LoadIntegrityError, match="twice"):
         read_snapshot(path)
+
+
+def read_snapshot_with(path, **overrides):
+    document = {"format_version": FORMAT_VERSION, "config": {}, "last_seq": 0, "notes": []}
+    path.write_text(json.dumps({**document, **overrides}), "utf-8")
+    return read_snapshot(path)
+
+
+def nested_link_note():
+    fields = json.loads(canonical_json(hand_note(IdGenerator(seed=4), "alpha")))
+    return {**fields, "links": [["nested"]]}
+
+
+def replay_links_changed(added, removed):
+    note = hand_note(IdGenerator(seed=4), "alpha")
+    payload = json.dumps({"id": note.id, "added": added, "removed": removed})
+    replay_events({note.id: note}, [JournalEvent(1, "links_changed", payload)])
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        pytest.param(lambda p: read_snapshot_with(p, notes=5), id="notes-int"),
+        pytest.param(lambda p: read_snapshot_with(p, notes=None), id="notes-null"),
+        pytest.param(lambda p: read_snapshot_with(p, notes=True), id="notes-bool"),
+        pytest.param(lambda p: read_snapshot_with(p, last_seq=True), id="seq-bool"),
+        pytest.param(lambda p: read_snapshot_with(p, notes=[nested_link_note()]), id="link-list"),
+        pytest.param(lambda p: replay_links_changed(5, []), id="added-int"),
+        pytest.param(lambda p: replay_links_changed([], None), id="removed-null"),
+    ],
+)
+def test_loaders_reject_wrongly_typed_fields(tmp_path, load):
+    with pytest.raises(LoadIntegrityError):
+        load(tmp_path / SNAPSHOT_FILENAME)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +678,37 @@ def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
     engine.close()
 
     reopened = open_engine(store, encoder=encoder())
-    # the unacknowledged add may or may not have reached the disk
-    reloaded = state_map(reopened.state_snapshot()[0])
-    assert reloaded.items() >= live.items()
+    # the failed add was never acknowledged, and close() did not write it
+    assert state_map(reopened.state_snapshot()[0]) == live
     assert reopened.audit() == []
+    reopened.close()
+
+
+def test_close_cuts_off_the_bytes_of_a_failed_fsync(tmp_path, monkeypatch):
+    # The failed add's events reach the file, then the fsync raises: they
+    # sit past the last successful sync, and close() must not keep them.
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    acknowledged = store.joinpath(JOURNAL_FILENAME).read_bytes()
+    real_fsync = os.fsync
+    calls = []
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        engine.add_memory(CONTENT_B, TS[1])
+    assert len(engine) == 1
+    engine.close()
+
+    assert store.joinpath(JOURNAL_FILENAME).read_bytes() == acknowledged
+    reopened = open_engine(store, encoder=encoder())
+    assert len(reopened) == 1
     reopened.close()
 
 
