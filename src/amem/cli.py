@@ -228,6 +228,10 @@ def build_components(
 
 @contextmanager
 def store_lock(store_dir: Path, shared: bool) -> Iterator[None]:
+    if shared and not store_dir.exists():
+        # A missing store reads as empty, and a reader writes nothing.
+        yield
+        return
     store_dir.mkdir(parents=True, exist_ok=True)
     lock_path = store_dir / LOCK_FILENAME
     handle = open(lock_path, "a+")

@@ -8,16 +8,17 @@ whether the new memory should evolve; an affirmative opinion yields a
 concrete directive that links the new note to chosen neighbors (both
 directions), extends the new note's tags, and may rewrite neighbor context
 or tags. Rewritten notes replace the originals and are re-encoded so every
-stored embedding always matches its note text. Every change is journaled
-and synced before readers can see it.
+stored embedding always matches its note text. The new note and all that
+its evolution changes are journaled, synced and published as one change.
 
-Backend calls happen strictly before any state is touched, so a backend
-failure leaves the store exactly as it was.
+Backend calls and re-encodes happen strictly before anything is written,
+so a backend failure leaves the store exactly as it was.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -98,12 +99,70 @@ class RetrievedMemory:
     expanded: bool = False
 
 
-def _extend_terms(existing: tuple[str, ...], additions: Sequence[str]) -> tuple[str, ...]:
-    merged = list(existing)
-    for term in normalize_terms(additions):
-        if term not in merged:
-            merged.append(term)
-    return tuple(merged)
+def _evolve(
+    notes: Mapping[NoteId, MemoryNote],
+    directive: EvolutionDirective,
+    new_id: NoteId,
+    neighbor_ids: Sequence[NoteId],
+) -> list[tuple[NoteId, MemoryNote]]:
+    """The (id, note) changes a directive makes to notes, new note first. A
+    pure step: rewritten notes keep their old embeddings; _commit re-encodes."""
+    if not directive.should_evolve:
+        return []
+
+    connections = [
+        nid for nid in dict.fromkeys(directive.suggested_connections)
+        if nid in neighbor_ids and nid != new_id
+    ]
+    staged: dict[NoteId, MemoryNote] = {}
+    current = ChainMap(staged, notes)
+
+    new_note = current[new_id]
+    new_links = new_note.links.union(connections)
+    # Stored tags hold no duplicates, so this appends only unseen terms.
+    new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
+    if new_links != new_note.links or new_tags != new_note.tags:
+        staged[new_id] = replace(new_note, links=new_links, tags=new_tags)
+    for nid in connections:
+        neighbor = current[nid]
+        if new_id not in neighbor.links:
+            staged[nid] = replace(neighbor, links=neighbor.links | {new_id})
+
+    contexts = directive.new_context_neighborhood
+    tag_lists = directive.new_tags_neighborhood
+    for position, nid in enumerate(neighbor_ids):
+        # Blank or missing entries mean "leave this neighbor alone".
+        new_context = contexts[position].strip() if position < len(contexts) else ""
+        raw_tags = tag_lists[position] if position < len(tag_lists) else ()
+        rewrite_tags = normalize_terms(raw_tags)
+        neighbor = current[nid]
+        rewrite: dict[str, Any] = {}
+        if new_context and new_context != neighbor.context:
+            rewrite["context"] = new_context
+        if rewrite_tags and rewrite_tags != neighbor.tags:
+            rewrite["tags"] = rewrite_tags
+        if rewrite:
+            staged[nid] = replace(neighbor, **rewrite)
+
+    return [(nid, staged[nid]) for nid in dict.fromkeys([new_id, *neighbor_ids]) if nid in staged]
+
+
+def _note_problems(
+    notes: Mapping[NoteId, MemoryNote], encoder: Encoder | None, check_symmetry: bool
+) -> Iterator[str]:
+    """The note checks of audit and load_store, in id order: dangling links,
+    optionally missing backlinks, and, given an encoder, stale embeddings."""
+    for note_id in sorted(notes):
+        note = notes[note_id]
+        for link in sorted(note.links):
+            if link not in notes:
+                yield f"note {note_id} links to unknown id {link}"
+            elif check_symmetry and note_id not in notes[link].links:
+                yield f"link {note_id} -> {link} has no backlink"
+        if encoder is not None:
+            expected = encoder.encode(note_text(note))
+            if not np.array_equal(expected, note.embedding):
+                yield f"note {note_id} embedding does not match its text"
 
 
 class ReadWriteLock:
@@ -224,10 +283,11 @@ class MemoryEngine:
     def add_memory(self, content: str, timestamp: str | None = None) -> NoteId:
         """Construct, link, and evolve one new memory. Returns its id.
 
-        Gateway calls run before anything is committed: if the backend
-        fails, the store is untouched. The neighbor query runs against the
-        store as it was before this note, which is exactly a self-excluding
-        top-k over the store with the note inserted.
+        Gateway calls run first; then the note and every change its
+        evolution makes are committed together, so a backend or journal
+        failure leaves the store untouched. The neighbor query runs against
+        the store as it was before this note, which is exactly a
+        self-excluding top-k over the store with the note inserted.
         """
         if not isinstance(content, str) or not content.strip():
             raise EmptyContent("note content is empty or whitespace-only")
@@ -249,58 +309,68 @@ class MemoryEngine:
                 embedding=self._encoder.encode(text),
             )
 
-            directive: EvolutionDirective | None = None
-            neighbor_ids: list[NoteId] = []
+            changes = [(note.id, note)]
             if self.config.enable_link_generation and notes:
                 # Only a writer changes the index, and this thread is the
                 # writer, so the scan needs no view lock.
                 ranked = self._index.top_k(note.embedding, self.config.k_link, exclude=(note.id,))
                 neighbors = [notes[nid] for nid, _ in ranked]
-                neighbor_ids = [n.id for n in neighbors]
                 opinion = self._gateway.opine_links(note, neighbors)
                 if opinion.should_evolve:
                     directive = self._gateway.propose_evolution(note, neighbors)
                     if not self.config.enable_evolution:
                         directive = directive.without_rewrites()
-
-            self._commit({note.id: note})
-            if directive is not None and directive.should_evolve:
-                self._apply_evolution_locked(directive, note.id, neighbor_ids)
+                    overlay = ChainMap({note.id: note}, notes)
+                    changes += _evolve(overlay, directive, note.id, [n.id for n in neighbors])
+            self._commit(changes)
             return note.id
 
-    def _commit(self, changes: Mapping[NoteId, MemoryNote]) -> None:
+    def _commit(self, changes: Sequence[tuple[NoteId, MemoryNote]]) -> None:
         """Journal one change, then publish it. Called with the writer lock.
 
-        changes maps each id to its new note, in event order; an id not in
-        the store is an insert. The events are appended and synced before
-        anything is published (the write-ahead rule), so a failed write
-        leaves memory as it was. Then the index is changed and the notes
-        and last_seq are published in one assignment.
+        changes lists (id, note) pairs in event order, each applied on top of
+        the ones before it and classified once against its id's latest note:
+        an insert, new context, tags or keywords (re-encoded, note_evolved,
+        index update), or else a links delta. Re-encoding comes first, so a
+        backend failure leaves the store and engine as they were. The events
+        are synced before anything is published (the write-ahead rule); then
+        the index is changed and the notes and last_seq are published at once.
         """
         before = self._state.notes
+        latest: dict[NoteId, MemoryNote] = {}
+        steps: list[tuple[str, MemoryNote, MemoryNote | None]] = []
+        for nid, note in changes:
+            old = latest.get(nid, before.get(nid))
+            if old is None:
+                kind = "note_added"
+            elif (note.context, note.tags, note.keywords) != (old.context, old.tags, old.keywords):
+                kind = "note_evolved"
+                note = replace(note, embedding=self._encoder.encode(note_text(note)))
+            else:
+                kind = "links_changed"
+            latest[nid] = note
+            steps.append((kind, note, old))
+
         journal = self._journal
         try:
             if journal is not None:
-                for nid, after in changes.items():
-                    old = before.get(nid)
-                    if old is None:
-                        journal.note_added(after)
-                    elif (old.context, old.tags, old.keywords) != (
-                        after.context, after.tags, after.keywords
-                    ):
-                        journal.note_evolved(after)
+                for kind, note, old in steps:
+                    if kind == "note_added":
+                        journal.note_added(note)
+                    elif kind == "note_evolved":
+                        journal.note_evolved(note)
                     else:
-                        added, removed = after.links - old.links, old.links - after.links
-                        journal.links_changed(nid, added, removed)
+                        journal.links_changed(
+                            note.id, note.links - old.links, old.links - note.links
+                        )
                 journal.sync()
-            notes = {**before, **changes}
+            notes = {**before, **latest}
             with self._view.write():
-                for nid, after in changes.items():
-                    old = before.get(nid)
-                    if old is None:
-                        self._index.insert(nid, after.embedding)
-                    elif note_text(after) != note_text(old):
-                        self._index.update(nid, after.embedding)
+                for kind, note, _ in steps:
+                    if kind == "note_added":
+                        self._index.insert(note.id, note.embedding)
+                    elif kind == "note_evolved":
+                        self._index.update(note.id, note.embedding)
                 last_seq = journal.last_seq if journal is not None else self._state.last_seq
                 self._state = _State(notes, last_seq)
         except BaseException as exc:
@@ -315,78 +385,22 @@ class MemoryEngine:
         new_id: NoteId,
         neighbor_ids: Sequence[NoteId],
     ) -> list[NoteId]:
-        """Apply an evolution directive as a pure state transition.
+        """Apply an evolution directive to stored notes and commit the result.
 
-        No backend calls happen here; this is the second half of add_memory,
-        exposed so evolution logic is testable with hand-built directives.
-        Returns the ids of notes that actually changed.
+        No gateway calls happen here; this is the evolution step of
+        add_memory, exposed so evolution logic is testable with hand-built
+        directives. Returns the ids of notes that actually changed.
         """
+        neighbor_ids = list(neighbor_ids)
         with self._writing():
-            return self._apply_evolution_locked(directive, new_id, list(neighbor_ids))
-
-    def _apply_evolution_locked(
-        self,
-        directive: EvolutionDirective,
-        new_id: NoteId,
-        neighbor_ids: list[NoteId],
-    ) -> list[NoteId]:
-        notes = self._state.notes
-        for nid in [new_id, *neighbor_ids]:
-            if nid not in notes:
-                raise UnknownId(f"no note with id {nid}")
-        if not directive.should_evolve:
-            return []
-
-        allowed = set(neighbor_ids)
-        connections: list[NoteId] = []
-        for nid in directive.suggested_connections:
-            if nid in allowed and nid != new_id and nid not in connections:
-                connections.append(nid)
-
-        staged: dict[NoteId, MemoryNote] = {}
-
-        def current(nid: NoteId) -> MemoryNote:
-            return staged.get(nid, notes[nid])
-
-        new_note = current(new_id)
-        new_links = set(new_note.links) | set(connections)
-        new_tags = _extend_terms(new_note.tags, directive.tags_to_update)
-        if new_links != set(new_note.links) or new_tags != new_note.tags:
-            staged[new_id] = replace(
-                new_note, links=frozenset(new_links), tags=new_tags
-            )
-        for nid in connections:
-            neighbor = current(nid)
-            if new_id not in neighbor.links:
-                staged[nid] = replace(neighbor, links=neighbor.links | {new_id})
-
-        contexts = directive.new_context_neighborhood
-        tag_lists = directive.new_tags_neighborhood
-        for position, nid in enumerate(neighbor_ids):
-            # Blank or missing entries mean "leave this neighbor alone".
-            new_context = contexts[position].strip() if position < len(contexts) else ""
-            raw_tags = tag_lists[position] if position < len(tag_lists) else ()
-            rewrite_tags = normalize_terms(raw_tags)
-            if not new_context and not rewrite_tags:
-                continue
-            neighbor = current(nid)
-            rewrite: dict[str, Any] = {}
-            if new_context and new_context != neighbor.context:
-                rewrite["context"] = new_context
-            if rewrite_tags and rewrite_tags != neighbor.tags:
-                rewrite["tags"] = rewrite_tags
-            if rewrite:
-                staged[nid] = replace(neighbor, **rewrite)
-
-        # In event order; every note whose enriched text changed is
-        # re-encoded, so the embedding-coherence invariant survives rewrites.
-        changes = {nid: staged[nid] for nid in [new_id, *neighbor_ids] if nid in staged}
-        for nid, after in changes.items():
-            if note_text(after) != note_text(notes[nid]):
-                changes[nid] = replace(after, embedding=self._encoder.encode(note_text(after)))
-        if changes:
-            self._commit(changes)
-        return list(changes)
+            notes = self._state.notes
+            for nid in [new_id, *neighbor_ids]:
+                if nid not in notes:
+                    raise UnknownId(f"no note with id {nid}")
+            changes = _evolve(notes, directive, new_id, neighbor_ids)
+            if changes:
+                self._commit(changes)
+            return [nid for nid, _ in changes]
 
     # -- reads ---------------------------------------------------------------
 
@@ -449,23 +463,14 @@ class MemoryEngine:
             problems.append(f"note {missing} missing from index")
         for missing in sorted(index_ids - note_ids):
             problems.append(f"index id {missing} has no note")
-        for note_id in sorted(notes):
-            note = notes[note_id]
-            for link in sorted(note.links):
-                if link not in notes:
-                    problems.append(f"note {note_id} links to unknown id {link}")
-                elif check_symmetry and note_id not in notes[link].links:
-                    problems.append(f"link {note_id} -> {link} has no backlink")
-            if verify:
-                expected = self._encoder.encode(note_text(note))
-                if not np.array_equal(expected, note.embedding):
-                    problems.append(f"note {note_id} embedding does not match its text")
+        problems.extend(_note_problems(notes, self._encoder if verify else None, check_symmetry))
         return problems
 
     # -- wiring used by persistence and tools ---------------------------------
 
-    def adopt_state(self, notes: Mapping[NoteId, MemoryNote]) -> None:
-        """Install a loaded note set wholesale. Only for empty engines."""
+    def adopt_state(self, notes: Mapping[NoteId, MemoryNote], last_seq: int = 0) -> None:
+        """Install a loaded note set wholesale, with the last journal
+        sequence number it includes. Only for empty engines."""
         with self._writing():
             if self._state.notes:
                 raise RuntimeError("adopt_state requires an empty engine")
@@ -474,13 +479,7 @@ class MemoryEngine:
                 if ordered:
                     matrix = np.stack([notes[nid].embedding for nid in ordered])
                     self._index.bulk_load(ordered, matrix)
-                self._state = self._state._replace(notes={nid: notes[nid] for nid in ordered})
-
-    def attach_journal(self, journal: Any) -> None:
-        """Journal later commits to journal, continuing after its last_seq."""
-        with self._mutate:
-            self._journal = journal
-            self._state = self._state._replace(last_seq=journal.last_seq)
+                self._state = _State({nid: notes[nid] for nid in ordered}, last_seq)
 
     def state_snapshot(self) -> tuple[dict[NoteId, MemoryNote], int]:
         """Current notes map plus the last journaled sequence number it holds.

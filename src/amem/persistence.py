@@ -26,10 +26,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .embedding import HashEncoder
-from .engine import EngineConfig, MemoryEngine
+from .engine import EngineConfig, MemoryEngine, _note_problems
 from .errors import (
     EmptyContent,
     InvalidTimestamp,
@@ -38,7 +36,7 @@ from .errors import (
     VersionMismatch,
 )
 from .gateway import LlmGateway
-from .notes import MemoryNote, canonical_json, note_from_fields, note_text
+from .notes import MemoryNote, canonical_json, note_from_fields
 
 logger = logging.getLogger(__name__)
 
@@ -348,6 +346,10 @@ def read_snapshot(
     config = document["config"]
     if not isinstance(config, dict):
         raise LoadIntegrityError("snapshot config must be a JSON object")
+    try:
+        EngineConfig.from_mapping(config)
+    except (ValueError, TypeError) as exc:
+        raise LoadIntegrityError(f"snapshot config invalid: {exc}") from exc
     return notes, config, last_seq
 
 
@@ -390,23 +392,11 @@ def load_store(
             )
         last_seq = replay_events(notes, fresh, start_after=last_seq)
 
-    for note in notes.values():
-        for link in note.links:
-            if link not in notes:
-                raise LoadIntegrityError(f"note {note.id} links to unknown id {link}")
-
-    if encoder is not None:
-        if getattr(encoder, "deterministic", False):
-            for note in notes.values():
-                expected = encoder.encode(note_text(note))
-                if not np.array_equal(expected, note.embedding):
-                    raise LoadIntegrityError(
-                        f"note {note.id} embedding does not match its text"
-                    )
-        else:
-            logger.warning(
-                "encoder is not deterministic; skipping embedding verification"
-            )
+    verify = encoder if getattr(encoder, "deterministic", False) else None
+    if encoder is not None and verify is None:
+        logger.warning("encoder is not deterministic; skipping embedding verification")
+    for problem in _note_problems(notes, verify, check_symmetry=False):
+        raise LoadIntegrityError(problem)
 
     return LoadResult(
         notes=notes, last_seq=last_seq, config=config, journal_truncated_at=truncated
@@ -440,15 +430,18 @@ def open_engine(
     result = load_store(snapshot_path, journal_path, encoder=encoder)
     if config is None and result.config is not None:
         config = EngineConfig.from_mapping(result.config)
-    engine = MemoryEngine(
-        encoder, gateway=gateway, config=config, journal=None, id_seed=id_seed
-    )
-    engine.adopt_state(result.notes)
+    journal = None
     if not read_only:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
         if result.journal_truncated_at is not None:
             _truncate_torn_tail(journal_path, result.journal_truncated_at)
-        engine.attach_journal(Journal(journal_path, last_seq=result.last_seq))
+        journal = Journal(journal_path, last_seq=result.last_seq)
+    engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
+    try:
+        engine.adopt_state(result.notes, result.last_seq)
+    except BaseException:
+        engine.close()
+        raise
     return engine
 
 

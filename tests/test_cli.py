@@ -161,6 +161,15 @@ def test_read_only_refuses_mutations(tmp_path):
     assert len(json.loads(out)) == 1
 
 
+def test_read_only_query_of_a_missing_store_writes_nothing(tmp_path):
+    code, out, _ = run_cli(
+        ["--store", str(tmp_path / "missing" / "store"), "--mock", "--read-only", "query", "x"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == []
+    assert not (tmp_path / "missing").exists()
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json", "utf-8")

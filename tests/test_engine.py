@@ -265,6 +265,25 @@ def test_journal_event_order_for_a_rewriting_insert(tmp_path):
     )
 
 
+class CountingJournal(Journal):
+    syncs = 0
+
+    def sync(self):
+        self.syncs += 1
+        super().sync()
+
+
+def test_an_evolving_add_syncs_once(tmp_path):
+    journal = CountingJournal(tmp_path / "j.jsonl")
+    engine = fresh_engine(journal=journal)
+    engine.add_memory(CONTENT_A, TS[0])
+    assert journal.syncs == 1
+    engine.add_memory(CONTENT_B, TS[1])
+    # B was inserted, linked and rewrote A: three events, one sync
+    assert journal.last_seq == 4
+    assert journal.syncs == 2
+
+
 def test_journal_prefix_never_dangles(tmp_path):
     # every event-stream prefix references only already-added notes
     journal = Journal(tmp_path / "j.jsonl")

@@ -21,6 +21,7 @@ from amem import persistence
 from amem.embedding import HashEncoder, basis_vector
 from amem.engine import EngineConfig, MemoryEngine
 from amem.errors import (
+    BackendUnavailable,
     EngineFailed,
     LoadIntegrityError,
     SequenceGap,
@@ -324,6 +325,8 @@ def replay_links_changed(added, removed):
         pytest.param(lambda p: read_snapshot_with(p, notes=True), id="notes-bool"),
         pytest.param(lambda p: read_snapshot_with(p, last_seq=True), id="seq-bool"),
         pytest.param(lambda p: read_snapshot_with(p, notes=[nested_link_note()]), id="link-list"),
+        pytest.param(lambda p: read_snapshot_with(p, config={"k_by_category": 5}), id="k-map-int"),
+        pytest.param(lambda p: read_snapshot_with(p, config={"k_link": 0}), id="k-link-zero"),
         pytest.param(lambda p: replay_links_changed(5, []), id="added-int"),
         pytest.param(lambda p: replay_links_changed([], None), id="removed-null"),
     ],
@@ -471,6 +474,24 @@ def test_open_engine_read_only_has_no_journal(tmp_path):
     reader.add_memory(CONTENT_D, TS[1])
     # in-memory only: the on-disk journal is untouched
     assert (store / JOURNAL_FILENAME).read_bytes() == before
+
+
+def test_read_only_open_publishes_the_loaded_last_seq(tmp_path):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_B, TS[1])
+    live, last_seq = engine.state_snapshot()
+    engine.close()
+
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert reader.state_snapshot()[1] == last_seq
+    # a snapshot of the reader covers the journal, so a load replays nothing twice
+    snapshot_engine(reader, store)
+    reader.close()
+    reloaded = load_store(*store_paths(store), encoder=encoder())
+    assert reloaded.last_seq == last_seq
+    assert state_map(reloaded.notes) == state_map(live)
 
 
 def test_compaction_drops_history_but_not_state(tmp_path):
@@ -679,6 +700,84 @@ def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
 
     reopened = open_engine(store, encoder=encoder())
     # the failed add was never acknowledged, and close() did not write it
+    assert state_map(reopened.state_snapshot()[0]) == live
+    assert reopened.audit() == []
+    reopened.close()
+
+
+class LinkSyncFailingJournal(Journal):
+    """A journal whose sync raises EIO once a links_changed event is pending."""
+
+    linking = False
+
+    def links_changed(self, note_id, added, removed):
+        super().links_changed(note_id, added, removed)
+        self.linking = True
+
+    def sync(self):
+        if self.linking:
+            raise OSError(errno.EIO, "injected fsync failure")
+        super().sync()
+
+
+def test_a_failed_sync_of_an_evolving_add_keeps_none_of_it(tmp_path, monkeypatch):
+    # B links to and rewrites A; the note, its links and the rewrite are one
+    # change, so none of them may survive the failed sync.
+    store = tmp_path / "store"
+    monkeypatch.setattr(persistence, "Journal", LinkSyncFailingJournal)
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    live = state_map(engine.state_snapshot()[0])
+    with pytest.raises(OSError):
+        engine.add_memory(CONTENT_B, TS[1])
+    assert state_map(engine.state_snapshot()[0]) == live
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder(), read_only=True)
+    assert state_map(reopened.state_snapshot()[0]) == live
+    reopened.close()
+
+
+class FlakyEncoder:
+    """A HashEncoder whose encode raises BackendUnavailable on one chosen call."""
+
+    def __init__(self):
+        self.inner = encoder()
+        self.dimension = self.inner.dimension
+        self.deterministic = self.inner.deterministic
+        self.fail_in = None
+
+    def encode(self, text):
+        if self.fail_in is not None:
+            self.fail_in -= 1
+            if self.fail_in < 0:
+                self.fail_in = None
+                raise BackendUnavailable("injected encoder outage")
+        return self.inner.encode(text)
+
+
+def test_a_failed_evolution_reencode_leaves_the_store_untouched(tmp_path):
+    store = tmp_path / "store"
+    flaky = FlakyEncoder()
+    engine = open_engine(store, encoder=flaky, id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    live = state_map(engine.state_snapshot()[0])
+    # B's own encode succeeds; the re-encode of A, rewritten by B, fails.
+    flaky.fail_in = 1
+    with pytest.raises(BackendUnavailable):
+        engine.add_memory(CONTENT_B, TS[1])
+    assert len(engine) == 1
+    assert state_map(engine.state_snapshot()[0]) == live
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert state_map(reader.state_snapshot()[0]) == live
+    reader.close()
+
+    # the engine is not failed: the retry stores B once, linked and evolved
+    id_b = engine.add_memory(CONTENT_B, TS[1])
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+    assert len(live) == 2 and engine.get_note(id_b).links
+    reopened = open_engine(store, encoder=encoder())
     assert state_map(reopened.state_snapshot()[0]) == live
     assert reopened.audit() == []
     reopened.close()
