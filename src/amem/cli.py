@@ -228,13 +228,20 @@ def build_components(
 
 @contextmanager
 def store_lock(store_dir: Path, shared: bool) -> Iterator[None]:
-    if shared and not store_dir.exists():
-        # A missing store reads as empty, and a reader writes nothing.
-        yield
-        return
-    store_dir.mkdir(parents=True, exist_ok=True)
     lock_path = store_dir / LOCK_FILENAME
-    handle = open(lock_path, "a+")
+    if shared:
+        try:
+            handle = open(lock_path, "r")
+        except FileNotFoundError:
+            # Only a writer creates the lock file, and a reader writes
+            # nothing: a store without one (or no store at all) is read as is.
+            handle = None
+        if handle is None:
+            yield
+            return
+    else:
+        store_dir.mkdir(parents=True, exist_ok=True)
+        handle = open(lock_path, "a+")
     try:
         operation = (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import threading
 from collections import Counter
 from typing import Protocol, Sequence
 
@@ -26,6 +27,11 @@ from .errors import BackendUnavailable, DimensionMismatch
 _TOKEN_RE = re.compile(r"\w+")
 
 DEFAULT_DIMENSION = 384
+
+# HashEncoder keeps the coordinates of at most _TOKEN_LIMIT tokens, in a
+# table of at least _MIN_TABLE_ROWS rows that doubles as it fills.
+_TOKEN_LIMIT = 65536
+_MIN_TABLE_ROWS = 1024
 
 EMBED_API_KEY_ENV = "AMEM_EMBED_API_KEY"
 
@@ -64,9 +70,10 @@ class HashEncoder:
     vector is L2-normalized in float64, then narrowed to float32 once at the
     end. Every accumulated value is a small integer, exact in float64, so
     neither the order of tokens in the text nor the order of the additions
-    (one vectorized bincount per text) can change a bit.
+    (one vectorized bincount per batch of texts) can change a bit.
 
-    Same seed, same text, same vector, on any platform.
+    Same seed, same text, same vector, on any platform, whether the text is
+    encoded alone or in a batch.
     """
 
     deterministic = True
@@ -78,57 +85,102 @@ class HashEncoder:
             raise ValueError("seed must fit in 64 bits")
         self.dimension = int(dimension)
         self.seed = int(seed)
-        self._key = seed.to_bytes(8, "big")
+        self._hasher = hashlib.blake2b(key=seed.to_bytes(8, "big"), digest_size=64)
         self._coords_per_token = max(1, self.dimension // 8)
         # 64-byte digests needed for 4 bytes per coordinate
-        self._digests_per_token = -(-self._coords_per_token * 4 // 64)
-        self._coord_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        digests_per_token = -(-self._coords_per_token * 4 // 64)
+        self._block_suffixes = [block.to_bytes(4, "big") for block in range(digests_per_token)]
+        # The coordinate table: row r holds the coordinates and signs of the
+        # token that _rows maps to r. It grows by doubling and is emptied
+        # once a batch would take it past _TOKEN_LIMIT tokens.
+        self._rows: dict[str, int] = {}
+        self._coords = np.empty(
+            (0, self._coords_per_token), dtype=np.min_scalar_type(self.dimension - 1)
+        )
+        self._signs = np.empty((0, self._coords_per_token), dtype=np.int8)
+        self._table_lock = threading.Lock()
 
-    def _coordinates(self, token: str) -> tuple[np.ndarray, np.ndarray]:
-        """The token's coordinates (intp) and their signs (float64 +-1)."""
-        cached = self._coord_cache.get(token)
-        if cached is not None:
-            return cached
-        data = token.encode("utf-8")
-        stream = b"".join(
-            hashlib.blake2b(
-                data + block.to_bytes(4, "big"), key=self._key, digest_size=64
-            ).digest()
-            for block in range(self._digests_per_token)
-        )
-        words = np.frombuffer(stream, dtype=">u4", count=self._coords_per_token)
-        result = (
-            ((words >> 1) % self.dimension).astype(np.intp),
-            np.where(words & 1, 1.0, -1.0),
-        )
-        if len(self._coord_cache) >= 65536:
-            self._coord_cache.clear()
-        self._coord_cache[token] = result
-        return result
+    def _learn(self, tokens: list[str]) -> None:
+        """Hash tokens into the next rows of the coordinate table."""
+        start = len(self._rows)
+        end = start + len(tokens)
+        if end > len(self._coords):
+            capacity = max(len(self._coords), _MIN_TABLE_ROWS)
+            while capacity < end:
+                capacity *= 2
+            self._coords = _grown(self._coords, capacity, start)
+            self._signs = _grown(self._signs, capacity, start)
+        digests = []
+        for token in tokens:
+            data = token.encode("utf-8")
+            for suffix in self._block_suffixes:
+                hasher = self._hasher.copy()
+                hasher.update(data + suffix)
+                digests.append(hasher.digest())
+        words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(tokens), -1)
+        words = words[:, : self._coords_per_token]
+        self._coords[start:end] = (words >> 1) % self.dimension
+        self._signs[start:end] = (words & 1).astype(np.int8) * 2 - 1
+        self._rows.update(zip(tokens, range(start, end)))
+
+    def _token_table(self, counts: list[Counter[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates and signs of every (text, token) pair, in order."""
+        rows = self._rows
+        with self._table_lock:
+            new = list(dict.fromkeys(t for count in counts for t in count if t not in rows))
+            if new:
+                if len(rows) + len(new) > _TOKEN_LIMIT:
+                    # A full table starts over, from this batch's tokens.
+                    rows.clear()
+                    new = list(dict.fromkeys(t for count in counts for t in count))
+                self._learn(new)
+            pairs = [rows[token] for count in counts for token in count]
+            coords, signs = self._coords[pairs], self._signs[pairs]
+            if len(self._coords) > _TOKEN_LIMIT:
+                # Only a batch with more distinct tokens than the limit
+                # gets here; it leaves an empty table behind.
+                rows.clear()
+                self._coords, self._signs = self._coords[:0].copy(), self._signs[:0].copy()
+        return coords, signs
 
     def encode(self, text: str) -> np.ndarray:
-        counts = Counter(_TOKEN_RE.findall(text.lower()))
-        if not counts:
-            return basis_vector(self.dimension)
-        coords = [self._coordinates(token) for token in counts]
-        frequency = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        weights = np.concatenate([signs for _, signs in coords])
-        weights *= np.repeat(frequency, self._coords_per_token)
-        acc = np.bincount(
-            np.concatenate([index for index, _ in coords]),
-            weights=weights,
-            minlength=self.dimension,
-        )
-        norm = float(np.sqrt(np.dot(acc, acc)))
-        if norm == 0.0:
-            # All signed contributions cancelled; fall back to the empty-text vector.
-            return basis_vector(self.dimension)
-        out = (acc / norm).astype(np.float32)
-        out.setflags(write=False)
-        return out
+        return self.encode_many([text])[0]
 
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self.encode(text) for text in texts]
+        counts = [Counter(_TOKEN_RE.findall(text.lower())) for text in texts]
+        dimension = self.dimension
+        coords, signs = self._token_table(counts)
+        lengths = [len(count) for count in counts]
+        frequency = np.fromiter(
+            (n for count in counts for n in count.values()), dtype=np.float64, count=len(coords)
+        )
+        slots = coords.astype(np.intp)
+        if len(counts) > 1:
+            slots += np.repeat(np.arange(len(counts), dtype=np.intp) * dimension, lengths)[:, None]
+        acc = np.bincount(
+            slots.ravel(),
+            weights=(signs * frequency[:, None]).ravel(),
+            minlength=len(counts) * dimension,
+        )
+        # bincount counts in int64 when there are no tokens at all
+        acc = acc.astype(np.float64, copy=False).reshape(len(counts), dimension)
+        norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+        # Rows with no tokens, or whose signed contributions all cancelled,
+        # get the empty-text vector.
+        empty = norms == 0.0
+        norms[empty] = 1.0
+        acc /= norms[:, None]
+        out = acc.astype(np.float32)
+        out[empty, 0] = 1.0
+        out.setflags(write=False)
+        return list(out)
+
+
+def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    """A copy of table's first used rows with room for capacity rows."""
+    grown = np.empty((capacity, table.shape[1]), dtype=table.dtype)
+    grown[:used] = table[:used]
+    return grown
 
 
 class RemoteEncoder:

@@ -40,6 +40,12 @@ from .notes import (
     validate_timestamp,
 )
 
+
+def _is_count(value: Any) -> bool:
+    """An int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class EngineConfig:
     """Behavior switches for the memory pipeline.
@@ -60,13 +66,16 @@ class EngineConfig:
     k_by_category: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k_link, int) or self.k_link < 1:
-            raise ValueError("k_link must be >= 1")
-        if not isinstance(self.k_retrieve, int) or self.k_retrieve < 1:
-            raise ValueError("k_retrieve must be >= 1")
+        if not _is_count(self.k_link):
+            raise ValueError("k_link must be an integer >= 1")
+        if not _is_count(self.k_retrieve):
+            raise ValueError("k_retrieve must be an integer >= 1")
         for category, value in self.k_by_category.items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"k for category {category!r} must be >= 1")
+            if not _is_count(value):
+                raise ValueError(f"k for category {category!r} must be an integer >= 1")
+        for name in ("enable_link_generation", "enable_evolution", "enable_link_expansion"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
 
     def k_for(self, category: str | None = None) -> int:
         if category is not None and category in self.k_by_category:
@@ -147,21 +156,31 @@ def _evolve(
     return [(nid, staged[nid]) for nid in dict.fromkeys([new_id, *neighbor_ids]) if nid in staged]
 
 
+# Notes whose embeddings _note_problems re-encodes in one batch; bounds the
+# memory of a verification however large the store.
+_VERIFY_CHUNK = 256
+
+
 def _note_problems(
     notes: Mapping[NoteId, MemoryNote], encoder: Encoder | None, check_symmetry: bool
 ) -> Iterator[str]:
     """The note checks of audit and load_store, in id order: dangling links,
     optionally missing backlinks, and, given an encoder, stale embeddings."""
-    for note_id in sorted(notes):
-        note = notes[note_id]
-        for link in sorted(note.links):
-            if link not in notes:
-                yield f"note {note_id} links to unknown id {link}"
-            elif check_symmetry and note_id not in notes[link].links:
-                yield f"link {note_id} -> {link} has no backlink"
+    ordered = sorted(notes)
+    for start in range(0, len(ordered), _VERIFY_CHUNK):
+        chunk = ordered[start:start + _VERIFY_CHUNK]
         if encoder is not None:
-            expected = encoder.encode(note_text(note))
-            if not np.array_equal(expected, note.embedding):
+            expected = encoder.encode_many([note_text(notes[note_id]) for note_id in chunk])
+        else:
+            expected = [None] * len(chunk)
+        for note_id, vector in zip(chunk, expected):
+            note = notes[note_id]
+            for link in sorted(note.links):
+                if link not in notes:
+                    yield f"note {note_id} links to unknown id {link}"
+                elif check_symmetry and note_id not in notes[link].links:
+                    yield f"link {note_id} -> {link} has no backlink"
+            if vector is not None and not np.array_equal(vector, note.embedding):
                 yield f"note {note_id} embedding does not match its text"
 
 

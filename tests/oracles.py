@@ -13,8 +13,10 @@ tests/data/pairs.jsonl.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 import sys
 import unicodedata
 from functools import lru_cache
@@ -57,6 +59,32 @@ def naive_cosine(a, b) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+
+
+def oracle_hash_encode(text: str, dimension: int, seed: int) -> np.ndarray:
+    """HashEncoder's vector, one token and one coordinate at a time, summed
+    in Python integers: a fresh keyed hasher per 64-byte block, the words
+    decoded with int.from_bytes, no table and no batch."""
+    per_token = max(1, dimension // 8)
+    blocks = -(-per_token * 4 // 64)
+    key = seed.to_bytes(8, "big")
+    frequency: dict[str, int] = {}
+    for token in re.findall(r"\w+", text.lower()):
+        frequency[token] = frequency.get(token, 0) + 1
+    acc = [0] * dimension
+    for token, count in frequency.items():
+        data = token.encode("utf-8")
+        stream = b"".join(
+            hashlib.blake2b(data + block.to_bytes(4, "big"), key=key, digest_size=64).digest()
+            for block in range(blocks)
+        )
+        for i in range(per_token):
+            word = int.from_bytes(stream[4 * i : 4 * i + 4], "big")
+            acc[(word >> 1) % dimension] += count if word & 1 else -count
+    if not any(acc):
+        acc[0] = 1
+    norm = math.sqrt(sum(value * value for value in acc))
+    return (np.array(acc, dtype=np.float64) / norm).astype(np.float32)
 
 
 def full_sort_top_k(ids, vectors, query, k, exclude=()):

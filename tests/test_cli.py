@@ -170,6 +170,32 @@ def test_read_only_query_of_a_missing_store_writes_nothing(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_read_only_query_of_a_store_without_a_lock_file_writes_nothing(tmp_path):
+    store = tmp_path / "emptystore"
+    store.mkdir()
+    code, out, _ = run_cli(["--store", str(store), "--mock", "--read-only", "query", "x"])
+    assert code == EXIT_OK
+    assert json.loads(out) == []
+    assert list(store.iterdir()) == []
+
+
+def test_a_snapshot_config_of_the_wrong_type_exits_4(tmp_path):
+    add(tmp_path, CONTENT_A, "2023-06-01T00:00:00Z")
+    run_cli(store_args(tmp_path) + ["snapshot"])
+    snapshot = tmp_path / "store" / SNAPSHOT_FILENAME
+    text = snapshot.read_text("utf-8")
+    cases = [
+        ('"enable_evolution":true', '"enable_evolution":"no"'),
+        ('"k_link":10', '"k_link":true'),
+    ]
+    for field, wrong in cases:
+        assert field in text
+        snapshot.write_text(text.replace(field, wrong), "utf-8")
+        code, _, err = run_cli(store_args(tmp_path) + ["--read-only", "query", "camera"])
+        assert code == EXIT_IO
+        assert "store error" in err
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json", "utf-8")

@@ -7,12 +7,18 @@ unit norm, fixed empty-text vector) is pinned tightly here.
 
 import hashlib
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from amem import embedding
 from amem.embedding import (
+    _TOKEN_LIMIT,
     DEFAULT_DIMENSION,
     HashEncoder,
     RemoteEncoder,
@@ -20,6 +26,7 @@ from amem.embedding import (
     is_unit,
 )
 from amem.errors import BackendUnavailable, DimensionMismatch
+from oracles import oracle_hash_encode
 
 DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 
@@ -101,6 +108,101 @@ def test_encode_many_matches_encode():
     assert len(many) == len(texts)
     for text, vec in zip(texts, many):
         assert np.array_equal(vec, enc.encode(text))
+
+
+# Tokens include repeats, case folds and non-ASCII words; separators
+# include punctuation, so some texts hold no token at all.
+TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "A", "river", "é", "日本", "straße", "x1", "_"]),
+        st.sampled_from([" ", "  ", "\n", "\t", ", ", "!", "\u00a0"]),
+    ),
+    max_size=12,
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+def vector_bytes(vectors):
+    return [(vec.dtype, vec.shape, vec.tobytes()) for vec in vectors]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 8, 48, 384]),
+    texts=st.lists(st.one_of(TEXTS, st.sampled_from(["", "   ", "\n\t", "a a b"])), max_size=8),
+    warmup=st.lists(TEXTS, max_size=4),
+)
+@example(dimension=1, texts=["a a b", "a b", "b a c", "", "a"], warmup=[])
+@example(dimension=8, texts=["a a b", "a a b", "  "], warmup=["a"])
+def test_encode_many_matches_encode_byte_for_byte(dimension, texts, warmup):
+    expected = vector_bytes([HashEncoder(dimension, seed=3).encode(text) for text in texts])
+    assert expected == vector_bytes([oracle_hash_encode(text, dimension, 3) for text in texts])
+    fresh = HashEncoder(dimension, seed=3)
+    assert vector_bytes(fresh.encode_many(texts)) == expected
+    # warm from its own batch, and warm from other texts
+    assert vector_bytes(fresh.encode_many(texts)) == expected
+    warm = HashEncoder(dimension, seed=3)
+    warm.encode_many(warmup)
+    assert vector_bytes(warm.encode_many(texts)) == expected
+    assert vector_bytes(warm.encode(text) for text in texts) == expected
+
+
+def test_cancelled_signs_give_the_basis_vector():
+    # At dimension 1 each token adds +-frequency to the one coordinate, so
+    # two tokens of opposite sign cancel.
+    enc = HashEncoder(dimension=1, seed=0)
+    words = [f"w{i}" for i in range(20)]
+    positive = next(w for w in words if enc.encode(w)[0] > 0)
+    negative = next(w for w in words if enc.encode(w)[0] < 0)
+    assert enc.encode(f"{negative} {negative} {positive}")[0] == -1.0
+    for vec in enc.encode_many([f"{positive} {negative}", f"{negative} {positive}"]):
+        assert np.array_equal(vec, basis_vector(1))
+
+
+def test_a_batch_crossing_the_token_bound_encodes_like_single_texts():
+    enc = HashEncoder(dimension=8, seed=1)
+    enc.encode(" ".join(f"warm{i}" for i in range(_TOKEN_LIMIT - 1000)))
+    # 3000 new tokens take the table past its bound mid-batch; then one batch
+    # holds more distinct tokens than the bound on its own.
+    crossing = [" ".join(f"c{j}x{i} warm{i}" for i in range(100)) for j in range(30)]
+    larger = [" ".join(f"l{j}x{i}" for i in range(1000)) for j in range(_TOKEN_LIMIT // 1000 + 2)]
+    for batch in (crossing, larger, crossing):
+        expected = vector_bytes([HashEncoder(dimension=8, seed=1).encode(t) for t in batch])
+        assert vector_bytes(enc.encode_many(batch)) == expected
+        assert len(enc._rows) <= _TOKEN_LIMIT and len(enc._coords) <= _TOKEN_LIMIT
+
+
+def test_threads_sharing_an_encoder_get_single_threaded_bytes(monkeypatch):
+    # A tiny table makes every few batches grow or restart it, under a short
+    # switch interval, so a lookup racing a restart would read wrong rows.
+    monkeypatch.setattr(embedding, "_TOKEN_LIMIT", 64)
+    monkeypatch.setattr(embedding, "_MIN_TABLE_ROWS", 8)
+    rng = random.Random(5)
+    words = [f"v{i}" for i in range(400)]
+    work = [
+        [" ".join(rng.sample(words, rng.randint(1, 12))) for _ in range(150)] for _ in range(6)
+    ]
+    expected = [vector_bytes(HashEncoder(48, seed=2).encode(t) for t in texts) for texts in work]
+    shared = HashEncoder(48, seed=2)
+    results = [None] * len(work)
+
+    def run(slot):
+        results[slot] = vector_bytes(
+            vec for pair in zip(work[slot][::2], work[slot][1::2])
+            for vec in shared.encode_many(pair)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
 
 
 @pytest.mark.parametrize(

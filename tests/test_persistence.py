@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,74 @@ def test_every_journal_prefix_loads_consistently(tmp_path):
     assert sizes_seen == {0, 1, 2, 3, 4}
 
 
+def assert_after_matches_full_read(path):
+    """read_journal(path, after=k) returns the full read's events past k
+    and the same truncation offset, for every k."""
+    events, truncated = read_journal(path)
+    for after in range(len(events) + 3):
+        assert read_journal(path, after=after) == (
+            [event for event in events if event.seq > after],
+            truncated,
+        )
+
+
+def test_reading_past_a_seq_agrees_with_a_full_read_on_every_prefix(tmp_path):
+    ids = IdGenerator(seed=5)
+    a, b = hand_note(ids, "alpha"), hand_note(ids, "beta")
+    path = tmp_path / "j.jsonl"
+    with Journal(path) as journal:
+        journal.note_added(a)
+        journal.links_changed(a.id, added=[], removed=[])
+        journal.note_added(b)
+        journal.links_changed(b.id, added=[a.id], removed=[])
+        journal.links_changed(a.id, added=[b.id], removed=[])
+        journal.sync()
+    data = path.read_bytes()
+    prefix = tmp_path / "prefix.jsonl"
+    for cut in range(len(data) + 1):
+        prefix.write_bytes(data[:cut])
+        assert_after_matches_full_read(prefix)
+
+
+def test_a_covered_line_with_a_bad_checksum_still_ends_the_read(tmp_path):
+    _, journal_path = populated(tmp_path)
+    lines = journal_path.read_bytes().splitlines(keepends=True)
+    head, crc = lines[1].rsplit(b'"crc":', 1)
+    lines[1] = head + b'"crc":' + str(int(crc[:-2]) ^ 1).encode() + b"}\n"
+    journal_path.write_bytes(b"".join(lines))
+    events, truncated = read_journal(journal_path)
+    assert [event.seq for event in events] == [1]
+    assert truncated == len(lines[0])
+    assert_after_matches_full_read(journal_path)
+
+
+def test_lines_with_non_ascii_digits_or_spaces_read_the_same_past_any_seq(tmp_path):
+    # The text pattern's \d and \s match them; reading past a seq keeps that.
+    empty = '{"id":"a","added":[],"removed":[]}'
+    lines = [JournalEvent(seq, "links_changed", empty).line() for seq in (1, 2, 3)]
+    lines[1] = lines[1].replace("\n", "\u00a0\n")
+    lines[2] = lines[2].replace('"seq":3', '"seq":\u0663')
+    path = tmp_path / "j.jsonl"
+    path.write_text("".join(lines), "utf-8")
+    events, truncated = read_journal(path)
+    assert [event.seq for event in events] == [1, 2, 3] and truncated is None
+    assert_after_matches_full_read(path)
+
+
+def test_a_covered_line_is_checked_but_not_parsed(tmp_path):
+    # The one verdict that after= changes: a line amem never writes, whose
+    # checksum holds but whose payload is not a JSON object.
+    path = tmp_path / "j.jsonl"
+    path.write_text(
+        JournalEvent(1, "links_changed", "[1]").line()
+        + JournalEvent(2, "links_changed", '{"id":"a","added":[],"removed":[]}').line(),
+        "utf-8",
+    )
+    assert read_journal(path) == ([], 0)
+    events, truncated = read_journal(path, after=1)
+    assert [event.seq for event in events] == [2] and truncated is None
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 
@@ -327,6 +396,17 @@ def replay_links_changed(added, removed):
         pytest.param(lambda p: read_snapshot_with(p, notes=[nested_link_note()]), id="link-list"),
         pytest.param(lambda p: read_snapshot_with(p, config={"k_by_category": 5}), id="k-map-int"),
         pytest.param(lambda p: read_snapshot_with(p, config={"k_link": 0}), id="k-link-zero"),
+        pytest.param(lambda p: read_snapshot_with(p, config={"k_link": True}), id="k-link-bool"),
+        pytest.param(lambda p: read_snapshot_with(p, config={"k_retrieve": True}), id="k-bool"),
+        pytest.param(
+            lambda p: read_snapshot_with(p, config={"k_by_category": {"a": True}}), id="k-map-bool"
+        ),
+        pytest.param(
+            lambda p: read_snapshot_with(p, config={"enable_evolution": "no"}), id="flag-str"
+        ),
+        pytest.param(
+            lambda p: read_snapshot_with(p, config={"enable_link_expansion": 1}), id="flag-int"
+        ),
         pytest.param(lambda p: replay_links_changed(5, []), id="added-int"),
         pytest.param(lambda p: replay_links_changed([], None), id="removed-null"),
     ],
@@ -404,6 +484,25 @@ def test_load_store_verifies_embeddings_deterministically(tmp_path):
     assert len(result.notes) == 1
     with pytest.raises(LoadIntegrityError, match="embedding"):
         load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
+
+
+def test_a_stale_embedding_past_the_first_verification_chunk_fails_the_load(tmp_path):
+    ids = IdGenerator(seed=9)
+    notes = {note.id: note for note in (hand_note(ids, f"kw{i}") for i in range(300))}
+    ordered = sorted(notes)
+    stale_id, dangling_id = ordered[256], ordered[299]
+    notes[stale_id] = replace(notes[stale_id], embedding=notes[ordered[0]].embedding)
+    snapshot_path, journal_path = store_paths(tmp_path)
+    write_snapshot(snapshot_path, notes, EngineConfig(), 0)
+    stale = f"note {stale_id} embedding does not match its text"
+    with pytest.raises(LoadIntegrityError, match=f"^{stale}$"):
+        load_store(snapshot_path, journal_path, encoder=encoder())
+
+    ghost = ids.fresh()
+    notes[dangling_id] = replace(notes[dangling_id], links=frozenset({ghost}))
+    engine = live_engine()
+    engine.adopt_state(notes)
+    assert engine.audit() == [stale, f"note {dangling_id} links to unknown id {ghost}"]
 
 
 def test_load_store_reports_truncation_offset(tmp_path):
@@ -754,6 +853,9 @@ class FlakyEncoder:
                 self.fail_in = None
                 raise BackendUnavailable("injected encoder outage")
         return self.inner.encode(text)
+
+    def encode_many(self, texts):
+        return [self.encode(text) for text in texts]
 
 
 def test_a_failed_evolution_reencode_leaves_the_store_untouched(tmp_path):
