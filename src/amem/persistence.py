@@ -52,11 +52,6 @@ _LINE_RE = re.compile(
 )
 
 
-# _LINE_RE over the raw bytes of a line. Its ASCII \d and \s accept a
-# subset of what _LINE_RE accepts, with the same groups.
-_LINE_BYTES_RE = re.compile(_LINE_RE.pattern.encode("ascii"))
-
-
 def payload_crc(payload_json: str) -> int:
     return zlib.crc32(payload_json.encode("utf-8")) & 0xFFFFFFFF
 
@@ -78,32 +73,27 @@ class JournalEvent:
         return f'{{"seq":{self.seq},"kind":"{self.kind}","payload":{self.payload_json},"crc":{crc}}}\n'
 
 
-def _parse_line(line: bytes, after: int) -> tuple[int, JournalEvent | None]:
+def _parse_line(text: str, after: int) -> tuple[int, JournalEvent | None]:
     """Check one journal line; return its seq and, past seq after, its event.
 
-    A line with seq <= after gets every check but the decoding and parsing
-    of its payload. Raises ValueError for a line that fails a check.
+    A line with seq <= after gets every check but the parsing of its
+    payload. Raises ValueError for a line that fails a check.
     """
-    match = _LINE_BYTES_RE.match(line)
-    if match is not None:
-        seq_digits, kind_bytes, payload, crc = match.groups()
-        kind = kind_bytes.decode("ascii")
-    else:
-        # _LINE_RE's \d and \s also take non-ASCII digits and spaces.
-        text_match = _LINE_RE.match(line.decode("utf-8"))
-        if text_match is None:
-            raise ValueError("journal line does not match the event shape")
-        seq_digits, kind, payload_text, crc = text_match.groups()
-        payload = payload_text.encode("utf-8")
-    seq = int(seq_digits)
-    if zlib.crc32(payload) != int(crc):
+    match = _LINE_RE.match(text)
+    if match is None:
+        raise ValueError("journal line does not match the event shape")
+    seq = int(match.group(1))
+    kind = match.group(2)
+    payload_json = match.group(3)
+    crc = int(match.group(4))
+    if payload_crc(payload_json) != crc:
         raise ValueError("journal line checksum mismatch")
     if seq < 1:
         raise ValueError("journal sequence numbers start at 1")
     if seq <= after:
         return seq, None
-    payload_json = payload.decode("utf-8")
-    if not isinstance(json.loads(payload_json), dict):
+    payload = json.loads(payload_json)
+    if not isinstance(payload, dict):
         raise ValueError("journal payload must be a JSON object")
     return seq, JournalEvent(seq=seq, kind=kind, payload_json=payload_json)
 
@@ -205,10 +195,10 @@ def read_journal(
 
     Lines with seq <= after (the events a snapshot already covers) are
     checked for shape, checksum and sequence like any other, but their
-    payload is neither decoded nor parsed, and they are not returned. So
-    the offset is the same as for after=0 on every journal amem writes;
-    only a covered line whose checksum holds but whose payload is not a
-    UTF-8 JSON object, which amem never writes, passes here and not there.
+    payload is not parsed, and they are not returned. So the offset is the
+    same as for after=0 on every journal amem writes; only a covered line
+    whose checksum holds but whose payload is not a JSON object, which
+    amem never writes, passes here and not there.
     """
     data = Path(path).read_bytes()
     events: list[JournalEvent] = []
@@ -225,8 +215,8 @@ def read_journal(
             truncated = pos
             break
         try:
-            seq, event = _parse_line(line_bytes, after)
-        except ValueError:
+            seq, event = _parse_line(line_bytes.decode("utf-8"), after)
+        except (ValueError, UnicodeDecodeError):
             truncated = pos
             break
         if last_seq is not None and seq != last_seq + 1:

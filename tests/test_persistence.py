@@ -295,19 +295,6 @@ def test_a_covered_line_with_a_bad_checksum_still_ends_the_read(tmp_path):
     assert_after_matches_full_read(journal_path)
 
 
-def test_lines_with_non_ascii_digits_or_spaces_read_the_same_past_any_seq(tmp_path):
-    # The text pattern's \d and \s match them; reading past a seq keeps that.
-    empty = '{"id":"a","added":[],"removed":[]}'
-    lines = [JournalEvent(seq, "links_changed", empty).line() for seq in (1, 2, 3)]
-    lines[1] = lines[1].replace("\n", "\u00a0\n")
-    lines[2] = lines[2].replace('"seq":3', '"seq":\u0663')
-    path = tmp_path / "j.jsonl"
-    path.write_text("".join(lines), "utf-8")
-    events, truncated = read_journal(path)
-    assert [event.seq for event in events] == [1, 2, 3] and truncated is None
-    assert_after_matches_full_read(path)
-
-
 def test_a_covered_line_is_checked_but_not_parsed(tmp_path):
     # The one verdict that after= changes: a line amem never writes, whose
     # checksum holds but whose payload is not a JSON object.
