@@ -180,7 +180,10 @@ def build_components(
 ) -> tuple[Any, LlmGateway, EngineConfig | None, int | None]:
     """Encoder, gateway, engine config, and id seed for this invocation."""
     mode = resolve_backend_mode(args, cfg)
-    embed_cfg = cfg.get("embedding", {})
+    embed_cfg, llm_cfg = cfg.get("embedding", {}), cfg.get("llm", {})
+    for name, section in (("embedding", embed_cfg), ("llm", llm_cfg)):
+        if not isinstance(section, dict):
+            raise UsageError(f"config {name} must be a JSON object")
     dimension = int(embed_cfg.get("dimension", DEFAULT_DIMENSION))
 
     if mode == "mock":
@@ -189,7 +192,6 @@ def build_components(
         )
         gateway = LlmGateway(MockBackend())
     else:
-        llm_cfg = cfg.get("llm", {})
         if "url" not in llm_cfg or "model" not in llm_cfg:
             raise UsageError("remote backend needs llm.url and llm.model in the config file")
         if "url" not in embed_cfg or "model" not in embed_cfg:

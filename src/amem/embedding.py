@@ -55,10 +55,6 @@ def basis_vector(dimension: int) -> np.ndarray:
     return vec
 
 
-def is_unit(vec: np.ndarray, tol: float = 1e-6) -> bool:
-    return abs(float(np.linalg.norm(np.asarray(vec, dtype=np.float64))) - 1.0) <= tol
-
-
 class HashEncoder:
     """Deterministic reference encoder built on keyed blake2b hashing.
 

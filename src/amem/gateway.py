@@ -40,6 +40,9 @@ LLM_API_KEY_ENV = "AMEM_LLM_API_KEY"
 
 SUPPORTED_ACTIONS = ("strengthen", "update_neighbor")
 
+# Retries of a schema-violating model response before the gateway gives up.
+MAX_RETRIES = 2
+
 TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
     "s1": ("timestamp", "content"),
     "s2": ("context", "content", "keywords", "nearest_neighbors_memories"),
@@ -490,31 +493,19 @@ class RemoteChatBackend:
 class LlmGateway:
     """Validated front door to whichever chat backend is configured.
 
-    Retry policy: a schema-violating response is retried up to max_retries
-    times. After that, attribute extraction falls back to the deterministic
-    mock rule (unless fallback is disabled), the link opinion falls back to
-    the mock rule (an opinion is always produced), and the evolution
-    directive raises, since silently inventing rewrites would be worse than
-    skipping evolution.
+    Retry policy: a schema-violating response is retried up to MAX_RETRIES
+    times. After that, attribute extraction and the link opinion fall back
+    to the deterministic mock rules (an answer is always produced), and the
+    evolution directive raises, since silently inventing rewrites would be
+    worse than skipping evolution.
     """
 
-    def __init__(
-        self,
-        backend: ChatBackend | None = None,
-        fallback_to_mock: bool = True,
-        max_retries: int = 2,
-    ) -> None:
+    def __init__(self, backend: ChatBackend | None = None) -> None:
         self._backend: ChatBackend = backend if backend is not None else MockBackend()
-        self._fallback = fallback_to_mock
-        self._retries = max(0, max_retries)
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     def _attempt(self, task: str, prompt: str, payload: Mapping[str, Any], parse):
         last: SchemaViolation | None = None
-        for attempt in range(self._retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 return parse(self._backend.complete(task, prompt, payload))
             except SchemaViolation as exc:
@@ -524,7 +515,7 @@ class LlmGateway:
                     self._backend.name,
                     task,
                     attempt + 1,
-                    self._retries + 1,
+                    MAX_RETRIES + 1,
                     exc,
                 )
         assert last is not None
@@ -540,8 +531,6 @@ class LlmGateway:
         try:
             return self._attempt("note_attributes", prompt, payload, parse_note_attributes)
         except SchemaViolation:
-            if not self._fallback:
-                raise
             logger.warning("falling back to deterministic attribute extraction")
             return parse_note_attributes(mock_note_attributes(content, timestamp))
 

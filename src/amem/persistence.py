@@ -64,38 +64,27 @@ class JournalEvent:
     kind: str
     payload_json: str
 
-    @property
-    def payload(self) -> Any:
-        return json.loads(self.payload_json)
-
     def line(self) -> str:
         crc = payload_crc(self.payload_json)
         return f'{{"seq":{self.seq},"kind":"{self.kind}","payload":{self.payload_json},"crc":{crc}}}\n'
 
 
-def _parse_line(text: str, after: int) -> tuple[int, JournalEvent | None]:
-    """Check one journal line; return its seq and, past seq after, its event.
+def _parse_line(text: str) -> JournalEvent:
+    """Check one journal line's framing: shape, checksum and seq >= 1.
 
-    A line with seq <= after gets every check but the parsing of its
-    payload. Raises ValueError for a line that fails a check.
+    The payload is not parsed here. Raises ValueError for a line that fails
+    a check, which only a torn write produces.
     """
     match = _LINE_RE.match(text)
     if match is None:
         raise ValueError("journal line does not match the event shape")
     seq = int(match.group(1))
-    kind = match.group(2)
     payload_json = match.group(3)
-    crc = int(match.group(4))
-    if payload_crc(payload_json) != crc:
+    if payload_crc(payload_json) != int(match.group(4)):
         raise ValueError("journal line checksum mismatch")
     if seq < 1:
         raise ValueError("journal sequence numbers start at 1")
-    if seq <= after:
-        return seq, None
-    payload = json.loads(payload_json)
-    if not isinstance(payload, dict):
-        raise ValueError("journal payload must be a JSON object")
-    return seq, JournalEvent(seq=seq, kind=kind, payload_json=payload_json)
+    return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
 
 
 class Journal:
@@ -185,20 +174,17 @@ class Journal:
 def read_journal(
     path: str | os.PathLike[str], after: int = 0
 ) -> tuple[list[JournalEvent], int | None]:
-    """Read the valid events past seq `after` from a journal file.
+    """Read the events past seq `after` from a journal file.
 
-    Returns (events, truncation_offset). Reading stops at the first line
-    that fails to parse or checksum, which is how a crash-truncated tail is
-    skipped; the byte offset of that line is reported, or None for a clean
-    file. A parsed line whose sequence number breaks contiguity raises
-    SequenceGap, since truncation can never produce gaps.
-
-    Lines with seq <= after (the events a snapshot already covers) are
-    checked for shape, checksum and sequence like any other, but their
-    payload is not parsed, and they are not returned. So the offset is the
-    same as for after=0 on every journal amem writes; only a covered line
-    whose checksum holds but whose payload is not a JSON object, which
-    amem never writes, passes here and not there.
+    Returns (events, truncation_offset). Only framing is checked here: line
+    shape, checksum, seq >= 1 and contiguity; replay_events parses the
+    payloads. Reading stops at the first line that fails shape, checksum or
+    seq >= 1, which is how a crash-truncated tail is skipped; the byte
+    offset of that line is reported, or None for a clean file. A framed line
+    that breaks contiguity raises SequenceGap, since truncation can never
+    produce gaps. Lines with seq <= after (the events a snapshot already
+    covers) get the same checks but are not returned, so every verdict is
+    the same for every `after`.
     """
     data = Path(path).read_bytes()
     events: list[JournalEvent] = []
@@ -215,17 +201,17 @@ def read_journal(
             truncated = pos
             break
         try:
-            seq, event = _parse_line(line_bytes.decode("utf-8"), after)
+            event = _parse_line(line_bytes.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             truncated = pos
             break
-        if last_seq is not None and seq != last_seq + 1:
+        if last_seq is not None and event.seq != last_seq + 1:
             raise SequenceGap(
-                f"journal jumps from seq {last_seq} to {seq} at byte {pos}"
+                f"journal jumps from seq {last_seq} to {event.seq} at byte {pos}"
             )
-        if event is not None:
+        if event.seq > after:
             events.append(event)
-        last_seq = seq
+        last_seq = event.seq
         pos = len(data) if newline == -1 else newline + 1
     return events, truncated
 
@@ -237,13 +223,18 @@ def _is_string_list(value: Any) -> bool:
 def replay_events(
     notes: dict[str, MemoryNote], events: Iterable[JournalEvent], start_after: int = 0
 ) -> int:
-    """Apply journal events to a note map in place. Returns the last seq applied."""
+    """Apply journal events to a note map in place. Returns the last seq applied.
+
+    This is the one place a journal payload is parsed, once per event. Each
+    event must be seq start_after + 1, then the next, or SequenceGap is
+    raised; a payload that is not a valid event raises LoadIntegrityError.
+    """
     last = start_after
     for event in events:
-        if event.seq <= start_after:
-            continue
+        if event.seq != last + 1:
+            raise SequenceGap(f"journal event seq {event.seq} does not follow seq {last}")
         try:
-            payload = event.payload
+            payload = json.loads(event.payload_json)
             if event.kind == "note_added":
                 note = note_from_fields(payload)
                 if note.id in notes:
@@ -255,7 +246,7 @@ def replay_events(
                     raise ValueError(f"evolved note {note.id} does not exist")
                 notes[note.id] = note
             else:
-                if set(payload.keys()) != {"id", "added", "removed"}:
+                if not isinstance(payload, dict) or set(payload) != {"id", "added", "removed"}:
                     raise ValueError("links_changed payload has wrong fields")
                 if not (
                     isinstance(payload["id"], str)
@@ -290,12 +281,6 @@ def _snapshot_parts(
         yield separator + canonical_json(notes[nid])
         separator = ","
     yield "]}"
-
-
-def snapshot_text(
-    notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int
-) -> str:
-    return "".join(_snapshot_parts(notes, config, last_seq))
 
 
 def _fsync_dir(path: Path) -> None:
@@ -402,10 +387,6 @@ def load_store(
     journal_file = Path(journal_path)
     if journal_file.exists():
         fresh, truncated = read_journal(journal_file, after=last_seq)
-        if fresh and fresh[0].seq != last_seq + 1:
-            raise SequenceGap(
-                f"journal resumes at seq {fresh[0].seq}, snapshot ends at {last_seq}"
-            )
         last_seq = replay_events(notes, fresh, start_after=last_seq)
 
     verify = encoder if getattr(encoder, "deterministic", False) else None

@@ -208,6 +208,18 @@ def test_config_file_errors(tmp_path):
         store_args(tmp_path) + ["--config", str(bad), "query", "x"]
     )
     assert code == EXIT_USAGE
+    embedding = {"url": "http://localhost:1", "model": "m"}
+    for config in (
+        {"embedding": 5},
+        {"llm": 5, "backend": "remote", "embedding": embedding},
+        {"llm": "url model", "backend": "remote", "embedding": embedding},
+    ):
+        bad.write_text(json.dumps(config), "utf-8")
+        code, _, err = run_cli(
+            store_args(tmp_path) + ["--config", str(bad), "query", "x"]
+        )
+        assert code == EXIT_USAGE
+        assert "must be a JSON object" in err
 
 
 def test_config_file_shapes_the_engine(tmp_path):

@@ -417,7 +417,7 @@ GOOD_ATTRS = {"keywords": ["a", "b", "c"], "context": "ctx", "tags": ["x", "y", 
 
 def test_gateway_retries_then_succeeds():
     backend = ScriptedBackend([{"bad": 1}, {"bad": 2}, GOOD_ATTRS])
-    gateway = LlmGateway(backend, max_retries=2)
+    gateway = LlmGateway(backend)
     attrs = gateway.generate_note_attributes("hello world", "2023-11-17T10:54:00Z")
     assert attrs.keywords == ("a", "b", "c")
     assert len(backend.calls) == 3
@@ -425,20 +425,13 @@ def test_gateway_retries_then_succeeds():
 
 def test_gateway_attribute_fallback_after_retries():
     backend = ScriptedBackend([{"bad": 1}, {"bad": 2}, {"bad": 3}])
-    gateway = LlmGateway(backend, max_retries=2)
+    gateway = LlmGateway(backend)
     attrs = gateway.generate_note_attributes(
         "garden tomato compost soil", "2023-11-17T10:54:00Z"
     )
     # deterministic rule took over
     assert attrs.keywords == ("compost", "garden", "soil")
     assert len(backend.calls) == 3
-
-
-def test_gateway_attribute_fallback_can_be_disabled():
-    backend = ScriptedBackend([{"bad": 1}, {"bad": 2}, {"bad": 3}])
-    gateway = LlmGateway(backend, fallback_to_mock=False, max_retries=2)
-    with pytest.raises(SchemaViolation):
-        gateway.generate_note_attributes("hello world", "2023-11-17T10:54:00Z")
 
 
 def test_gateway_rejects_empty_content_before_calling_backend():
@@ -453,7 +446,7 @@ def test_gateway_opinion_always_produces_an_answer():
     new = note_with(["camera", "photography", "street"])
     friend = note_with(["camera", "photography", "club"])
     backend = ScriptedBackend([{"bad": 1}, {"bad": 2}, {"bad": 3}])
-    gateway = LlmGateway(backend, max_retries=2)
+    gateway = LlmGateway(backend)
     opinion = gateway.opine_links(new, [friend])
     assert opinion.should_evolve is True
     with pytest.raises(ValueError):
@@ -464,7 +457,7 @@ def test_gateway_evolution_raises_after_retries():
     new = note_with(["camera", "photography", "street"])
     friend = note_with(["camera", "photography", "club"])
     backend = ScriptedBackend([{"bad": 1}, {"bad": 2}, {"bad": 3}])
-    gateway = LlmGateway(backend, max_retries=2)
+    gateway = LlmGateway(backend)
     with pytest.raises(SchemaViolation):
         gateway.propose_evolution(new, [friend])
     assert len(backend.calls) == 3
@@ -474,7 +467,7 @@ def test_gateway_evolution_raises_after_retries():
 
 def test_gateway_backend_outage_propagates_without_retry():
     backend = ScriptedBackend([BackendUnavailable("down")])
-    gateway = LlmGateway(backend, max_retries=2)
+    gateway = LlmGateway(backend)
     with pytest.raises(BackendUnavailable):
         gateway.generate_note_attributes("hello world", "2023-11-17T10:54:00Z")
     assert len(backend.calls) == 1
@@ -482,7 +475,6 @@ def test_gateway_backend_outage_propagates_without_retry():
 
 def test_gateway_default_backend_is_mock():
     gateway = LlmGateway()
-    assert gateway.backend_name == "mock"
     attrs = gateway.generate_note_attributes(
         "garden tomato compost", "2023-11-17T10:54:00Z"
     )

@@ -43,7 +43,6 @@ from amem.persistence import (
     read_snapshot,
     replay_events,
     snapshot_engine,
-    snapshot_text,
     store_paths,
     write_snapshot,
 )
@@ -132,8 +131,8 @@ def test_journal_round_trip(tmp_path):
         "links_changed",
         "note_evolved",
     ]
-    assert events[0].payload == json.loads(canonical_json(a))
-    assert events[2].payload == {"id": b.id, "added": [a.id], "removed": []}
+    assert events[0].payload_json == canonical_json(a)
+    assert json.loads(events[2].payload_json) == {"id": b.id, "added": [a.id], "removed": []}
 
 
 def test_journal_append_guards(tmp_path):
@@ -218,16 +217,20 @@ def test_replay_rejects_inconsistent_streams():
         )
 
 
-def test_replay_skips_already_applied_events():
+def test_replay_rejects_an_event_at_or_below_start_after():
     ids = IdGenerator(seed=4)
     note = hand_note(ids, "alpha")
     events = [
         JournalEvent(1, "note_added", canonical_json(note)),
         JournalEvent(2, "links_changed", f'{{"id":"{note.id}","added":[],"removed":[]}}'),
     ]
+    for start_after in (1, 2):
+        notes = {note.id: note}
+        with pytest.raises(SequenceGap):
+            replay_events(notes, events, start_after=start_after)
+        assert notes == {note.id: note}
     notes = {note.id: note}
-    last = replay_events(notes, events, start_after=1)
-    assert last == 2
+    assert replay_events(notes, events[1:], start_after=1) == 2
     assert notes[note.id] == note
 
 
@@ -295,18 +298,25 @@ def test_a_covered_line_with_a_bad_checksum_still_ends_the_read(tmp_path):
     assert_after_matches_full_read(journal_path)
 
 
-def test_a_covered_line_is_checked_but_not_parsed(tmp_path):
-    # The one verdict that after= changes: a line amem never writes, whose
-    # checksum holds but whose payload is not a JSON object.
-    path = tmp_path / "j.jsonl"
-    path.write_text(
+def test_a_framed_line_with_a_bad_payload_is_read_and_fails_the_replay(tmp_path):
+    # Framing holds, so this is no torn tail, whatever the snapshot covers.
+    note = hand_note(IdGenerator(seed=4), "alpha")
+    snapshot_path, journal_path = store_paths(tmp_path)
+    journal_path.write_text(
         JournalEvent(1, "links_changed", "[1]").line()
-        + JournalEvent(2, "links_changed", '{"id":"a","added":[],"removed":[]}').line(),
+        + JournalEvent(2, "links_changed", f'{{"id":"{note.id}","added":[],"removed":[]}}').line(),
         "utf-8",
     )
-    assert read_journal(path) == ([], 0)
-    events, truncated = read_journal(path, after=1)
-    assert [event.seq for event in events] == [2] and truncated is None
+    for after in range(4):
+        events, truncated = read_journal(journal_path, after=after)
+        assert [event.seq for event in events] == [1, 2][after:] and truncated is None
+
+    write_snapshot(snapshot_path, {note.id: note}, EngineConfig(), 0)
+    with pytest.raises(LoadIntegrityError, match="seq 1"):
+        load_store(snapshot_path, journal_path, encoder=encoder())
+    write_snapshot(snapshot_path, {note.id: note}, EngineConfig(), 1)
+    result = load_store(snapshot_path, journal_path, encoder=encoder())
+    assert result.notes == {note.id: note} and result.last_seq == 2
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +326,10 @@ def test_a_covered_line_is_checked_but_not_parsed(tmp_path):
 def test_snapshot_round_trip_is_byte_stable(tmp_path):
     engine, _ = populated(tmp_path)
     notes, last_seq = engine.state_snapshot()
-    text = snapshot_text(notes, engine.config, last_seq)
-    assert snapshot_text(notes, engine.config, last_seq) == text
-
-    path = tmp_path / SNAPSHOT_FILENAME
+    path, again = tmp_path / SNAPSHOT_FILENAME, tmp_path / "again.json"
     write_snapshot(path, notes, engine.config, last_seq)
-    assert path.read_bytes() == text.encode("utf-8")
+    write_snapshot(again, notes, engine.config, last_seq)
+    assert path.read_bytes() == again.read_bytes()
 
     loaded_notes, config, loaded_seq = read_snapshot(path)
     assert loaded_seq == last_seq
@@ -335,7 +343,8 @@ def test_read_snapshot_rejects_damage(tmp_path):
     engine, _ = populated(tmp_path, contents=(CONTENT_A,))
     notes, last_seq = engine.state_snapshot()
     path = tmp_path / SNAPSHOT_FILENAME
-    good = snapshot_text(notes, engine.config, last_seq)
+    write_snapshot(path, notes, engine.config, last_seq)
+    good = path.read_text("utf-8")
 
     path.write_text("not json", "utf-8")
     with pytest.raises(LoadIntegrityError):
@@ -647,6 +656,25 @@ def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
     reloaded = load_store(*store_paths(store), encoder=encoder())
     assert reloaded.journal_truncated_at is None
     assert state_map(reloaded.notes) == live
+
+
+def test_a_framed_line_with_a_bad_payload_fails_a_writable_open_and_cuts_nothing(tmp_path):
+    # A torn write cannot produce a line whose checksum holds, so the events
+    # after such a line are acknowledged adds that must not be cut off.
+    ids = IdGenerator(seed=6)
+    a, b, c = hand_note(ids, "alpha"), hand_note(ids, "beta"), hand_note(ids, "gamma")
+    snapshot_path, journal_path = store_paths(tmp_path)
+    with Journal(journal_path) as journal:
+        journal.note_added(a)
+        journal.append(JournalEvent(2, "links_changed", "[1]"))
+        journal.note_added(b)
+        journal.note_added(c)
+        journal.sync()
+    write_snapshot(snapshot_path, {a.id: a}, EngineConfig(), 1)
+    data = journal_path.read_bytes()
+    with pytest.raises(LoadIntegrityError, match="seq 2"):
+        open_engine(tmp_path, encoder=encoder())
+    assert journal_path.read_bytes() == data
 
 
 def test_read_only_open_of_a_missing_store_writes_nothing(tmp_path):
