@@ -175,6 +175,21 @@ def resolve_backend_mode(args: argparse.Namespace, cfg: dict[str, Any]) -> str:
     return mode
 
 
+def _setting(section: dict[str, Any], key: str, default: int | float, where: str = "") -> Any:
+    """section[key], or default, checked against the type of default.
+
+    An int setting takes a JSON integer; a float setting takes any JSON
+    number. true and false are neither, and 3.7 is no integer: a value of
+    the wrong type is a usage error, never a crash or a silent coercion.
+    """
+    value = section.get(key, default)
+    integral = isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        kind = "an integer" if integral else "a number"
+        raise UsageError(f"config {where}{key} must be {kind}, got {value!r}")
+    return type(default)(value)
+
+
 def build_components(
     args: argparse.Namespace, cfg: dict[str, Any]
 ) -> tuple[Any, LlmGateway, EngineConfig | None, int | None]:
@@ -184,12 +199,15 @@ def build_components(
     for name, section in (("embedding", embed_cfg), ("llm", llm_cfg)):
         if not isinstance(section, dict):
             raise UsageError(f"config {name} must be a JSON object")
-    dimension = int(embed_cfg.get("dimension", DEFAULT_DIMENSION))
+    dimension = _setting(embed_cfg, "dimension", DEFAULT_DIMENSION, "embedding.")
+    encoder_seed = _setting(cfg, "encoder_seed", 0)
+    embed_timeout = _setting(embed_cfg, "timeout", 30.0, "embedding.")
+    llm_timeout = _setting(llm_cfg, "timeout", 60.0, "llm.")
+    max_in_flight = _setting(llm_cfg, "max_in_flight", 4, "llm.")
+    config_id_seed = _setting(cfg, "id_seed", 0) if "id_seed" in cfg else None
 
     if mode == "mock":
-        encoder: Any = HashEncoder(
-            dimension=dimension, seed=int(cfg.get("encoder_seed", 0))
-        )
+        encoder: Any = HashEncoder(dimension=dimension, seed=encoder_seed)
         gateway = LlmGateway(MockBackend())
     else:
         if "url" not in llm_cfg or "model" not in llm_cfg:
@@ -202,14 +220,14 @@ def build_components(
             url=embed_cfg["url"],
             model=embed_cfg["model"],
             dimension=dimension,
-            timeout=float(embed_cfg.get("timeout", 30.0)),
+            timeout=embed_timeout,
         )
         gateway = LlmGateway(
             RemoteChatBackend(
                 url=llm_cfg["url"],
                 model=llm_cfg["model"],
-                timeout=float(llm_cfg.get("timeout", 60.0)),
-                max_in_flight=int(llm_cfg.get("max_in_flight", 4)),
+                timeout=llm_timeout,
+                max_in_flight=max_in_flight,
             )
         )
 
@@ -220,9 +238,7 @@ def build_components(
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad engine config: {exc}") from exc
 
-    id_seed = args.id_seed
-    if id_seed is None and "id_seed" in cfg:
-        id_seed = int(cfg["id_seed"])
+    id_seed = args.id_seed if args.id_seed is not None else config_id_seed
     if id_seed is None and mode == "mock":
         id_seed = MOCK_ID_SEED
     return encoder, gateway, engine_config, id_seed

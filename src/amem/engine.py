@@ -20,7 +20,8 @@ from __future__ import annotations
 import threading
 from collections import ChainMap
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Behavior switches for the memory pipeline.
 
@@ -56,6 +57,10 @@ class EngineConfig:
     ablation switches: link generation gates the whole neighbor phase,
     evolution gates neighbor rewrites, and link expansion appends linked
     notes to retrieval results.
+
+    A config is checked once, when it is built, so it cannot change after:
+    the fields are frozen and k_by_category is a read-only copy. Change an
+    engine's behavior by giving it a new config.
     """
 
     k_link: int = 10
@@ -63,9 +68,10 @@ class EngineConfig:
     enable_link_generation: bool = True
     enable_evolution: bool = True
     enable_link_expansion: bool = False
-    k_by_category: dict[str, int] = field(default_factory=dict)
+    k_by_category: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k_by_category", MappingProxyType(dict(self.k_by_category)))
         if not _is_count(self.k_link):
             raise ValueError("k_link must be an integer >= 1")
         if not _is_count(self.k_retrieve):
@@ -83,7 +89,7 @@ class EngineConfig:
         return self.k_retrieve
 
     def to_mapping(self) -> dict[str, Any]:
-        data = asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["k_by_category"] = dict(sorted(self.k_by_category.items()))
         return data
 
@@ -93,10 +99,7 @@ class EngineConfig:
         unknown = set(data) - set(names)
         if unknown:
             raise ValueError(f"unknown engine config keys: {sorted(unknown)}")
-        kwargs = {key: data[key] for key in names if key in data}
-        if "k_by_category" in kwargs:
-            kwargs["k_by_category"] = dict(kwargs["k_by_category"])
-        return cls(**kwargs)
+        return cls(**{key: data[key] for key in names if key in data})
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ lists. Malformed completions are retried a bounded number of times, so
 whatever the gateway hands to the engine is schema-valid. The mock backend
 is a pure function of its inputs and makes the whole pipeline runnable
 offline with reproducible results; it also serves as the fallback when a
-live backend keeps returning garbage for attribute extraction.
+live backend keeps returning garbage for attribute extraction or the link
+opinion.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
 
@@ -378,11 +379,12 @@ def mock_evolution_directive(
 
 
 class ChatBackend(Protocol):
-    """A backend turns one task request into a parsed JSON object."""
+    """A backend turns one task payload into a parsed JSON object: s1's holds
+    content and timestamp, s2's and s3's new_note and its ranked neighbors."""
 
     name: str
 
-    def complete(self, task: str, prompt: str, payload: Mapping[str, Any]) -> Any: ...
+    def complete(self, task: str, payload: Mapping[str, Any]) -> Any: ...
 
 
 class MockBackend:
@@ -390,7 +392,7 @@ class MockBackend:
 
     name = "mock"
 
-    def complete(self, task: str, prompt: str, payload: Mapping[str, Any]) -> Any:
+    def complete(self, task: str, payload: Mapping[str, Any]) -> Any:
         if task == "note_attributes":
             return mock_note_attributes(payload["content"], payload["timestamp"])
         if task == "link_opinion":
@@ -410,6 +412,22 @@ def _strip_code_fences(text: str) -> str:
     if lines and lines[-1].strip() == "```":
         lines = lines[:-1]
     return "\n".join(lines).strip()
+
+
+def _task_prompt(task: str, payload: Mapping[str, Any]) -> str:
+    """The task's template (s1, s2 or s3) rendered from its payload."""
+    if task == "note_attributes":
+        return render_prompt("s1", payload)
+    new_note = payload["new_note"]
+    return render_prompt(
+        {"link_opinion": "s2", "evolution_directive": "s3"}[task],
+        {
+            "context": new_note.context,
+            "content": new_note.content,
+            "keywords": ", ".join(new_note.keywords),
+            "nearest_neighbors_memories": render_neighbors(payload["neighbors"]),
+        },
+    )
 
 
 class RemoteChatBackend:
@@ -447,7 +465,8 @@ class RemoteChatBackend:
             headers["Authorization"] = f"Bearer {self._api_key}"
         return headers
 
-    def complete(self, task: str, prompt: str, payload: Mapping[str, Any]) -> Any:
+    def complete(self, task: str, payload: Mapping[str, Any]) -> Any:
+        prompt = _task_prompt(task, payload)
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -493,23 +512,23 @@ class RemoteChatBackend:
 class LlmGateway:
     """Validated front door to whichever chat backend is configured.
 
-    Retry policy: a schema-violating response is retried up to MAX_RETRIES
-    times. After that, attribute extraction and the link opinion fall back
-    to the deterministic mock rules (an answer is always produced), and the
-    evolution directive raises, since silently inventing rewrites would be
-    worse than skipping evolution.
+    Each call hands the backend one payload through _ask, the one retry
+    path: a schema-violating response is retried up to MAX_RETRIES times.
+    After that, attribute extraction and the link opinion fall back to
+    asking MockBackend the same payload (an answer is always produced), and
+    the evolution directive raises, since silently inventing rewrites would
+    be worse than skipping evolution.
     """
 
     def __init__(self, backend: ChatBackend | None = None) -> None:
         self._backend: ChatBackend = backend if backend is not None else MockBackend()
 
-    def _attempt(self, task: str, prompt: str, payload: Mapping[str, Any], parse):
-        last: SchemaViolation | None = None
+    def _ask(self, task: str, payload: Mapping[str, Any], parse: Callable[[Any], Any]) -> Any:
         for attempt in range(MAX_RETRIES + 1):
             try:
-                return parse(self._backend.complete(task, prompt, payload))
+                return parse(self._backend.complete(task, payload))
             except SchemaViolation as exc:
-                last = exc
+                error = exc
                 logger.warning(
                     "schema violation from %s backend on %s (attempt %d/%d): %s",
                     self._backend.name,
@@ -518,43 +537,25 @@ class LlmGateway:
                     MAX_RETRIES + 1,
                     exc,
                 )
-        assert last is not None
-        raise last
+        if task == "evolution_directive":
+            raise error
+        logger.warning("falling back to the mock backend on %s", task)
+        return parse(MockBackend().complete(task, payload))
 
     def generate_note_attributes(self, content: str, timestamp: str) -> NoteAttributes:
         """Run the s1 analysis for new content."""
         if not isinstance(content, str) or not content.strip():
             raise EmptyContent("cannot analyze empty content")
         validate_timestamp(timestamp)
-        prompt = render_prompt("s1", {"content": content, "timestamp": timestamp})
         payload = {"content": content, "timestamp": timestamp}
-        try:
-            return self._attempt("note_attributes", prompt, payload, parse_note_attributes)
-        except SchemaViolation:
-            logger.warning("falling back to deterministic attribute extraction")
-            return parse_note_attributes(mock_note_attributes(content, timestamp))
-
-    def _neighbor_slots(
-        self, new_note: MemoryNote, neighbors: Sequence[MemoryNote]
-    ) -> dict[str, str]:
-        return {
-            "context": new_note.context,
-            "content": new_note.content,
-            "keywords": ", ".join(new_note.keywords),
-            "nearest_neighbors_memories": render_neighbors(neighbors),
-        }
+        return self._ask("note_attributes", payload, parse_note_attributes)
 
     def opine_links(self, new_note: MemoryNote, neighbors: Sequence[MemoryNote]) -> LinkOpinion:
         """Run the s2 should-this-memory-evolve question."""
         if not neighbors:
             raise ValueError("opine_links requires at least one neighbor")
-        prompt = render_prompt("s2", self._neighbor_slots(new_note, neighbors))
         payload = {"new_note": new_note, "neighbors": list(neighbors)}
-        try:
-            return self._attempt("link_opinion", prompt, payload, parse_link_opinion)
-        except SchemaViolation:
-            logger.warning("falling back to deterministic link opinion")
-            return parse_link_opinion(mock_link_opinion(new_note, neighbors))
+        return self._ask("link_opinion", payload, parse_link_opinion)
 
     def propose_evolution(
         self, new_note: MemoryNote, neighbors: Sequence[MemoryNote]
@@ -562,12 +563,8 @@ class LlmGateway:
         """Run the s3 evolution decision."""
         if not neighbors:
             raise ValueError("propose_evolution requires at least one neighbor")
-        prompt = render_prompt("s3", self._neighbor_slots(new_note, neighbors))
         payload = {"new_note": new_note, "neighbors": list(neighbors)}
-        neighbor_ids = [note.id for note in neighbors]
-        return self._attempt(
-            "evolution_directive",
-            prompt,
-            payload,
-            lambda raw: parse_evolution_directive(raw, neighbor_ids),
+        ids = [note.id for note in neighbors]
+        return self._ask(
+            "evolution_directive", payload, lambda raw: parse_evolution_directive(raw, ids)
         )

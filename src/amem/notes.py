@@ -188,8 +188,8 @@ class MemoryNote:
             and self.tags == other.tags
             and self.context == other.context
             and self.links == other.links
-            and self.embedding.shape == other.embedding.shape
-            and bool(np.all(self.embedding == other.embedding))
+            # Bit for bit, as canonical bytes see them: 0.0 == -0.0 as values.
+            and np.array_equal(self.embedding.view(np.uint32), other.embedding.view(np.uint32))
         )
 
     def __hash__(self) -> int:

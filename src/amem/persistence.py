@@ -179,12 +179,12 @@ def read_journal(
     Returns (events, truncation_offset). Only framing is checked here: line
     shape, checksum, seq >= 1 and contiguity; replay_events parses the
     payloads. Reading stops at the first line that fails shape, checksum or
-    seq >= 1, which is how a crash-truncated tail is skipped; the byte
-    offset of that line is reported, or None for a clean file. A framed line
-    that breaks contiguity raises SequenceGap, since truncation can never
-    produce gaps. Lines with seq <= after (the events a snapshot already
-    covers) get the same checks but are not returned, so every verdict is
-    the same for every `after`.
+    seq >= 1, or that lacks its newline, which is how a crash-truncated tail
+    is skipped; the byte offset of that line is reported, or None for a
+    clean file. A framed line that breaks contiguity raises SequenceGap,
+    since truncation can never produce gaps. Lines with seq <= after (the
+    events a snapshot already covers) get the same checks but are not
+    returned, so every verdict is the same for every `after`.
     """
     data = Path(path).read_bytes()
     events: list[JournalEvent] = []
@@ -193,12 +193,12 @@ def read_journal(
     last_seq: int | None = None
     while pos < len(data):
         newline = data.find(b"\n", pos)
-        end = len(data) if newline == -1 else newline
-        line_bytes = data[pos:end]
-        if line_bytes.strip() == b"":
-            if data[pos:].strip() == b"":
-                break
-            truncated = pos
+        line_bytes = data[pos:] if newline == -1 else data[pos:newline]
+        if line_bytes.strip() == b"" or newline == -1:
+            # Every append ends its line with a newline, so a last line
+            # without one was cut off, even when what is left of it parses.
+            if data[pos:].strip() != b"":
+                truncated = pos
             break
         try:
             event = _parse_line(line_bytes.decode("utf-8"))
@@ -212,7 +212,7 @@ def read_journal(
         if event.seq > after:
             events.append(event)
         last_seq = event.seq
-        pos = len(data) if newline == -1 else newline + 1
+        pos = newline + 1
     return events, truncated
 
 

@@ -220,6 +220,25 @@ def test_config_file_errors(tmp_path):
         )
         assert code == EXIT_USAGE
         assert "must be a JSON object" in err
+    # integer settings take JSON integers only, number settings any number
+    for config in (
+        {"embedding": {"dimension": [1]}},
+        {"embedding": {"dimension": 3.7}},
+        {"embedding": {"dimension": True}},
+        {"embedding": {"timeout": "30"}},
+        {"id_seed": None},
+        {"id_seed": 1.0},
+        {"encoder_seed": False},
+        {"llm": {"max_in_flight": 2.5}},
+        {"llm": {"timeout": True}},
+    ):
+        bad.write_text(json.dumps(config), "utf-8")
+        code, _, err = run_cli(
+            store_args(tmp_path) + ["--read-only", "--config", str(bad), "query", "x"]
+        )
+        assert code == EXIT_USAGE, config
+        assert "must be an integer" in err or "must be a number" in err
+        assert "Traceback" not in err
 
 
 def test_config_file_shapes_the_engine(tmp_path):

@@ -24,6 +24,7 @@ from amem.errors import (
     SchemaViolation,
     UnknownId,
 )
+from amem import gateway as gateway_module
 from amem.gateway import EvolutionDirective, LlmGateway, MockBackend
 from amem.index import cosine
 from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
@@ -65,13 +66,13 @@ class RecordingBackend:
         self.fail_task = fail_task
         self.error = error
 
-    def complete(self, task, prompt, payload):
+    def complete(self, task, payload):
         self.calls.append(task)
         if task == self.fail_task:
             if self.error is not None:
                 raise self.error
             return {"garbage": True}
-        return self.inner.complete(task, prompt, payload)
+        return self.inner.complete(task, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,19 @@ def test_first_note_is_complete_and_unlinked():
     assert np.array_equal(note.embedding, engine.encoder.encode(note_text(note)))
     assert len(engine) == 1 and note_id in engine
 
+
+
+def test_mock_adds_render_no_prompt(monkeypatch):
+    # Only a remote backend needs a prompt; the mock reads the payload.
+    def refuse(template_id, slots):
+        raise AssertionError(f"rendered {template_id} for the mock backend")
+
+    monkeypatch.setattr(gateway_module, "render_prompt", refuse)
+    engine = fresh_engine()
+    id_a = engine.add_memory(CONTENT_A, TS[0])
+    id_b = engine.add_memory(CONTENT_B, TS[1])
+    assert engine.get_note(id_a).links == frozenset({id_b})
+    assert engine.get_note(id_a).context != "Discusses camera and related topics."
 
 def test_insert_guards():
     engine = fresh_engine()

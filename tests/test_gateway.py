@@ -373,20 +373,17 @@ def test_mock_backend_dispatch():
     friend = note_with(["camera", "photography", "club"])
     attrs = backend.complete(
         "note_attributes",
-        "",
         {"content": "camera camera photography", "timestamp": "2023-01-01T00:00:00Z"},
     )
     assert attrs["keywords"][0] == "camera"
-    opinion = backend.complete(
-        "link_opinion", "", {"new_note": new, "neighbors": [friend]}
-    )
+    opinion = backend.complete("link_opinion", {"new_note": new, "neighbors": [friend]})
     assert opinion["should_evolve"] is True
     directive = backend.complete(
-        "evolution_directive", "", {"new_note": new, "neighbors": [friend]}
+        "evolution_directive", {"new_note": new, "neighbors": [friend]}
     )
     assert friend.id in directive["suggested_connections"]
     with pytest.raises(ValueError):
-        backend.complete("unknown_task", "", {})
+        backend.complete("unknown_task", {})
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +399,13 @@ class ScriptedBackend:
         self.responses = list(responses)
         self.calls = []
 
-    def complete(self, task, prompt, payload):
+    def complete(self, task, payload):
         self.calls.append(task)
         action = self.responses.pop(0)
         if isinstance(action, Exception):
             raise action
         if callable(action):
-            return action(task, prompt, payload)
+            return action(task, payload)
         return action
 
 
@@ -508,14 +505,31 @@ def chat_body(content):
     return {"choices": [{"message": {"content": content}}]}
 
 
+def remote_payload(task):
+    """A payload the remote backend can render the task's prompt from."""
+    if task == "note_attributes":
+        return {"content": "hello world", "timestamp": "2023-11-17T10:54:00Z"}
+    return {"new_note": note_with(["camera", "lens"]), "neighbors": [note_with(["camera"])]}
+
+
 def test_remote_chat_backend_round_trip():
     session = FakeSession([FakeResponse(200, chat_body('{"answer": 42}'))])
     backend = RemoteChatBackend(url="http://llm", model="m", session=session)
-    result = backend.complete("link_opinion", "the prompt", {})
+    new, friend = note_with(["camera", "lens"]), note_with(["camera"])
+    result = backend.complete("link_opinion", {"new_note": new, "neighbors": [friend]})
     assert result == {"answer": 42}
     sent = session.requests[0]["json"]
     assert sent["model"] == "m"
-    assert sent["messages"] == [{"role": "user", "content": "the prompt"}]
+    prompt = render_prompt(
+        "s2",
+        {
+            "context": new.context,
+            "content": new.content,
+            "keywords": "camera, lens",
+            "nearest_neighbors_memories": render_neighbors([friend]),
+        },
+    )
+    assert sent["messages"] == [{"role": "user", "content": prompt}]
     assert sent["response_format"]["json_schema"]["name"] == "link_opinion"
 
 
@@ -533,7 +547,7 @@ def test_remote_chat_backend_sends_the_schema_the_parser_enforces():
     for task, (response, parse) in valid.items():
         session = FakeSession([FakeResponse(200, chat_body(json.dumps(response)))])
         backend = RemoteChatBackend(url="http://llm", model="m", session=session)
-        parse(backend.complete(task, "p", {}))
+        parse(backend.complete(task, remote_payload(task)))
         schema = session.requests[0]["json"]["response_format"]["json_schema"]["schema"]
         assert schema == _RESPONSE_SCHEMAS[task]
         # the parser takes exactly the keys the backend was told to send
@@ -551,7 +565,8 @@ def test_remote_chat_backend_strips_code_fences():
         [FakeResponse(200, chat_body('```json\n{"should_evolve": true}\n```'))]
     )
     backend = RemoteChatBackend(url="http://llm", model="m", session=session)
-    assert backend.complete("link_opinion", "p", {}) == {"should_evolve": True}
+    result = backend.complete("link_opinion", remote_payload("link_opinion"))
+    assert result == {"should_evolve": True}
 
 
 def test_remote_chat_backend_error_mapping():
@@ -559,13 +574,13 @@ def test_remote_chat_backend_error_mapping():
         url="http://llm", model="m", session=FakeSession([FakeResponse(500, {})])
     )
     with pytest.raises(BackendUnavailable):
-        backend.complete("link_opinion", "p", {})
+        backend.complete("link_opinion", remote_payload("link_opinion"))
 
     backend = RemoteChatBackend(
         url="http://llm", model="m", session=FakeSession([FakeResponse(200, {"weird": 1})])
     )
     with pytest.raises(BackendUnavailable):
-        backend.complete("link_opinion", "p", {})
+        backend.complete("link_opinion", remote_payload("link_opinion"))
 
     backend = RemoteChatBackend(
         url="http://llm",
@@ -573,4 +588,44 @@ def test_remote_chat_backend_error_mapping():
         session=FakeSession([FakeResponse(200, chat_body("not json at all"))]),
     )
     with pytest.raises(SchemaViolation):
-        backend.complete("link_opinion", "p", {})
+        backend.complete("link_opinion", remote_payload("link_opinion"))
+
+
+def test_remote_request_bodies_are_pinned():
+    # One s1, one s2 and one s3 call through the gateway; the digests are of
+    # the bytes requests puts on the wire for json=body.
+    def pinned_note(note_id, keywords, content, context):
+        return MemoryNote(
+            id=note_id,
+            content=content,
+            timestamp="2023-11-17T10:54:00Z",
+            keywords=tuple(keywords),
+            tags=tuple("topic:" + k for k in keywords),
+            context=context,
+            embedding=np.ones(8, dtype=np.float32),
+        )
+
+    new = pinned_note("a" * 32, ["camera", "lens"], "New lens for the café.", "Gear talk.")
+    first = pinned_note("b" * 32, ["camera", "film"], "Film camera.", "Analog photos.")
+    second = pinned_note("c" * 32, ["soup"], "Leek soup {recipe}.", "Cooking.")
+    directive = full_directive([first.id, second.id])
+    session = FakeSession(
+        [
+            FakeResponse(200, chat_body(json.dumps(GOOD_ATTRS))),
+            FakeResponse(200, chat_body('{"should_evolve": true, "rationale": "r"}')),
+            FakeResponse(200, chat_body(json.dumps(directive))),
+        ]
+    )
+    gateway = LlmGateway(RemoteChatBackend(url="http://llm", model="m", session=session))
+    gateway.generate_note_attributes("Bought a new lens.\nIt is sharp.", "2023-11-17T10:54:00Z")
+    gateway.opine_links(new, [first, second])
+    gateway.propose_evolution(new, [first, second])
+    digests = [
+        hashlib.sha256(json.dumps(sent["json"], allow_nan=False).encode("utf-8")).hexdigest()
+        for sent in session.requests
+    ]
+    assert digests == [
+        "05d235cc4871ac9b8f761e01e3d47216dccd4a9dab35398ec9fc1daf5c618047",
+        "667665520386949d2de17808ea42c48ffc23f0546bfcf97bd3d389ff257dc8df",
+        "2b51499c33ab652c5f31bdd9b2e3b3c6eafe595893a0340fb0825fdc8192cb9d",
+    ]

@@ -309,6 +309,25 @@ def test_note_equality_covers_every_field():
     assert note != other
 
 
+def test_note_equality_agrees_with_canonical_bytes_on_signed_zeros():
+    rng = random.Random(6)
+    note = make_note(rng, dimension=2)
+    pair = [
+        MemoryNote(
+            id=note.id,
+            content=note.content,
+            timestamp=note.timestamp,
+            keywords=note.keywords,
+            tags=note.tags,
+            context=note.context,
+            embedding=np.array(values, dtype=np.float32),
+        )
+        for values in ([1.0, 0.0], [1.0, -0.0])
+    ]
+    assert canonical_bytes(pair[0]) != canonical_bytes(pair[1])
+    assert pair[0] != pair[1]
+
+
 # ---------------------------------------------------------------------------
 # canonical encoding
 

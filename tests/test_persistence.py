@@ -11,12 +11,17 @@ import hashlib
 import json
 import logging
 import os
+import shutil
+import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from amem import persistence
 from amem.embedding import HashEncoder, basis_vector
@@ -29,7 +34,7 @@ from amem.errors import (
     VersionMismatch,
 )
 from amem.gateway import LlmGateway
-from amem.notes import IdGenerator, MemoryNote, canonical_json
+from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
 from amem.persistence import (
     FORMAT_VERSION,
     JOURNAL_FILENAME,
@@ -556,6 +561,25 @@ def test_open_engine_config_precedence(tmp_path):
     explicit.close()
 
 
+
+def test_an_engine_config_cannot_change_into_an_unloadable_snapshot(tmp_path):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), config=EngineConfig(k_by_category={"qa": 2}))
+    engine.add_memory(CONTENT_A, TS[0])
+    with pytest.raises(FrozenInstanceError):
+        engine.config.k_link = 0
+    with pytest.raises(TypeError):
+        engine.config.k_by_category["qa"] = 0
+    snapshot_engine(engine, store)
+    # a whole new config is how an engine's behavior changes
+    engine.config = EngineConfig(k_link=4)
+    snapshot_engine(engine, store)
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert reopened.config == EngineConfig(k_link=4)
+    reopened.close()
+
 def test_open_engine_read_only_has_no_journal(tmp_path):
     store = tmp_path / "store"
     engine = open_engine(store, encoder=encoder())
@@ -657,6 +681,31 @@ def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
     assert reloaded.journal_truncated_at is None
     assert state_map(reloaded.notes) == live
 
+
+
+def test_a_last_line_without_its_newline_is_a_torn_tail(tmp_path):
+    # An append cut off just before its newline leaves a line that parses.
+    # Read as an event, the next append would share its line and be lost.
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    notes, last_seq = engine.state_snapshot()
+    engine.close()
+    journal_path = store / JOURNAL_FILENAME
+    good = journal_path.read_bytes()
+    note = next(iter(notes.values()))
+    unfinished = JournalEvent(last_seq + 1, "note_evolved", canonical_json(note)).line()
+    journal_path.write_bytes(good + unfinished[:-1].encode("utf-8"))
+    assert read_journal(journal_path)[1] == len(good)
+
+    recovered = open_engine(store, encoder=encoder(), id_seed=8)
+    assert journal_path.read_bytes() == good
+    recovered.add_memory(CONTENT_D, TS[1])
+    live = state_map(recovered.state_snapshot()[0])
+    recovered.close()
+    reloaded = load_store(*store_paths(store), encoder=encoder())
+    assert reloaded.journal_truncated_at is None
+    assert state_map(reloaded.notes) == live
 
 def test_a_framed_line_with_a_bad_payload_fails_a_writable_open_and_cuts_nothing(tmp_path):
     # A torn write cannot produce a line whose checksum holds, so the events
@@ -963,3 +1012,87 @@ def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     assert digest(SNAPSHOT_FILENAME) == (
         "7111fd3062a35704de2322a8545ac05ccb6d2883c49891f99bc51197e37d0d17"
     )
+
+
+# ---------------------------------------------------------------------------
+# crash and reopen, as random sequences of operations
+
+
+MACHINE_WORDS = (
+    "camera", "photography", "tripod", "darkroom", "lens",
+    "aperture", "soup", "recipe", "lentil", "garden",
+)
+
+
+class DurableStoreMachine(RuleBasedStateMachine):
+    """Adds, snapshots, compactions, torn writes and reopens in any order.
+
+    The model is the state the live engine acknowledged last: its notes as
+    canonical JSON and its last_seq. A reopen must reproduce exactly that
+    state, whatever the torn write left at the end of the journal.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="amem-machine-"))
+        self.store = self.root / "store"
+        self.encoder = HashEncoder(dimension=16, seed=0)
+        self.engine = self.open()
+        self.acked = {}
+        self.acked_seq = 0
+        self.clock = 0
+
+    def open(self):
+        return open_engine(self.store, encoder=self.encoder, id_seed=11)
+
+    def teardown(self):
+        if self.engine is not None:
+            self.engine.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def is_open(self):
+        return self.engine is not None
+
+    @precondition(is_open)
+    @rule(words=st.lists(st.sampled_from(MACHINE_WORDS), min_size=2, max_size=5))
+    def add(self, words):
+        self.clock += 1
+        self.engine.add_memory(" ".join(words), "2023-06-01T%02d:%02d:00Z" % divmod(self.clock, 60))
+        notes, self.acked_seq = self.engine.state_snapshot()
+        self.acked = state_map(notes)
+
+    @precondition(is_open)
+    @rule(compact=st.booleans())
+    def snapshot(self, compact):
+        snapshot_engine(self.engine, self.store, compact=compact)
+
+    @precondition(is_open)
+    @rule(data=st.data())
+    def torn_write(self, data):
+        # What an append interrupted by a crash leaves: a proper prefix of
+        # the next journal line, possibly all of it but the newline.
+        self.engine.close()
+        self.engine = None
+        note = hand_note(IdGenerator(seed=self.clock), "unfinished")
+        note = replace(note, embedding=self.encoder.encode(note_text(note)))
+        line = JournalEvent(self.acked_seq + 1, "note_added", canonical_json(note)).line()
+        raw = line.encode("utf-8")
+        cut = data.draw(st.one_of(st.just(len(raw) - 1), st.integers(1, len(raw) - 1)))
+        with open(self.store / JOURNAL_FILENAME, "ab") as handle:
+            handle.write(raw[:cut])
+
+    @rule()
+    def reopen(self):
+        if self.engine is not None:
+            self.engine.close()
+        self.engine = self.open()
+        notes, last_seq = self.engine.state_snapshot()
+        assert state_map(notes) == self.acked
+        assert last_seq == self.acked_seq
+        assert self.engine.audit() == []
+
+
+TestDurableStoreMachine = DurableStoreMachine.TestCase
+TestDurableStoreMachine.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None, database=None
+)
