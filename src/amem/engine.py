@@ -18,7 +18,6 @@ so a backend failure leaves the store exactly as it was.
 from __future__ import annotations
 
 import threading
-from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
@@ -112,51 +111,41 @@ class RetrievedMemory:
 
 
 def _evolve(
-    notes: Mapping[NoteId, MemoryNote],
-    directive: EvolutionDirective,
-    new_id: NoteId,
-    neighbor_ids: Sequence[NoteId],
-) -> list[tuple[NoteId, MemoryNote]]:
-    """The (id, note) changes a directive makes to notes, new note first. A
-    pure step: rewritten notes keep their old embeddings; _commit re-encodes."""
+    new_note: MemoryNote, neighbors: Sequence[MemoryNote], directive: EvolutionDirective
+) -> list[MemoryNote]:
+    """The notes a directive changes, the new note first, then the neighbors
+    by rank. The new note links to the neighbors the directive suggests and
+    each of them links back, so links stay inside the neighbor set. A pure
+    step: rewritten notes keep their old embeddings; _commit re-encodes."""
     if not directive.should_evolve:
         return []
 
-    connections = [
-        nid for nid in dict.fromkeys(directive.suggested_connections)
-        if nid in neighbor_ids and nid != new_id
-    ]
-    staged: dict[NoteId, MemoryNote] = {}
-    current = ChainMap(staged, notes)
+    suggested = set(directive.suggested_connections)
+    contexts = directive.new_context_neighborhood
+    tag_lists = directive.new_tags_neighborhood
+    connections: list[NoteId] = []
+    changed: list[MemoryNote] = []
+    for position, neighbor in enumerate(neighbors):
+        update: dict[str, Any] = {}
+        if neighbor.id in suggested:
+            connections.append(neighbor.id)
+            update["links"] = neighbor.links | {new_note.id}
+        # Blank or missing entries mean "leave this neighbor alone".
+        new_context = contexts[position].strip() if position < len(contexts) else ""
+        rewrite_tags = normalize_terms(tag_lists[position] if position < len(tag_lists) else ())
+        if new_context and new_context != neighbor.context:
+            update["context"] = new_context
+        if rewrite_tags and rewrite_tags != neighbor.tags:
+            update["tags"] = rewrite_tags
+        if update:
+            changed.append(replace(neighbor, **update))
 
-    new_note = current[new_id]
     new_links = new_note.links.union(connections)
     # Stored tags hold no duplicates, so this appends only unseen terms.
     new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
     if new_links != new_note.links or new_tags != new_note.tags:
-        staged[new_id] = replace(new_note, links=new_links, tags=new_tags)
-    for nid in connections:
-        neighbor = current[nid]
-        if new_id not in neighbor.links:
-            staged[nid] = replace(neighbor, links=neighbor.links | {new_id})
-
-    contexts = directive.new_context_neighborhood
-    tag_lists = directive.new_tags_neighborhood
-    for position, nid in enumerate(neighbor_ids):
-        # Blank or missing entries mean "leave this neighbor alone".
-        new_context = contexts[position].strip() if position < len(contexts) else ""
-        raw_tags = tag_lists[position] if position < len(tag_lists) else ()
-        rewrite_tags = normalize_terms(raw_tags)
-        neighbor = current[nid]
-        rewrite: dict[str, Any] = {}
-        if new_context and new_context != neighbor.context:
-            rewrite["context"] = new_context
-        if rewrite_tags and rewrite_tags != neighbor.tags:
-            rewrite["tags"] = rewrite_tags
-        if rewrite:
-            staged[nid] = replace(neighbor, **rewrite)
-
-    return [(nid, staged[nid]) for nid in dict.fromkeys([new_id, *neighbor_ids]) if nid in staged]
+        changed.insert(0, replace(new_note, links=new_links, tags=new_tags))
+    return changed
 
 
 # Notes whose embeddings _note_problems re-encodes in one batch; bounds the
@@ -236,12 +225,12 @@ class MemoryEngine:
     """Owns the note store and wires encoder, index, gateway, and journal.
 
     Mutations hold the writer lock and commit through _commit. Reads of the
-    notes (get_note, iter_notes, note_ids, len, membership, state_snapshot)
-    take no lock: they read the published _State. retrieve and audit also
-    read the index, which changes in place, so they hold the view lock for
-    reading while _commit holds it for writing. After a failed journal
-    write the engine refuses mutations (EngineFailed) until the store is
-    reopened; reads go on.
+    notes (get_note, iter_notes, len, membership, state_snapshot) take no
+    lock: they read the published _State. retrieve and audit also read the
+    index, which changes in place, so they hold the view lock for reading
+    while _commit holds it for writing. After a failed journal write or
+    close() the engine refuses mutations (EngineFailed), giving the first
+    reason; reads go on.
     """
 
     def __init__(
@@ -261,7 +250,9 @@ class MemoryEngine:
         self._index = VectorIndex(encoder.dimension)
         self._mutate = threading.Lock()
         self._view = ReadWriteLock()
-        self._failed: BaseException | None = None
+        # Why mutations are refused, once a journal write failed or the
+        # engine was closed.
+        self._failed: str | None = None
 
     @property
     def encoder(self) -> Encoder:
@@ -276,9 +267,6 @@ class MemoryEngine:
 
     def __contains__(self, note_id: str) -> bool:
         return note_id in self._state.notes
-
-    def note_ids(self) -> list[NoteId]:
-        return sorted(self._state.notes)
 
     def iter_notes(self) -> Iterator[MemoryNote]:
         """Notes in ascending id order, from one consistent snapshot."""
@@ -296,10 +284,11 @@ class MemoryEngine:
 
     @contextmanager
     def _writing(self) -> Iterator[None]:
-        """Hold the writer lock; refuse once a journal write has failed."""
+        """Hold the writer lock; refuse once a journal write failed or the
+        engine was closed."""
         with self._mutate:
             if self._failed is not None:
-                raise EngineFailed(f"a journal write failed ({self._failed!r}); reopen the store")
+                raise EngineFailed(self._failed)
             yield
 
     def add_memory(self, content: str, timestamp: str | None = None) -> NoteId:
@@ -331,27 +320,26 @@ class MemoryEngine:
                 embedding=self._encoder.encode(text),
             )
 
-            changes = [(note.id, note)]
+            changes = [note]
             if self.config.enable_link_generation and notes:
                 # Only a writer changes the index, and this thread is the
                 # writer, so the scan needs no view lock.
-                ranked = self._index.top_k(note.embedding, self.config.k_link, exclude=(note.id,))
+                ranked = self._index.top_k(note.embedding, self.config.k_link)
                 neighbors = [notes[nid] for nid, _ in ranked]
                 opinion = self._gateway.opine_links(note, neighbors)
                 if opinion.should_evolve:
                     directive = self._gateway.propose_evolution(note, neighbors)
                     if not self.config.enable_evolution:
                         directive = directive.without_rewrites()
-                    overlay = ChainMap({note.id: note}, notes)
-                    changes += _evolve(overlay, directive, note.id, [n.id for n in neighbors])
+                    changes += _evolve(note, neighbors, directive)
             self._commit(changes)
             return note.id
 
-    def _commit(self, changes: Sequence[tuple[NoteId, MemoryNote]]) -> None:
+    def _commit(self, changes: Sequence[MemoryNote]) -> None:
         """Journal one change, then publish it. Called with the writer lock.
 
-        changes lists (id, note) pairs in event order, each applied on top of
-        the ones before it and classified once against its id's latest note:
+        changes lists notes in event order, each applied on top of the ones
+        before it and classified once against its id's latest note:
         an insert, new context, tags or keywords (re-encoded, note_evolved,
         index update), or else a links delta. Re-encoding comes first, so a
         backend failure leaves the store and engine as they were. The events
@@ -361,8 +349,8 @@ class MemoryEngine:
         before = self._state.notes
         latest: dict[NoteId, MemoryNote] = {}
         steps: list[tuple[str, MemoryNote, MemoryNote | None]] = []
-        for nid, note in changes:
-            old = latest.get(nid, before.get(nid))
+        for note in changes:
+            old = latest.get(note.id, before.get(note.id))
             if old is None:
                 kind = "note_added"
             elif (note.context, note.tags, note.keywords) != (old.context, old.tags, old.keywords):
@@ -370,7 +358,7 @@ class MemoryEngine:
                 note = replace(note, embedding=self._encoder.encode(note_text(note)))
             else:
                 kind = "links_changed"
-            latest[nid] = note
+            latest[note.id] = note
             steps.append((kind, note, old))
 
         journal = self._journal
@@ -398,31 +386,8 @@ class MemoryEngine:
         except BaseException as exc:
             # The journal may now end in torn or unsynced bytes, or hold
             # events memory lacks; a later append would land after them.
-            self._failed = exc
+            self._failed = f"a journal write failed ({exc!r}); reopen the store"
             raise
-
-    def apply_evolution(
-        self,
-        directive: EvolutionDirective,
-        new_id: NoteId,
-        neighbor_ids: Sequence[NoteId],
-    ) -> list[NoteId]:
-        """Apply an evolution directive to stored notes and commit the result.
-
-        No gateway calls happen here; this is the evolution step of
-        add_memory, exposed so evolution logic is testable with hand-built
-        directives. Returns the ids of notes that actually changed.
-        """
-        neighbor_ids = list(neighbor_ids)
-        with self._writing():
-            notes = self._state.notes
-            for nid in [new_id, *neighbor_ids]:
-                if nid not in notes:
-                    raise UnknownId(f"no note with id {nid}")
-            changes = _evolve(notes, directive, new_id, neighbor_ids)
-            if changes:
-                self._commit(changes)
-            return [nid for nid, _ in changes]
 
     # -- reads ---------------------------------------------------------------
 
@@ -523,11 +488,9 @@ class MemoryEngine:
                 self._journal.truncate()
 
     def close(self) -> None:
+        """Close the journal. Later mutations raise EngineFailed; reads go on."""
         with self._mutate:
+            self._failed = self._failed or "the engine was closed; reopen the store"
             if self._journal is not None:
                 self._journal.close()
                 self._journal = None
-
-    def memory_bytes(self) -> tuple[int, int]:
-        with self._view.read():
-            return self._index.memory_bytes()

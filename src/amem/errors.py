@@ -53,7 +53,8 @@ class SequenceGap(AmemError):
 
 
 class EngineFailed(AmemError):
-    """A journal write failed; the engine refuses mutations until the store is reopened."""
+    """A journal write failed or the engine was closed; it refuses mutations
+    until the store is reopened."""
 
 
 class LoadIntegrityError(AmemError):

@@ -44,6 +44,10 @@ _RESCORE_BLOCK = 64
 # temporary mask.
 _CHECK_CHUNK = 65536
 
+# _set_norms widens this many rows to float64 at a time, which bounds the
+# temporary copy.
+_NORM_CHUNK = 1024
+
 _INITIAL_CAPACITY = 1024
 
 # Rough per-entry bookkeeping bytes besides the raw vector: the id string
@@ -139,10 +143,13 @@ class VectorIndex:
         self._rows = rows
         self._norms = norms
 
-    @staticmethod
-    def _row_norm(vec: np.ndarray) -> float:
-        v64 = vec.astype(np.float64)
-        return float(np.sqrt(np.dot(v64, v64)))
+    def _set_norms(self, start: int, rows: np.ndarray) -> None:
+        """Store the float64 norms of rows from position start on. vecdot
+        rounds each row as the per-row np.dot of the oracles does."""
+        for offset in range(0, len(rows), _NORM_CHUNK):
+            wide = rows[offset : offset + _NORM_CHUNK].astype(np.float64)
+            at = start + offset
+            self._norms[at : at + len(wide)] = np.sqrt(np.vecdot(wide, wide))
 
     def insert(self, note_id: str, vector: np.ndarray) -> None:
         vec = self._check_vector(vector)
@@ -151,7 +158,7 @@ class VectorIndex:
         self._ensure_capacity(1)
         row = self._count
         self._rows[row] = vec
-        self._norms[row] = self._row_norm(vec)
+        self._set_norms(row, vec[None, :])
         self._ids.append(note_id)
         self._slot[note_id] = row
         self._count += 1
@@ -162,14 +169,14 @@ class VectorIndex:
         if row is None:
             raise UnknownId(f"id not present in index: {note_id}")
         self._rows[row] = vec
-        self._norms[row] = self._row_norm(vec)
+        self._set_norms(row, vec[None, :])
 
     def bulk_load(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Insert many rows at once. Equivalent to repeated insert, much faster.
 
-        When the index is empty and the matrix is already float32 and
-        C-contiguous, the index adopts it without copying; the caller must
-        not mutate it afterwards.
+        When the index is empty and the matrix is already float32,
+        C-contiguous and writeable, the index adopts it without copying; the
+        caller must not mutate it afterwards.
         """
         matrix = np.asarray(vectors, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[1] != self._dim:
@@ -190,16 +197,13 @@ class VectorIndex:
             if note_id in self._slot:
                 raise DuplicateId(f"id already present in index: {note_id}")
         base = self._count
-        if base == 0 and matrix.flags["C_CONTIGUOUS"]:
+        if base == 0 and matrix.flags["C_CONTIGUOUS"] and matrix.flags["WRITEABLE"]:
             self._rows = matrix
             self._norms = np.empty(n, dtype=np.float64)
         else:
             self._ensure_capacity(n)
             self._rows[base : base + n] = matrix
-        # per row, not vectorized: a batched reduction can differ from
-        # insert() in the last ulp, and both build paths must score alike
-        for offset in range(n):
-            self._norms[base + offset] = self._row_norm(matrix[offset])
+        self._set_norms(base, matrix)
         for offset, note_id in enumerate(ids):
             self._slot[note_id] = base + offset
             self._ids.append(note_id)

@@ -22,10 +22,9 @@ from amem.errors import (
     EmptyQuery,
     InvalidTimestamp,
     SchemaViolation,
-    UnknownId,
 )
 from amem import gateway as gateway_module
-from amem.gateway import EvolutionDirective, LlmGateway, MockBackend
+from amem.gateway import EvolutionDirective, LinkOpinion, LlmGateway, MockBackend
 from amem.index import cosine
 from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
 from amem.persistence import Journal, read_journal
@@ -320,49 +319,127 @@ def test_journal_prefix_never_dangles(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# hand-built directives through the public evolution entry point
+# fixed directives through add_memory, the one way into evolution
 
 
-def test_apply_evolution_no_op_changes_nothing():
-    engine = fresh_engine()
+class FixedDirectiveBackend(RecordingBackend):
+    """The mock backend, except that s2 always says evolve and s3 answers
+    self.directive, a raw response set once the neighbor ids are known."""
+
+    def __init__(self):
+        super().__init__()
+        self.directive = None
+
+    def complete(self, task, payload):
+        if task == "link_opinion":
+            self.calls.append(task)
+            return {"should_evolve": True, "rationale": "fixed"}
+        if task == "evolution_directive":
+            self.calls.append(task)
+            return self.directive
+        return super().complete(task, payload)
+
+
+def fixed_directive(connections=(), tags=(), contexts=(), tag_lists=()):
+    return {
+        "should_evolve": True,
+        "actions": ["strengthen"],
+        "suggested_connections": list(connections),
+        "tags_to_update": list(tags),
+        "new_context_neighborhood": list(contexts),
+        "new_tags_neighborhood": [list(t) for t in tag_lists],
+    }
+
+
+def test_evolution_extends_the_new_notes_tags(tmp_path):
+    backend = FixedDirectiveBackend()
+    journal = Journal(tmp_path / "j.jsonl")
+    engine = fresh_engine(journal=journal, backend=backend)
     id_a = engine.add_memory(CONTENT_A, TS[0])
+    backend.directive = fixed_directive(connections=[id_a], tags=["topic:gear", "topic:soup"])
     id_d = engine.add_memory(CONTENT_D, TS[1])
-    before = snapshot_bytes(engine)
-    changed = engine.apply_evolution(EvolutionDirective.no_op(), id_d, [id_a])
-    assert changed == []
-    assert snapshot_bytes(engine) == before
 
-
-def test_apply_evolution_extends_new_note_tags():
-    engine = fresh_engine()
-    id_a = engine.add_memory(CONTENT_A, TS[0])
-    id_d = engine.add_memory(CONTENT_D, TS[1])
-    directive = EvolutionDirective(
-        should_evolve=True,
-        suggested_connections=(id_a,),
-        tags_to_update=("topic:gear", "topic:soup"),
-        new_context_neighborhood=(),
-        new_tags_neighborhood=(),
-    )
-    changed = engine.apply_evolution(directive, id_d, [id_a])
-    assert set(changed) == {id_a, id_d}
     note_d = engine.get_note(id_d)
     assert note_d.links == frozenset({id_a})
+    assert engine.get_note(id_a).links == frozenset({id_d})
     # topic:soup is already present, so only topic:gear is appended
     assert note_d.tags == ("topic:recipe", "topic:soup", "topic:lentil", "topic:gear")
-    # tag change feeds the enriched text, so the embedding moved with it
+    # the tag change feeds the enriched text, so the embedding moved with it
     assert np.array_equal(note_d.embedding, engine.encoder.encode(note_text(note_d)))
+    events = parsed_events(tmp_path / "j.jsonl")[1:]
+    assert [(kind, payload["id"]) for kind, payload in events] == [
+        ("note_added", id_d),
+        ("note_evolved", id_d),
+        ("links_changed", id_a),
+    ]
     assert engine.audit() == []
 
 
-def test_apply_evolution_rejects_unknown_ids():
-    engine = fresh_engine()
+def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path):
+    backend = FixedDirectiveBackend()
+    journal = Journal(tmp_path / "j.jsonl")
+    engine = fresh_engine(journal=journal, backend=backend)
     id_a = engine.add_memory(CONTENT_A, TS[0])
-    ghost = IdGenerator(seed=1).fresh()
-    with pytest.raises(UnknownId):
-        engine.apply_evolution(EvolutionDirective.no_op(), ghost, [id_a])
-    with pytest.raises(UnknownId):
-        engine.apply_evolution(EvolutionDirective.no_op(), id_a, [ghost])
+    backend.directive = fixed_directive(
+        connections=[id_a], contexts=["Rewritten beside a soup recipe."]
+    )
+    id_d = engine.add_memory(CONTENT_D, TS[1])
+
+    events = parsed_events(tmp_path / "j.jsonl")[1:]
+    assert [(kind, payload["id"]) for kind, payload in events] == [
+        ("note_added", id_d),
+        ("links_changed", id_d),
+        ("note_evolved", id_a),
+    ]
+    rewritten = events[2][1]
+    assert rewritten["links"] == [id_d]
+    assert rewritten["context"] == "Rewritten beside a soup recipe."
+    note_a = engine.get_note(id_a)
+    assert np.array_equal(note_a.embedding, engine.encoder.encode(note_text(note_a)))
+    assert engine.audit() == []
+
+
+class UnsanitizedGateway(LlmGateway):
+    """Always evolves, with a directive no parser cleaned: the first
+    neighbor twice, the new note itself, every id in known, an id no note
+    has, and neighborhood lists longer than the neighbor list."""
+
+    def __init__(self):
+        super().__init__()
+        self.known = []
+        self.pairs = []
+
+    def opine_links(self, new_note, neighbors):
+        return LinkOpinion(should_evolve=True, rationale="forced")
+
+    def propose_evolution(self, new_note, neighbors):
+        first = neighbors[0].id
+        self.pairs.append((new_note.id, first))
+        extra = len(neighbors) + 2
+        return EvolutionDirective(
+            should_evolve=True,
+            suggested_connections=(first, first, new_note.id, *self.known, "f" * 32),
+            tags_to_update=("topic:forced",),
+            new_context_neighborhood=("",) * extra,
+            new_tags_neighborhood=((),) * extra,
+        )
+
+
+def test_an_unsanitized_directive_links_only_to_neighbors():
+    gateway = UnsanitizedGateway()
+    engine = MemoryEngine(
+        HashEncoder(dimension=48, seed=0), gateway, EngineConfig(k_link=1), id_seed=99
+    )
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
+        gateway.known.append(engine.add_memory(content, TS[i]))
+
+    expected = {note_id: set() for note_id in gateway.known}
+    for new_id, neighbor_id in gateway.pairs:
+        expected[new_id].add(neighbor_id)
+        expected[neighbor_id].add(new_id)
+    assert len(gateway.pairs) == 3
+    assert {note.id: set(note.links) for note in engine.iter_notes()} == expected
+    assert engine.audit() == []
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +675,10 @@ def test_adopted_state_is_queryable():
     b = hand_note(ids, "beta")
     engine = fresh_engine()
     engine.adopt_state({a.id: a, b.id: b})
-    assert engine.note_ids() == sorted([a.id, b.id])
+    assert [note.id for note in engine.iter_notes()] == sorted([a.id, b.id])
     hits = engine.retrieve("alpha note body", k=1)
     assert hits[0].note.id == a.id
-    rows, overhead = engine.memory_bytes()
-    assert rows == 2 * 48 * 4
+    assert engine.audit() == []
 
 
 def test_state_snapshot_is_stable_under_later_writes():

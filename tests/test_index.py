@@ -320,6 +320,37 @@ def test_top_k_rescores_rows_outside_the_float32_bound():
             assert index.top_k(query, k) == full_product_top_k(ids, rows, query, k)
 
 
+def test_inserted_and_updated_rows_score_like_the_whole_product_oracle():
+    # the norms of insert and update must round as bulk_load's do
+    rng = np.random.default_rng(11)
+    n = 300
+    rows = (rng.standard_normal((n, EXACT_DIMENSION)) * rng.uniform(0.5, 2.0, (n, 1))).astype(
+        np.float32
+    )
+    ids = seeded_ids(n)
+    index = VectorIndex(EXACT_DIMENSION)
+    index.bulk_load(ids[:100], rows[:100])
+    for note_id, row in zip(ids[100:], rows[100:]):
+        index.insert(note_id, row)
+    for position in rng.choice(n, size=40, replace=False).tolist():
+        rows[position] = rng.standard_normal(EXACT_DIMENSION).astype(np.float32) * 3.0
+        index.update(ids[position], rows[position])
+    for query in (rng.standard_normal(EXACT_DIMENSION).astype(np.float32), rows[7].copy()):
+        for k in (1, 10, n):
+            assert index.top_k(query, k) == full_product_top_k(ids, rows, query, k)
+
+
+def test_bulk_load_of_a_read_only_matrix_stays_updatable():
+    ids = seeded_ids(4)
+    rows = np.eye(4, dtype=np.float32)
+    rows.flags.writeable = False
+    index = VectorIndex(4)
+    index.bulk_load(ids, rows)
+    index.update(ids[0], np.float32([0.0, 1.0, 0.0, 0.0]))
+    assert rows[0, 0] == 1.0
+    assert index.top_k(np.float32([0.0, 1.0, 0.0, 0.0]), 2) == [(ids[0], 1.0), (ids[1], 1.0)]
+
+
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 

@@ -868,6 +868,40 @@ def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
     reopened.close()
 
 
+def test_a_closed_engine_refuses_writes(tmp_path):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+
+    with pytest.raises(EngineFailed, match="closed"):
+        engine.add_memory(CONTENT_B, TS[1])
+    with pytest.raises(EngineFailed, match="closed"):
+        snapshot_engine(engine, store, compact=True)
+    with pytest.raises(EngineFailed, match="closed"):
+        engine.adopt_state({})
+    # reads go on, and a second close is a no-op
+    assert len(engine) == 1
+    assert len(engine.retrieve("camera", k=1)) == 1
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    reopened.close()
+
+
+def test_close_keeps_the_reason_of_an_earlier_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(persistence, "Journal", FailingSyncJournal)
+    engine = open_engine(tmp_path / "store", encoder=encoder(), id_seed=7)
+    engine.journal.failures = 1
+    with pytest.raises(OSError):
+        engine.add_memory(CONTENT_A, TS[0])
+    engine.close()
+    with pytest.raises(EngineFailed, match="journal write failed"):
+        engine.add_memory(CONTENT_B, TS[1])
+
+
 class LinkSyncFailingJournal(Journal):
     """A journal whose sync raises EIO once a links_changed event is pending."""
 
