@@ -52,9 +52,7 @@ from .metrics import (
 from .notes import (
     IdGenerator,
     MemoryNote,
-    canonical_bytes,
     canonical_json,
-    decode_note,
     note_text,
     now_timestamp,
     validate_timestamp,
@@ -102,10 +100,8 @@ __all__ = [
     "VersionMismatch",
     "basis_vector",
     "bleu1",
-    "canonical_bytes",
     "canonical_json",
     "cosine",
-    "decode_note",
     "embed_sim",
     "evaluate_pair",
     "f1",

@@ -27,6 +27,7 @@ from .engine import EngineConfig, MemoryEngine
 from .errors import (
     AmemError,
     BackendUnavailable,
+    DimensionMismatch,
     EmptyContent,
     EmptyQuery,
     InvalidTimestamp,
@@ -467,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BackendUnavailable, SchemaViolation) as exc:
+    except (BackendUnavailable, SchemaViolation, DimensionMismatch) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (

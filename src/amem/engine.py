@@ -18,7 +18,7 @@ so a backend failure leaves the store exactly as it was.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -228,9 +228,9 @@ class MemoryEngine:
     notes (get_note, iter_notes, len, membership, state_snapshot) take no
     lock: they read the published _State. retrieve and audit also read the
     index, which changes in place, so they hold the view lock for reading
-    while _commit holds it for writing. After a failed journal write or
-    close() the engine refuses mutations (EngineFailed), giving the first
-    reason; reads go on.
+    while _commit holds it for writing. snapshot writes one snapshot at a
+    time. After a failed journal write or close() the engine refuses
+    mutations (EngineFailed), giving the first reason; reads go on.
     """
 
     def __init__(
@@ -250,6 +250,8 @@ class MemoryEngine:
         self._index = VectorIndex(encoder.dimension)
         self._mutate = threading.Lock()
         self._view = ReadWriteLock()
+        # Taken after _mutate, never before it.
+        self._snapshotting = threading.Lock()
         # Why mutations are refused, once a journal write failed or the
         # engine was closed.
         self._failed: str | None = None
@@ -476,15 +478,15 @@ class MemoryEngine:
         """
         return self._state
 
-    def compact(self, write: Callable[[dict[NoteId, MemoryNote], int], None]) -> None:
-        """Pass the current notes and last_seq to write, then empty the journal.
-
-        The writer lock is held throughout, so no commit can land between
-        the state that write saves and the truncation.
-        """
-        with self._writing():
-            write(*self.state_snapshot())
-            if self._journal is not None:
+    def snapshot(
+        self, write: Callable[[dict[NoteId, MemoryNote], int], None], compact: bool
+    ) -> None:
+        """Pass the current notes and last_seq to write, one snapshot at a
+        time. With compact, hold the writer lock too and then empty the
+        journal, so no commit lands between the saved state and the cut."""
+        with self._writing() if compact else nullcontext(), self._snapshotting:
+            write(*self._state)
+            if compact and self._journal is not None:
                 self._journal.truncate()
 
     def close(self) -> None:

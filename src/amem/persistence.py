@@ -303,22 +303,26 @@ def write_snapshot(
     """Write a snapshot atomically: temp file in the same directory, then rename.
 
     The text is written note by note, so no copy of the whole snapshot is
-    ever held in memory.
+    ever held in memory. A write that fails deletes its temp file.
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        for part in _snapshot_parts(notes, config, last_seq):
-            handle.write(part.encode("utf-8"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "wb") as handle:
+            for part in _snapshot_parts(notes, config, last_seq):
+                handle.write(part.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     _fsync_dir(target.parent)
 
 
 def read_snapshot(
     path: str | os.PathLike[str],
-) -> tuple[dict[str, MemoryNote], dict[str, Any], int]:
+) -> tuple[dict[str, MemoryNote], EngineConfig, int]:
     try:
         document = json.loads(Path(path).read_text("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -345,11 +349,10 @@ def read_snapshot(
         if note.id in notes:
             raise LoadIntegrityError(f"snapshot holds note {note.id} twice")
         notes[note.id] = note
-    config = document["config"]
-    if not isinstance(config, dict):
+    if not isinstance(document["config"], dict):
         raise LoadIntegrityError("snapshot config must be a JSON object")
     try:
-        EngineConfig.from_mapping(config)
+        config = EngineConfig.from_mapping(document["config"])
     except (ValueError, TypeError) as exc:
         raise LoadIntegrityError(f"snapshot config invalid: {exc}") from exc
     return notes, config, last_seq
@@ -359,7 +362,7 @@ def read_snapshot(
 class LoadResult:
     notes: dict[str, MemoryNote]
     last_seq: int
-    config: dict[str, Any] | None
+    config: EngineConfig | None
     journal_truncated_at: int | None
 
 
@@ -373,10 +376,11 @@ def load_store(
     Either file may be absent; both absent yields an empty store. Under a
     deterministic encoder every loaded embedding is verified against a fresh
     re-encoding of the note's text; with a non-deterministic encoder the
-    check degrades to a warning. Dangling links always fail the load.
+    check degrades to a warning. Embeddings of another dimension than the
+    encoder's and dangling links always fail the load.
     """
     notes: dict[str, MemoryNote] = {}
-    config: dict[str, Any] | None = None
+    config: EngineConfig | None = None
     last_seq = 0
     truncated: int | None = None
 
@@ -389,6 +393,12 @@ def load_store(
         fresh, truncated = read_journal(journal_file, after=last_seq)
         last_seq = replay_events(notes, fresh, start_after=last_seq)
 
+    if encoder is not None:
+        stored = {note.embedding.size for note in notes.values()} - {encoder.dimension}
+        if stored:
+            raise LoadIntegrityError(
+                f"stored embeddings of dimension {sorted(stored)}, encoder's {encoder.dimension}"
+            )
     verify = encoder if getattr(encoder, "deterministic", False) else None
     if encoder is not None and verify is None:
         logger.warning("encoder is not deterministic; skipping embedding verification")
@@ -425,14 +435,13 @@ def open_engine(
     if encoder is None:
         encoder = HashEncoder()
     result = load_store(snapshot_path, journal_path, encoder=encoder)
-    if config is None and result.config is not None:
-        config = EngineConfig.from_mapping(result.config)
     journal = None
     if not read_only:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
         if result.journal_truncated_at is not None:
             _truncate_torn_tail(journal_path, result.journal_truncated_at)
         journal = Journal(journal_path, last_seq=result.last_seq)
+    config = config if config is not None else result.config
     engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
     try:
         engine.adopt_state(result.notes, result.last_seq)
@@ -462,17 +471,19 @@ def _truncate_torn_tail(journal_path: Path, offset: int) -> None:
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:
     """Snapshot a live engine's store; optionally drop journaled history.
 
-    A plain snapshot takes no lock. A compacting one runs under the
-    engine's writer lock, so no commit lands between the snapshot and the
-    journal truncation.
+    The engine writes one snapshot at a time. A plain snapshot takes no
+    writer lock. A compacting one runs under the engine's writer lock, so
+    no commit lands between the snapshot and the journal truncation; it
+    must go into the directory of the engine's own journal, or ValueError
+    is raised before anything is written.
     """
-    snapshot_path, _ = store_paths(store_dir)
+    snapshot_path, journal_path = store_paths(store_dir)
+    journal = engine.journal
+    if compact and journal is not None and journal.path.resolve() != journal_path.resolve():
+        raise ValueError(f"a compaction goes into the engine's own store, {journal.path.parent}")
 
     def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
         write_snapshot(snapshot_path, notes, engine.config, last_seq)
 
-    if compact:
-        engine.compact(write)
-    else:
-        write(*engine.state_snapshot())
+    engine.snapshot(write, compact)
     return snapshot_path

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 import unicodedata
+from datetime import datetime
 from functools import lru_cache
 from pathlib import Path
 
@@ -145,9 +146,31 @@ def per_element_embedding(vec) -> str:
     """JSON array text of a float32 vector, one format call per element.
 
     This is the canonical encoding's original per-element join: each
-    component widened to a Python float and written at 9 significant digits.
+    component widened to a Python float and written at 9 significant digits,
+    except that a negative zero is written "-0.0", which JSON reads back as
+    a float where "-0" reads as the integer 0.
     """
-    return "[" + ",".join(format(float(v), ".9g") for v in vec) + "]"
+    texts = (format(float(v), ".9g") for v in vec)
+    return "[" + ",".join("-0.0" if text == "-0" else text for text in texts) + "]"
+
+
+# ---------------------------------------------------------------------------
+# timestamps
+
+
+_TIMESTAMP_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+
+
+def strptime_timestamp_ok(value: str) -> bool:
+    """Whether value is a canonical UTC timestamp, by datetime.strptime:
+    zero-padded ASCII fields of a date and time that exist."""
+    if _TIMESTAMP_SHAPE.fullmatch(value) is None:
+        return False
+    try:
+        datetime.strptime(value, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

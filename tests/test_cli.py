@@ -10,8 +10,12 @@ import fcntl
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+
+import requests
 
 from amem.bench import CONCURRENT_CSV_HEADER, CSV_HEADER
+from amem.embedding import DEFAULT_DIMENSION
 from amem.cli import (
     EXIT_BACKEND,
     EXIT_IO,
@@ -299,6 +303,56 @@ def test_damaged_snapshot_exits_4(tmp_path):
     code, _, err = run_cli(store_args(tmp_path) + ["query", "camera"])
     assert code == EXIT_IO
     assert "store error" in err
+
+
+class FakeEmbeddingSession:
+    """Stands in for requests.Session: every text gets a vector of `width` ones."""
+
+    width = 7
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        rows = [{"index": i, "embedding": [1.0] * self.width} for i in range(len(json["input"]))]
+        return SimpleNamespace(status_code=200, json=lambda: {"data": rows})
+
+
+def remote_config(tmp_path, monkeypatch, width):
+    """A remote-backend config file whose embedding service answers with
+    vectors of `width` floats; the config asks for the default dimension."""
+    monkeypatch.setattr(FakeEmbeddingSession, "width", width)
+    monkeypatch.setattr(requests, "Session", FakeEmbeddingSession)
+    cfg = tmp_path / "remote.json"
+    service = {"url": "http://models.invalid", "model": "m"}
+    cfg.write_text(
+        json.dumps({"backend": "remote", "llm": service, "embedding": service}), "utf-8"
+    )
+    return str(cfg)
+
+
+def test_an_encoder_vector_of_the_wrong_dimension_exits_3(tmp_path, monkeypatch):
+    cfg = remote_config(tmp_path, monkeypatch, width=7)
+    code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])
+    assert code == EXIT_BACKEND
+    assert out == ""
+    assert "backend error" in err and "dimension 7" in err
+
+
+def test_a_store_of_another_dimension_exits_4(tmp_path, monkeypatch):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"embedding": {"dimension": 16}}), "utf-8")
+    code, _, _ = run_cli(
+        store_args(tmp_path)
+        + ["--config", str(small), "add", CONTENT_A, "--timestamp", "2023-06-01T00:00:00Z"]
+    )
+    assert code == EXIT_OK
+
+    cfg = remote_config(tmp_path, monkeypatch, width=DEFAULT_DIMENSION)
+    code, _, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])
+    assert code == EXIT_IO
+    assert "store error" in err and "dimension [16]" in err
+    monkeypatch.undo()
+    code, _, err = run_cli(store_args(tmp_path) + ["query", "camera"])
+    assert code == EXIT_IO
+    assert "store error" in err and "dimension [16]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import tempfile
 import threading
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
 
     loaded_notes, config, loaded_seq = read_snapshot(path)
     assert loaded_seq == last_seq
-    assert config == engine.config.to_mapping()
+    assert config == engine.config
     assert state_map(loaded_notes) == state_map(notes)
     for nid in notes:
         assert np.array_equal(loaded_notes[nid].embedding, notes[nid].embedding)
@@ -825,6 +826,133 @@ def test_add_racing_a_compaction_survives_reopen(tmp_path, monkeypatch):
     assert len(live) == 4
     assert reopened.audit() == []
     reopened.close()
+
+
+def gate_snapshot_writes(monkeypatch):
+    """Arms the next snapshot write to stop after its first part until the
+    returned gate's release is set; its entered is set once it stops."""
+    gate = SimpleNamespace(armed=True, entered=threading.Event(), release=threading.Event())
+    real_parts = persistence._snapshot_parts
+
+    def parts(*args):
+        held, gate.armed = gate.armed, False
+        for number, part in enumerate(real_parts(*args)):
+            yield part
+            if held and number == 0:
+                gate.entered.set()
+                assert gate.release.wait(10)
+
+    monkeypatch.setattr(persistence, "_snapshot_parts", parts)
+    return gate
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["plain", "compacting"])
+def test_a_snapshot_racing_a_held_snapshot_reloads_to_the_live_store(
+    tmp_path, monkeypatch, compact
+):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_B, TS[1])
+    gate = gate_snapshot_writes(monkeypatch)
+    held, held_errors = run_in_thread(snapshot_engine, engine, store)
+    assert gate.entered.wait(10)
+
+    def add_then_snapshot():
+        engine.add_memory(CONTENT_C, TS[2])
+        snapshot_engine(engine, store, compact=compact)
+
+    racer, racer_errors = run_in_thread(add_then_snapshot)
+    # Time for the racer to finish its snapshot inside the held one, if
+    # the engine lets it; one snapshot at a time makes it wait instead.
+    racer.join(0.5)
+    gate.release.set()
+    for thread in (held, racer):
+        thread.join(10)
+        assert not thread.is_alive()
+    assert held_errors == [] and racer_errors == []
+    engine.add_memory(CONTENT_D, TS[3])
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+    assert sorted(path.name for path in store.iterdir()) == [JOURNAL_FILENAME, SNAPSHOT_FILENAME]
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    assert len(live) == 4
+    assert reopened.audit() == []
+    reopened.close()
+
+
+def test_a_compaction_into_another_directory_is_refused(tmp_path):
+    store, elsewhere = tmp_path / "a", tmp_path / "b"
+    elsewhere.mkdir()
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        engine.add_memory(content, TS[i])
+    with pytest.raises(ValueError, match="own store"):
+        snapshot_engine(engine, elsewhere, compact=True)
+    assert list(elsewhere.iterdir()) == []
+    engine.add_memory(CONTENT_D, TS[3])
+    # the engine's own store, however the path is spelled
+    snapshot_engine(engine, elsewhere / ".." / "a", compact=True)
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    assert len(live) == 4
+    reopened.close()
+
+
+def test_a_failed_snapshot_write_deletes_its_temp_file(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    snapshot_engine(engine, store)
+    before = (store / SNAPSHOT_FILENAME).read_bytes()
+    engine.add_memory(CONTENT_B, TS[1])
+
+    def failing_parts(*args):
+        yield "{"
+        raise OSError(errno.ENOSPC, "injected full disk")
+
+    monkeypatch.setattr(persistence, "_snapshot_parts", failing_parts)
+    with pytest.raises(OSError):
+        snapshot_engine(engine, store)
+    assert sorted(path.name for path in store.iterdir()) == [JOURNAL_FILENAME, SNAPSHOT_FILENAME]
+    assert (store / SNAPSHOT_FILENAME).read_bytes() == before
+    monkeypatch.undo()
+    snapshot_engine(engine, store)
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    reopened.close()
+
+
+def test_a_note_utf8_cannot_encode_is_refused_before_it_is_journaled(tmp_path):
+    bad = "bad \udcff note about the camera"
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    journaled = (store / JOURNAL_FILENAME).read_bytes()
+    with pytest.raises(ValueError, match="lone surrogate"):
+        engine.add_memory(bad, TS[1])
+    assert (store / JOURNAL_FILENAME).read_bytes() == journaled
+    # the engine stays writable, and its snapshots loadable
+    engine.add_memory(CONTENT_B, TS[2])
+    snapshot_engine(engine, store)
+    live = state_map(engine.state_snapshot()[0])
+    engine.close()
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == live
+    reopened.close()
+
+    in_memory = live_engine()
+    with pytest.raises(ValueError, match="lone surrogate"):
+        in_memory.add_memory(bad, TS[1])
+    assert len(in_memory) == 0
 
 
 class FailingSyncJournal(Journal):
