@@ -462,10 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.handler(args)
-    except (UsageError, EmptyContent, EmptyQuery, InvalidTimestamp, UnknownId) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, EmptyContent, EmptyQuery, InvalidTimestamp, UnknownId, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BackendUnavailable, SchemaViolation, DimensionMismatch) as exc:

@@ -185,7 +185,7 @@ class RemoteEncoder:
     Sends {"model", "input"} and expects {"data": [{"index", "embedding"}]}.
     Returned vectors are re-normalized locally so downstream cosine math sees
     unit vectors regardless of service behavior. Transport failures, non-200
-    statuses, and malformed response envelopes raise BackendUnavailable.
+    statuses and malformed responses or rows raise BackendUnavailable.
     """
 
     deterministic = False
@@ -241,19 +241,20 @@ class RemoteEncoder:
                 f"embedding endpoint returned HTTP {response.status_code}"
             )
         try:
-            body = response.json()
-            rows = sorted(body["data"], key=lambda row: row["index"])
+            rows = sorted(response.json()["data"], key=lambda row: row["index"])
+            indices = [row["index"] for row in rows]
+            if indices != list(range(len(texts))) or any(type(i) is not int for i in indices):
+                raise ValueError(f"row indices are not 0..{len(texts) - 1}")
             raw = [row["embedding"] for row in rows]
-        except (ValueError, KeyError, TypeError) as exc:
+            # JSON numbers only: a bool would pass for 1, a string for a float
+            if not all(isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in raw):
+                raise ValueError("an embedding is not a flat array of numbers")
+            arrays = [np.array(values, dtype=np.float64) for values in raw]
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise BackendUnavailable(f"malformed embedding response: {exc}") from exc
-        if len(raw) != len(texts):
-            raise BackendUnavailable(
-                f"embedding response row count {len(raw)} != request count {len(texts)}"
-            )
         vectors: list[np.ndarray] = []
-        for values in raw:
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1 or vec.size != self.dimension:
+        for vec in arrays:
+            if vec.size != self.dimension:
                 raise DimensionMismatch(
                     f"embedding response dimension {vec.size} != {self.dimension}"
                 )

@@ -28,7 +28,7 @@ import numpy as np
 from .embedding import Encoder
 from .errors import EmptyContent, EmptyQuery, EngineFailed, UnknownId
 from .gateway import EvolutionDirective, LlmGateway
-from .index import VectorIndex, cosine
+from .index import VectorIndex, _is_count, cosine
 from .notes import (
     IdGenerator,
     MemoryNote,
@@ -39,11 +39,6 @@ from .notes import (
     now_timestamp,
     validate_timestamp,
 )
-
-
-def _is_count(value: Any) -> bool:
-    """An int >= 1; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -293,6 +288,16 @@ class MemoryEngine:
                 raise EngineFailed(self._failed)
             yield
 
+    @contextmanager
+    def _fail_stop(self) -> Iterator[None]:
+        """Fail the engine if the journal write inside raises: the journal may
+        end in torn or unsynced bytes, or hold events memory lacks."""
+        try:
+            yield
+        except BaseException as exc:
+            self._failed = f"a journal write failed ({exc!r}); reopen the store"
+            raise
+
     def add_memory(self, content: str, timestamp: str | None = None) -> NoteId:
         """Construct, link, and evolve one new memory. Returns its id.
 
@@ -364,7 +369,7 @@ class MemoryEngine:
             steps.append((kind, note, old))
 
         journal = self._journal
-        try:
+        with self._fail_stop():
             if journal is not None:
                 for kind, note, old in steps:
                     if kind == "note_added":
@@ -385,11 +390,6 @@ class MemoryEngine:
                         self._index.update(note.id, note.embedding)
                 last_seq = journal.last_seq if journal is not None else self._state.last_seq
                 self._state = _State(notes, last_seq)
-        except BaseException as exc:
-            # The journal may now end in torn or unsynced bytes, or hold
-            # events memory lacks; a later append would land after them.
-            self._failed = f"a journal write failed ({exc!r}); reopen the store"
-            raise
 
     # -- reads ---------------------------------------------------------------
 
@@ -406,7 +406,7 @@ class MemoryEngine:
             raise EmptyQuery("query is empty or whitespace-only")
         if k is None:
             k = self.config.k_for(category)
-        if not isinstance(k, int) or k < 1:
+        if not _is_count(k):
             raise ValueError("k must be >= 1")
         query_vec = self._encoder.encode(query)
         # The lock is kept because VectorIndex.update overwrites rows in
@@ -483,11 +483,13 @@ class MemoryEngine:
     ) -> None:
         """Pass the current notes and last_seq to write, one snapshot at a
         time. With compact, hold the writer lock too and then empty the
-        journal, so no commit lands between the saved state and the cut."""
+        journal, so no commit lands between the saved state and the cut. A
+        failed cut fails the engine as a failed commit does."""
         with self._writing() if compact else nullcontext(), self._snapshotting:
             write(*self._state)
             if compact and self._journal is not None:
-                self._journal.truncate()
+                with self._fail_stop():
+                    self._journal.truncate()
 
     def close(self) -> None:
         """Close the journal. Later mutations raise EngineFailed; reads go on."""

@@ -20,6 +20,7 @@ opinion.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -50,20 +51,13 @@ TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
     "s3": ("context", "content", "keywords", "nearest_neighbors_memories"),
 }
 
-_TEMPLATE_CACHE: dict[str, str] = {}
 
-
+@functools.cache
 def load_template(template_id: str) -> str:
-    """Raw template text shipped with the package."""
+    """Raw template text shipped with the package, read once per id."""
     if template_id not in TEMPLATE_SLOTS:
         raise ValueError(f"unknown template id: {template_id!r}")
-    cached = _TEMPLATE_CACHE.get(template_id)
-    if cached is None:
-        cached = (
-            resources.files("amem").joinpath(f"prompts/{template_id}.txt").read_text("utf-8")
-        )
-        _TEMPLATE_CACHE[template_id] = cached
-    return cached
+    return resources.files("amem").joinpath(f"prompts/{template_id}.txt").read_text("utf-8")
 
 
 def render_prompt(template_id: str, slots: Mapping[str, str]) -> str:

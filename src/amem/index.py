@@ -30,7 +30,7 @@ does so with its view lock.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,11 @@ _INITIAL_CAPACITY = 1024
 # Rough per-entry bookkeeping bytes besides the raw vector: the id string
 # object, its hash-table slot, the row list slot, and the cached norm.
 _PER_ENTRY_OVERHEAD = 160
+
+
+def _is_count(value: Any) -> bool:
+    """An int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,7 +223,7 @@ class VectorIndex:
         which leaves pure id-order ranking. Returns fewer than k pairs only
         when the index holds fewer eligible entries.
         """
-        if not isinstance(k, int) or k < 1:
+        if not _is_count(k):
             raise ValueError("k must be a positive integer")
         q = self._check_vector(query)
         q64 = q.astype(np.float64)

@@ -88,21 +88,36 @@ def _parse_line(text: str) -> JournalEvent:
 
 
 class Journal:
-    """Writable handle on a journal file.
+    """Writable handle on a journal file, and the only code that shortens it.
 
     Appends buffer in process memory until sync(), which writes and fsyncs
     them; the engine syncs once per mutating operation, after the last event
     of that operation. So events not synced at close() belong to a change
     that failed and was never acknowledged: close() drops them, and cuts
-    off any bytes a failed sync() left past the last successful one.
+    off any bytes a failed sync() left past the last successful one. Given
+    torn_at, the offset of a torn tail, it first cuts the file back to it:
+    appends after a torn line would be unreachable.
     """
 
-    def __init__(self, path: str | os.PathLike[str], last_seq: int = 0) -> None:
+    def __init__(
+        self, path: str | os.PathLike[str], last_seq: int = 0, torn_at: int | None = None
+    ) -> None:
         self._path = Path(path)
         self._file = open(self._path, "ab", buffering=0)
         self._synced = os.fstat(self._file.fileno()).st_size
         self._pending: list[bytes] = []
         self._last = int(last_seq)
+        if torn_at is not None:
+            dropped = self._synced - torn_at
+            try:
+                self._cut(torn_at)
+            except BaseException:
+                self._file.close()
+                raise
+            logger.warning(
+                "journal %s: truncated a torn tail of %d bytes at byte %d",
+                self._path, dropped, torn_at,
+            )
 
     @property
     def path(self) -> Path:
@@ -145,22 +160,25 @@ class Journal:
         os.fsync(self._file.fileno())
         self._synced += len(data)
 
+    def _cut(self, length: int) -> None:
+        """Drop the pending events and cut the file to `length` bytes, durably.
+        The durable length is set first, so close() never pads after a failure."""
+        self._pending.clear()
+        self._synced = length
+        self._file.truncate(length)
+        os.fsync(self._file.fileno())
+
     def truncate(self) -> None:
         """Discard all journal bytes; the sequence counter keeps counting."""
-        self._pending.clear()
-        self._file.truncate(0)
-        os.fsync(self._file.fileno())
-        self._synced = 0
+        self._cut(0)
 
     def close(self) -> None:
         """Close the file, keeping exactly what the last sync() made durable."""
         if self._file.closed:
             return
-        self._pending.clear()
         try:
-            if os.fstat(self._file.fileno()).st_size != self._synced:
-                self._file.truncate(self._synced)
-                os.fsync(self._file.fileno())
+            if os.fstat(self._file.fileno()).st_size > self._synced:
+                self._cut(self._synced)
         finally:
             self._file.close()
 
@@ -428,8 +446,9 @@ def open_engine(
     Config precedence: explicit argument, then the snapshot's config echo,
     then defaults. Read-only engines get no journal handle: their mutations
     stay in memory and never reach disk. A writable open creates the store
-    directory if needed and first cuts a torn journal tail back to the last
-    good event; a read-only open writes nothing, not even the directory.
+    directory if needed, and its journal cuts a torn tail back to the last
+    good event before anything is appended; a read-only open writes nothing,
+    not even the directory.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
@@ -438,9 +457,7 @@ def open_engine(
     journal = None
     if not read_only:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
-        if result.journal_truncated_at is not None:
-            _truncate_torn_tail(journal_path, result.journal_truncated_at)
-        journal = Journal(journal_path, last_seq=result.last_seq)
+        journal = Journal(journal_path, result.last_seq, result.journal_truncated_at)
     config = config if config is not None else result.config
     engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
     try:
@@ -449,23 +466,6 @@ def open_engine(
         engine.close()
         raise
     return engine
-
-
-def _truncate_torn_tail(journal_path: Path, offset: int) -> None:
-    """Cut the journal back to its last good event before appending to it.
-
-    Appends after a torn line would be unreachable: every later load stops
-    at that line. This is the tolerate-corrupted-tail recovery of a
-    write-ahead log.
-    """
-    with open(journal_path, "r+b") as handle:
-        dropped = handle.seek(0, os.SEEK_END) - offset
-        handle.truncate(offset)
-        os.fsync(handle.fileno())
-    logger.warning(
-        "journal %s: truncated a torn tail of %d bytes at byte %d",
-        journal_path, dropped, offset,
-    )
 
 
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:

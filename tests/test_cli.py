@@ -12,6 +12,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
+import pytest
 import requests
 
 from amem.bench import CONCURRENT_CSV_HEADER, CSV_HEADER
@@ -306,12 +307,16 @@ def test_damaged_snapshot_exits_4(tmp_path):
 
 
 class FakeEmbeddingSession:
-    """Stands in for requests.Session: every text gets a vector of `width` ones."""
+    """Stands in for requests.Session: every text gets a vector of `width`
+    copies of `entry`."""
 
     width = 7
+    entry = 1.0
 
     def post(self, url, json=None, headers=None, timeout=None):
-        rows = [{"index": i, "embedding": [1.0] * self.width} for i in range(len(json["input"]))]
+        rows = [
+            {"index": i, "embedding": [self.entry] * self.width} for i in range(len(json["input"]))
+        ]
         return SimpleNamespace(status_code=200, json=lambda: {"data": rows})
 
 
@@ -334,6 +339,16 @@ def test_an_encoder_vector_of_the_wrong_dimension_exits_3(tmp_path, monkeypatch)
     assert code == EXIT_BACKEND
     assert out == ""
     assert "backend error" in err and "dimension 7" in err
+
+
+@pytest.mark.parametrize("entry", [[1.0], "x", True], ids=["nested", "string", "bool"])
+def test_an_encoder_vector_of_non_numbers_exits_3(tmp_path, monkeypatch, entry):
+    cfg = remote_config(tmp_path, monkeypatch, width=DEFAULT_DIMENSION)
+    monkeypatch.setattr(FakeEmbeddingSession, "entry", entry)
+    code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])
+    assert code == EXIT_BACKEND
+    assert out == ""
+    assert "backend error" in err and "not a flat array of numbers" in err
 
 
 def test_a_store_of_another_dimension_exits_4(tmp_path, monkeypatch):

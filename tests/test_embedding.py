@@ -351,6 +351,25 @@ def test_remote_encoder_error_paths():
     with pytest.raises(BackendUnavailable):
         enc.encode("text")
 
+    # Rows must carry the indices 0..n-1, each embedding a flat array of
+    # JSON numbers; anything else is the service's fault, not a dimension.
+    one = [1.0, 0.0, 0.0]
+    for rows in (
+        [{"index": 0, "embedding": {"x": 1.0}}],
+        [{"index": 0, "embedding": ["x", 0.0, 0.0]}],
+        [{"index": 0, "embedding": [True, 0.0, 0.0]}],
+        [{"index": 0, "embedding": [[1.0]] * 3}],
+        [{"index": 0, "embedding": [10**400, 0.0, 0.0]}],
+        [{"index": True, "embedding": one}],
+        [{"index": "0", "embedding": one}],
+        [{"index": 1, "embedding": one}, {"index": 1, "embedding": one}],
+        [{"index": 5, "embedding": one}, {"index": 7, "embedding": one}],
+    ):
+        session = FakeSession([FakeResponse(200, {"data": rows})])
+        enc = RemoteEncoder(url="http://e", model="m", dimension=3, session=session)
+        with pytest.raises(BackendUnavailable):
+            enc.encode_many(["text"] * len(rows))
+
 
 def test_remote_encoder_sends_api_key_header():
     session = FakeSession([FakeResponse(200, embedding_body([[1.0, 0.0, 0.0]]))])

@@ -88,6 +88,8 @@ def test_config_defaults_and_guards():
     with pytest.raises(ValueError):
         EngineConfig(k_retrieve=-1)
     with pytest.raises(ValueError):
+        EngineConfig(k_retrieve=True)
+    with pytest.raises(ValueError):
         EngineConfig(k_by_category={"chat": 0})
 
 
@@ -535,8 +537,9 @@ def test_retrieve_guards():
     engine = corpus_engine()
     with pytest.raises(EmptyQuery):
         engine.retrieve("  ")
-    with pytest.raises(ValueError):
-        engine.retrieve("camera", k=0)
+    for k in (0, True):
+        with pytest.raises(ValueError):
+            engine.retrieve("camera", k=k)
 
 
 def test_link_expansion_appends_linked_notes_in_id_order():

@@ -99,8 +99,9 @@ def test_dimension_and_finite_guards():
         index.insert("a" * 32, np.asarray([1.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError):
         VectorIndex(0)
-    with pytest.raises(ValueError):
-        index.top_k(np.ones(4, dtype=np.float32), 0)
+    for k in (0, True):
+        with pytest.raises(ValueError):
+            index.top_k(np.ones(4, dtype=np.float32), k)
 
 
 def test_update_replaces_vector():

@@ -1139,6 +1139,63 @@ def test_close_cuts_off_the_bytes_of_a_failed_fsync(tmp_path, monkeypatch):
     reopened.close()
 
 
+def fail_the_next_fsync_of(path):
+    """An os.fsync that raises EIO once, at the next fsync of the file at path."""
+    real_fsync = os.fsync
+    armed = [True]
+
+    def fsync(fd):
+        if armed[0] and os.path.samestat(os.fstat(fd), os.stat(path)):
+            armed[0] = False
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    return fsync
+
+
+def test_a_journal_whose_cut_failed_closes_without_padding(tmp_path, monkeypatch):
+    ids = IdGenerator(seed=3)
+    path = tmp_path / "j.jsonl"
+    journal = Journal(path)
+    journal.note_added(hand_note(ids, "alpha"))
+    journal.sync()
+    monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(path))
+    with pytest.raises(OSError):
+        journal.truncate()
+    journal.note_added(hand_note(ids, "beta"))
+    journal.sync()
+    written = path.read_bytes()
+    journal.close()
+    # close() cuts only bytes past the durable length, and never pads
+    assert path.read_bytes() == written
+    events, truncated = read_journal(path)
+    assert truncated is None and [e.seq for e in events] == [2]
+
+
+def test_a_failed_compaction_cut_stops_the_engine(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    journal_path = store / JOURNAL_FILENAME
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
+        engine.add_memory(content, TS[i])
+    live = state_map(engine.state_snapshot()[0])
+    monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(journal_path))
+    with pytest.raises(OSError):
+        snapshot_engine(engine, store, compact=True)
+    cut = journal_path.stat().st_size
+    with pytest.raises(EngineFailed, match="journal write failed"):
+        engine.add_memory("a note after the failed compaction", TS[10])
+    assert state_map(engine.state_snapshot()[0]) == live
+    engine.close()
+
+    data = journal_path.read_bytes()
+    assert b"\0" not in data and len(data) <= cut
+    # the snapshot was renamed into place before the cut, so it covers all
+    reloaded = load_store(*store_paths(store), encoder=encoder())
+    assert reloaded.journal_truncated_at is None
+    assert state_map(reloaded.notes) == live
+
+
 # ---------------------------------------------------------------------------
 # pinned store bytes
 
@@ -1187,7 +1244,8 @@ MACHINE_WORDS = (
 
 
 class DurableStoreMachine(RuleBasedStateMachine):
-    """Adds, snapshots, compactions, torn writes and reopens in any order.
+    """Adds, snapshots, compactions, failed compactions, torn writes and
+    reopens in any order.
 
     The model is the state the live engine acknowledged last: its notes as
     canonical JSON and its last_seq. A reopen must reproduce exactly that
@@ -1203,6 +1261,8 @@ class DurableStoreMachine(RuleBasedStateMachine):
         self.acked = {}
         self.acked_seq = 0
         self.clock = 0
+        # set by a failed compaction, cleared by a reopen
+        self.failed = False
 
     def open(self):
         return open_engine(self.store, encoder=self.encoder, id_seed=11)
@@ -1215,18 +1275,40 @@ class DurableStoreMachine(RuleBasedStateMachine):
     def is_open(self):
         return self.engine is not None
 
+    def is_writable(self):
+        return self.engine is not None and not self.failed
+
     @precondition(is_open)
     @rule(words=st.lists(st.sampled_from(MACHINE_WORDS), min_size=2, max_size=5))
     def add(self, words):
         self.clock += 1
-        self.engine.add_memory(" ".join(words), "2023-06-01T%02d:%02d:00Z" % divmod(self.clock, 60))
+        args = (" ".join(words), "2023-06-01T%02d:%02d:00Z" % divmod(self.clock, 60))
+        if self.failed:
+            with pytest.raises(EngineFailed, match="journal write failed"):
+                self.engine.add_memory(*args)
+            return
+        self.engine.add_memory(*args)
         notes, self.acked_seq = self.engine.state_snapshot()
         self.acked = state_map(notes)
 
-    @precondition(is_open)
+    @precondition(is_writable)
     @rule(compact=st.booleans())
     def snapshot(self, compact):
         snapshot_engine(self.engine, self.store, compact=compact)
+
+    @precondition(is_writable)
+    @rule()
+    def failed_compaction(self):
+        # The snapshot is written and renamed; then the fsync of the journal
+        # just cut to 0 bytes fails.
+        real_fsync = os.fsync
+        os.fsync = fail_the_next_fsync_of(self.store / JOURNAL_FILENAME)
+        try:
+            with pytest.raises(OSError):
+                snapshot_engine(self.engine, self.store, compact=True)
+        finally:
+            os.fsync = real_fsync
+        self.failed = True
 
     @precondition(is_open)
     @rule(data=st.data())
@@ -1248,6 +1330,7 @@ class DurableStoreMachine(RuleBasedStateMachine):
         if self.engine is not None:
             self.engine.close()
         self.engine = self.open()
+        self.failed = False
         notes, last_seq = self.engine.state_snapshot()
         assert state_map(notes) == self.acked
         assert last_seq == self.acked_seq
