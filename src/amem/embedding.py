@@ -17,7 +17,7 @@ import os
 import re
 import threading
 from collections import Counter
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -34,6 +34,30 @@ _TOKEN_LIMIT = 65536
 _MIN_TABLE_ROWS = 1024
 
 EMBED_API_KEY_ENV = "AMEM_EMBED_API_KEY"
+
+
+def post_json(
+    session: requests.Session,
+    url: str,
+    body: Any,
+    api_key: str | None,
+    timeout: float,
+    service: str,
+) -> requests.Response:
+    """POST body as JSON, with a bearer token when api_key is set, and
+    return the HTTP 200 response. A transport failure or any other status
+    raises BackendUnavailable naming the service. The one HTTP call of the
+    remote encoder and the remote chat backend."""
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    try:
+        response = session.post(url, json=body, headers=headers, timeout=timeout)
+    except requests.RequestException as exc:
+        raise BackendUnavailable(f"{service} endpoint unreachable: {exc}") from exc
+    if response.status_code != 200:
+        raise BackendUnavailable(f"{service} endpoint returned HTTP {response.status_code}")
+    return response
 
 
 class Encoder(Protocol):
@@ -208,12 +232,6 @@ class RemoteEncoder:
         self._session = session if session is not None else requests.Session()
         self._api_key = api_key if api_key is not None else os.environ.get(EMBED_API_KEY_ENV)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        return headers
-
     def encode(self, text: str) -> np.ndarray:
         return self.encode_many([text])[0]
 
@@ -230,16 +248,9 @@ class RemoteEncoder:
 
     def _fetch(self, texts: list[str]) -> list[np.ndarray]:
         payload = {"model": self.model, "input": texts}
-        try:
-            response = self._session.post(
-                self.url, json=payload, headers=self._headers(), timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"embedding endpoint unreachable: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendUnavailable(
-                f"embedding endpoint returned HTTP {response.status_code}"
-            )
+        response = post_json(
+            self._session, self.url, payload, self._api_key, self.timeout, "embedding"
+        )
         try:
             rows = sorted(response.json()["data"], key=lambda row: row["index"])
             indices = [row["index"] for row in rows]

@@ -21,12 +21,12 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, MutableMapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .embedding import Encoder
-from .errors import EmptyContent, EmptyQuery, EngineFailed, UnknownId
+from .errors import EmptyContent, EmptyQuery, EngineFailed, InvalidTimestamp, UnknownId
 from .gateway import EvolutionDirective, LlmGateway
 from .index import VectorIndex, _is_count, cosine
 from .notes import (
@@ -35,8 +35,10 @@ from .notes import (
     NoteId,
     compose_note_text,
     normalize_terms,
+    note_from_fields,
     note_text,
     now_timestamp,
+    record_text,
     validate_timestamp,
 )
 
@@ -143,25 +145,42 @@ def _evolve(
     return changed
 
 
-# Notes whose embeddings _note_problems re-encodes in one batch; bounds the
+# Notes whose embeddings _note_problems encodes in one batch; bounds the
 # memory of a verification however large the store.
 _VERIFY_CHUNK = 256
 
 
 def _note_problems(
-    notes: Mapping[NoteId, MemoryNote], encoder: Encoder | None, check_symmetry: bool
+    notes: MutableMapping[NoteId, Any], encoder: Encoder | None, check_symmetry: bool
 ) -> Iterator[str]:
     """The note checks of audit and load_store, in id order: dangling links,
-    optionally missing backlinks, and, given an encoder, stale embeddings."""
+    optionally missing backlinks, and, given an encoder, embeddings.
+
+    A value of notes is a MemoryNote, whose embedding is compared with a
+    fresh encoding of its text, or, on a load, a derived record (the fields
+    of a record that carries embedding_crc): the fresh encoding is its
+    embedding, checked against the CRC, and the note it builds replaces the
+    record in notes. Without an encoder a record cannot be built, and is a
+    problem. One encode_many per chunk of notes does both."""
     ordered = sorted(notes)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = ordered[start:start + _VERIFY_CHUNK]
         if encoder is not None:
-            expected = encoder.encode_many([note_text(notes[note_id]) for note_id in chunk])
+            expected = encoder.encode_many([
+                record_text(entry) if isinstance(entry, dict) else note_text(entry)
+                for entry in map(notes.__getitem__, chunk)
+            ])
         else:
             expected = [None] * len(chunk)
         for note_id, vector in zip(chunk, expected):
             note = notes[note_id]
+            if isinstance(note, dict):
+                try:
+                    note = notes[note_id] = note_from_fields(note, vector)
+                except (ValueError, EmptyContent, InvalidTimestamp) as exc:
+                    yield f"note {note_id}: {exc}"
+                    continue
+                vector = None
             for link in sorted(note.links):
                 if link not in notes:
                     yield f"note {note_id} links to unknown id {link}"

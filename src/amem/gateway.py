@@ -33,6 +33,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
 
+from .embedding import post_json
 from .errors import BackendUnavailable, EmptyContent, MissingSlot, SchemaViolation
 from .notes import MemoryNote, validate_timestamp
 
@@ -453,12 +454,6 @@ class RemoteChatBackend:
         self._api_key = api_key if api_key is not None else os.environ.get(LLM_API_KEY_ENV)
         self._slots = threading.BoundedSemaphore(max(1, max_in_flight))
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        return headers
-
     def complete(self, task: str, payload: Mapping[str, Any]) -> Any:
         prompt = _task_prompt(task, payload)
         body = {
@@ -476,14 +471,9 @@ class RemoteChatBackend:
             len(prompt),
         )
         with self._slots:
-            try:
-                response = self._session.post(
-                    self.url, json=body, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                raise BackendUnavailable(f"chat endpoint unreachable: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendUnavailable(f"chat endpoint returned HTTP {response.status_code}")
+            response = post_json(
+                self._session, self.url, body, self._api_key, self.timeout, "chat"
+            )
         try:
             envelope = response.json()
             content = envelope["choices"][0]["message"]["content"]

@@ -7,9 +7,18 @@ Notes are value objects; evolution replaces a note with a rewritten copy
 rather than mutating it in place.
 
 The canonical encoding is the one codec of a note: canonical_json writes
-it and note_from_fields reads it back. Every note MemoryNote accepts comes
-back bit for bit from the UTF-8 bytes of its canonical JSON, and encodes
-again to the same text. Two notes are equal exactly when those texts are.
+it and note_from_fields reads it back. A record carries the embedding in
+one of two ways, never both:
+
+- "embedding": [...], the float32 components as text, stored. Every note
+  MemoryNote accepts comes back bit for bit from the UTF-8 bytes of this
+  record, and encodes again to the same text. Two notes are equal exactly
+  when these texts are.
+- "embedding_crc": N, derived. N is the CRC-32 of the embedding's
+  little-endian float32 bytes, an integer in [0, 2**32). The reader
+  derives the embedding by encoding the note text again with the
+  deterministic encoder that wrote the record, and note_from_fields checks
+  the derived vector against N.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import zlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Any, Collection, Iterable
@@ -226,14 +236,27 @@ def join_float32(vec: np.ndarray) -> str:
     return ",".join(texts[inverse].tolist())
 
 
-def canonical_json(note: MemoryNote) -> str:
+def embedding_crc(vec: np.ndarray) -> int:
+    """CRC-32 of a vector's little-endian float32 bytes: what a derived
+    record stores in place of the embedding."""
+    return zlib.crc32(np.ascontiguousarray(vec, dtype="<f4").tobytes())
+
+
+def canonical_json(note: MemoryNote, derived: bool = False) -> str:
     """Canonical JSON text for a note: fixed field order, 9-digit floats.
 
-    Ids (the note's and its links') and the timestamp go between literal
-    quotes: validation admits no quote, backslash or control character in
-    them, the only characters json.dumps escapes when ensure_ascii is off.
+    With derived, the record carries "embedding_crc" in place of the
+    embedding's floats, for a reader that derives them with the
+    deterministic encoder. Ids (the note's and its links') and the
+    timestamp go between literal quotes: validation admits no quote,
+    backslash or control character in them, the only characters json.dumps
+    escapes when ensure_ascii is off.
     """
     links = '","'.join(sorted(note.links))
+    if derived:
+        embedding = f',"embedding_crc":{embedding_crc(note.embedding)}'
+    else:
+        embedding = f',"embedding":[{join_float32(note.embedding)}]'
     return "".join(
         (
             '{"id":"', note.id,
@@ -242,30 +265,68 @@ def canonical_json(note: MemoryNote) -> str:
             '","keywords":', _dumps(list(note.keywords)),
             ',"tags":', _dumps(list(note.tags)),
             ',"context":', _dumps(note.context),
-            ',"embedding":[', join_float32(note.embedding),
-            '],"links":', f'["{links}"]' if links else "[]",
+            embedding,
+            ',"links":', f'["{links}"]' if links else "[]",
             "}",
         )
     )
 
 
-def note_from_fields(data: dict[str, Any]) -> MemoryNote:
-    """Build a note from decoded JSON fields, enforcing exact key set and types."""
+_STORED_KEYS = frozenset(CANONICAL_FIELDS)
+_DERIVED_KEYS = _STORED_KEYS - {"embedding"} | {"embedding_crc"}
+_TEXT_FIELDS = ("id", "content", "timestamp", "context")
+_TERM_FIELDS = ("keywords", "tags", "links")
+
+
+def is_derived_record(data: Any) -> bool:
+    """Check a decoded note record's shape; True if it carries embedding_crc.
+
+    The record must hold the canonical keys with exactly one of "embedding"
+    and "embedding_crc", text where the note holds text, lists of text for
+    keywords, tags and links, a list for the embedding, and a uint32 for the
+    CRC; ValueError otherwise. MemoryNote checks the values themselves.
+    """
     if not isinstance(data, dict):
         raise ValueError("note record must be a JSON object")
-    keys = tuple(data.keys())
-    if set(keys) != set(CANONICAL_FIELDS):
-        raise ValueError(f"note record has wrong field set: {sorted(keys)}")
-    for name in ("keywords", "tags"):
-        if not isinstance(data[name], list):
-            raise ValueError(f"{name} must be a list")
-    if not isinstance(data["embedding"], list):
+    derived = data.keys() == _DERIVED_KEYS
+    if not derived and data.keys() != _STORED_KEYS:
+        raise ValueError(f"note record has wrong field set: {sorted(data)}")
+    for name in _TEXT_FIELDS:
+        if not isinstance(data[name], str):
+            raise ValueError(f"{name} must be text")
+    for name in _TERM_FIELDS:
+        if not isinstance(data[name], list) or not all(isinstance(t, str) for t in data[name]):
+            raise ValueError(f"{name} must be a list of text")
+    if derived:
+        crc = data["embedding_crc"]
+        if type(crc) is not int or not 0 <= crc <= 0xFFFFFFFF:
+            raise ValueError(f"embedding_crc must be an integer in [0, 2**32): {crc!r}")
+    elif not isinstance(data["embedding"], list):
         raise ValueError("embedding must be a list of numbers")
-    if not isinstance(data["links"], list) or not all(
-        isinstance(link, str) for link in data["links"]
-    ):
-        raise ValueError("links must be a list of ids")
-    embedding = np.asarray(data["embedding"], dtype=np.float32)
+    return derived
+
+
+def record_text(data: dict[str, Any]) -> str:
+    """The note text of a record that is_derived_record accepted."""
+    return compose_note_text(data["content"], data["keywords"], data["tags"], data["context"])
+
+
+def note_from_fields(data: dict[str, Any], embedding: np.ndarray | None = None) -> MemoryNote:
+    """Build a note from decoded JSON fields, enforcing exact key set and types.
+
+    A stored record's note gets the record's floats. A derived record's
+    gets `embedding`, the encoding of its record_text, which must match the
+    record's embedding_crc.
+    """
+    if not is_derived_record(data):
+        embedding = np.asarray(data["embedding"], dtype=np.float32)
+    elif embedding is None:
+        raise ValueError(
+            "record stores embedding_crc; only the deterministic encoder "
+            "that wrote it can derive its embedding"
+        )
+    elif embedding_crc(embedding) != data["embedding_crc"]:
+        raise ValueError("derived embedding does not match its embedding_crc")
     return MemoryNote(
         id=data["id"],
         content=data["content"],

@@ -3,16 +3,28 @@
 The journal is a JSON-lines file; each line carries a strictly increasing
 sequence number, an event kind, a canonical payload, and a CRC-32 of the
 payload text. Three event kinds exist: note_added and note_evolved carry a
-full note in canonical encoding, links_changed carries a small delta. Events
-are ordered so that any byte prefix of the journal reconstructs a store with
-no dangling references: a note always enters the log before anything points
-at it.
+full note record in canonical encoding, links_changed carries a small
+delta. Events are ordered so that any byte prefix of the journal
+reconstructs a store with no dangling references: a note always enters the
+log before anything points at it.
 
-A snapshot captures the whole store (notes sorted by id, canonical
-encoding), the engine config, and the last applied sequence number, written
-atomically via temp-file-and-rename. Loading a snapshot and replaying the
-journal events past its sequence number reproduces the live store exactly,
-byte for byte.
+A snapshot captures the whole store (note records sorted by id), the
+engine config, and the last applied sequence number, written atomically
+via temp-file-and-rename. Loading a snapshot and replaying the journal
+events past its sequence number reproduces the live store exactly, byte
+for byte.
+
+Store format 2 does not store what the encoder derives. Under a
+deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
+the embedding's little-endian float32 bytes) in place of its floats; any
+other encoder's records store the floats, as format 1 did. A load derives
+the embeddings of the CRC records in the one batched encode_many pass that
+verifies the stored ones, and checks each CRC: a store opened with another
+encoder (another kind, seed or dimension) fails note by note with
+LoadIntegrityError, and so does a CRC record opened with a
+non-deterministic encoder or none. Format 1 snapshots and journals, which
+hold only float records, still load; a writable open of one appends format
+2 records.
 """
 
 from __future__ import annotations
@@ -22,7 +34,9 @@ import logging
 import os
 import re
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -36,13 +50,16 @@ from .errors import (
     VersionMismatch,
 )
 from .gateway import LlmGateway
-from .notes import MemoryNote, canonical_json, note_from_fields
+from .notes import MemoryNote, canonical_json, is_derived_record, note_from_fields
 
 logger = logging.getLogger(__name__)
 
 SNAPSHOT_FILENAME = "store.snapshot.json"
 JOURNAL_FILENAME = "store.journal.jsonl"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Snapshot versions this code reads: format 1 differs only in having no
+# derived records.
+READABLE_VERSIONS = (1, 2)
 
 EVENT_KINDS = ("note_added", "note_evolved", "links_changed")
 
@@ -96,13 +113,20 @@ class Journal:
     that failed and was never acknowledged: close() drops them, and cuts
     off any bytes a failed sync() left past the last successful one. Given
     torn_at, the offset of a torn tail, it first cuts the file back to it:
-    appends after a torn line would be unreachable.
+    appends after a torn line would be unreachable. With derived, note
+    records carry embedding_crc in place of the embedding (for an engine
+    whose encoder is deterministic).
     """
 
     def __init__(
-        self, path: str | os.PathLike[str], last_seq: int = 0, torn_at: int | None = None
+        self,
+        path: str | os.PathLike[str],
+        last_seq: int = 0,
+        torn_at: int | None = None,
+        derived: bool = False,
     ) -> None:
         self._path = Path(path)
+        self._derived = derived
         self._file = open(self._path, "ab", buffering=0)
         self._synced = os.fstat(self._file.fileno()).st_size
         self._pending: list[bytes] = []
@@ -138,10 +162,12 @@ class Journal:
         self._last = event.seq
 
     def note_added(self, note: MemoryNote) -> None:
-        self.append(JournalEvent(self._last + 1, "note_added", canonical_json(note)))
+        payload = canonical_json(note, self._derived)
+        self.append(JournalEvent(self._last + 1, "note_added", payload))
 
     def note_evolved(self, note: MemoryNote) -> None:
-        self.append(JournalEvent(self._last + 1, "note_evolved", canonical_json(note)))
+        payload = canonical_json(note, self._derived)
+        self.append(JournalEvent(self._last + 1, "note_evolved", payload))
 
     def links_changed(self, note_id: str, added: Iterable[str], removed: Iterable[str]) -> None:
         payload = json.dumps(
@@ -238,14 +264,22 @@ def _is_string_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(entry, str) for entry in value)
 
 
+def _note_or_record(data: Any) -> MemoryNote | dict[str, Any]:
+    """A stored record's note, or a derived record as it is, its shape
+    checked: load_store builds its note once it has derived the embedding."""
+    return data if is_derived_record(data) else note_from_fields(data)
+
+
 def replay_events(
-    notes: dict[str, MemoryNote], events: Iterable[JournalEvent], start_after: int = 0
+    notes: dict[str, Any], events: Iterable[JournalEvent], start_after: int = 0
 ) -> int:
     """Apply journal events to a note map in place. Returns the last seq applied.
 
     This is the one place a journal payload is parsed, once per event. Each
     event must be seq start_after + 1, then the next, or SequenceGap is
     raised; a payload that is not a valid event raises LoadIntegrityError.
+    A record that carries embedding_crc enters the map as its fields, and
+    links_changed edits those fields; load_store builds the notes.
     """
     last = start_after
     for event in events:
@@ -253,16 +287,14 @@ def replay_events(
             raise SequenceGap(f"journal event seq {event.seq} does not follow seq {last}")
         try:
             payload = json.loads(event.payload_json)
-            if event.kind == "note_added":
-                note = note_from_fields(payload)
-                if note.id in notes:
-                    raise ValueError(f"note {note.id} added twice")
-                notes[note.id] = note
-            elif event.kind == "note_evolved":
-                note = note_from_fields(payload)
-                if note.id not in notes:
-                    raise ValueError(f"evolved note {note.id} does not exist")
-                notes[note.id] = note
+            if event.kind != "links_changed":
+                note = _note_or_record(payload)
+                note_id = payload["id"]
+                if event.kind == "note_added" and note_id in notes:
+                    raise ValueError(f"note {note_id} added twice")
+                if event.kind == "note_evolved" and note_id not in notes:
+                    raise ValueError(f"evolved note {note_id} does not exist")
+                notes[note_id] = note
             else:
                 if not isinstance(payload, dict) or set(payload) != {"id", "added", "removed"}:
                     raise ValueError("links_changed payload has wrong fields")
@@ -275,9 +307,13 @@ def replay_events(
                 note = notes.get(payload["id"])
                 if note is None:
                     raise ValueError(f"links_changed for unknown note {payload['id']}")
-                links = set(note.links) | set(payload["added"])
+                derived = isinstance(note, dict)
+                links = set(note["links"] if derived else note.links) | set(payload["added"])
                 links -= set(payload["removed"])
-                notes[note.id] = replace(note, links=frozenset(links))
+                if derived:
+                    notes[payload["id"]] = {**note, "links": sorted(links)}
+                else:
+                    notes[note.id] = replace(note, links=frozenset(links))
         except (ValueError, EmptyContent, InvalidTimestamp) as exc:
             raise LoadIntegrityError(f"journal event seq {event.seq}: {exc}") from exc
         last = event.seq
@@ -285,7 +321,7 @@ def replay_events(
 
 
 def _snapshot_parts(
-    notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int
+    notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int, derived: bool
 ) -> Iterator[str]:
     config_json = json.dumps(
         config.to_mapping(), ensure_ascii=False, separators=(",", ":"), sort_keys=True
@@ -296,7 +332,7 @@ def _snapshot_parts(
     )
     separator = ""
     for nid in sorted(notes):
-        yield separator + canonical_json(notes[nid])
+        yield separator + canonical_json(notes[nid], derived)
         separator = ","
     yield "]}"
 
@@ -317,17 +353,19 @@ def write_snapshot(
     notes: Mapping[str, MemoryNote],
     config: EngineConfig,
     last_seq: int,
+    derived: bool = False,
 ) -> None:
     """Write a snapshot atomically: temp file in the same directory, then rename.
 
     The text is written note by note, so no copy of the whole snapshot is
-    ever held in memory. A write that fails deletes its temp file.
+    ever held in memory. A write that fails deletes its temp file. With
+    derived, note records carry embedding_crc in place of the embedding.
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:
-            for part in _snapshot_parts(notes, config, last_seq):
+            for part in _snapshot_parts(notes, config, last_seq, derived):
                 handle.write(part.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
@@ -340,7 +378,12 @@ def write_snapshot(
 
 def read_snapshot(
     path: str | os.PathLike[str],
-) -> tuple[dict[str, MemoryNote], EngineConfig, int]:
+) -> tuple[dict[str, Any], EngineConfig, int]:
+    """Parse a snapshot of format 1 or 2: its notes by id, config and last_seq.
+
+    A record that carries embedding_crc is returned as its fields, for
+    load_store to build once it has derived the embedding.
+    """
     try:
         document = json.loads(Path(path).read_text("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -348,8 +391,10 @@ def read_snapshot(
     if not isinstance(document, dict):
         raise LoadIntegrityError("snapshot must be a JSON object")
     version = document.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"snapshot format_version {version!r}, expected {FORMAT_VERSION}")
+    if type(version) is not int or version not in READABLE_VERSIONS:
+        raise VersionMismatch(
+            f"snapshot format_version {version!r}, expected one of {READABLE_VERSIONS}"
+        )
     for key in ("config", "last_seq", "notes"):
         if key not in document:
             raise LoadIntegrityError(f"snapshot missing key {key!r}")
@@ -358,15 +403,15 @@ def read_snapshot(
         raise LoadIntegrityError("snapshot last_seq must be a non-negative integer")
     if not isinstance(document["notes"], list):
         raise LoadIntegrityError("snapshot notes must be a JSON array")
-    notes: dict[str, MemoryNote] = {}
+    notes: dict[str, Any] = {}
     for entry in document["notes"]:
         try:
-            note = note_from_fields(entry)
+            note = _note_or_record(entry)
         except (ValueError, EmptyContent, InvalidTimestamp) as exc:
             raise LoadIntegrityError(f"snapshot note invalid: {exc}") from exc
-        if note.id in notes:
-            raise LoadIntegrityError(f"snapshot holds note {note.id} twice")
-        notes[note.id] = note
+        if entry["id"] in notes:
+            raise LoadIntegrityError(f"snapshot holds note {entry['id']} twice")
+        notes[entry["id"]] = note
     if not isinstance(document["config"], dict):
         raise LoadIntegrityError("snapshot config must be a JSON object")
     try:
@@ -392,12 +437,15 @@ def load_store(
     """Reconstruct a store from snapshot and journal files.
 
     Either file may be absent; both absent yields an empty store. Under a
-    deterministic encoder every loaded embedding is verified against a fresh
-    re-encoding of the note's text; with a non-deterministic encoder the
-    check degrades to a warning. Embeddings of another dimension than the
-    encoder's and dangling links always fail the load.
+    deterministic encoder every note text is encoded once, 256 at a time: a
+    derived record takes the encoding as its embedding if the record's
+    embedding_crc matches it, and a stored embedding must equal it. With a
+    non-deterministic encoder the check of stored embeddings degrades to a
+    warning, and a derived record fails the load, as it does with no
+    encoder. Embeddings of another dimension than the encoder's and
+    dangling links always fail the load.
     """
-    notes: dict[str, MemoryNote] = {}
+    notes: dict[str, Any] = {}
     config: EngineConfig | None = None
     last_seq = 0
     truncated: int | None = None
@@ -412,7 +460,9 @@ def load_store(
         last_seq = replay_events(notes, fresh, start_after=last_seq)
 
     if encoder is not None:
-        stored = {note.embedding.size for note in notes.values()} - {encoder.dimension}
+        stored = {
+            note.embedding.size for note in notes.values() if isinstance(note, MemoryNote)
+        } - {encoder.dimension}
         if stored:
             raise LoadIntegrityError(
                 f"stored embeddings of dimension {sorted(stored)}, encoder's {encoder.dimension}"
@@ -448,22 +498,43 @@ def open_engine(
     stay in memory and never reach disk. A writable open creates the store
     directory if needed, and its journal cuts a torn tail back to the last
     good event before anything is appended; a read-only open writes nothing,
-    not even the directory.
+    not even the directory. Under a deterministic encoder the journal writes
+    derived records. An open that fails after the load closes the journal
+    it opened, and removes the journal file and directories it created.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
         encoder = HashEncoder()
     result = load_store(snapshot_path, journal_path, encoder=encoder)
-    journal = None
-    if not read_only:
-        journal_path.parent.mkdir(parents=True, exist_ok=True)
-        journal = Journal(journal_path, result.last_seq, result.journal_truncated_at)
     config = config if config is not None else result.config
-    engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
+    journal = None
+    new_dirs: list[Path] = []
+    new_journal = False
     try:
+        if not read_only:
+            base = journal_path.parent
+            new_journal = not journal_path.exists()
+            if new_journal:
+                missing = takewhile(lambda path: not path.exists(), chain([base], base.parents))
+                new_dirs = list(missing)
+            if new_dirs:
+                base.mkdir(parents=True)
+            journal = Journal(
+                journal_path,
+                result.last_seq,
+                result.journal_truncated_at,
+                derived=getattr(encoder, "deterministic", False),
+            )
+        engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
         engine.adopt_state(result.notes, result.last_seq)
     except BaseException:
-        engine.close()
+        if journal is not None:
+            journal.close()
+        with suppress(OSError):
+            if new_journal:
+                journal_path.unlink(missing_ok=True)
+            for directory in new_dirs:
+                directory.rmdir()
         raise
     return engine
 
@@ -482,8 +553,10 @@ def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], com
     if compact and journal is not None and journal.path.resolve() != journal_path.resolve():
         raise ValueError(f"a compaction goes into the engine's own store, {journal.path.parent}")
 
+    derived = getattr(engine.encoder, "deterministic", False)
+
     def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
-        write_snapshot(snapshot_path, notes, engine.config, last_seq)
+        write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)
 
     engine.snapshot(write, compact)
     return snapshot_path

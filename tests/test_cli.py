@@ -298,7 +298,7 @@ def test_damaged_snapshot_exits_4(tmp_path):
     assert code == EXIT_OK
     snapshot = tmp_path / "store" / SNAPSHOT_FILENAME
     snapshot.write_text(
-        snapshot.read_text("utf-8").replace('"format_version":1', '"format_version":9'),
+        snapshot.read_text("utf-8").replace('"format_version":2', '"format_version":9'),
         "utf-8",
     )
     code, _, err = run_cli(store_args(tmp_path) + ["query", "camera"])
@@ -362,12 +362,13 @@ def test_a_store_of_another_dimension_exits_4(tmp_path, monkeypatch):
 
     cfg = remote_config(tmp_path, monkeypatch, width=DEFAULT_DIMENSION)
     code, _, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])
+    # The store's records carry embedding_crc, which no other encoder derives.
     assert code == EXIT_IO
-    assert "store error" in err and "dimension [16]" in err
+    assert "store error" in err and "embedding_crc" in err
     monkeypatch.undo()
     code, _, err = run_cli(store_args(tmp_path) + ["query", "camera"])
     assert code == EXIT_IO
-    assert "store error" in err and "dimension [16]" in err
+    assert "store error" in err and "does not match its embedding_crc" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ decode, re-encode must reproduce the exact bytes, embeddings included.
 
 import json
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from amem.notes import (
     note_from_fields,
     note_text,
     now_timestamp,
+    record_text,
     validate_timestamp,
 )
 from oracles import per_element_embedding, strptime_timestamp_ok
@@ -537,6 +539,29 @@ def test_note_from_fields_rejects_wrong_key_sets():
     with pytest.raises(ValueError):
         note_from_fields(["not", "a", "dict"])
 
+
+
+def test_a_derived_record_swaps_the_floats_for_their_crc():
+    note = make_note(random.Random(11))
+    stored = json.loads(canonical_json(note))
+    derived = json.loads(canonical_json(note, derived=True))
+    assert list(derived) == [
+        "embedding_crc" if key == "embedding" else key for key in CANONICAL_FIELDS
+    ]
+    crc = derived.pop("embedding_crc")
+    assert derived == {key: value for key, value in stored.items() if key != "embedding"}
+    derived["embedding_crc"] = crc
+    # the CRC-32 of the little-endian float32 bytes
+    assert derived["embedding_crc"] == zlib.crc32(note.embedding.astype("<f4").tobytes())
+    assert record_text(derived) == note_text(note)
+    back = note_from_fields(derived, note.embedding)
+    assert back == note and canonical_json(back, derived=True) == canonical_json(note, derived=True)
+    flipped = note.embedding.copy()
+    flipped.view(np.uint32)[3] ^= 1
+    with pytest.raises(ValueError, match="does not match its embedding_crc"):
+        note_from_fields(derived, flipped)
+    with pytest.raises(ValueError, match="deterministic encoder"):
+        note_from_fields(derived)
 
 
 # Any text. Lone surrogates are all but absent from it, so one is put into

@@ -78,6 +78,8 @@ def populated(tmp_path, contents=(CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
     engine = live_engine(journal=journal)
     for i, content in enumerate(contents):
         engine.add_memory(content, TS[i])
+    # A closed engine still serves reads and plain snapshots.
+    engine.close()
     return engine, tmp_path / JOURNAL_FILENAME
 
 
@@ -440,6 +442,7 @@ def test_snapshot_plus_tail_equals_full_replay(tmp_path):
     engine.add_memory(CONTENT_B, TS[2])
     engine.add_memory(CONTENT_C, TS[3])
     live, live_seq = engine.state_snapshot()
+    engine.close()
 
     snapshot_path, journal_path = store_paths(tmp_path)
     dual = load_store(snapshot_path, journal_path, encoder=encoder())
@@ -659,7 +662,7 @@ def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
     journal_path = store / JOURNAL_FILENAME
     torn = journal_path.read_bytes()[:-40]
     journal_path.write_bytes(torn)
-    before = load_store(*store_paths(store))
+    before = load_store(*store_paths(store), encoder=encoder())
     torn_at = before.journal_truncated_at
     assert torn_at is not None
 
@@ -1200,37 +1203,251 @@ def test_a_failed_compaction_cut_stops_the_engine(tmp_path, monkeypatch):
 # pinned store bytes
 
 DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
+# The store of write_pipeline_store as format 1 wrote it, committed as it was.
+V1_STORE = Path(__file__).parent / "data" / "v1_store"
+
+
+def write_pipeline_store(store):
+    # Full-size HashEncoder embeddings, with evolution and a snapshot taken
+    # partway through the run.
+    lines = DIALOGUE.read_text("utf-8").splitlines()
+    contents = lines + [f"{line} Revisited a second time." for line in lines[:12]]
+    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=20231117)
+    for i, content in enumerate(contents):
+        if i == 40:
+            snapshot_engine(engine, store)
+        engine.add_memory(content, "2024-03-01T%02d:%02d:00Z" % divmod(i, 60))
+    engine.close()
+
+
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     # The referee for every change to the write path: the same adds, ids and
     # timestamps must give the same journal and the same snapshot, byte for
-    # byte. Full-size HashEncoder embeddings, with evolution and a snapshot
-    # taken partway through the run.
-    lines = DIALOGUE.read_text("utf-8").splitlines()
-    contents = lines + [f"{line} Revisited a second time." for line in lines[:12]]
-    engine = open_engine(
-        tmp_path, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=20231117
-    )
-    for i, content in enumerate(contents):
-        if i == 40:
-            snapshot_engine(engine, tmp_path)
-        engine.add_memory(content, "2024-03-01T%02d:%02d:00Z" % divmod(i, 60))
-    engine.close()
-
+    # byte.
+    write_pipeline_store(tmp_path)
     events, truncated = read_journal(tmp_path / JOURNAL_FILENAME)
     assert truncated is None
     assert sum(event.kind == "note_evolved" for event in events) == 66
 
-    def digest(name):
-        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert file_digest(tmp_path / JOURNAL_FILENAME) == (
+        "350c724e0ede0a943009f18540af9d161c6fa9ba2a9724a9a591691b39f0bf44"
+    )
+    assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
+        "f5ac8741e6d5b6ac37b013bb7920addf9bb5f59f57c915bd5f3127d0ec5b7b88"
+    )
 
-    assert digest(JOURNAL_FILENAME) == (
+
+def test_the_v1_fixture_loads_to_the_notes_of_the_same_v2_store(tmp_path):
+    assert file_digest(V1_STORE / JOURNAL_FILENAME) == (
         "70097fcbf074621894f057456b93e7508869155974860e14b296e74ce6ec6c82"
     )
-    assert digest(SNAPSHOT_FILENAME) == (
+    assert file_digest(V1_STORE / SNAPSHOT_FILENAME) == (
         "7111fd3062a35704de2322a8545ac05ccb6d2883c49891f99bc51197e37d0d17"
     )
+    assert json.loads((V1_STORE / SNAPSHOT_FILENAME).read_text("utf-8"))["format_version"] == 1
+    write_pipeline_store(tmp_path)
+    v1 = load_store(*store_paths(V1_STORE), encoder=HashEncoder())
+    v2 = load_store(*store_paths(tmp_path), encoder=HashEncoder())
+    assert len(v2.notes) == 62
+    assert state_map(v1.notes) == state_map(v2.notes)
+    assert v1.last_seq == v2.last_seq and v1.config == v2.config
+    # and each snapshot alone, with no journal tail
+    assert state_map(read_snapshot(V1_STORE / SNAPSHOT_FILENAME)[0]) == state_map(
+        load_store(tmp_path / SNAPSHOT_FILENAME, tmp_path / "none", encoder=HashEncoder()).notes
+    )
+
+
+def test_a_v1_snapshot_with_a_v2_journal_tail_loads(tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(V1_STORE, store)
+    v1_journal = (store / JOURNAL_FILENAME).read_bytes()
+    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=5)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        engine.add_memory(content, TS[i])
+    live, live_seq = engine.state_snapshot()
+    engine.close()
+
+    # the old records are kept as they were; the appended ones are derived
+    journal = (store / JOURNAL_FILENAME).read_bytes()
+    assert journal.startswith(v1_journal)
+    tail = [json.loads(line)["payload"] for line in journal[len(v1_journal):].splitlines()]
+    records = [payload for payload in tail if "content" in payload]
+    assert records and all("embedding_crc" in r and "embedding" not in r for r in records)
+    assert b'"embedding_crc"' not in v1_journal
+
+    reloaded = load_store(*store_paths(store), encoder=HashEncoder())
+    assert reloaded.last_seq == live_seq
+    assert state_map(reloaded.notes) == state_map(live)
+    reopened = open_engine(store, encoder=HashEncoder(), read_only=True)
+    assert reopened.audit() == []
+    reopened.close()
+
+
+def v2_store(tmp_path, compact):
+    """A store of four notes written under encoder(): snapshot only with
+    compact, journal only without."""
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
+        engine.add_memory(content, TS[i])
+    if compact:
+        snapshot_engine(engine, store, compact=True)
+    engine.close()
+    return store
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["snapshot", "journal-only"])
+def test_a_derived_store_refuses_an_encoder_of_another_seed(tmp_path, compact):
+    store = v2_store(tmp_path, compact)
+    assert b'"embedding_crc":' in b"".join(path.read_bytes() for path in store.iterdir())
+    assert b'"embedding":' not in b"".join(path.read_bytes() for path in store.iterdir())
+    assert len(load_store(*store_paths(store), encoder=encoder()).notes) == 4
+    for other in (HashEncoder(dimension=DIM, seed=1), HashEncoder(dimension=DIM + 1, seed=0)):
+        with pytest.raises(LoadIntegrityError, match="does not match its embedding_crc"):
+            load_store(*store_paths(store), encoder=other)
+        with pytest.raises(LoadIntegrityError):
+            open_engine(store, encoder=other, read_only=True)
+
+
+class FakeRemoteEncoder:
+    """A non-deterministic encoder: every call draws fresh vectors from a
+    seeded generator, negative zeros and subnormals among them."""
+
+    deterministic = False
+    dimension = DIM
+
+    def __init__(self, seed=0):
+        self.rng = np.random.default_rng(seed)
+
+    def encode(self, text):
+        return self.encode_many([text])[0]
+
+    def encode_many(self, texts):
+        rows = self.rng.standard_normal((len(texts), self.dimension)).astype(np.float32)
+        rows[:, 0] = -0.0
+        rows[:, 1] = np.float32(1e-40)
+        return list(rows)
+
+
+def test_a_derived_record_refuses_a_non_deterministic_encoder(tmp_path):
+    store = v2_store(tmp_path, compact=False)
+    for other in (FakeRemoteEncoder(), None):
+        with pytest.raises(LoadIntegrityError, match="embedding_crc"):
+            load_store(*store_paths(store), encoder=other)
+
+
+def test_a_non_deterministic_encoders_store_keeps_its_floats_bit_for_bit(tmp_path):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=FakeRemoteEncoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B)):
+        engine.add_memory(content, TS[i])
+    snapshot_engine(engine, store)
+    for i, content in enumerate((CONTENT_C, CONTENT_D), start=2):
+        engine.add_memory(content, TS[i])
+    live, live_seq = engine.state_snapshot()
+    engine.close()
+    data = b"".join(path.read_bytes() for path in store.iterdir())
+    assert b'"embedding":[-0.0,' in data and b"embedding_crc" not in data
+
+    reopened = open_engine(store, encoder=FakeRemoteEncoder(seed=1), read_only=True)
+    notes, last_seq = reopened.state_snapshot()
+    reopened.close()
+    assert last_seq == live_seq and notes == live
+    for nid, note in live.items():
+        assert notes[nid].embedding.tobytes() == note.embedding.tobytes()
+
+
+def derived_record(note, **changes):
+    fields = json.loads(canonical_json(note, derived=True))
+    fields.update(changes)
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def record_loads(record):
+    """The two loads of a record: as a snapshot's only note, and as a
+    journal's only event."""
+
+    def snapshot(path):
+        read_snapshot_with(path, notes=[record])
+        return load_store(path, path.with_name("no-journal"), encoder=encoder())
+
+    def journal(path):
+        path.write_text(JournalEvent(1, "note_added", json.dumps(record)).line(), "utf-8")
+        return load_store(path.with_name("no-snapshot"), path, encoder=encoder())
+
+    return snapshot, journal
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        pytest.param({"embedding": [0.5] * DIM}, id="both-keys"),
+        pytest.param({"embedding_crc": None}, id="neither-key"),
+        pytest.param({"embedding_crc": -1}, id="crc-negative"),
+        pytest.param({"embedding_crc": 2**32}, id="crc-too-big"),
+        pytest.param({"embedding_crc": 12.0}, id="crc-float"),
+        pytest.param({"embedding_crc": True}, id="crc-bool"),
+        pytest.param({"embedding_crc": "12"}, id="crc-string"),
+    ],
+)
+def test_a_malformed_derived_record_fails_the_load(tmp_path, changes):
+    note = hand_note(IdGenerator(seed=4), "alpha")
+    for load in record_loads(derived_record(note, **changes)):
+        with pytest.raises(LoadIntegrityError):
+            load(tmp_path / "file.json")
+    # the same record untouched loads
+    for load in record_loads(derived_record(note)):
+        assert load(tmp_path / "file.json").notes == {note.id: note}
+
+
+def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
+    note = hand_note(IdGenerator(seed=4), "alpha", embedding=basis_vector(16))
+    path = tmp_path / JOURNAL_FILENAME
+    with Journal(path) as journal:
+        journal.note_added(note)
+        journal.sync()
+    with pytest.raises(LoadIntegrityError, match=r"dimension \[16\], encoder's 32"):
+        load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
+
+
+class ClosingJournal(Journal):
+    """Records every journal it closes."""
+
+    closed = []
+
+    def close(self):
+        ClosingJournal.closed.append(self)
+        super().close()
+
+
+class DimensionlessEncoder:
+    deterministic = True
+    dimension = 0
+
+    def encode_many(self, texts):
+        raise AssertionError("an empty store encodes nothing")
+
+
+def test_a_failed_open_closes_its_journal_and_removes_what_it_created(tmp_path, monkeypatch):
+    monkeypatch.setattr(persistence, "Journal", ClosingJournal)
+    monkeypatch.setattr(ClosingJournal, "closed", [])
+    store = tmp_path / "new" / "store"
+    with pytest.raises(ValueError):
+        open_engine(store, encoder=DimensionlessEncoder())
+    assert len(ClosingJournal.closed) == 1
+    assert list(tmp_path.iterdir()) == []
+
+    # a directory and journal that were there before stay
+    store.mkdir(parents=True)
+    (store / JOURNAL_FILENAME).write_bytes(b"")
+    with pytest.raises(ValueError):
+        open_engine(store, encoder=DimensionlessEncoder())
+    assert len(ClosingJournal.closed) == 2
+    assert [path.name for path in store.iterdir()] == [JOURNAL_FILENAME]
 
 
 # ---------------------------------------------------------------------------
