@@ -158,10 +158,11 @@ def _note_problems(
 
     A value of notes is a MemoryNote, whose embedding is compared with a
     fresh encoding of its text, or, on a load, a derived record (the fields
-    of a record that carries embedding_crc): the fresh encoding is its
-    embedding, checked against the CRC, and the note it builds replaces the
-    record in notes. Without an encoder a record cannot be built, and is a
-    problem. One encode_many per chunk of notes does both."""
+    of a record that carries embedding_crc, its shape checked when it was
+    read): the fresh encoding is its embedding, checked against the CRC,
+    and the note it builds replaces the record in notes. Without an
+    encoder a record cannot be built, and is a problem. One encode_many per
+    chunk of notes does both."""
     ordered = sorted(notes)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = ordered[start:start + _VERIFY_CHUNK]
@@ -176,7 +177,7 @@ def _note_problems(
             note = notes[note_id]
             if isinstance(note, dict):
                 try:
-                    note = notes[note_id] = note_from_fields(note, vector)
+                    note = notes[note_id] = note_from_fields(note, vector, derived=True)
                 except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                     yield f"note {note_id}: {exc}"
                     continue

@@ -23,12 +23,12 @@ one of two ways, never both:
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import zlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import Any, Collection, Iterable
 
 import numpy as np
@@ -206,8 +206,12 @@ class MemoryNote:
 CANONICAL_FIELDS = tuple(f.name for f in fields(MemoryNote))
 
 
-def _dumps(value: Any) -> str:
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+def json_text_list(terms: Iterable[str]) -> str:
+    """Compact JSON array of text, as json.dumps(list(terms),
+    ensure_ascii=False, separators=(",", ":")) writes it: each entry goes
+    through encode_basestring, the escaper json.dumps itself calls, without
+    the encoder json.dumps builds on every call with these arguments."""
+    return "[" + ",".join(map(encode_basestring, terms)) + "]"
 
 
 _NEGATIVE_ZERO_BITS = np.float32(-0.0).view(np.uint32)
@@ -239,7 +243,7 @@ def join_float32(vec: np.ndarray) -> str:
 def embedding_crc(vec: np.ndarray) -> int:
     """CRC-32 of a vector's little-endian float32 bytes: what a derived
     record stores in place of the embedding."""
-    return zlib.crc32(np.ascontiguousarray(vec, dtype="<f4").tobytes())
+    return zlib.crc32(np.ascontiguousarray(vec, dtype="<f4"))
 
 
 def canonical_json(note: MemoryNote, derived: bool = False) -> str:
@@ -247,10 +251,12 @@ def canonical_json(note: MemoryNote, derived: bool = False) -> str:
 
     With derived, the record carries "embedding_crc" in place of the
     embedding's floats, for a reader that derives them with the
-    deterministic encoder. Ids (the note's and its links') and the
-    timestamp go between literal quotes: validation admits no quote,
-    backslash or control character in them, the only characters json.dumps
-    escapes when ensure_ascii is off.
+    deterministic encoder. The text is what json.dumps with
+    ensure_ascii=False and separators=(",", ":") writes: content, context,
+    keywords and tags go through encode_basestring, its escaper. Ids (the
+    note's and its links') and the timestamp go between literal quotes:
+    validation admits no quote, backslash or control character in them,
+    the only characters that escaper changes.
     """
     links = '","'.join(sorted(note.links))
     if derived:
@@ -260,11 +266,11 @@ def canonical_json(note: MemoryNote, derived: bool = False) -> str:
     return "".join(
         (
             '{"id":"', note.id,
-            '","content":', _dumps(note.content),
+            '","content":', encode_basestring(note.content),
             ',"timestamp":"', note.timestamp,
-            '","keywords":', _dumps(list(note.keywords)),
-            ',"tags":', _dumps(list(note.tags)),
-            ',"context":', _dumps(note.context),
+            '","keywords":', json_text_list(note.keywords),
+            ',"tags":', json_text_list(note.tags),
+            ',"context":', encode_basestring(note.context),
             embedding,
             ',"links":', f'["{links}"]' if links else "[]",
             "}",
@@ -276,6 +282,8 @@ _STORED_KEYS = frozenset(CANONICAL_FIELDS)
 _DERIVED_KEYS = _STORED_KEYS - {"embedding"} | {"embedding_crc"}
 _TEXT_FIELDS = ("id", "content", "timestamp", "context")
 _TERM_FIELDS = ("keywords", "tags", "links")
+# The types json.loads gives a JSON number; bool, a subclass of int, is not one.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def is_derived_record(data: Any) -> bool:
@@ -283,8 +291,9 @@ def is_derived_record(data: Any) -> bool:
 
     The record must hold the canonical keys with exactly one of "embedding"
     and "embedding_crc", text where the note holds text, lists of text for
-    keywords, tags and links, a list for the embedding, and a uint32 for the
-    CRC; ValueError otherwise. MemoryNote checks the values themselves.
+    keywords, tags and links, a list of numbers for the embedding, and a
+    uint32 for the CRC; ValueError otherwise. MemoryNote checks the values
+    themselves.
     """
     if not isinstance(data, dict):
         raise ValueError("note record must be a JSON object")
@@ -301,7 +310,9 @@ def is_derived_record(data: Any) -> bool:
         crc = data["embedding_crc"]
         if type(crc) is not int or not 0 <= crc <= 0xFFFFFFFF:
             raise ValueError(f"embedding_crc must be an integer in [0, 2**32): {crc!r}")
-    elif not isinstance(data["embedding"], list):
+    elif not isinstance(data["embedding"], list) or not _NUMBER_TYPES.issuperset(
+        map(type, data["embedding"])
+    ):
         raise ValueError("embedding must be a list of numbers")
     return derived
 
@@ -311,15 +322,24 @@ def record_text(data: dict[str, Any]) -> str:
     return compose_note_text(data["content"], data["keywords"], data["tags"], data["context"])
 
 
-def note_from_fields(data: dict[str, Any], embedding: np.ndarray | None = None) -> MemoryNote:
+def note_from_fields(
+    data: dict[str, Any], embedding: np.ndarray | None = None, derived: bool | None = None
+) -> MemoryNote:
     """Build a note from decoded JSON fields, enforcing exact key set and types.
 
     A stored record's note gets the record's floats. A derived record's
     gets `embedding`, the encoding of its record_text, which must match the
-    record's embedding_crc.
+    record's embedding_crc. A caller that has already checked the record
+    passes is_derived_record's verdict as derived, and the shape is not
+    checked again.
     """
-    if not is_derived_record(data):
-        embedding = np.asarray(data["embedding"], dtype=np.float32)
+    if derived is None:
+        derived = is_derived_record(data)
+    if not derived:
+        try:
+            embedding = np.asarray(data["embedding"], dtype=np.float32)
+        except OverflowError:
+            raise ValueError("embedding holds an integer beyond float range") from None
     elif embedding is None:
         raise ValueError(
             "record stores embedding_crc; only the deterministic encoder "

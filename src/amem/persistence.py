@@ -37,6 +37,7 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import chain, takewhile
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -50,7 +51,13 @@ from .errors import (
     VersionMismatch,
 )
 from .gateway import LlmGateway
-from .notes import MemoryNote, canonical_json, is_derived_record, note_from_fields
+from .notes import (
+    MemoryNote,
+    canonical_json,
+    is_derived_record,
+    json_text_list,
+    note_from_fields,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -170,10 +177,9 @@ class Journal:
         self.append(JournalEvent(self._last + 1, "note_evolved", payload))
 
     def links_changed(self, note_id: str, added: Iterable[str], removed: Iterable[str]) -> None:
-        payload = json.dumps(
-            {"id": note_id, "added": sorted(added), "removed": sorted(removed)},
-            ensure_ascii=False,
-            separators=(",", ":"),
+        payload = (
+            f'{{"id":{encode_basestring(note_id)},"added":{json_text_list(sorted(added))},'
+            f'"removed":{json_text_list(sorted(removed))}}}'
         )
         self.append(JournalEvent(self._last + 1, "links_changed", payload))
 
@@ -267,7 +273,7 @@ def _is_string_list(value: Any) -> bool:
 def _note_or_record(data: Any) -> MemoryNote | dict[str, Any]:
     """A stored record's note, or a derived record as it is, its shape
     checked: load_store builds its note once it has derived the embedding."""
-    return data if is_derived_record(data) else note_from_fields(data)
+    return data if is_derived_record(data) else note_from_fields(data, derived=False)
 
 
 def replay_events(
@@ -320,6 +326,11 @@ def replay_events(
     return last
 
 
+# Note records that write_snapshot encodes and writes with one call; bounds
+# the memory of a snapshot however large the store.
+_SNAPSHOT_CHUNK = 256
+
+
 def _snapshot_parts(
     notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int, derived: bool
 ) -> Iterator[str]:
@@ -330,10 +341,12 @@ def _snapshot_parts(
         f'{{"format_version":{FORMAT_VERSION},"config":{config_json},'
         f'"last_seq":{last_seq},"notes":['
     )
-    separator = ""
-    for nid in sorted(notes):
-        yield separator + canonical_json(notes[nid], derived)
-        separator = ","
+    ids = sorted(notes)
+    for start in range(0, len(ids), _SNAPSHOT_CHUNK):
+        records = ",".join(
+            canonical_json(notes[nid], derived) for nid in ids[start:start + _SNAPSHOT_CHUNK]
+        )
+        yield ("," if start else "") + records
     yield "]}"
 
 
@@ -357,9 +370,10 @@ def write_snapshot(
 ) -> None:
     """Write a snapshot atomically: temp file in the same directory, then rename.
 
-    The text is written note by note, so no copy of the whole snapshot is
-    ever held in memory. A write that fails deletes its temp file. With
-    derived, note records carry embedding_crc in place of the embedding.
+    The text is written 256 note records at a time, so no copy of the
+    whole snapshot is ever held in memory. A write that fails deletes its
+    temp file. With derived, note records carry embedding_crc in place of
+    the embedding.
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")

@@ -21,6 +21,7 @@ from amem.notes import (
     MemoryNote,
     canonical_json,
     compose_note_text,
+    embedding_crc,
     is_note_id,
     join_float32,
     normalize_terms,
@@ -451,24 +452,32 @@ def test_canonical_round_trip_randomized():
         assert canonical_json(back).encode() == blob
 
 
+def dumps(value):
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def reference_json(note, derived=False):
+    """A note's canonical JSON as json.dumps writes it, field by field."""
+    if derived:
+        embedding = f'"embedding_crc":{zlib.crc32(note.embedding.astype("<f4").tobytes())}'
+    else:
+        embedding = f'"embedding":{per_element_embedding(note.embedding)}'
+    return (
+        f'{{"id":{dumps(note.id)},"content":{dumps(note.content)},'
+        f'"timestamp":{dumps(note.timestamp)},"keywords":{dumps(list(note.keywords))},'
+        f'"tags":{dumps(list(note.tags))},"context":{dumps(note.context)},'
+        f'{embedding},"links":{dumps(sorted(note.links))}}}'
+    )
+
+
 def test_canonical_json_matches_a_json_dumps_reference():
-    # ids, timestamps and links are written without json.dumps; the text
-    # must be what json.dumps would have written.
+    # canonical_json calls no json.dumps; the text must be what json.dumps
+    # would have written.
     rng = random.Random(11)
-
-    def dumps(value):
-        return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-
     for n_links in (0, 1, 2, 5):
         note = make_note(rng, links=[IDS.fresh() for _ in range(n_links)])
-        reference = (
-            f'{{"id":{dumps(note.id)},"content":{dumps(note.content)},'
-            f'"timestamp":{dumps(note.timestamp)},"keywords":{dumps(list(note.keywords))},'
-            f'"tags":{dumps(list(note.tags))},"context":{dumps(note.context)},'
-            f'"embedding":{per_element_embedding(note.embedding)},'
-            f'"links":{dumps(sorted(note.links))}}}'
-        )
-        assert canonical_json(note) == reference
+        assert canonical_json(note) == reference_json(note)
+        assert canonical_json(note, derived=True) == reference_json(note, derived=True)
 
 
 def _float32s(*values):
@@ -564,9 +573,36 @@ def test_a_derived_record_swaps_the_floats_for_their_crc():
         note_from_fields(derived)
 
 
+@pytest.mark.parametrize(
+    "vec",
+    [
+        np.arange(40, dtype=np.float32)[::3],
+        np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4)),
+        (np.arange(9, dtype=np.float32) - 4.5).astype(">f4"),
+        np.linspace(-1.0, 1.0, 9),
+    ],
+    ids=["strided", "fortran-order", "big-endian", "float64"],
+)
+def test_embedding_crc_is_the_crc_of_the_little_endian_float32_bytes(vec):
+    expected = zlib.crc32(vec.astype("<f4").tobytes())
+    assert embedding_crc(vec) == expected
+    frozen = vec.copy()
+    frozen.setflags(write=False)
+    assert embedding_crc(frozen) == expected
+
+
 # Any text. Lone surrogates are all but absent from it, so one is put into
 # a drawn field of about half the notes.
 ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()), min_size=1, max_size=12)
+# Any text, with what JSON escapes or may be mis-escaped drawn often:
+# quotes, backslashes, control characters, U+2028/U+2029 and characters
+# beyond the BMP.
+ESCAPE_TEXT = ANY_TEXT | st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\n\r\t\u2028\u2029\ufeff\U0001f600\U0010ffff')
+    | st.characters(codec=None, exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=12,
+)
 NOTE_IDS = st.integers(0, 2**128 - 1).map("{:032x}".format)
 LONE_SURROGATE = st.tuples(
     st.sampled_from(["content", "context", "keywords", "tags"]),
@@ -618,3 +654,33 @@ def test_every_accepted_note_round_trips_bit_for_bit(
     back = note_from_fields(json.loads(text.encode("utf-8")))
     assert back == note
     assert canonical_json(back) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    note_id=NOTE_IDS,
+    content=ESCAPE_TEXT,
+    keywords=st.lists(ESCAPE_TEXT, min_size=1, max_size=3),
+    tags=st.lists(ESCAPE_TEXT, min_size=1, max_size=3),
+    context=ESCAPE_TEXT,
+    bits=st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=8),
+    links=st.lists(NOTE_IDS, max_size=3),
+)
+def test_canonical_json_matches_a_json_dumps_reference_on_any_text(
+    note_id, content, keywords, tags, context, bits, links
+):
+    try:
+        note = MemoryNote(
+            id=note_id,
+            content=content,
+            timestamp="2024-02-29T23:59:59Z",
+            keywords=normalize_terms(keywords),
+            tags=normalize_terms(tags),
+            context=context,
+            embedding=np.asarray(bits, dtype=np.uint32).view(np.float32),
+            links=frozenset(links),
+        )
+    except (ValueError, EmptyContent):
+        return
+    for derived in (False, True):
+        assert canonical_json(note, derived) == reference_json(note, derived)

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
@@ -35,7 +35,8 @@ from amem.errors import (
     VersionMismatch,
 )
 from amem.gateway import LlmGateway
-from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
+from amem import notes as notes_module
+from amem.notes import IdGenerator, MemoryNote, canonical_json, is_derived_record, note_text
 from amem.persistence import (
     FORMAT_VERSION,
     JOURNAL_FILENAME,
@@ -141,6 +142,37 @@ def test_journal_round_trip(tmp_path):
     ]
     assert events[0].payload_json == canonical_json(a)
     assert json.loads(events[2].payload_json) == {"id": b.id, "added": [a.id], "removed": []}
+
+
+# Any text UTF-8 can encode, with what JSON escapes or may be mis-escaped
+# drawn often: quotes, backslashes, control characters, U+2028/U+2029 and
+# characters beyond the BMP.
+PAYLOAD_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\x85\n\u2028\u2029\U0001f600')
+    | st.characters(codec=None, exclude_categories=("Cs",)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    note_id=PAYLOAD_TEXT,
+    added=st.lists(PAYLOAD_TEXT, max_size=4),
+    removed=st.sets(PAYLOAD_TEXT, max_size=4),
+)
+def test_links_changed_payload_matches_a_json_dumps_reference(note_id, added, removed):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / JOURNAL_FILENAME
+        with Journal(path) as journal:
+            journal.links_changed(note_id, added, removed)
+            journal.sync()
+        (event,), truncated = read_journal(path)
+    assert truncated is None
+    assert event.payload_json == json.dumps(
+        {"id": note_id, "added": sorted(added), "removed": sorted(removed)},
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
 
 
 def test_journal_append_guards(tmp_path):
@@ -1207,12 +1239,14 @@ DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 V1_STORE = Path(__file__).parent / "data" / "v1_store"
 
 
-def write_pipeline_store(store):
+def write_pipeline_store(store, encoder=None):
     # Full-size HashEncoder embeddings, with evolution and a snapshot taken
     # partway through the run.
     lines = DIALOGUE.read_text("utf-8").splitlines()
     contents = lines + [f"{line} Revisited a second time." for line in lines[:12]]
-    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=20231117)
+    engine = open_engine(
+        store, encoder=encoder or HashEncoder(), gateway=LlmGateway(), id_seed=20231117
+    )
     for i, content in enumerate(contents):
         if i == 40:
             snapshot_engine(engine, store)
@@ -1238,6 +1272,28 @@ def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     )
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
         "f5ac8741e6d5b6ac37b013bb7920addf9bb5f59f57c915bd5f3127d0ec5b7b88"
+    )
+
+
+class UndeclaredHashEncoder(HashEncoder):
+    """HashEncoder that does not declare itself deterministic, so its
+    store keeps every embedding's floats."""
+
+    deterministic = False
+
+
+def test_mock_pipeline_float_record_store_bytes_are_pinned(tmp_path):
+    # The same referee for records that store their floats: the 9-digit
+    # float text and the codec around it must not change a byte.
+    write_pipeline_store(tmp_path, UndeclaredHashEncoder())
+    journal = (tmp_path / JOURNAL_FILENAME).read_bytes()
+    assert b'"embedding":[' in journal and b"embedding_crc" not in journal
+
+    assert file_digest(tmp_path / JOURNAL_FILENAME) == (
+        "70097fcbf074621894f057456b93e7508869155974860e14b296e74ce6ec6c82"
+    )
+    assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
+        "decf0c1fa39864e44fbd6219b43394b042e1e145d0dfd1004a6071b1da4f5706"
     )
 
 
@@ -1367,17 +1423,17 @@ def derived_record(note, **changes):
     return {key: value for key, value in fields.items() if value is not None}
 
 
-def record_loads(record):
-    """The two loads of a record: as a snapshot's only note, and as a
-    journal's only event."""
+def record_loads(record, loader=encoder):
+    """The two loads of a record under loader(): as a snapshot's only note,
+    and as a journal's only event."""
 
     def snapshot(path):
         read_snapshot_with(path, notes=[record])
-        return load_store(path, path.with_name("no-journal"), encoder=encoder())
+        return load_store(path, path.with_name("no-journal"), encoder=loader())
 
     def journal(path):
         path.write_text(JournalEvent(1, "note_added", json.dumps(record)).line(), "utf-8")
-        return load_store(path.with_name("no-snapshot"), path, encoder=encoder())
+        return load_store(path.with_name("no-snapshot"), path, encoder=loader())
 
     return snapshot, journal
 
@@ -1402,6 +1458,52 @@ def test_a_malformed_derived_record_fails_the_load(tmp_path, changes):
     # the same record untouched loads
     for load in record_loads(derived_record(note)):
         assert load(tmp_path / "file.json").notes == {note.id: note}
+
+
+@pytest.mark.parametrize(
+    "entries, loader",
+    [
+        # "%.9g" text reads back as the same float32, so the record passes
+        # the check against its text
+        pytest.param(lambda vec: ["%.9g" % value for value in vec], encoder, id="strings"),
+        # true and false read back as 1.0 and 0.0; a non-deterministic
+        # encoder does not check the floats against the text
+        pytest.param(lambda vec: [value != 0 for value in vec], FakeRemoteEncoder, id="booleans"),
+        # a number no float holds is refused, not raised as OverflowError
+        pytest.param(lambda vec: [10**400] + vec[1:], FakeRemoteEncoder, id="huge-integer"),
+    ],
+)
+def test_a_stored_embedding_of_other_than_numbers_fails_the_load(tmp_path, entries, loader):
+    # canonical_json writes no such record, so a load of it would give a
+    # note that writes back as other bytes.
+    embedding = None if loader is encoder else basis_vector(DIM)
+    note = hand_note(IdGenerator(seed=4), "alpha", embedding=embedding)
+    record = json.loads(canonical_json(note))
+    for load in record_loads(record, loader):
+        assert load(tmp_path / "file.json").notes == {note.id: note}
+    record["embedding"] = entries(record["embedding"])
+    for load in record_loads(record, loader):
+        with pytest.raises(LoadIntegrityError, match="embedding"):
+            load(tmp_path / "file.json")
+
+
+@pytest.mark.parametrize("loader", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
+def test_a_load_checks_each_records_shape_once(tmp_path, monkeypatch, loader):
+    write_pipeline_store(tmp_path, loader())
+    snapshot = json.loads((tmp_path / SNAPSHOT_FILENAME).read_text("utf-8"))
+    events, _ = read_journal(tmp_path / JOURNAL_FILENAME, after=snapshot["last_seq"])
+    records = len(snapshot["notes"]) + sum(event.kind != "links_changed" for event in events)
+
+    calls = []
+
+    def counted(data):
+        calls.append(data["id"])
+        return is_derived_record(data)
+
+    monkeypatch.setattr(persistence, "is_derived_record", counted)
+    monkeypatch.setattr(notes_module, "is_derived_record", counted)
+    assert len(load_store(*store_paths(tmp_path), encoder=loader()).notes) == 62
+    assert len(calls) == records
 
 
 def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
