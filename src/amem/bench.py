@@ -106,6 +106,21 @@ def _check_run_args(sizes: Sequence[int], queries_per_size: int, dimension: int,
         raise ValueError("k must be >= 1")
 
 
+def _seeded_index(
+    rng: np.random.Generator, n: int, dimension: int, budget_bytes: int
+) -> VectorIndex:
+    """An index of n seeded unit vectors; ResourceExhausted if they exceed budget_bytes."""
+    needed = n * dimension * 4
+    if needed > budget_bytes:
+        raise ResourceExhausted(
+            f"{n} vectors of dimension {dimension} need {needed} bytes, "
+            f"budget is {budget_bytes}"
+        )
+    index = VectorIndex(dimension)
+    index.bulk_load(synthetic_ids(n), synthetic_unit_vectors(rng, n, dimension))
+    return index
+
+
 def run_scaling(
     sizes: Sequence[int],
     queries_per_size: int = DEFAULT_QUERIES,
@@ -125,14 +140,7 @@ def run_scaling(
     rng = np.random.default_rng(seed)
     rows: list[BenchRow] = []
     for n in sizes:
-        needed = n * dimension * 4
-        if needed > budget_bytes:
-            raise ResourceExhausted(
-                f"{n} vectors of dimension {dimension} need {needed} bytes, "
-                f"budget is {budget_bytes}"
-            )
-        index = VectorIndex(dimension)
-        index.bulk_load(synthetic_ids(n), synthetic_unit_vectors(rng, n, dimension))
+        index = _seeded_index(rng, n, dimension, budget_bytes)
         queries = synthetic_unit_vectors(rng, queries_per_size, dimension)
 
         for q in queries[:_WARMUP_QUERIES]:
@@ -172,15 +180,8 @@ def run_concurrent(
         raise ValueError("threads must be >= 1")
     if n_entries < 1 or dimension < 1 or k < 1 or queries_per_thread < 1:
         raise ValueError("n_entries, dimension, k, and queries_per_thread must be >= 1")
-    needed = n_entries * dimension * 4
-    if needed > budget_bytes:
-        raise ResourceExhausted(
-            f"{n_entries} vectors of dimension {dimension} need {needed} bytes, "
-            f"budget is {budget_bytes}"
-        )
     rng = np.random.default_rng(seed)
-    index = VectorIndex(dimension)
-    index.bulk_load(synthetic_ids(n_entries), synthetic_unit_vectors(rng, n_entries, dimension))
+    index = _seeded_index(rng, n_entries, dimension, budget_bytes)
     query_sets = [
         synthetic_unit_vectors(rng, queries_per_thread, dimension) for _ in range(threads)
     ]

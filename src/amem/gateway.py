@@ -429,11 +429,11 @@ class RemoteChatBackend:
     """Chat-completion client for an OpenAI-style HTTP endpoint.
 
     Each request carries the model name, a single user message, and a JSON
-    schema response-format block for the task at hand. In-flight requests
-    are bounded by a semaphore. Transport failures and malformed response
-    envelopes raise BackendUnavailable; completion text that fails to parse
-    as a JSON object raises SchemaViolation so the gateway's retry loop can
-    ask again.
+    schema response-format block for the task at hand. A semaphore bounds
+    the requests in flight to max_in_flight, which must be >= 1. Transport
+    failures and malformed response envelopes raise BackendUnavailable;
+    completion text that fails to parse as a JSON object raises
+    SchemaViolation so the gateway's retry loop can ask again.
     """
 
     name = "remote"
@@ -447,12 +447,14 @@ class RemoteChatBackend:
         api_key: str | None = None,
         max_in_flight: int = 4,
     ) -> None:
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.url = url
         self.model = model
         self.timeout = timeout
         self._session = session if session is not None else requests.Session()
         self._api_key = api_key if api_key is not None else os.environ.get(LLM_API_KEY_ENV)
-        self._slots = threading.BoundedSemaphore(max(1, max_in_flight))
+        self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, task: str, payload: Mapping[str, Any]) -> Any:
         prompt = _task_prompt(task, payload)

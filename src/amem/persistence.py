@@ -14,17 +14,19 @@ via temp-file-and-rename. Loading a snapshot and replaying the journal
 events past its sequence number reproduces the live store exactly, byte
 for byte.
 
-Store format 2 does not store what the encoder derives. Under a
+Store format 2 does not store what the encoder derives: under a
 deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
-the embedding's little-endian float32 bytes) in place of its floats; any
-other encoder's records store the floats, as format 1 did. A load derives
-the embeddings of the CRC records in the one batched encode_many pass that
-verifies the stored ones, and checks each CRC: a store opened with another
+the embedding's little-endian float32 bytes) in place of its floats, and
+any other encoder's records store the floats, as format 1 did. Format 1
+stores still load; a writable open of one appends format 2 records.
+
+A load keeps records until its end: read_snapshot and replay_events check
+each record's shape, and load_store then builds every note in one pass
+that encodes the note texts 256 at a time. So a store opened with another
 encoder (another kind, seed or dimension) fails note by note with
 LoadIntegrityError, and so does a CRC record opened with a
-non-deterministic encoder or none. Format 1 snapshots and journals, which
-hold only float records, still load; a writable open of one appends format
-2 records.
+non-deterministic encoder or none. A record that a later event replaces
+gets only the shape check.
 """
 
 from __future__ import annotations
@@ -35,14 +37,16 @@ import os
 import re
 import zlib
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .embedding import HashEncoder
-from .engine import EngineConfig, MemoryEngine, _note_problems
+import numpy as np
+
+from .embedding import Encoder, HashEncoder
+from .engine import _VERIFY_CHUNK, EngineConfig, MemoryEngine
 from .errors import (
     EmptyContent,
     InvalidTimestamp,
@@ -57,6 +61,7 @@ from .notes import (
     is_derived_record,
     json_text_list,
     note_from_fields,
+    record_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -270,22 +275,16 @@ def _is_string_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(entry, str) for entry in value)
 
 
-def _note_or_record(data: Any) -> MemoryNote | dict[str, Any]:
-    """A stored record's note, or a derived record as it is, its shape
-    checked: load_store builds its note once it has derived the embedding."""
-    return data if is_derived_record(data) else note_from_fields(data, derived=False)
-
-
 def replay_events(
-    notes: dict[str, Any], events: Iterable[JournalEvent], start_after: int = 0
+    records: dict[str, dict[str, Any]], events: Iterable[JournalEvent], start_after: int = 0
 ) -> int:
-    """Apply journal events to a note map in place. Returns the last seq applied.
+    """Apply journal events to note records by id, in place. Returns the last seq applied.
 
     This is the one place a journal payload is parsed, once per event. Each
     event must be seq start_after + 1, then the next, or SequenceGap is
     raised; a payload that is not a valid event raises LoadIntegrityError.
-    A record that carries embedding_crc enters the map as its fields, and
-    links_changed edits those fields; load_store builds the notes.
+    A note record enters the map shape-checked, and links_changed edits its
+    links; load_store builds the notes.
     """
     last = start_after
     for event in events:
@@ -294,13 +293,13 @@ def replay_events(
         try:
             payload = json.loads(event.payload_json)
             if event.kind != "links_changed":
-                note = _note_or_record(payload)
+                is_derived_record(payload)
                 note_id = payload["id"]
-                if event.kind == "note_added" and note_id in notes:
+                if event.kind == "note_added" and note_id in records:
                     raise ValueError(f"note {note_id} added twice")
-                if event.kind == "note_evolved" and note_id not in notes:
+                if event.kind == "note_evolved" and note_id not in records:
                     raise ValueError(f"evolved note {note_id} does not exist")
-                notes[note_id] = note
+                records[note_id] = payload
             else:
                 if not isinstance(payload, dict) or set(payload) != {"id", "added", "removed"}:
                     raise ValueError("links_changed payload has wrong fields")
@@ -310,17 +309,12 @@ def replay_events(
                     and _is_string_list(payload["removed"])
                 ):
                     raise ValueError("links_changed payload has wrong types")
-                note = notes.get(payload["id"])
-                if note is None:
+                record = records.get(payload["id"])
+                if record is None:
                     raise ValueError(f"links_changed for unknown note {payload['id']}")
-                derived = isinstance(note, dict)
-                links = set(note["links"] if derived else note.links) | set(payload["added"])
-                links -= set(payload["removed"])
-                if derived:
-                    notes[payload["id"]] = {**note, "links": sorted(links)}
-                else:
-                    notes[note.id] = replace(note, links=frozenset(links))
-        except (ValueError, EmptyContent, InvalidTimestamp) as exc:
+                links = set(record["links"]) | set(payload["added"])
+                record["links"] = sorted(links - set(payload["removed"]))
+        except ValueError as exc:
             raise LoadIntegrityError(f"journal event seq {event.seq}: {exc}") from exc
         last = event.seq
     return last
@@ -392,12 +386,10 @@ def write_snapshot(
 
 def read_snapshot(
     path: str | os.PathLike[str],
-) -> tuple[dict[str, Any], EngineConfig, int]:
-    """Parse a snapshot of format 1 or 2: its notes by id, config and last_seq.
-
-    A record that carries embedding_crc is returned as its fields, for
-    load_store to build once it has derived the embedding.
-    """
+) -> tuple[dict[str, dict[str, Any]], EngineConfig, int]:
+    """Parse a snapshot of format 1 or 2: its note records by id, config
+    and last_seq. Each record's shape is checked; load_store builds the
+    notes."""
     try:
         document = json.loads(Path(path).read_text("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -417,22 +409,67 @@ def read_snapshot(
         raise LoadIntegrityError("snapshot last_seq must be a non-negative integer")
     if not isinstance(document["notes"], list):
         raise LoadIntegrityError("snapshot notes must be a JSON array")
-    notes: dict[str, Any] = {}
-    for entry in document["notes"]:
+    records: dict[str, dict[str, Any]] = {}
+    for record in document["notes"]:
         try:
-            note = _note_or_record(entry)
-        except (ValueError, EmptyContent, InvalidTimestamp) as exc:
+            is_derived_record(record)
+        except ValueError as exc:
             raise LoadIntegrityError(f"snapshot note invalid: {exc}") from exc
-        if entry["id"] in notes:
-            raise LoadIntegrityError(f"snapshot holds note {entry['id']} twice")
-        notes[entry["id"]] = note
+        if record["id"] in records:
+            raise LoadIntegrityError(f"snapshot holds note {record['id']} twice")
+        records[record["id"]] = record
     if not isinstance(document["config"], dict):
         raise LoadIntegrityError("snapshot config must be a JSON object")
     try:
         config = EngineConfig.from_mapping(document["config"])
     except (ValueError, TypeError) as exc:
         raise LoadIntegrityError(f"snapshot config invalid: {exc}") from exc
-    return notes, config, last_seq
+    return records, config, last_seq
+
+
+def _build_notes(
+    records: dict[str, dict[str, Any]], encoder: Encoder | None
+) -> dict[str, MemoryNote]:
+    """Build the note of every record in id order, or raise
+    LoadIntegrityError for the first that fails.
+
+    Under a deterministic encoder one encode_many per chunk gives a derived
+    record its embedding, checked against its embedding_crc, and a stored
+    record the encoding its floats must equal bit for bit. With a
+    non-deterministic encoder that check degrades to a warning, and a
+    derived record fails, as with no encoder. A stored embedding of another
+    dimension than the encoder's and a dangling link always fail.
+    """
+    verify = encoder if encoder is not None and encoder.deterministic else None
+    if encoder is not None and verify is None:
+        logger.warning("encoder is not deterministic; skipping embedding verification")
+    notes: dict[str, MemoryNote] = {}
+    ordered = sorted(records)
+    for start in range(0, len(ordered), _VERIFY_CHUNK):
+        chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
+        if verify is not None:
+            encoded = verify.encode_many([record_text(record) for record in chunk])
+        else:
+            encoded = [None] * len(chunk)
+        for record, vector in zip(chunk, encoded):
+            note_id = record["id"]
+            derived = "embedding_crc" in record
+            try:
+                note = note_from_fields(record, vector, derived)
+            except (ValueError, EmptyContent, InvalidTimestamp) as exc:
+                raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
+            if not derived and encoder is not None and note.embedding.size != encoder.dimension:
+                raise LoadIntegrityError(
+                    f"stored embeddings of dimension [{note.embedding.size}], "
+                    f"encoder's {encoder.dimension}"
+                )
+            for link in sorted(note.links):
+                if link not in records:
+                    raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
+            if not derived and vector is not None and not np.array_equal(vector, note.embedding):
+                raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
+            notes[note_id] = note
+    return notes
 
 
 @dataclass
@@ -446,50 +483,30 @@ class LoadResult:
 def load_store(
     snapshot_path: str | os.PathLike[str],
     journal_path: str | os.PathLike[str],
-    encoder: Any = None,
+    encoder: Encoder | None = None,
 ) -> LoadResult:
     """Reconstruct a store from snapshot and journal files.
 
-    Either file may be absent; both absent yields an empty store. Under a
-    deterministic encoder every note text is encoded once, 256 at a time: a
-    derived record takes the encoding as its embedding if the record's
-    embedding_crc matches it, and a stored embedding must equal it. With a
-    non-deterministic encoder the check of stored embeddings degrades to a
-    warning, and a derived record fails the load, as it does with no
-    encoder. Embeddings of another dimension than the encoder's and
-    dangling links always fail the load.
+    Either file may be absent; both absent yields an empty store. Records
+    are shape-checked as they are read; then _build_notes builds and
+    verifies every note, and a record that fails there fails the load as
+    "note <id>: ...".
     """
-    notes: dict[str, Any] = {}
+    records: dict[str, dict[str, Any]] = {}
     config: EngineConfig | None = None
     last_seq = 0
     truncated: int | None = None
 
     snapshot_file = Path(snapshot_path)
     if snapshot_file.exists():
-        notes, config, last_seq = read_snapshot(snapshot_file)
+        records, config, last_seq = read_snapshot(snapshot_file)
 
     journal_file = Path(journal_path)
     if journal_file.exists():
         fresh, truncated = read_journal(journal_file, after=last_seq)
-        last_seq = replay_events(notes, fresh, start_after=last_seq)
+        last_seq = replay_events(records, fresh, start_after=last_seq)
 
-    if encoder is not None:
-        stored = {
-            note.embedding.size for note in notes.values() if isinstance(note, MemoryNote)
-        } - {encoder.dimension}
-        if stored:
-            raise LoadIntegrityError(
-                f"stored embeddings of dimension {sorted(stored)}, encoder's {encoder.dimension}"
-            )
-    verify = encoder if getattr(encoder, "deterministic", False) else None
-    if encoder is not None and verify is None:
-        logger.warning("encoder is not deterministic; skipping embedding verification")
-    for problem in _note_problems(notes, verify, check_symmetry=False):
-        raise LoadIntegrityError(problem)
-
-    return LoadResult(
-        notes=notes, last_seq=last_seq, config=config, journal_truncated_at=truncated
-    )
+    return LoadResult(_build_notes(records, encoder), last_seq, config, truncated)
 
 
 def store_paths(store_dir: str | os.PathLike[str]) -> tuple[Path, Path]:
@@ -499,7 +516,7 @@ def store_paths(store_dir: str | os.PathLike[str]) -> tuple[Path, Path]:
 
 def open_engine(
     store_dir: str | os.PathLike[str],
-    encoder: Any = None,
+    encoder: Encoder | None = None,
     gateway: LlmGateway | None = None,
     config: EngineConfig | None = None,
     id_seed: int | None = None,
@@ -537,7 +554,7 @@ def open_engine(
                 journal_path,
                 result.last_seq,
                 result.journal_truncated_at,
-                derived=getattr(encoder, "deterministic", False),
+                derived=encoder.deterministic,
             )
         engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
         engine.adopt_state(result.notes, result.last_seq)
@@ -567,7 +584,7 @@ def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], com
     if compact and journal is not None and journal.path.resolve() != journal_path.resolve():
         raise ValueError(f"a compaction goes into the engine's own store, {journal.path.parent}")
 
-    derived = getattr(engine.encoder, "deterministic", False)
+    derived = engine.encoder.deterministic
 
     def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
         write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)

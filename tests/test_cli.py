@@ -333,6 +333,21 @@ def remote_config(tmp_path, monkeypatch, width):
     return str(cfg)
 
 
+@pytest.mark.parametrize("slots", [0, -3])
+def test_a_max_in_flight_below_one_exits_2_before_the_store_opens(tmp_path, monkeypatch, slots):
+    cfg = remote_config(tmp_path, monkeypatch, width=DEFAULT_DIMENSION)
+    with open(cfg, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["llm"]["max_in_flight"] = slots
+    with open(cfg, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"max_in_flight must be >= 1, got {slots}" in err
+    assert not (tmp_path / "store").exists()
+
+
 def test_an_encoder_vector_of_the_wrong_dimension_exits_3(tmp_path, monkeypatch):
     cfg = remote_config(tmp_path, monkeypatch, width=7)
     code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])

@@ -54,6 +54,13 @@ def fresh_engine(config=None, dimension=48, journal=None, backend=None):
     )
 
 
+@pytest.fixture
+def journal(tmp_path):
+    """A journal at tmp_path / "j.jsonl", closed after the test."""
+    with Journal(tmp_path / "j.jsonl") as handle:
+        yield handle
+
+
 class RecordingBackend:
     """Delegates to the mock backend and keeps the task call log."""
 
@@ -216,9 +223,8 @@ def snapshot_bytes(engine):
     return "\n".join(canonical_json(note) for note in engine.iter_notes())
 
 
-def test_backend_outage_during_linking_leaves_store_untouched(tmp_path):
+def test_backend_outage_during_linking_leaves_store_untouched(tmp_path, journal):
     backend = RecordingBackend(fail_task="link_opinion", error=BackendUnavailable("down"))
-    journal = Journal(tmp_path / "j.jsonl")
     engine = fresh_engine(journal=journal, backend=backend)
     engine.add_memory(CONTENT_A, TS[0])
     before_state = snapshot_bytes(engine)
@@ -232,10 +238,9 @@ def test_backend_outage_during_linking_leaves_store_untouched(tmp_path):
     assert len(engine) == 1
 
 
-def test_schema_failure_during_evolution_leaves_store_untouched(tmp_path):
+def test_schema_failure_during_evolution_leaves_store_untouched(tmp_path, journal):
     # evolution has no mock fallback, so persistent garbage becomes an error
     backend = RecordingBackend(fail_task="evolution_directive")
-    journal = Journal(tmp_path / "j.jsonl")
     engine = fresh_engine(journal=journal, backend=backend)
     engine.add_memory(CONTENT_A, TS[0])
     before_state = snapshot_bytes(engine)
@@ -259,8 +264,7 @@ def parsed_events(path):
     return [(e.kind, json.loads(e.payload_json)) for e in events]
 
 
-def test_journal_event_order_for_a_rewriting_insert(tmp_path):
-    journal = Journal(tmp_path / "j.jsonl")
+def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
     engine = fresh_engine(journal=journal)
     id_a = engine.add_memory(CONTENT_A, TS[0])
     id_b = engine.add_memory(CONTENT_B, TS[1])
@@ -289,19 +293,18 @@ class CountingJournal(Journal):
 
 
 def test_an_evolving_add_syncs_once(tmp_path):
-    journal = CountingJournal(tmp_path / "j.jsonl")
-    engine = fresh_engine(journal=journal)
-    engine.add_memory(CONTENT_A, TS[0])
-    assert journal.syncs == 1
-    engine.add_memory(CONTENT_B, TS[1])
-    # B was inserted, linked and rewrote A: three events, one sync
-    assert journal.last_seq == 4
-    assert journal.syncs == 2
+    with CountingJournal(tmp_path / "j.jsonl") as journal:
+        engine = fresh_engine(journal=journal)
+        engine.add_memory(CONTENT_A, TS[0])
+        assert journal.syncs == 1
+        engine.add_memory(CONTENT_B, TS[1])
+        # B was inserted, linked and rewrote A: three events, one sync
+        assert journal.last_seq == 4
+        assert journal.syncs == 2
 
 
-def test_journal_prefix_never_dangles(tmp_path):
+def test_journal_prefix_never_dangles(tmp_path, journal):
     # every event-stream prefix references only already-added notes
-    journal = Journal(tmp_path / "j.jsonl")
     engine = fresh_engine(journal=journal)
     for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
         engine.add_memory(content, TS[i])
@@ -353,9 +356,8 @@ def fixed_directive(connections=(), tags=(), contexts=(), tag_lists=()):
     }
 
 
-def test_evolution_extends_the_new_notes_tags(tmp_path):
+def test_evolution_extends_the_new_notes_tags(tmp_path, journal):
     backend = FixedDirectiveBackend()
-    journal = Journal(tmp_path / "j.jsonl")
     engine = fresh_engine(journal=journal, backend=backend)
     id_a = engine.add_memory(CONTENT_A, TS[0])
     backend.directive = fixed_directive(connections=[id_a], tags=["topic:gear", "topic:soup"])
@@ -377,9 +379,8 @@ def test_evolution_extends_the_new_notes_tags(tmp_path):
     assert engine.audit() == []
 
 
-def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path):
+def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal):
     backend = FixedDirectiveBackend()
-    journal = Journal(tmp_path / "j.jsonl")
     engine = fresh_engine(journal=journal, backend=backend)
     id_a = engine.add_memory(CONTENT_A, TS[0])
     backend.directive = fixed_directive(

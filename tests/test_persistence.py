@@ -36,7 +36,14 @@ from amem.errors import (
 )
 from amem.gateway import LlmGateway
 from amem import notes as notes_module
-from amem.notes import IdGenerator, MemoryNote, canonical_json, is_derived_record, note_text
+from amem.notes import (
+    IdGenerator,
+    MemoryNote,
+    canonical_json,
+    is_derived_record,
+    note_from_fields,
+    note_text,
+)
 from amem.persistence import (
     FORMAT_VERSION,
     JOURNAL_FILENAME,
@@ -86,6 +93,11 @@ def populated(tmp_path, contents=(CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
 
 def state_map(notes):
     return {nid: canonical_json(note) for nid, note in notes.items()}
+
+
+def note_record(note, derived=False):
+    """A note's record as read_snapshot and replay_events keep it."""
+    return json.loads(canonical_json(note, derived))
 
 
 def hand_note(ids, keyword, links=(), embedding=None):
@@ -265,13 +277,13 @@ def test_replay_rejects_an_event_at_or_below_start_after():
         JournalEvent(2, "links_changed", f'{{"id":"{note.id}","added":[],"removed":[]}}'),
     ]
     for start_after in (1, 2):
-        notes = {note.id: note}
+        records = {note.id: note_record(note)}
         with pytest.raises(SequenceGap):
-            replay_events(notes, events, start_after=start_after)
-        assert notes == {note.id: note}
-    notes = {note.id: note}
-    assert replay_events(notes, events[1:], start_after=1) == 2
-    assert notes[note.id] == note
+            replay_events(records, events, start_after=start_after)
+        assert records == {note.id: note_record(note)}
+    records = {note.id: note_record(note)}
+    assert replay_events(records, events[1:], start_after=1) == 2
+    assert records[note.id] == note_record(note)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +299,12 @@ def test_every_journal_prefix_loads_consistently(tmp_path):
     for cut in range(len(data) + 1):
         prefix_path.write_bytes(data[:cut])
         events, _ = read_journal(prefix_path)
-        notes = {}
-        replay_events(notes, events)
-        for note in notes.values():
-            for link in note.links:
-                assert link in notes
-        sizes_seen.add(len(notes))
+        records = {}
+        replay_events(records, events)
+        for record in records.values():
+            for link in record["links"]:
+                assert link in records
+        sizes_seen.add(len(records))
     # truncation actually swept through every store size
     assert sizes_seen == {0, 1, 2, 3, 4}
 
@@ -371,7 +383,9 @@ def test_snapshot_round_trip_is_byte_stable(tmp_path):
     write_snapshot(again, notes, engine.config, last_seq)
     assert path.read_bytes() == again.read_bytes()
 
-    loaded_notes, config, loaded_seq = read_snapshot(path)
+    records, config, loaded_seq = read_snapshot(path)
+    assert records == {nid: note_record(note) for nid, note in notes.items()}
+    loaded_notes = load_store(path, tmp_path / "no-journal", encoder=encoder()).notes
     assert loaded_seq == last_seq
     assert config == engine.config
     assert state_map(loaded_notes) == state_map(notes)
@@ -419,7 +433,7 @@ def nested_link_note():
 def replay_links_changed(added, removed):
     note = hand_note(IdGenerator(seed=4), "alpha")
     payload = json.dumps({"id": note.id, "added": added, "removed": removed})
-    replay_events({note.id: note}, [JournalEvent(1, "links_changed", payload)])
+    replay_events({note.id: note_record(note)}, [JournalEvent(1, "links_changed", payload)])
 
 
 @pytest.mark.parametrize(
@@ -1312,7 +1326,9 @@ def test_the_v1_fixture_loads_to_the_notes_of_the_same_v2_store(tmp_path):
     assert state_map(v1.notes) == state_map(v2.notes)
     assert v1.last_seq == v2.last_seq and v1.config == v2.config
     # and each snapshot alone, with no journal tail
-    assert state_map(read_snapshot(V1_STORE / SNAPSHOT_FILENAME)[0]) == state_map(
+    assert state_map(
+        load_store(V1_STORE / SNAPSHOT_FILENAME, tmp_path / "none", encoder=HashEncoder()).notes
+    ) == state_map(
         load_store(tmp_path / SNAPSHOT_FILENAME, tmp_path / "none", encoder=HashEncoder()).notes
     )
 
@@ -1504,6 +1520,22 @@ def test_a_load_checks_each_records_shape_once(tmp_path, monkeypatch, loader):
     monkeypatch.setattr(notes_module, "is_derived_record", counted)
     assert len(load_store(*store_paths(tmp_path), encoder=loader()).notes) == 62
     assert len(calls) == records
+
+
+@pytest.mark.parametrize("loader", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
+def test_a_load_builds_each_note_once_through_note_from_fields(tmp_path, monkeypatch, loader):
+    write_pipeline_store(tmp_path, loader())
+    calls = []
+
+    def counted(*args, **kwargs):
+        note = note_from_fields(*args, **kwargs)
+        calls.append(note.id)
+        return note
+
+    monkeypatch.setattr(persistence, "note_from_fields", counted)
+    notes = load_store(*store_paths(tmp_path), encoder=loader()).notes
+    assert len(notes) == 62
+    assert sorted(calls) == sorted(notes)
 
 
 def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
