@@ -23,6 +23,7 @@ import numpy as np
 import requests
 
 from .errors import BackendUnavailable, DimensionMismatch
+from .index import _is_count
 
 _TOKEN_RE = re.compile(r"\w+")
 
@@ -99,12 +100,12 @@ class HashEncoder:
     deterministic = True
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 0) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        self.dimension = int(dimension)
-        self.seed = int(seed)
+        if not _is_count(dimension):
+            raise ValueError("dimension must be an integer >= 1")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError("seed must be an integer that fits in 64 bits")
+        self.dimension = dimension
+        self.seed = seed
         self._hasher = hashlib.blake2b(key=seed.to_bytes(8, "big"), digest_size=64)
         self._coords_per_token = max(1, self.dimension // 8)
         # 64-byte digests needed for 4 bytes per coordinate
@@ -223,11 +224,11 @@ class RemoteEncoder:
         session: requests.Session | None = None,
         api_key: str | None = None,
     ) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not _is_count(dimension):
+            raise ValueError("dimension must be an integer >= 1")
         self.url = url
         self.model = model
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.timeout = timeout
         self._session = session if session is not None else requests.Session()
         self._api_key = api_key if api_key is not None else os.environ.get(EMBED_API_KEY_ENV)

@@ -21,7 +21,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class EngineConfig:
         if not _is_count(self.k_retrieve):
             raise ValueError("k_retrieve must be an integer >= 1")
         for category, value in self.k_by_category.items():
+            if not isinstance(category, str):
+                raise ValueError(f"category {category!r} must be text")
             if not _is_count(value):
                 raise ValueError(f"k for category {category!r} must be an integer >= 1")
         for name in ("enable_link_generation", "enable_evolution", "enable_link_expansion"):
@@ -209,24 +211,19 @@ class ReadWriteLock:
                 self._cond.notify_all()
 
 
-class _State(NamedTuple):
-    """The published store: a notes map never mutated once published, and
-    the last journaled sequence number it includes."""
-
-    notes: dict[NoteId, MemoryNote]
-    last_seq: int
-
-
 class MemoryEngine:
     """Owns the note store and wires encoder, index, gateway, and journal.
 
-    Mutations hold the writer lock and commit through _commit. Reads of the
-    notes (get_note, iter_notes, len, membership, state_snapshot) take no
-    lock: they read the published _State. retrieve and audit also read the
-    index, which changes in place, so they hold the view lock for reading
-    while _commit holds it for writing. snapshot writes one snapshot at a
-    time. After a failed journal write or close() the engine refuses
-    mutations (EngineFailed), giving the first reason; reads go on.
+    The store is one notes dict, its last journaled sequence number, and the
+    index. Only _commit and adopt_state change them, holding the writer lock
+    (_mutate) and the view lock for writing. Every other read holds the view
+    lock for reading, except the writer's own reads in add_memory, _commit
+    and adopt_state, which no other thread can race. The view lock is not
+    re-entrant and a waiting writer blocks new readers, so no method holding
+    it calls another that takes it, and iter_notes holds no lock between
+    yields. snapshot writes one snapshot at a time. After a failed journal
+    write or close() the engine refuses mutations (EngineFailed), giving the
+    first reason; reads go on.
     """
 
     def __init__(
@@ -242,7 +239,8 @@ class MemoryEngine:
         self.config = config if config is not None else EngineConfig()
         self._journal = journal
         self._ids = IdGenerator(id_seed)
-        self._state = _State({}, journal.last_seq if journal is not None else 0)
+        self._notes: dict[NoteId, MemoryNote] = {}
+        self._last_seq = journal.last_seq if journal is not None else 0
         self._index = VectorIndex(encoder.dimension)
         self._mutate = threading.Lock()
         self._view = ReadWriteLock()
@@ -261,19 +259,22 @@ class MemoryEngine:
         return self._journal
 
     def __len__(self) -> int:
-        return len(self._state.notes)
+        with self._view.read():
+            return len(self._notes)
 
     def __contains__(self, note_id: str) -> bool:
-        return note_id in self._state.notes
+        with self._view.read():
+            return note_id in self._notes
 
     def iter_notes(self) -> Iterator[MemoryNote]:
-        """Notes in ascending id order, from one consistent snapshot."""
-        notes = self._state.notes
+        """Notes in ascending id order, from one state_snapshot; no lock between yields."""
+        notes, _ = self.state_snapshot()
         for note_id in sorted(notes):
             yield notes[note_id]
 
     def get_note(self, note_id: NoteId) -> MemoryNote:
-        note = self._state.notes.get(note_id)
+        with self._view.read():
+            note = self._notes.get(note_id)
         if note is None:
             raise UnknownId(f"no note with id {note_id}")
         return note
@@ -312,7 +313,7 @@ class MemoryEngine:
             raise EmptyContent("note content is empty or whitespace-only")
         ts = validate_timestamp(timestamp) if timestamp is not None else now_timestamp()
         with self._writing():
-            notes = self._state.notes
+            notes = self._notes  # the writer's own read: no view lock
             attrs = self._gateway.generate_note_attributes(content, ts)
             keywords = normalize_terms(attrs.keywords)
             tags = normalize_terms(attrs.tags)
@@ -330,8 +331,6 @@ class MemoryEngine:
 
             changes = [note]
             if self.config.enable_link_generation and notes:
-                # Only a writer changes the index, and this thread is the
-                # writer, so the scan needs no view lock.
                 ranked = self._index.top_k(note.embedding, self.config.k_link)
                 neighbors = [notes[nid] for nid, _ in ranked]
                 opinion = self._gateway.opine_links(note, neighbors)
@@ -351,14 +350,14 @@ class MemoryEngine:
         an insert, new context, tags or keywords (re-encoded, note_evolved,
         index update), or else a links delta. Re-encoding comes first, so a
         backend failure leaves the store and engine as they were. The events
-        are synced before anything is published (the write-ahead rule); then
-        the index is changed and the notes and last_seq are published at once.
+        are synced before anything is published (the write-ahead rule); then,
+        under the view lock, the index, the notes and last_seq change at once.
         """
-        before = self._state.notes
+        notes = self._notes
         latest: dict[NoteId, MemoryNote] = {}
         steps: list[tuple[str, MemoryNote, MemoryNote | None]] = []
         for note in changes:
-            old = latest.get(note.id, before.get(note.id))
+            old = latest.get(note.id, notes.get(note.id))
             if old is None:
                 kind = "note_added"
             elif (note.context, note.tags, note.keywords) != (old.context, old.tags, old.keywords):
@@ -382,15 +381,15 @@ class MemoryEngine:
                             note.id, note.links - old.links, old.links - note.links
                         )
                 journal.sync()
-            notes = {**before, **latest}
             with self._view.write():
                 for kind, note, _ in steps:
                     if kind == "note_added":
                         self._index.insert(note.id, note.embedding)
                     elif kind == "note_evolved":
                         self._index.update(note.id, note.embedding)
-                last_seq = journal.last_seq if journal is not None else self._state.last_seq
-                self._state = _State(notes, last_seq)
+                notes.update(latest)
+                if journal is not None:
+                    self._last_seq = journal.last_seq
 
     # -- reads ---------------------------------------------------------------
 
@@ -410,22 +409,21 @@ class MemoryEngine:
         if not _is_count(k):
             raise ValueError("k must be >= 1")
         query_vec = self._encoder.encode(query)
-        # The lock is kept because VectorIndex.update overwrites rows in
-        # place; a copy-on-write matrix would cost O(n*d) per evolution.
-        # The notes are read under it too, so they match the ranked ids.
+        # The index and the notes change in place: rank, build the hits and
+        # gather the linked notes in one view-lock section; cosines come after.
         with self._view.read():
             ranked = self._index.top_k(query_vec, k)
-            notes = self._state.notes
-        results = [RetrievedMemory(notes[nid], score) for nid, score in ranked]
-        if self.config.enable_link_expansion:
-            seen = {nid for nid, _ in ranked}
-            linked = sorted(
-                {lid for hit in results for lid in hit.note.links if lid not in seen}
-            )
-            results.extend(
-                RetrievedMemory(notes[lid], cosine(query_vec, notes[lid].embedding), expanded=True)
-                for lid in linked
-            )
+            notes = self._notes
+            results = [RetrievedMemory(notes[nid], score) for nid, score in ranked]
+            links: set[NoteId] = set()
+            if self.config.enable_link_expansion:
+                links = {lid for hit in results for lid in hit.note.links}
+                links -= {nid for nid, _ in ranked}
+            linked = [notes[lid] for lid in sorted(links)]
+        results.extend(
+            RetrievedMemory(note, cosine(query_vec, note.embedding), expanded=True)
+            for note in linked
+        )
         return results
 
     # -- integrity -----------------------------------------------------------
@@ -444,7 +442,7 @@ class MemoryEngine:
         verify = self._encoder.deterministic if verify_embeddings is None else verify_embeddings
         problems: list[str] = []
         with self._view.read():
-            notes = self._state.notes
+            notes = dict(self._notes)
             index_ids = set(self._index.ids())
         note_ids = set(notes)
         for missing in sorted(note_ids - index_ids):
@@ -460,22 +458,20 @@ class MemoryEngine:
         """Install a loaded note set wholesale, with the last journal
         sequence number it includes. Only for empty engines."""
         with self._writing():
-            if self._state.notes:
+            if self._notes:
                 raise RuntimeError("adopt_state requires an empty engine")
             ordered = sorted(notes)
             with self._view.write():
                 if ordered:
                     matrix = np.stack([notes[nid].embedding for nid in ordered])
                     self._index.bulk_load(ordered, matrix)
-                self._state = _State({nid: notes[nid] for nid in ordered}, last_seq)
+                self._notes = {nid: notes[nid] for nid in ordered}
+                self._last_seq = last_seq
 
     def state_snapshot(self) -> tuple[dict[NoteId, MemoryNote], int]:
-        """Current notes map plus the last journaled sequence number it holds.
-
-        Both come from one published state. Commits publish a new dict, so
-        holding this one is safe.
-        """
-        return self._state
+        """A copy of the notes map, the caller's own, and its last_seq, from one read."""
+        with self._view.read():
+            return dict(self._notes), self._last_seq
 
     def snapshot(
         self, write: Callable[[dict[NoteId, MemoryNote], int], None], compact: bool
@@ -485,7 +481,7 @@ class MemoryEngine:
         journal, so no commit lands between the saved state and the cut. A
         failed cut fails the engine as a failed commit does."""
         with self._writing() if compact else nullcontext(), self._snapshotting:
-            write(*self._state)
+            write(*self.state_snapshot())
             if compact and self._journal is not None:
                 with self._fail_stop():
                     self._journal.truncate()

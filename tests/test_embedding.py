@@ -246,6 +246,23 @@ def test_constructor_guards():
         HashEncoder(seed=2**64)
 
 
+@pytest.mark.parametrize("dimension", [True, 8.7])
+def test_hash_encoder_refuses_a_dimension_that_is_not_a_count(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        HashEncoder(dimension=dimension)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_hash_encoder_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        HashEncoder(seed=seed)
+
+
+def test_remote_encoder_refuses_a_dimension_that_is_not_a_count():
+    with pytest.raises(ValueError, match="dimension"):
+        RemoteEncoder(url="http://e", model="m", dimension=2.5)
+
+
 def test_disjoint_vocabularies_score_near_zero():
     # spread of random disjoint-token pairs stays decorrelated
     enc = HashEncoder(dimension=384, seed=0)

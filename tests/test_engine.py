@@ -100,6 +100,14 @@ def test_config_defaults_and_guards():
         EngineConfig(k_by_category={"chat": 0})
 
 
+@pytest.mark.parametrize("k_by_category", [{1: 5, "a": 3}, {1: 5}])
+def test_config_refuses_category_names_that_are_not_text(k_by_category):
+    # {1: 5} would snapshot as "1" and reload as another config; a mix of
+    # keys would not sort in to_mapping.
+    with pytest.raises(ValueError, match="must be text"):
+        EngineConfig(k_by_category=k_by_category)
+
+
 def test_config_k_for_category():
     config = EngineConfig(k_retrieve=7, k_by_category={"qa": 3})
     assert config.k_for() == 7
@@ -572,8 +580,10 @@ def test_link_expansion_off_by_default():
 
 
 def test_retrieve_while_adding_stays_consistent():
-    # Readers scan the index while a writer inserts and, through evolution,
-    # rewrites rows in place; the engine's view lock keeps them apart.
+    # Readers scan the index and read the notes while a writer inserts and,
+    # through evolution, rewrites notes and rows in place; the engine's view
+    # lock keeps them apart. Every snapshot a reader takes resolves all of
+    # its links inside itself, and the note count a reader sees never falls.
     engine = fresh_engine()
     engine.add_memory(CONTENT_A, TS[0])
     words = "camera photography tripod darkroom lens soup recipe lentil trail hiking".split()
@@ -597,7 +607,46 @@ def test_retrieve_while_adding_stays_consistent():
         except BaseException as exc:
             errors.append(repr(exc))
 
-    threads = [threading.Thread(target=reader, args=(q,)) for q in queries]
+    def snapshot_reader(take):
+        try:
+            seen = 0
+            while not stop.is_set():
+                notes = take()
+                dangling = [
+                    (nid, lid) for nid, n in notes.items() for lid in n.links if lid not in notes
+                ]
+                if dangling:
+                    errors.append(f"links leave the snapshot: {dangling}")
+                if len(notes) < seen:
+                    errors.append(f"note count fell from {seen} to {len(notes)}")
+                seen = len(notes)
+                reads.append(seen)
+        except BaseException as exc:
+            errors.append(repr(exc))
+
+    def lookup_reader():
+        try:
+            seen = 0
+            while not stop.is_set():
+                count = len(engine)
+                if count < seen:
+                    errors.append(f"len fell from {seen} to {count}")
+                seen = count
+                for note in list(engine.iter_notes())[-3:]:
+                    if note.id not in engine or engine.get_note(note.id).id != note.id:
+                        errors.append(f"note {note.id} vanished")
+                reads.append(count)
+        except BaseException as exc:
+            errors.append(repr(exc))
+
+    readers = [(reader, (q,)) for q in queries] + [
+        (snapshot_reader, (lambda: engine.state_snapshot()[0],)),
+        (snapshot_reader, (lambda: {note.id: note for note in engine.iter_notes()},)),
+        (lookup_reader, ()),
+    ]
+    # Daemon threads: a deadlock fails the is_alive check below instead of
+    # hanging the interpreter at exit.
+    threads = [threading.Thread(target=run, args=args, daemon=True) for run, args in readers]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -692,9 +741,20 @@ def test_state_snapshot_is_stable_under_later_writes():
     assert last_seq == 0
     held = dict(notes)
     engine.add_memory(CONTENT_B, TS[1])
-    # commits swap in a new dict; the held snapshot is untouched
+    # the snapshot is a copy; commits change only the engine's own map
     assert notes == held
     assert len(engine) == 2
+
+
+def test_state_snapshot_belongs_to_the_caller():
+    engine = fresh_engine()
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_B, TS[1])
+    notes, _ = engine.state_snapshot()
+    notes.clear()
+    assert len(engine) == 2
+    assert len(engine.retrieve("photography camera", k=2)) == 2
+    assert engine.audit() == []
 
 
 def test_retrieved_memory_is_immutable():
