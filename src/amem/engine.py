@@ -348,7 +348,8 @@ class MemoryEngine:
         changes lists notes in event order, each applied on top of the ones
         before it and classified once against its id's latest note:
         an insert, new context, tags or keywords (re-encoded, note_evolved,
-        index update), or else a links delta. Re-encoding comes first, so a
+        index update), or else a links delta. The rewritten notes are
+        re-encoded with one encode_many before anything is journaled, so a
         backend failure leaves the store and engine as they were. The events
         are synced before anything is published (the write-ahead rule); then,
         under the view lock, the index, the notes and last_seq change at once.
@@ -362,11 +363,16 @@ class MemoryEngine:
                 kind = "note_added"
             elif (note.context, note.tags, note.keywords) != (old.context, old.tags, old.keywords):
                 kind = "note_evolved"
-                note = replace(note, embedding=self._encoder.encode(note_text(note)))
             else:
                 kind = "links_changed"
             latest[note.id] = note
             steps.append((kind, note, old))
+        evolved = [at for at, (kind, _, _) in enumerate(steps) if kind == "note_evolved"]
+        if evolved:
+            texts = [note_text(steps[at][1]) for at in evolved]
+            for at, vector in zip(evolved, self._encoder.encode_many(texts)):
+                kind, note, old = steps[at]
+                steps[at] = (kind, replace(note, embedding=vector), old)
 
         journal = self._journal
         with self._fail_stop():
@@ -387,7 +393,7 @@ class MemoryEngine:
                         self._index.insert(note.id, note.embedding)
                     elif kind == "note_evolved":
                         self._index.update(note.id, note.embedding)
-                notes.update(latest)
+                notes.update((note.id, note) for _, note, _ in steps)
                 if journal is not None:
                     self._last_seq = journal.last_seq
 

@@ -15,12 +15,17 @@ Numerical Algorithms*, §3.1). So every row whose float64 score reaches the
 k-th best lies within 2ε of the k-th best float32 score, and only those
 rows are rescored. A rescored row gets the bits that a float64 product over
 the whole matrix would give it on one BLAS thread. A gathered row would not:
-BLAS treats a row by its position in small aligned groups and has a separate
-kernel for the tail, so the last ulp can differ. The product over the row's
-aligned 64-row block reproduces it; at the dimensions of text embeddings
-that block is too small for BLAS to split across threads. The ranking and
-the scores are those of the whole-matrix float64 scan, whatever the BLAS
-thread count.
+BLAS computes a row's dot from that row and the query alone, but the order
+of the sum depends on the row's position inside aligned groups of at most
+64 rows, and on whether the row is in the tail, so the last ulp can differ.
+So each candidate row r is widened into slot r mod 64 of a zeroed 64-row
+float64 buffer, which puts it where its aligned 64-row block would, and is
+read back from that buffer's product with the query. Candidates that share
+a slot go into successive rounds of the buffer, one product each. The last
+block, which has the tail, is multiplied whole as it stands. At the
+dimensions of text embeddings a 64-row product is too small for BLAS to
+split across threads, so the ranking and the scores are those of the
+whole-matrix float64 scan, whatever the BLAS thread count.
 
 The index takes no lock. Concurrent queries are safe on their own, but
 insert, update and bulk_load change the arrays in place, so a caller that
@@ -36,8 +41,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DuplicateId, UnknownId
 
-# A candidate is rescored through the float64 product of its aligned block of
-# this many rows, a multiple of every row grouping of the BLAS kernels.
+# A candidate is rescored in its slot of a float64 buffer of this many rows,
+# a multiple of every row grouping of the BLAS kernels.
 _RESCORE_BLOCK = 64
 
 # bulk_load checks finiteness this many rows at a time, which bounds the
@@ -104,7 +109,7 @@ class VectorIndex:
     """Flat store of (id, float32 vector) rows supporting exact top-k queries."""
 
     def __init__(self, dimension: int) -> None:
-        if not isinstance(dimension, int) or dimension < 1:
+        if not _is_count(dimension):
             raise ValueError("dimension must be a positive integer")
         self._dim = dimension
         self._epsilon = _score_error_bound(dimension)
@@ -264,23 +269,44 @@ class VectorIndex:
         """Float64 scores of the given ascending rows, bit-identical to a
         float64 product over the whole matrix.
 
-        Each row is read from the product of its aligned 64-row block,
-        computed once per block. A last block of one row joins the block
-        before it: numpy computes a one-row product with a dot kernel, not
-        the matrix-vector kernel that a product over more rows uses.
-        Zero-denominator rows score 0.0 and need no product.
+        A row r before the last aligned 64-row block is widened into slot
+        r mod 64 of a zeroed 64-row buffer, and its dot is read from the
+        buffer's product with the query: its own row at its own position,
+        so its own bits. Rows that share a slot go into successive rounds
+        of the buffer, one 64-row product each. The last block is multiplied
+        whole, so its rows keep the tail kernel; a last block of one row
+        joins the block before it, since numpy computes a one-row product
+        with a dot kernel, not the matrix-vector kernel that a product over
+        more rows uses. Zero-denominator rows score 0.0 and need no product.
         """
         n = self._count
         dots = np.zeros(rows.size, dtype=np.float64)
+        tail_start = max(n - 2, 0) // _RESCORE_BLOCK * _RESCORE_BLOCK
+        tail: list[int] = []
+        rounds: list[list[int]] = []
+        taken: dict[int, int] = {}
         live = np.flatnonzero(denom[rows] > 0.0)
-        last = max(n - 2, 0) // _RESCORE_BLOCK
-        blocks = np.minimum(rows[live] // _RESCORE_BLOCK, last)
-        for block in np.unique(blocks).tolist():
-            start = block * _RESCORE_BLOCK
-            stop = n if block == last else start + _RESCORE_BLOCK
-            product = self._rows[start:stop].astype(np.float64) @ q64
-            here = live[blocks == block]
-            dots[here] = product[rows[here] - start]
+        for at, row in zip(live.tolist(), rows[live].tolist()):
+            if row >= tail_start:
+                tail.append(at)
+                continue
+            slot = row % _RESCORE_BLOCK
+            used = taken.get(slot, 0)
+            taken[slot] = used + 1
+            if used == len(rounds):
+                rounds.append([])
+            rounds[used].append(at)
+        if tail:
+            product = self._rows[tail_start:n].astype(np.float64) @ q64
+            dots[tail] = product[rows[tail] - tail_start]
+        if rounds:
+            # Rows an earlier round left in the buffer change no other row's dot.
+            buffer = np.zeros((_RESCORE_BLOCK, self._dim))
+            for members in rounds:
+                picked = rows[members]
+                slots = picked % _RESCORE_BLOCK
+                buffer[slots] = self._rows[picked]
+                dots[members] = (buffer @ q64)[slots]
         return _cosines(dots, denom[rows])
 
     def memory_bytes(self) -> tuple[int, int]:

@@ -31,6 +31,7 @@ gets only the shape check.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .errors import (
     InvalidTimestamp,
     LoadIntegrityError,
     SequenceGap,
+    StoreLocked,
     VersionMismatch,
 )
 from .gateway import LlmGateway
@@ -116,6 +118,30 @@ def _parse_line(text: str) -> JournalEvent:
     return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
 
 
+def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
+    """Open a journal file for appending, creating it if it is missing, and
+    take its exclusive flock without waiting. Returns the file and whether
+    this call created it. Raises StoreLocked if another writer holds the
+    lock, or if the path no longer names the file locked: a failed open
+    unlinks a journal it created, so a file locked after that is not the
+    store's."""
+    path = Path(path)
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        fd, created = os.open(path, flags | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, flags, 0o666), False
+    file = open(fd, "ab", buffering=0)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if not os.path.samestat(os.fstat(fd), os.stat(path)):
+            raise FileNotFoundError(path)
+    except OSError as exc:
+        file.close()
+        raise StoreLocked(f"store {path.parent} is open for writing elsewhere") from exc
+    return file, created
+
+
 class Journal:
     """Writable handle on a journal file, and the only code that shortens it.
 
@@ -128,6 +154,10 @@ class Journal:
     appends after a torn line would be unreachable. With derived, note
     records carry embedding_crc in place of the embedding (for an engine
     whose encoder is deterministic).
+
+    A journal holds its file's exclusive flock until close(), so a store has
+    one writer at a time: given file, the locked file lock_journal returned
+    for path, it takes that over; otherwise it calls lock_journal itself.
     """
 
     def __init__(
@@ -136,10 +166,11 @@ class Journal:
         last_seq: int = 0,
         torn_at: int | None = None,
         derived: bool = False,
+        file: BinaryIO | None = None,
     ) -> None:
         self._path = Path(path)
         self._derived = derived
-        self._file = open(self._path, "ab", buffering=0)
+        self._file = file if file is not None else lock_journal(self._path)[0]
         self._synced = os.fstat(self._file.fileno()).st_size
         self._pending: list[bytes] = []
         self._last = int(last_seq)
@@ -502,7 +533,8 @@ def load_store(
         records, config, last_seq = read_snapshot(snapshot_file)
 
     journal_file = Path(journal_path)
-    if journal_file.exists():
+    # A writable open of a new store has just created an empty journal.
+    if journal_file.exists() and journal_file.stat().st_size:
         fresh, truncated = read_journal(journal_file, after=last_seq)
         last_seq = replay_events(records, fresh, start_after=last_seq)
 
@@ -527,45 +559,52 @@ def open_engine(
     Config precedence: explicit argument, then the snapshot's config echo,
     then defaults. Read-only engines get no journal handle: their mutations
     stay in memory and never reach disk. A writable open creates the store
-    directory if needed, and its journal cuts a torn tail back to the last
-    good event before anything is appended; a read-only open writes nothing,
-    not even the directory. Under a deterministic encoder the journal writes
-    derived records. An open that fails after the load closes the journal
+    directory if needed and takes the journal's lock (lock_journal) before
+    it loads, so a second writer gets StoreLocked and no writer loads a
+    store that another is appending to; the engine's close() releases it.
+    Its journal cuts a torn tail back to the last good event before
+    anything is appended. A read-only open takes no lock and writes
+    nothing, not even the directory. Under a deterministic encoder the
+    journal writes derived records. An open that fails closes the journal
     it opened, and removes the journal file and directories it created.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
         encoder = HashEncoder()
-    result = load_store(snapshot_path, journal_path, encoder=encoder)
-    config = config if config is not None else result.config
+    locked: BinaryIO | None = None
     journal = None
     new_dirs: list[Path] = []
     new_journal = False
     try:
         if not read_only:
             base = journal_path.parent
-            new_journal = not journal_path.exists()
-            if new_journal:
-                missing = takewhile(lambda path: not path.exists(), chain([base], base.parents))
-                new_dirs = list(missing)
+            new_dirs = list(takewhile(lambda path: not path.exists(), chain([base], base.parents)))
             if new_dirs:
                 base.mkdir(parents=True)
+            locked, new_journal = lock_journal(journal_path)
+        result = load_store(snapshot_path, journal_path, encoder=encoder)
+        config = config if config is not None else result.config
+        if locked is not None:
             journal = Journal(
                 journal_path,
                 result.last_seq,
                 result.journal_truncated_at,
                 derived=encoder.deterministic,
+                file=locked,
             )
         engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
         engine.adopt_state(result.notes, result.last_seq)
     except BaseException:
-        if journal is not None:
-            journal.close()
+        # Remove what this open created while it still holds the lock.
         with suppress(OSError):
             if new_journal:
                 journal_path.unlink(missing_ok=True)
             for directory in new_dirs:
                 directory.rmdir()
+        if journal is not None:
+            journal.close()
+        elif locked is not None:
+            locked.close()
         raise
     return engine
 

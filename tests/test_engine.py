@@ -410,6 +410,60 @@ def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal)
     assert engine.audit() == []
 
 
+class CountingEncoder(HashEncoder):
+    """A HashEncoder that logs each call as (method, text count), and can
+    fail its batch calls with BackendUnavailable."""
+
+    def __init__(self):
+        super().__init__(dimension=48, seed=0)
+        self.calls = []
+        self.fail_batches = False
+
+    def encode(self, text):
+        self.calls.append(("encode", 1))
+        return super().encode_many([text])[0]
+
+    def encode_many(self, texts):
+        self.calls.append(("encode_many", len(texts)))
+        if self.fail_batches:
+            raise BackendUnavailable("embedding service down")
+        return super().encode_many(texts)
+
+
+def test_an_add_re_encodes_its_rewritten_notes_in_one_call(tmp_path, journal):
+    backend = FixedDirectiveBackend()
+    encoder = CountingEncoder()
+    engine = MemoryEngine(encoder, LlmGateway(backend), journal=journal, id_seed=99)
+    ids = []
+    for position, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        backend.directive = fixed_directive()
+        ids.append(engine.add_memory(content, TS[position]))
+    # every neighbor's context and the new note's tags change
+    backend.directive = fixed_directive(
+        connections=ids[:1],
+        tags=["topic:gear"],
+        contexts=["First rewrite.", "Second rewrite.", "Third rewrite."],
+    )
+    encoder.calls.clear()
+    id_d = engine.add_memory(CONTENT_D, TS[3])
+    # the new note once, then the new note and its three neighbors together
+    assert encoder.calls == [("encode", 1), ("encode_many", 4)]
+    for note_id in ids + [id_d]:
+        note = engine.get_note(note_id)
+        assert np.array_equal(note.embedding, HashEncoder(48).encode(note_text(note)))
+    assert engine.audit() == []
+
+    # a failed re-encode leaves the store and the journal as they were
+    before_state = snapshot_bytes(engine)
+    before_journal = (tmp_path / "j.jsonl").read_bytes()
+    encoder.fail_batches = True
+    backend.directive = fixed_directive(contexts=["Never written."])
+    with pytest.raises(BackendUnavailable):
+        engine.add_memory(CONTENT_A, TS[4])
+    assert snapshot_bytes(engine) == before_state
+    assert (tmp_path / "j.jsonl").read_bytes() == before_journal
+
+
 class UnsanitizedGateway(LlmGateway):
     """Always evolves, with a directive no parser cleaned: the first
     neighbor twice, the new note itself, every id in known, an id no note

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import amem
 from amem.errors import DimensionMismatch, DuplicateId, UnknownId
-from amem.index import VectorIndex, cosine
+from amem.index import VectorIndex, _cosines, cosine
 from oracles import full_product_top_k, full_sort_top_k, naive_cosine
 
 
@@ -102,6 +102,12 @@ def test_dimension_and_finite_guards():
     for k in (0, True):
         with pytest.raises(ValueError):
             index.top_k(np.ones(4, dtype=np.float32), k)
+
+
+@pytest.mark.parametrize("dimension", [True, 0, -1, 2.5])
+def test_index_refuses_a_dimension_that_is_not_a_count(dimension):
+    with pytest.raises(ValueError):
+        VectorIndex(dimension)
 
 
 def test_update_replaces_vector():
@@ -372,6 +378,62 @@ def test_top_k_equals_whole_product_oracle_property(data):
     k = data.draw(st.integers(1, n + 2))
     index = build_index(ids, rows)
     assert index.top_k(query, k, exclude) == full_product_top_k(ids, rows, query, k, exclude)
+
+
+# A store of 66 rows or more has rows before its last block; row r takes
+# slot r mod 64, so rows 5, 69, 133 and 197 of a 300-row store share a slot
+# and need four rounds.
+RESCORE_SIZES = st.one_of(st.integers(1, 300), st.sampled_from([63, 64, 65, 66, 127, 128, 129]))
+
+
+@st.composite
+def rescore_cases(draw):
+    """(rows, query, ascending candidate rows) for _rescore."""
+    dimension = draw(st.integers(1, 48))
+    n = draw(RESCORE_SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (rng.standard_normal((n, dimension)) * rng.uniform(0.5, 2.0, (n, 1))).astype(
+        np.float32
+    )
+    special = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    rows[special] = draw(hnp.arrays(np.float32, (len(special), dimension), elements=FLOAT32))
+    rows[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0.0
+    query = rng.standard_normal(dimension).astype(np.float32)
+    slot = draw(st.integers(0, 63))
+    candidates = draw(
+        st.one_of(
+            st.sets(st.integers(0, n - 1)),
+            st.sets(st.integers(0, n - 1)).map(lambda extra: extra | set(range(slot, n, 64))),
+            st.just(set(range(n))),
+        )
+    )
+    return rows, query, np.array(sorted(candidates), dtype=np.intp)
+
+
+def rescore_case(n, dimension, candidates, zero=()):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, dimension)).astype(np.float32)
+    rows[list(zero)] = 0.0
+    query = rng.standard_normal(dimension).astype(np.float32)
+    return rows, query, np.array(candidates, dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rescore_cases())
+@example(case=rescore_case(300, 40, [5, 69, 133, 197, 260, 299]))
+@example(case=rescore_case(129, 33, range(129), zero=[0, 64, 128]))
+@example(case=rescore_case(66, 17, [0, 1, 63, 64, 65], zero=[1]))
+def test_rescore_equals_the_whole_product_for_any_candidate_rows(case):
+    # candidates that share a slot, rows of the last block, zero rows and
+    # every row at once, bit for bit against one product over the matrix
+    rows, query, candidates = case
+    index = VectorIndex(rows.shape[1])
+    index.bulk_load(seeded_ids(len(rows)), rows)
+    q64 = query.astype(np.float64)
+    denom = index._norms[: len(rows)] * float(np.sqrt(np.dot(q64, q64)))
+    want = _cosines(rows.astype(np.float64) @ q64, denom)[candidates]
+    got = index._rescore(candidates, q64, denom)
+    assert got.tobytes() == want.tobytes()
 
 
 _THREADS_SCRIPT = """

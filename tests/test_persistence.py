@@ -32,6 +32,7 @@ from amem.errors import (
     EngineFailed,
     LoadIntegrityError,
     SequenceGap,
+    StoreLocked,
     VersionMismatch,
 )
 from amem.gateway import LlmGateway
@@ -51,6 +52,7 @@ from amem.persistence import (
     Journal,
     JournalEvent,
     load_store,
+    lock_journal,
     open_engine,
     payload_crc,
     read_journal,
@@ -1582,6 +1584,42 @@ def test_a_failed_open_closes_its_journal_and_removes_what_it_created(tmp_path, 
         open_engine(store, encoder=DimensionlessEncoder())
     assert len(ClosingJournal.closed) == 2
     assert [path.name for path in store.iterdir()] == [JOURNAL_FILENAME]
+
+
+def test_a_second_writer_is_refused_and_every_acknowledged_add_survives(tmp_path):
+    store = tmp_path / "new" / "store"
+    first = open_engine(store, encoder=encoder(), id_seed=7)
+    first.add_memory(CONTENT_A, TS[0])
+    with pytest.raises(StoreLocked):
+        open_engine(store, encoder=encoder(), id_seed=8)
+    # the refused open removed nothing of the store the first one created
+    assert (store / JOURNAL_FILENAME).exists()
+    first.add_memory(CONTENT_B, TS[1])
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert len(reader) == 2
+    acknowledged = state_map(first.state_snapshot()[0])
+    first.close()
+
+    reopened = open_engine(store, encoder=encoder(), id_seed=8)
+    assert state_map(reopened.state_snapshot()[0]) == acknowledged
+    reopened.close()
+
+
+def test_a_writable_open_loads_under_the_journal_lock(tmp_path, monkeypatch):
+    loads = []
+    real_load = persistence.load_store
+
+    def load_while_probing_the_lock(snapshot_path, journal_path, encoder=None):
+        with pytest.raises(StoreLocked):
+            lock_journal(journal_path)
+        loads.append(journal_path)
+        return real_load(snapshot_path, journal_path, encoder=encoder)
+
+    monkeypatch.setattr(persistence, "load_store", load_while_probing_the_lock)
+    store = tmp_path / "store"
+    for _ in range(2):
+        open_engine(store, encoder=encoder()).close()
+    assert loads == [store / JOURNAL_FILENAME] * 2
 
 
 # ---------------------------------------------------------------------------
