@@ -35,6 +35,7 @@ import requests
 
 from .embedding import post_json
 from .errors import BackendUnavailable, EmptyContent, MissingSlot, SchemaViolation
+from .index import _is_count
 from .notes import MemoryNote, validate_timestamp
 
 logger = logging.getLogger(__name__)
@@ -430,10 +431,10 @@ class RemoteChatBackend:
 
     Each request carries the model name, a single user message, and a JSON
     schema response-format block for the task at hand. A semaphore bounds
-    the requests in flight to max_in_flight, which must be >= 1. Transport
-    failures and malformed response envelopes raise BackendUnavailable;
-    completion text that fails to parse as a JSON object raises
-    SchemaViolation so the gateway's retry loop can ask again.
+    the requests in flight to max_in_flight, an int >= 1 and not a bool.
+    Transport failures and malformed response envelopes raise
+    BackendUnavailable; completion text that fails to parse as a JSON
+    object raises SchemaViolation so the gateway's retry loop can ask again.
     """
 
     name = "remote"
@@ -447,7 +448,7 @@ class RemoteChatBackend:
         api_key: str | None = None,
         max_in_flight: int = 4,
     ) -> None:
-        if max_in_flight < 1:
+        if not _is_count(max_in_flight):
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.url = url
         self.model = model

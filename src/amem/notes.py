@@ -19,6 +19,18 @@ one of two ways, never both:
   derives the embedding by encoding the note text again with the
   deterministic encoder that wrote the record, and note_from_fields checks
   the derived vector against N.
+
+A note keeps the derived record it was rendered to: canonical_json
+renders it once per note object and returns the same text on every later
+call. The journal renders each note it adds or rewrites before the note
+is published, and a snapshot sees only published notes, so a snapshot
+renders only the notes changed since their last render (a links change
+journals no record). A note is immutable, so the text cannot go stale;
+dataclasses.replace builds a new note that carries none. A rendered note
+holds its record's text, about 0.1 KB more than the record's length.
+Stored records are not kept: one is about 4.6 KB, three times the
+float32 embedding it spells out. Two threads may render one note at
+once: both write the same text.
 """
 
 from __future__ import annotations
@@ -200,6 +212,10 @@ class MemoryNote:
     def __hash__(self) -> int:
         return hash(self.id)
 
+    # The derived record canonical_json rendered this note to, kept on the
+    # note once rendered; a class attribute, not a field.
+    _derived_json = None
+
 
 # Field order of the canonical JSON encoding. note_from_fields requires
 # exactly these keys and canonical_json writes them in exactly this order.
@@ -257,12 +273,27 @@ def canonical_json(note: MemoryNote, derived: bool = False) -> str:
     note's and its links') and the timestamp go between literal quotes:
     validation admits no quote, backslash or control character in them,
     the only characters that escaper changes.
+
+    A derived record is rendered once per note object and kept on the
+    note, and every later derived call returns that text: the journal's
+    render is reused by every snapshot, so a snapshot renders only the
+    notes changed since their last render. It costs the note about its
+    record's length in memory. A stored record, three times the size of
+    the embedding it spells out, is rendered on every call. Concurrent
+    calls on one note are safe: the note is immutable, and each call
+    writes the same text.
     """
-    links = '","'.join(sorted(note.links))
     if derived:
-        embedding = f',"embedding_crc":{embedding_crc(note.embedding)}'
-    else:
-        embedding = f',"embedding":[{join_float32(note.embedding)}]'
+        text = note._derived_json
+        if text is None:
+            text = _render(note, f',"embedding_crc":{embedding_crc(note.embedding)}')
+            object.__setattr__(note, "_derived_json", text)
+        return text
+    return _render(note, f',"embedding":[{join_float32(note.embedding)}]')
+
+
+def _render(note: MemoryNote, embedding: str) -> str:
+    links = '","'.join(sorted(note.links))
     return "".join(
         (
             '{"id":"', note.id,

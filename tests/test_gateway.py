@@ -591,6 +591,14 @@ def test_remote_chat_backend_error_mapping():
         backend.complete("link_opinion", remote_payload("link_opinion"))
 
 
+@pytest.mark.parametrize("slots", [2.5, True])
+def test_remote_chat_backend_refuses_a_max_in_flight_that_is_not_a_count(slots):
+    # A BoundedSemaphore(2.5) lets any number of acquire() calls through:
+    # its value falls past 0 and acquire waits only at exactly 0.
+    with pytest.raises(ValueError, match=f"max_in_flight must be >= 1, got {slots}"):
+        RemoteChatBackend(url="http://llm", model="m", session=FakeSession([]), max_in_flight=slots)
+
+
 def test_remote_request_bodies_are_pinned():
     # One s1, one s2 and one s3 call through the gateway; the digests are of
     # the bytes requests puts on the wire for json=body.

@@ -7,7 +7,10 @@ decode, re-encode must reproduce the exact bytes, embeddings included.
 
 import json
 import random
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -684,3 +687,73 @@ def test_canonical_json_matches_a_json_dumps_reference_on_any_text(
         return
     for derived in (False, True):
         assert canonical_json(note, derived) == reference_json(note, derived)
+
+
+def test_a_replaced_note_renders_its_own_fields_not_its_parents():
+    # The derived text a note keeps is its own: replace builds a note that
+    # carries none, so each generation renders from its own fields.
+    parent = make_note(random.Random(13))
+    parent_text = canonical_json(parent, derived=True)
+    relinked = replace(parent, links=frozenset([IDS.fresh()]))
+    assert canonical_json(relinked, derived=True) == reference_json(relinked, derived=True)
+    assert canonical_json(relinked, derived=True) != parent_text
+    recontexted = replace(relinked, context="A rewritten context.")
+    assert canonical_json(recontexted, derived=True) == reference_json(recontexted, derived=True)
+    assert canonical_json(parent, derived=True) == parent_text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    note_id=NOTE_IDS,
+    content=ESCAPE_TEXT,
+    keywords=st.lists(ESCAPE_TEXT, min_size=1, max_size=3),
+    tags=st.lists(ESCAPE_TEXT, min_size=1, max_size=3),
+    context=ESCAPE_TEXT,
+    bits=st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=8),
+    links=st.lists(NOTE_IDS, max_size=3),
+    calls=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+def test_a_note_renders_what_a_fresh_equal_note_renders_in_any_call_order(
+    note_id, content, keywords, tags, context, bits, links, calls
+):
+    # The derived text a note keeps never answers a stored-form call, and
+    # neither form changes with the calls made before it.
+    def build():
+        return MemoryNote(
+            id=note_id,
+            content=content,
+            timestamp="2024-02-29T23:59:59Z",
+            keywords=normalize_terms(keywords),
+            tags=normalize_terms(tags),
+            context=context,
+            embedding=np.asarray(bits, dtype=np.uint32).view(np.float32),
+            links=frozenset(links),
+        )
+
+    try:
+        note = build()
+    except (ValueError, EmptyContent):
+        return
+    for derived in calls:
+        assert canonical_json(note, derived) == canonical_json(build(), derived)
+
+
+def test_threads_that_render_the_same_notes_at_once_all_get_their_records():
+    # A note's derived text may be rendered by two threads at once (a
+    # journal append and a snapshot); each writes the same text.
+    rng = random.Random(17)
+    notes = [make_note(rng, links=[IDS.fresh() for _ in range(i % 4)]) for i in range(300)]
+    expected = [reference_json(note, derived=True) for note in notes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(lambda: [canonical_json(note, derived=True) for note in notes])
+                for _ in range(8)
+            ]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    assert [canonical_json(note, derived=True) for note in notes] == expected

@@ -840,6 +840,34 @@ def test_snapshot_taken_while_an_add_journals_reloads_to_the_live_store(tmp_path
     reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
     assert state_map(reloaded.notes) == live
     assert len(live) == 2
+    # A second snapshot, from this thread, reuses the record the writer
+    # thread's journal rendered.
+    snapshot_engine(engine, tmp_path)
+    reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
+    assert state_map(reloaded.notes) == live
+
+
+def count_renders(monkeypatch):
+    """Counts derived records rendered from here on: each calls embedding_crc once."""
+    renders = []
+    real = notes_module.embedding_crc
+
+    def counted(vec):
+        renders.append(1)
+        return real(vec)
+
+    monkeypatch.setattr(notes_module, "embedding_crc", counted)
+    return renders
+
+
+def test_a_second_snapshot_of_an_unchanged_engine_renders_no_record(tmp_path, monkeypatch):
+    engine, _ = populated(tmp_path)
+    snapshot_engine(engine, tmp_path)
+    renders = count_renders(monkeypatch)
+    snapshot_engine(engine, tmp_path)
+    assert renders == []
+    reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
+    assert state_map(reloaded.notes) == state_map(engine.state_snapshot()[0])
 
 
 def test_add_racing_a_compaction_survives_reopen(tmp_path, monkeypatch):
@@ -1255,9 +1283,9 @@ DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 V1_STORE = Path(__file__).parent / "data" / "v1_store"
 
 
-def write_pipeline_store(store, encoder=None):
+def pipeline_engine(store, encoder=None):
     # Full-size HashEncoder embeddings, with evolution and a snapshot taken
-    # partway through the run.
+    # partway through the run; the engine is left open.
     lines = DIALOGUE.read_text("utf-8").splitlines()
     contents = lines + [f"{line} Revisited a second time." for line in lines[:12]]
     engine = open_engine(
@@ -1267,7 +1295,11 @@ def write_pipeline_store(store, encoder=None):
         if i == 40:
             snapshot_engine(engine, store)
         engine.add_memory(content, "2024-03-01T%02d:%02d:00Z" % divmod(i, 60))
-    engine.close()
+    return engine
+
+
+def write_pipeline_store(store, encoder=None):
+    pipeline_engine(store, encoder).close()
 
 
 def file_digest(path):
@@ -1289,6 +1321,32 @@ def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
         "f5ac8741e6d5b6ac37b013bb7920addf9bb5f59f57c915bd5f3127d0ec5b7b88"
     )
+
+
+def test_snapshots_of_reused_records_are_the_bytes_of_a_fresh_render(tmp_path, monkeypatch):
+    # The journal rendered each added or evolved note, and the snapshot at
+    # the 40th add the notes of that moment; the first snapshot here renders
+    # the rest, the second none.
+    engine = pipeline_engine(tmp_path / "store")
+    notes, last_seq = engine.state_snapshot()
+    renders = count_renders(monkeypatch)
+    first = tmp_path / "first"
+    first.mkdir()
+    snapshot_engine(engine, first)
+    rendered = len(renders)
+    second = tmp_path / "second"
+    second.mkdir()
+    snapshot_engine(engine, second)
+    engine.close()
+    assert 0 < rendered < len(notes)
+    assert len(renders) == rendered
+    fresh = tmp_path / "fresh.json"
+    copies = {nid: replace(note) for nid, note in notes.items()}
+    write_snapshot(fresh, copies, engine.config, last_seq, derived=True)
+    assert len(renders) == rendered + len(notes)
+    snapshot_bytes = (first / SNAPSHOT_FILENAME).read_bytes()
+    assert (second / SNAPSHOT_FILENAME).read_bytes() == snapshot_bytes
+    assert fresh.read_bytes() == snapshot_bytes
 
 
 class UndeclaredHashEncoder(HashEncoder):
