@@ -4,16 +4,15 @@ stdout carries only machine-readable payloads (JSON or CSV); every
 diagnostic goes to stderr. Exit codes: 0 success, 2 usage or input error,
 3 backend error, 4 I/O error.
 
-Store-touching commands take an advisory lock on the store directory,
-exclusive by default, shared with --read-only so concurrent readers can
-overlap. The default mock backend runs fully offline and, paired with the
-fixed id seed, makes whole command sequences byte-reproducible.
+A command that writes takes the journal's lock, so a second writer exits
+4; --read-only takes no lock and writes nothing. The default mock backend
+runs fully offline and, paired with the fixed id seed, makes whole command
+sequences byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import logging
 import sys
@@ -51,8 +50,6 @@ EXIT_USAGE = 2
 EXIT_BACKEND = 3
 EXIT_IO = 4
 
-LOCK_FILENAME = "store.lock"
-
 # Fixed id-generator seed for mock runs, so repeating a command sequence on a
 # fresh store reproduces the journal byte for byte.
 MOCK_ID_SEED = 0
@@ -83,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--read-only",
         action="store_true",
-        help="take a shared store lock; mutating commands are refused",
+        help="open without writing or locking; mutating commands are refused",
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     parser.add_argument(
@@ -245,35 +242,6 @@ def build_components(
     return encoder, gateway, engine_config, id_seed
 
 
-@contextmanager
-def store_lock(store_dir: Path, shared: bool) -> Iterator[None]:
-    lock_path = store_dir / LOCK_FILENAME
-    if shared:
-        try:
-            handle = open(lock_path, "r")
-        except FileNotFoundError:
-            # Only a writer creates the lock file, and a reader writes
-            # nothing: a store without one (or no store at all) is read as is.
-            handle = None
-        if handle is None:
-            yield
-            return
-    else:
-        store_dir.mkdir(parents=True, exist_ok=True)
-        handle = open(lock_path, "a+")
-    try:
-        operation = (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB
-        try:
-            fcntl.flock(handle.fileno(), operation)
-        except OSError as exc:
-            raise StoreLocked(
-                f"store {store_dir} is locked by another process"
-            ) from exc
-        yield
-    finally:
-        handle.close()
-
-
 def emit_json(payload: Any, pretty: bool, out: TextIO | None = None) -> None:
     stream = out if out is not None else sys.stdout
     if pretty:
@@ -283,23 +251,21 @@ def emit_json(payload: Any, pretty: bool, out: TextIO | None = None) -> None:
 
 
 @contextmanager
-def _open_store_engine(args: argparse.Namespace, shared: bool) -> Iterator[MemoryEngine]:
+def _open_store_engine(args: argparse.Namespace, read_only: bool) -> Iterator[MemoryEngine]:
     cfg = load_cli_config(args.config)
     encoder, gateway, engine_config, id_seed = build_components(args, cfg)
-    store_dir = Path(args.store)
-    with store_lock(store_dir, shared=shared):
-        engine = open_engine(
-            store_dir,
-            encoder=encoder,
-            gateway=gateway,
-            config=engine_config,
-            id_seed=id_seed,
-            read_only=shared,
-        )
-        try:
-            yield engine
-        finally:
-            engine.close()
+    engine = open_engine(
+        Path(args.store),
+        encoder=encoder,
+        gateway=gateway,
+        config=engine_config,
+        id_seed=id_seed,
+        read_only=read_only,
+    )
+    try:
+        yield engine
+    finally:
+        engine.close()
 
 
 def cmd_add(args: argparse.Namespace) -> int:
@@ -310,7 +276,7 @@ def cmd_add(args: argparse.Namespace) -> int:
     content = args.content
     if args.file is not None:
         content = Path(args.file).read_text("utf-8")
-    with _open_store_engine(args, shared=False) as engine:
+    with _open_store_engine(args, read_only=False) as engine:
         note_id = engine.add_memory(content, args.timestamp)
         note = engine.get_note(note_id)
         emit_json(
@@ -330,7 +296,7 @@ def cmd_add(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 1:
         raise UsageError("--k must be >= 1")
-    with _open_store_engine(args, shared=args.read_only) as engine:
+    with _open_store_engine(args, read_only=args.read_only) as engine:
         hits = engine.retrieve(args.text, k=args.k, category=args.category)
         emit_json(
             [
@@ -349,7 +315,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
-    with _open_store_engine(args, shared=args.read_only) as engine:
+    with _open_store_engine(args, read_only=args.read_only) as engine:
         notes = list(engine.iter_notes())
         dimension = engine.encoder.dimension
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -442,7 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_snapshot(args: argparse.Namespace) -> int:
     if args.read_only:
         raise UsageError("snapshot writes to the store; drop --read-only")
-    with _open_store_engine(args, shared=False) as engine:
+    with _open_store_engine(args, read_only=False) as engine:
         path = snapshot_engine(engine, args.store, compact=args.compact)
         notes, last_seq = engine.state_snapshot()
         emit_json(

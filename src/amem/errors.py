@@ -70,4 +70,5 @@ class ResourceExhausted(AmemError):
 
 
 class StoreLocked(AmemError):
-    """Another process holds the store lock."""
+    """Another writer holds the journal's lock, or a compaction replaced the
+    snapshot under every read of a read-only open."""

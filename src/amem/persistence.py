@@ -138,7 +138,7 @@ def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
             raise FileNotFoundError(path)
     except OSError as exc:
         file.close()
-        raise StoreLocked(f"store {path.parent} is open for writing elsewhere") from exc
+        raise StoreLocked(f"store {path.parent} is locked: open for writing elsewhere") from exc
     return file, created
 
 
@@ -511,6 +511,19 @@ class LoadResult:
     journal_truncated_at: int | None
 
 
+# Reads in a row that a compaction may spoil before load_store gives up.
+_LOAD_ATTEMPTS = 5
+
+
+def _still_names(path: Path, fd: int | None) -> bool:
+    """Whether path names the file open as fd, or, for None, names nothing."""
+    try:
+        now = os.stat(path)
+    except FileNotFoundError:
+        return fd is None
+    return fd is not None and os.path.samestat(os.fstat(fd), now)
+
+
 def load_store(
     snapshot_path: str | os.PathLike[str],
     journal_path: str | os.PathLike[str],
@@ -522,23 +535,41 @@ def load_store(
     are shape-checked as they are read; then _build_notes builds and
     verifies every note, and a record that fails there fails the load as
     "note <id>: ...".
+
+    The read takes no lock: it holds the snapshot open, reads it and then
+    the journal, and is done again if the snapshot path no longer names the
+    held file. A compaction renames its snapshot before it cuts the journal,
+    so an unchanged snapshot proves the journal read whole, and only then is
+    a SequenceGap damage. After _LOAD_ATTEMPTS replaced snapshots: StoreLocked.
     """
-    records: dict[str, dict[str, Any]] = {}
-    config: EngineConfig | None = None
-    last_seq = 0
-    truncated: int | None = None
-
-    snapshot_file = Path(snapshot_path)
-    if snapshot_file.exists():
-        records, config, last_seq = read_snapshot(snapshot_file)
-
-    journal_file = Path(journal_path)
-    # A writable open of a new store has just created an empty journal.
-    if journal_file.exists() and journal_file.stat().st_size:
-        fresh, truncated = read_journal(journal_file, after=last_seq)
-        last_seq = replay_events(records, fresh, start_after=last_seq)
-
-    return LoadResult(_build_notes(records, encoder), last_seq, config, truncated)
+    snapshot_file, journal_file = Path(snapshot_path), Path(journal_path)
+    for _ in range(_LOAD_ATTEMPTS):
+        try:
+            held: int | None = os.open(snapshot_file, os.O_RDONLY)
+        except FileNotFoundError:
+            held = None
+        truncated: int | None = None
+        try:
+            records, config, last_seq = (
+                read_snapshot(snapshot_file) if held is not None else ({}, None, 0)
+            )
+            # A writable open of a new store has just created an empty journal.
+            if journal_file.exists() and journal_file.stat().st_size:
+                fresh, truncated = read_journal(journal_file, after=last_seq)
+                last_seq = replay_events(records, fresh, start_after=last_seq)
+        except SequenceGap:
+            if _still_names(snapshot_file, held):
+                raise
+        else:
+            if _still_names(snapshot_file, held):
+                return LoadResult(_build_notes(records, encoder), last_seq, config, truncated)
+        finally:
+            if held is not None:
+                os.close(held)
+    raise StoreLocked(
+        f"store {snapshot_file.parent} is locked: a compaction replaced its "
+        f"snapshot under {_LOAD_ATTEMPTS} reads in a row"
+    )
 
 
 def store_paths(store_dir: str | os.PathLike[str]) -> tuple[Path, Path]:
@@ -563,10 +594,11 @@ def open_engine(
     it loads, so a second writer gets StoreLocked and no writer loads a
     store that another is appending to; the engine's close() releases it.
     Its journal cuts a torn tail back to the last good event before
-    anything is appended. A read-only open takes no lock and writes
-    nothing, not even the directory. Under a deterministic encoder the
-    journal writes derived records. An open that fails closes the journal
-    it opened, and removes the journal file and directories it created.
+    anything is appended. A read-only open takes no lock (the journal's is
+    a store's only one) and writes nothing, not even the directory; its
+    load is validated instead. Under a deterministic encoder the journal
+    writes derived records. An open that fails closes the journal it
+    opened, and removes the journal file and directories it created.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:

@@ -6,7 +6,6 @@ spawning interpreters.
 """
 
 import csv
-import fcntl
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,12 +21,17 @@ from amem.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    LOCK_FILENAME,
     main,
 )
 from amem.metrics import METRIC_NAMES
 from amem.notes import is_note_id
-from amem.persistence import JOURNAL_FILENAME, SNAPSHOT_FILENAME, open_engine
+from amem.gateway import LlmGateway, MockBackend
+from amem.persistence import (
+    JOURNAL_FILENAME,
+    SNAPSHOT_FILENAME,
+    lock_journal,
+    open_engine,
+)
 from oracles import DATA_DIR, per_element_embedding
 
 CONTENT_A = "photography camera tripod photography camera"
@@ -175,6 +179,14 @@ def test_read_only_query_of_a_missing_store_writes_nothing(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_a_store_holds_only_its_journal_and_snapshot(tmp_path):
+    add(tmp_path, CONTENT_A, "2023-06-01T00:00:00Z")
+    code, _, _ = run_cli(store_args(tmp_path) + ["snapshot"])
+    assert code == EXIT_OK
+    names = sorted(path.name for path in (tmp_path / "store").iterdir())
+    assert names == sorted([JOURNAL_FILENAME, SNAPSHOT_FILENAME])
+
+
 def test_read_only_query_of_a_store_without_a_lock_file_writes_nothing(tmp_path):
     store = tmp_path / "emptystore"
     store.mkdir()
@@ -273,8 +285,7 @@ def test_config_file_shapes_the_engine(tmp_path):
 def test_locked_store_exits_4(tmp_path):
     store = tmp_path / "store"
     store.mkdir()
-    holder = open(store / LOCK_FILENAME, "a+")
-    fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
+    holder, _ = lock_journal(store / JOURNAL_FILENAME)
     try:
         code, _, err = add(tmp_path, CONTENT_A, "2023-06-01T00:00:00Z")
         assert code == EXIT_IO
@@ -283,6 +294,26 @@ def test_locked_store_exits_4(tmp_path):
         holder.close()
     code, _, _ = add(tmp_path, CONTENT_A, "2023-06-01T00:00:00Z")
     assert code == EXIT_OK
+
+
+def test_a_read_only_query_reads_a_store_a_writer_holds(tmp_path):
+    writer = open_engine(
+        tmp_path / "store", gateway=LlmGateway(MockBackend()), id_seed=0
+    )
+    try:
+        ids = {
+            writer.add_memory(CONTENT_A, "2023-06-01T00:00:00Z"),
+            writer.add_memory(CONTENT_B, "2023-06-01T00:01:00Z"),
+        }
+        code, out, err = run_cli(
+            store_args(tmp_path) + ["--read-only", "query", "camera", "--k", "2"]
+        )
+        assert code == EXIT_OK, err
+        assert {hit["id"] for hit in json.loads(out)} == ids
+        code, _, err = run_cli(store_args(tmp_path) + ["query", "camera"])
+        assert code == EXIT_IO and "locked" in err
+    finally:
+        writer.close()
 
 
 def test_missing_content_file_exits_4(tmp_path):

@@ -1680,6 +1680,83 @@ def test_a_writable_open_loads_under_the_journal_lock(tmp_path, monkeypatch):
     assert loads == [store / JOURNAL_FILENAME] * 2
 
 
+@pytest.fixture
+def six_note_writer(tmp_path):
+    """A writer whose store holds three notes in a snapshot and three more
+    in the journal after it."""
+    writer = open_engine(tmp_path, encoder=encoder(), gateway=LlmGateway(), id_seed=7)
+    try:
+        for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C) * 2):
+            if i == 3:
+                snapshot_engine(writer, tmp_path)
+            writer.add_memory(content, TS[i])
+        yield writer
+    finally:
+        writer.close()
+
+
+def compact_after_snapshot_reads(monkeypatch, writer, store, compactions, add=False):
+    """Make each of the next `compactions` snapshot reads compact the
+    writer's store after it returns, then add one note if `add`. Returns the
+    list of paths read under a compaction."""
+    real_read = persistence.read_snapshot
+    raced = []
+
+    def read_then_compact(path):
+        result = real_read(path)
+        if len(raced) < compactions:
+            raced.append(path)
+            snapshot_engine(writer, store, compact=True)
+            if add:
+                writer.add_memory(CONTENT_D, TS[10 + len(raced)])
+        return result
+
+    monkeypatch.setattr(persistence, "read_snapshot", read_then_compact)
+    return raced
+
+
+def read_only_state(store):
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    try:
+        assert reader.audit() == []
+        notes, last_seq = reader.state_snapshot()
+        return state_map(notes), last_seq
+    finally:
+        reader.close()
+
+
+def test_a_read_only_open_raced_by_a_compaction_and_an_add_reads_again(
+    tmp_path, monkeypatch, six_note_writer
+):
+    raced = compact_after_snapshot_reads(monkeypatch, six_note_writer, tmp_path, 1, add=True)
+    state = read_only_state(tmp_path)
+    assert raced == [tmp_path / SNAPSHOT_FILENAME]
+    notes, last_seq = six_note_writer.state_snapshot()
+    assert len(notes) == 7
+    assert state == (state_map(notes), last_seq)
+
+
+def test_a_read_only_open_raced_by_a_compaction_sees_every_acknowledged_add(
+    tmp_path, monkeypatch, six_note_writer
+):
+    acknowledged = six_note_writer.state_snapshot()
+    compact_after_snapshot_reads(monkeypatch, six_note_writer, tmp_path, 1)
+    state = read_only_state(tmp_path)
+    assert len(state[0]) == 6
+    assert state == (state_map(acknowledged[0]), acknowledged[1])
+
+
+def test_a_snapshot_replaced_under_every_read_fails_the_open(
+    tmp_path, monkeypatch, six_note_writer
+):
+    descriptors = len(os.listdir("/proc/self/fd"))
+    raced = compact_after_snapshot_reads(monkeypatch, six_note_writer, tmp_path, 100)
+    with pytest.raises(StoreLocked, match="locked"):
+        open_engine(tmp_path, encoder=encoder(), read_only=True)
+    assert len(raced) == persistence._LOAD_ATTEMPTS
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
 # ---------------------------------------------------------------------------
 # crash and reopen, as random sequences of operations
 
@@ -1691,12 +1768,14 @@ MACHINE_WORDS = (
 
 
 class DurableStoreMachine(RuleBasedStateMachine):
-    """Adds, snapshots, compactions, failed compactions, torn writes and
-    reopens in any order.
+    """Adds, snapshots, compactions, failed compactions, torn writes,
+    refused second writers, read-only opens and reopens in any order.
 
     The model is the state the live engine acknowledged last: its notes as
-    canonical JSON and its last_seq. A reopen must reproduce exactly that
-    state, whatever the torn write left at the end of the journal.
+    canonical JSON and its last_seq. A reopen and a read-only open must
+    reproduce exactly that state, whatever the torn write left at the end
+    of the journal, and a second writer must change neither the model nor
+    the store's files.
     """
 
     def __init__(self):
@@ -1771,6 +1850,28 @@ class DurableStoreMachine(RuleBasedStateMachine):
         cut = data.draw(st.one_of(st.just(len(raw) - 1), st.integers(1, len(raw) - 1)))
         with open(self.store / JOURNAL_FILENAME, "ab") as handle:
             handle.write(raw[:cut])
+
+    @precondition(is_open)
+    @rule()
+    def second_writer(self):
+        files = {path.name: path.read_bytes() for path in self.store.iterdir()}
+        with pytest.raises(StoreLocked):
+            self.open()
+        assert {path.name: path.read_bytes() for path in self.store.iterdir()} == files
+        notes, last_seq = self.engine.state_snapshot()
+        assert state_map(notes) == self.acked
+        assert last_seq == self.acked_seq
+
+    @rule()
+    def read_only_open(self):
+        reader = open_engine(self.store, encoder=self.encoder, read_only=True)
+        try:
+            notes, last_seq = reader.state_snapshot()
+            assert state_map(notes) == self.acked
+            assert last_seq == self.acked_seq
+            assert reader.audit() == []
+        finally:
+            reader.close()
 
     @rule()
     def reopen(self):
