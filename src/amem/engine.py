@@ -7,9 +7,10 @@ nearest neighbors by cosine similarity are fetched and the gateway is asked
 whether the new memory should evolve; an affirmative opinion yields a
 concrete directive that links the new note to chosen neighbors (both
 directions), extends the new note's tags, and may rewrite neighbor context
-or tags. Rewritten notes replace the originals and are re-encoded so every
-stored embedding always matches its note text. The new note and all that
-its evolution changes are journaled, synced and published as one change.
+or tags. Evolution turns the directive into the change's finished events,
+each changed note built once; a rewritten note carries its re-encoded
+embedding, so every stored embedding matches its note text. The commit
+only journals, syncs and publishes the events, as one change.
 
 Backend calls and re-encodes happen strictly before anything is written,
 so a backend failure leaves the store exactly as it was.
@@ -107,13 +108,21 @@ class RetrievedMemory:
     expanded: bool = False
 
 
+# A change's journal event: kind, the note it leaves, the note it replaces.
+_Event = tuple[str, MemoryNote, "MemoryNote | None"]
+
+
 def _evolve(
-    new_note: MemoryNote, neighbors: Sequence[MemoryNote], directive: EvolutionDirective
-) -> list[MemoryNote]:
-    """The notes a directive changes, the new note first, then the neighbors
-    by rank. The new note links to the neighbors the directive suggests and
-    each of them links back, so links stay inside the neighbor set. A pure
-    step: rewritten notes keep their old embeddings; _commit re-encodes."""
+    new_note: MemoryNote,
+    neighbors: Sequence[MemoryNote],
+    directive: EvolutionDirective,
+    encoder: Encoder,
+) -> list[_Event]:
+    """The events a directive adds after the new note's note_added: the new
+    note, then the neighbors by rank. Links go both ways and stay inside the
+    neighbor set. A note whose context or tags change is note_evolved, one
+    whose links alone change links_changed; each is built once, with its
+    final fields and, if evolved, its embedding from one encode_many."""
     if not directive.should_evolve:
         return []
 
@@ -121,7 +130,7 @@ def _evolve(
     contexts = directive.new_context_neighborhood
     tag_lists = directive.new_tags_neighborhood
     connections: list[NoteId] = []
-    changed: list[MemoryNote] = []
+    updates: list[tuple[MemoryNote, dict[str, Any]]] = []
     for position, neighbor in enumerate(neighbors):
         update: dict[str, Any] = {}
         if neighbor.id in suggested:
@@ -135,14 +144,28 @@ def _evolve(
         if rewrite_tags and rewrite_tags != neighbor.tags:
             update["tags"] = rewrite_tags
         if update:
-            changed.append(replace(neighbor, **update))
+            updates.append((neighbor, update))
 
-    new_links = new_note.links.union(connections)
+    # A new note links to nothing yet, so any connection changes its links.
+    update = {"links": new_note.links.union(connections)} if connections else {}
     # Stored tags hold no duplicates, so this appends only unseen terms.
     new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
-    if new_links != new_note.links or new_tags != new_note.tags:
-        changed.insert(0, replace(new_note, links=new_links, tags=new_tags))
-    return changed
+    if new_tags != new_note.tags:
+        update["tags"] = new_tags
+    if update:
+        updates.insert(0, (new_note, update))
+
+    rewrites = [(note, update) for note, update in updates if update.keys() != {"links"}]
+    texts = [
+        compose_note_text(n.content, n.keywords, u.get("tags", n.tags), u.get("context", n.context))
+        for n, u in rewrites
+    ]
+    for (_, update), vector in zip(rewrites, encoder.encode_many(texts) if texts else ()):
+        update["embedding"] = vector
+    return [
+        ("note_evolved" if "embedding" in update else "links_changed", replace(note, **update), note)
+        for note, update in updates
+    ]
 
 
 # Notes whose embeddings audit and load_store encode in one batch; bounds
@@ -329,7 +352,7 @@ class MemoryEngine:
                 embedding=self._encoder.encode(text),
             )
 
-            changes = [note]
+            events: list[_Event] = [("note_added", note, None)]
             if self.config.enable_link_generation and notes:
                 ranked = self._index.top_k(note.embedding, self.config.k_link)
                 neighbors = [notes[nid] for nid, _ in ranked]
@@ -338,46 +361,18 @@ class MemoryEngine:
                     directive = self._gateway.propose_evolution(note, neighbors)
                     if not self.config.enable_evolution:
                         directive = directive.without_rewrites()
-                    changes += _evolve(note, neighbors, directive)
-            self._commit(changes)
+                    events += _evolve(note, neighbors, directive, self._encoder)
+            self._commit(events)
             return note.id
 
-    def _commit(self, changes: Sequence[MemoryNote]) -> None:
-        """Journal one change, then publish it. Called with the writer lock.
-
-        changes lists notes in event order, each applied on top of the ones
-        before it and classified once against its id's latest note:
-        an insert, new context, tags or keywords (re-encoded, note_evolved,
-        index update), or else a links delta. The rewritten notes are
-        re-encoded with one encode_many before anything is journaled, so a
-        backend failure leaves the store and engine as they were. The events
-        are synced before anything is published (the write-ahead rule); then,
-        under the view lock, the index, the notes and last_seq change at once.
-        """
-        notes = self._notes
-        latest: dict[NoteId, MemoryNote] = {}
-        steps: list[tuple[str, MemoryNote, MemoryNote | None]] = []
-        for note in changes:
-            old = latest.get(note.id, notes.get(note.id))
-            if old is None:
-                kind = "note_added"
-            elif (note.context, note.tags, note.keywords) != (old.context, old.tags, old.keywords):
-                kind = "note_evolved"
-            else:
-                kind = "links_changed"
-            latest[note.id] = note
-            steps.append((kind, note, old))
-        evolved = [at for at, (kind, _, _) in enumerate(steps) if kind == "note_evolved"]
-        if evolved:
-            texts = [note_text(steps[at][1]) for at in evolved]
-            for at, vector in zip(evolved, self._encoder.encode_many(texts)):
-                kind, note, old = steps[at]
-                steps[at] = (kind, replace(note, embedding=vector), old)
-
+    def _commit(self, events: Sequence[_Event]) -> None:
+        """Journal and sync one change's finished events, then publish them
+        (the write-ahead rule): under the view lock, the index, the notes and
+        last_seq change at once. Called with the writer lock."""
         journal = self._journal
         with self._fail_stop():
             if journal is not None:
-                for kind, note, old in steps:
+                for kind, note, old in events:
                     if kind == "note_added":
                         journal.note_added(note)
                     elif kind == "note_evolved":
@@ -388,12 +383,12 @@ class MemoryEngine:
                         )
                 journal.sync()
             with self._view.write():
-                for kind, note, _ in steps:
+                for kind, note, _ in events:
                     if kind == "note_added":
                         self._index.insert(note.id, note.embedding)
                     elif kind == "note_evolved":
                         self._index.update(note.id, note.embedding)
-                notes.update((note.id, note) for _, note, _ in steps)
+                self._notes.update((note.id, note) for _, note, _ in events)
                 if journal is not None:
                     self._last_seq = journal.last_seq
 

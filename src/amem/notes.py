@@ -317,6 +317,10 @@ _TERM_FIELDS = ("keywords", "tags", "links")
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def is_text_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(entry, str) for entry in value)
+
+
 def is_derived_record(data: Any) -> bool:
     """Check a decoded note record's shape; True if it carries embedding_crc.
 
@@ -335,7 +339,7 @@ def is_derived_record(data: Any) -> bool:
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be text")
     for name in _TERM_FIELDS:
-        if not isinstance(data[name], list) or not all(isinstance(t, str) for t in data[name]):
+        if not is_text_list(data[name]):
             raise ValueError(f"{name} must be a list of text")
     if derived:
         crc = data["embedding_crc"]

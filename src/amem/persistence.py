@@ -61,6 +61,7 @@ from .notes import (
     MemoryNote,
     canonical_json,
     is_derived_record,
+    is_text_list,
     json_text_list,
     note_from_fields,
     record_text,
@@ -302,10 +303,6 @@ def read_journal(
     return events, truncated
 
 
-def _is_string_list(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(entry, str) for entry in value)
-
-
 def replay_events(
     records: dict[str, dict[str, Any]], events: Iterable[JournalEvent], start_after: int = 0
 ) -> int:
@@ -336,8 +333,8 @@ def replay_events(
                     raise ValueError("links_changed payload has wrong fields")
                 if not (
                     isinstance(payload["id"], str)
-                    and _is_string_list(payload["added"])
-                    and _is_string_list(payload["removed"])
+                    and is_text_list(payload["added"])
+                    and is_text_list(payload["removed"])
                 ):
                     raise ValueError("links_changed payload has wrong types")
                 record = records.get(payload["id"])
@@ -588,17 +585,18 @@ def open_engine(
     """Open (or initialize) a store directory and return a live engine.
 
     Config precedence: explicit argument, then the snapshot's config echo,
-    then defaults. Read-only engines get no journal handle: their mutations
-    stay in memory and never reach disk. A writable open creates the store
-    directory if needed and takes the journal's lock (lock_journal) before
-    it loads, so a second writer gets StoreLocked and no writer loads a
-    store that another is appending to; the engine's close() releases it.
-    Its journal cuts a torn tail back to the last good event before
-    anything is appended. A read-only open takes no lock (the journal's is
-    a store's only one) and writes nothing, not even the directory; its
-    load is validated instead. Under a deterministic encoder the journal
-    writes derived records. An open that fails closes the journal it
-    opened, and removes the journal file and directories it created.
+    then defaults. A read-only engine gets no journal handle and refuses
+    mutations with EngineFailed, so it never holds a note the store lacks.
+    A writable open creates the store directory if needed and takes the
+    journal's lock (lock_journal) before it loads, so a second writer gets
+    StoreLocked and no writer loads a store that another is appending to;
+    the engine's close() releases it. Its journal cuts a torn tail back to
+    the last good event before anything is appended. A read-only open takes
+    no lock (the journal's is a store's only one) and writes nothing, not
+    even the directory; its load is validated instead. Under a deterministic
+    encoder the journal writes derived records. An open that fails closes
+    the journal it opened, and removes the journal file and directories it
+    created.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
@@ -626,6 +624,8 @@ def open_engine(
             )
         engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
         engine.adopt_state(result.notes, result.last_seq)
+        if read_only:
+            engine._failed = "the store was opened read-only; open it writable to add"
     except BaseException:
         # Remove what this open created while it still holds the lock.
         with suppress(OSError):

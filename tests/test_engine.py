@@ -8,6 +8,7 @@ frequency, alphabetical on ties) yields known keyword sets.
 
 import json
 import random
+from collections import Counter
 import sys
 import threading
 
@@ -407,6 +408,57 @@ def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal)
     assert rewritten["context"] == "Rewritten beside a soup recipe."
     note_a = engine.get_note(id_a)
     assert np.array_equal(note_a.embedding, engine.encoder.encode(note_text(note_a)))
+    assert engine.audit() == []
+
+
+class RankedDirectiveBackend(FixedDirectiveBackend):
+    """s3 answers self.directive(ids), given the neighbor ids by rank."""
+
+    def complete(self, task, payload):
+        if task == "evolution_directive":
+            self.calls.append(task)
+            return self.directive([note.id for note in payload["neighbors"]])
+        return super().complete(task, payload)
+
+
+def test_an_evolving_add_builds_each_changed_note_once(tmp_path, journal, monkeypatch):
+    backend = RankedDirectiveBackend()
+    engine = fresh_engine(journal=journal, backend=backend)
+    backend.directive = lambda ranked: fixed_directive()
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_C, TS[1])
+    before = len(parsed_events(tmp_path / "j.jsonl"))
+
+    built = []
+    post_init = MemoryNote.__post_init__
+
+    def counting_post_init(note):
+        built.append(note.id)
+        post_init(note)
+
+    monkeypatch.setattr(MemoryNote, "__post_init__", counting_post_init)
+    shown = []
+
+    def directive(ranked):
+        shown.extend(ranked)
+        # rewrite the first neighbor; link the second without rewriting it
+        return fixed_directive(connections=ranked[1:], contexts=["Rewritten beside a soup."])
+
+    backend.directive = directive
+    id_d = engine.add_memory(CONTENT_D, TS[2])
+
+    # the new note is built, then rebuilt with its links; each neighbor once
+    assert Counter(built) == Counter({id_d: 2, shown[0]: 1, shown[1]: 1})
+    events = parsed_events(tmp_path / "j.jsonl")[before:]
+    assert [(kind, payload["id"]) for kind, payload in events] == [
+        ("note_added", id_d),
+        ("links_changed", id_d),
+        ("note_evolved", shown[0]),
+        ("links_changed", shown[1]),
+    ]
+    rewritten = engine.get_note(shown[0])
+    assert rewritten.context == "Rewritten beside a soup."
+    assert np.array_equal(rewritten.embedding, engine.encoder.encode(note_text(rewritten)))
     assert engine.audit() == []
 
 

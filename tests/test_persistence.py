@@ -642,9 +642,31 @@ def test_open_engine_read_only_has_no_journal(tmp_path):
     reader = open_engine(store, encoder=encoder(), read_only=True)
     assert reader.journal is None
     assert len(reader.retrieve("camera", k=1)) == 1
-    reader.add_memory(CONTENT_D, TS[1])
-    # in-memory only: the on-disk journal is untouched
+    # a reader never holds a note the store lacks: its add is refused
+    with pytest.raises(EngineFailed, match="read-only"):
+        reader.add_memory(CONTENT_D, TS[1])
+    assert len(reader) == 1
+    reader.close()
     assert (store / JOURNAL_FILENAME).read_bytes() == before
+
+
+def test_a_read_only_add_is_refused_and_changes_no_store_file(tmp_path):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    engine.add_memory(CONTENT_A, TS[0])
+    snapshot_engine(engine, store)
+    engine.add_memory(CONTENT_B, TS[1])
+    engine.close()
+    files = {path.name: path.read_bytes() for path in store.iterdir()}
+    assert sorted(files) == [JOURNAL_FILENAME, SNAPSHOT_FILENAME]
+
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    live = state_map(reader.state_snapshot()[0])
+    with pytest.raises(EngineFailed, match="opened read-only"):
+        reader.add_memory(CONTENT_D, TS[2])
+    assert state_map(reader.state_snapshot()[0]) == live
+    reader.close()
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == files
 
 
 def test_read_only_open_publishes_the_loaded_last_seq(tmp_path):
