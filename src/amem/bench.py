@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .embedding import DEFAULT_DIMENSION
 from .errors import ResourceExhausted
 from .index import VectorIndex
 
@@ -30,7 +31,6 @@ CONCURRENT_CSV_HEADER = "n_entries,threads,total_queries,elapsed_s,throughput_qp
 
 DEFAULT_QUERIES = 200
 DEFAULT_SEED = 42
-DEFAULT_DIMENSION = 384
 DEFAULT_K = 10
 
 # Upper bound on raw vector bytes for one benchmark size: 4 GiB.

@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--queries", type=int, default=bench_mod.DEFAULT_QUERIES)
     cmd.add_argument("--seed", type=int, default=bench_mod.DEFAULT_SEED)
-    cmd.add_argument("--dimension", type=int, default=bench_mod.DEFAULT_DIMENSION)
+    cmd.add_argument("--dimension", type=int, default=DEFAULT_DIMENSION)
     cmd.add_argument("--k", type=int, default=bench_mod.DEFAULT_K)
     cmd.add_argument(
         "--threads",

@@ -16,7 +16,6 @@ import hashlib
 import os
 import re
 import threading
-from collections import Counter
 from typing import Any, Protocol, Sequence
 
 import numpy as np
@@ -86,12 +85,13 @@ class HashEncoder:
     Text is lowercased and split into word tokens. Each distinct token's
     seeded 64-bit-keyed hash stream, read as big-endian 32-bit words, selects
     dimension/8 signed coordinates: word >> 1 modulo the dimension is the
-    coordinate and the low bit its sign. Each selected coordinate
-    accumulates the token's frequency with that sign, and the accumulated
-    vector is L2-normalized in float64, then narrowed to float32 once at the
-    end. Every accumulated value is a small integer, exact in float64, so
-    neither the order of tokens in the text nor the order of the additions
-    (one vectorized bincount per batch of texts) can change a bit.
+    coordinate and the low bit its sign. Every occurrence of a token adds 1
+    to each of its coordinates with that sign (the signed hashing trick of
+    Weinberger et al., 2009), and the summed vector is L2-normalized in
+    float64, then narrowed to float32 once at the end. Every sum is a small
+    integer, exact in float64, so neither the order of tokens in the text nor
+    the order of the additions (one vectorized bincount per batch of texts)
+    can change a bit.
 
     Same seed, same text, same vector, on any platform, whether the text is
     encoded alone or in a batch.
@@ -111,26 +111,27 @@ class HashEncoder:
         # 64-byte digests needed for 4 bytes per coordinate
         digests_per_token = -(-self._coords_per_token * 4 // 64)
         self._block_suffixes = [block.to_bytes(4, "big") for block in range(digests_per_token)]
-        # The coordinate table: row r holds the coordinates and signs of the
-        # token that _rows maps to r. It grows by doubling and is emptied
-        # once a batch would take it past _TOKEN_LIMIT tokens.
+        # The signed-slot table: row r holds, for each coordinate c of the
+        # token that _rows maps to r, the slot 2*c + 1 when its sign is + and
+        # 2*c when it is -. It grows by doubling and is emptied once a batch
+        # would take it past _TOKEN_LIMIT tokens.
         self._rows: dict[str, int] = {}
         self._coords = np.empty(
-            (0, self._coords_per_token), dtype=np.min_scalar_type(self.dimension - 1)
+            (0, self._coords_per_token), dtype=np.min_scalar_type(2 * self.dimension - 1)
         )
-        self._signs = np.empty((0, self._coords_per_token), dtype=np.int8)
         self._table_lock = threading.Lock()
 
     def _learn(self, tokens: list[str]) -> None:
-        """Hash tokens into the next rows of the coordinate table."""
+        """Hash tokens into the next rows of the signed-slot table."""
         start = len(self._rows)
         end = start + len(tokens)
         if end > len(self._coords):
             capacity = max(len(self._coords), _MIN_TABLE_ROWS)
             while capacity < end:
                 capacity *= 2
-            self._coords = _grown(self._coords, capacity, start)
-            self._signs = _grown(self._signs, capacity, start)
+            grown = np.empty((capacity, self._coords_per_token), dtype=self._coords.dtype)
+            grown[:start] = self._coords[:start]
+            self._coords = grown
         digests = []
         for token in tokens:
             data = token.encode("utf-8")
@@ -140,51 +141,43 @@ class HashEncoder:
                 digests.append(hasher.digest())
         words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(tokens), -1)
         words = words[:, : self._coords_per_token]
-        self._coords[start:end] = (words >> 1) % self.dimension
-        self._signs[start:end] = (words & 1).astype(np.int8) * 2 - 1
+        self._coords[start:end] = (words >> 1) % self.dimension * 2 + (words & 1)
         self._rows.update(zip(tokens, range(start, end)))
 
-    def _token_table(self, counts: list[Counter[str]]) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates and signs of every (text, token) pair, in order."""
+    def _token_table(self, texts: list[list[str]]) -> np.ndarray:
+        """The signed slots of every token occurrence, one row each, in order."""
         rows = self._rows
         with self._table_lock:
-            new = list(dict.fromkeys(t for count in counts for t in count if t not in rows))
+            new = list(dict.fromkeys(t for tokens in texts for t in tokens if t not in rows))
             if new:
                 if len(rows) + len(new) > _TOKEN_LIMIT:
                     # A full table starts over, from this batch's tokens.
                     rows.clear()
-                    new = list(dict.fromkeys(t for count in counts for t in count))
+                    new = list(dict.fromkeys(t for tokens in texts for t in tokens))
                 self._learn(new)
-            pairs = [rows[token] for count in counts for token in count]
-            coords, signs = self._coords[pairs], self._signs[pairs]
+            slots = self._coords[[rows[t] for tokens in texts for t in tokens]]
             if len(self._coords) > _TOKEN_LIMIT:
                 # Only a batch with more distinct tokens than the limit
                 # gets here; it leaves an empty table behind.
                 rows.clear()
-                self._coords, self._signs = self._coords[:0].copy(), self._signs[:0].copy()
-        return coords, signs
+                self._coords = self._coords[:0].copy()
+        return slots
 
     def encode(self, text: str) -> np.ndarray:
         return self.encode_many([text])[0]
 
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        counts = [Counter(_TOKEN_RE.findall(text.lower())) for text in texts]
-        dimension = self.dimension
-        coords, signs = self._token_table(counts)
-        lengths = [len(count) for count in counts]
-        frequency = np.fromiter(
-            (n for count in counts for n in count.values()), dtype=np.float64, count=len(coords)
-        )
-        slots = coords.astype(np.intp)
-        if len(counts) > 1:
-            slots += np.repeat(np.arange(len(counts), dtype=np.intp) * dimension, lengths)[:, None]
-        acc = np.bincount(
-            slots.ravel(),
-            weights=(signs * frequency[:, None]).ravel(),
-            minlength=len(counts) * dimension,
-        )
-        # bincount counts in int64 when there are no tokens at all
-        acc = acc.astype(np.float64, copy=False).reshape(len(counts), dimension)
+        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+        n, dimension = len(tokens), self.dimension
+        slots = self._token_table(tokens).astype(np.intp)
+        if n > 1:
+            offsets = np.arange(n, dtype=np.intp) * (2 * dimension)
+            slots += np.repeat(offsets, [len(t) for t in tokens])[:, None]
+        # Text i's coordinate c sums to counts[i, c, 1] - counts[i, c, 0].
+        # Freeing the slots first keeps the batch's peak memory at the bincount.
+        counts = np.bincount(slots.ravel(), minlength=n * dimension * 2).reshape(n, dimension, 2)
+        del slots
+        acc = np.subtract(counts[..., 1], counts[..., 0], dtype=np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
         # Rows with no tokens, or whose signed contributions all cancelled,
         # get the empty-text vector.
@@ -195,13 +188,6 @@ class HashEncoder:
         out[empty, 0] = 1.0
         out.setflags(write=False)
         return list(out)
-
-
-def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
-    """A copy of table's first used rows with room for capacity rows."""
-    grown = np.empty((capacity, table.shape[1]), dtype=table.dtype)
-    grown[:used] = table[:used]
-    return grown
 
 
 class RemoteEncoder:

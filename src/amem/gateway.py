@@ -65,16 +65,17 @@ def load_template(template_id: str) -> str:
 def render_prompt(template_id: str, slots: Mapping[str, str]) -> str:
     """Substitute slot values into a template.
 
-    Substitution replaces only the declared {slot} markers, so the literal
-    braces in the templates' JSON examples pass through untouched.
+    One pass replaces only the raw template's declared {slot} markers, so
+    the literal braces in the templates' JSON examples pass through
+    untouched, and a value holding a marker keeps it as text.
     """
     template = load_template(template_id)
-    rendered = template
-    for name in TEMPLATE_SLOTS[template_id]:
+    names = TEMPLATE_SLOTS[template_id]
+    for name in names:
         if name not in slots:
             raise MissingSlot(f"template {template_id} needs slot {name!r}")
-        rendered = rendered.replace("{" + name + "}", str(slots[name]))
-    return rendered
+    marker = r"\{(" + "|".join(names) + r")\}"
+    return re.sub(marker, lambda match: str(slots[match.group(1)]), template)
 
 
 def render_neighbors(neighbors: Sequence[MemoryNote]) -> str:

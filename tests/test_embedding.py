@@ -126,7 +126,7 @@ def vector_bytes(vectors):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    dimension=st.sampled_from([1, 8, 48, 384]),
+    dimension=st.sampled_from([1, 8, 48, 128, 129, 384]),
     texts=st.lists(st.one_of(TEXTS, st.sampled_from(["", "   ", "\n\t", "a a b"])), max_size=8),
     warmup=st.lists(TEXTS, max_size=4),
 )
@@ -143,6 +143,18 @@ def test_encode_many_matches_encode_byte_for_byte(dimension, texts, warmup):
     warm.encode_many(warmup)
     assert vector_bytes(warm.encode_many(texts)) == expected
     assert vector_bytes(warm.encode(text) for text in texts) == expected
+
+
+@pytest.mark.parametrize("dimension, dtype", [(32768, np.uint16), (32769, np.uint32)])
+def test_the_widest_slot_dtypes_match_the_oracle(dimension, dtype):
+    # The signed-slot table holds slots up to 2 * dimension - 1, so these
+    # two dimensions sit on either side of the uint16 bound.
+    texts = ["river stone river bread", "日本 straße x1 _ river", "", "a a a b"]
+    enc = HashEncoder(dimension, seed=3)
+    assert enc._coords.dtype == dtype
+    expected = vector_bytes([oracle_hash_encode(text, dimension, 3) for text in texts])
+    assert vector_bytes(enc.encode_many(texts)) == expected
+    assert vector_bytes(enc.encode(text) for text in texts) == expected
 
 
 def test_cancelled_signs_give_the_basis_vector():

@@ -110,6 +110,20 @@ def test_decision_templates_take_neighbor_slots():
     assert "suggested_connections" in load_template("s3")
 
 
+def test_a_slot_value_holding_a_marker_keeps_it_as_text():
+    slots = {
+        "context": "CTX",
+        "content": "see {nearest_neighbors_memories} and {keywords} here",
+        "keywords": "k1, k2",
+        "nearest_neighbors_memories": "NEIGHBOR-BLOCK",
+    }
+    for template_id in ("s2", "s3"):
+        rendered = render_prompt(template_id, slots)
+        assert rendered.count("NEIGHBOR-BLOCK") == 1
+        assert rendered.count("k1, k2") == 1
+        assert "see {nearest_neighbors_memories} and {keywords} here" in rendered
+
+
 def test_render_neighbors_block_shape_and_order():
     a = note_with(["alpha"], content="first neighbor")
     b = note_with(["beta"], content="second neighbor")
