@@ -37,7 +37,7 @@ import logging
 import os
 import re
 import zlib
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
@@ -122,9 +122,11 @@ def _parse_line(text: str) -> JournalEvent:
 def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
     """Open a journal file for appending, creating it if it is missing, and
     take its exclusive flock without waiting. Returns the file and whether
-    this call created it. Raises StoreLocked if another writer holds the
-    lock, or if the path no longer names the file locked: a failed open
-    unlinks a journal it created, so a file locked after that is not the
+    this call created it. A Journal holds the lock from a writable open to
+    close, and snapshot_engine for a write into a store it does not hold.
+    Raises StoreLocked if another writer holds the lock, or if the path no
+    longer names the file locked: a failed open, and such a snapshot,
+    unlink a journal they created, so a file locked after that is not the
     store's."""
     path = Path(path)
     flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
@@ -156,9 +158,11 @@ class Journal:
     records carry embedding_crc in place of the embedding (for an engine
     whose encoder is deterministic).
 
-    A journal holds its file's exclusive flock until close(), so a store has
-    one writer at a time: given file, the locked file lock_journal returned
-    for path, it takes that over; otherwise it calls lock_journal itself.
+    A journal takes its file's exclusive flock through lock_journal and
+    holds it until close(), so a store has one writer at a time; created
+    says whether that call created the file. Its first successful sync()
+    also fsyncs the journal's directory, so the file's entry is durable
+    before the first event it acknowledges.
     """
 
     def __init__(
@@ -167,25 +171,33 @@ class Journal:
         last_seq: int = 0,
         torn_at: int | None = None,
         derived: bool = False,
-        file: BinaryIO | None = None,
     ) -> None:
         self._path = Path(path)
         self._derived = derived
-        self._file = file if file is not None else lock_journal(self._path)[0]
-        self._synced = os.fstat(self._file.fileno()).st_size
         self._pending: list[bytes] = []
+        self._dir_synced = False
+        self._file, self._created = lock_journal(self._path)
+        try:
+            self._synced = os.fstat(self._file.fileno()).st_size
+            self._adopt(last_seq, torn_at)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _adopt(self, last_seq: int, torn_at: int | None) -> None:
+        """Continue from last_seq, first cutting a torn tail at torn_at."""
         self._last = int(last_seq)
         if torn_at is not None:
             dropped = self._synced - torn_at
-            try:
-                self._cut(torn_at)
-            except BaseException:
-                self._file.close()
-                raise
+            self._cut(torn_at)
             logger.warning(
                 "journal %s: truncated a torn tail of %d bytes at byte %d",
                 self._path, dropped, torn_at,
             )
+
+    @property
+    def created(self) -> bool:
+        return self._created
 
     @property
     def path(self) -> Path:
@@ -227,6 +239,9 @@ class Journal:
         while rest:
             rest = rest[self._file.write(rest):]
         os.fsync(self._file.fileno())
+        if not self._dir_synced:
+            _fsync_dir(self._path.parent)
+            self._dir_synced = True
         self._synced += len(data)
 
     def _cut(self, length: int) -> None:
@@ -587,41 +602,37 @@ def open_engine(
     Config precedence: explicit argument, then the snapshot's config echo,
     then defaults. A read-only engine gets no journal handle and refuses
     mutations with EngineFailed, so it never holds a note the store lacks.
-    A writable open creates the store directory if needed and takes the
-    journal's lock (lock_journal) before it loads, so a second writer gets
-    StoreLocked and no writer loads a store that another is appending to;
-    the engine's close() releases it. Its journal cuts a torn tail back to
-    the last good event before anything is appended. A read-only open takes
-    no lock (the journal's is a store's only one) and writes nothing, not
-    even the directory; its load is validated instead. Under a deterministic
-    encoder the journal writes derived records. An open that fails closes
-    the journal it opened, and removes the journal file and directories it
-    created.
+    A writable open creates the store directory if needed, fsyncing the
+    parent of each directory it creates, and builds the Journal, which
+    takes the journal's lock, before it loads; so a second writer gets
+    StoreLocked and no writer loads a store that another is appending to.
+    The engine's close() releases the lock. After the load the journal
+    continues from the loaded last_seq, and cuts a torn tail back to the
+    last good event before anything is appended. A read-only open takes no
+    lock (the journal's is a store's only one) and writes nothing, not even
+    the directory; its load is validated instead. Under a deterministic
+    encoder the journal writes derived records. An open that fails removes
+    the journal file (when the journal created it) and the directories it
+    created, then closes the journal.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     if encoder is None:
         encoder = HashEncoder()
-    locked: BinaryIO | None = None
-    journal = None
+    journal: Journal | None = None
     new_dirs: list[Path] = []
-    new_journal = False
     try:
         if not read_only:
             base = journal_path.parent
             new_dirs = list(takewhile(lambda path: not path.exists(), chain([base], base.parents)))
             if new_dirs:
                 base.mkdir(parents=True)
-            locked, new_journal = lock_journal(journal_path)
+                for directory in new_dirs:
+                    _fsync_dir(directory.parent)
+            journal = Journal(journal_path, derived=encoder.deterministic)
         result = load_store(snapshot_path, journal_path, encoder=encoder)
         config = config if config is not None else result.config
-        if locked is not None:
-            journal = Journal(
-                journal_path,
-                result.last_seq,
-                result.journal_truncated_at,
-                derived=encoder.deterministic,
-                file=locked,
-            )
+        if journal is not None:
+            journal._adopt(result.last_seq, result.journal_truncated_at)
         engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
         engine.adopt_state(result.notes, result.last_seq)
         if read_only:
@@ -629,14 +640,12 @@ def open_engine(
     except BaseException:
         # Remove what this open created while it still holds the lock.
         with suppress(OSError):
-            if new_journal:
+            if journal is not None and journal.created:
                 journal_path.unlink(missing_ok=True)
             for directory in new_dirs:
                 directory.rmdir()
         if journal is not None:
             journal.close()
-        elif locked is not None:
-            locked.close()
         raise
     return engine
 
@@ -644,21 +653,32 @@ def open_engine(
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:
     """Snapshot a live engine's store; optionally drop journaled history.
 
-    The engine writes one snapshot at a time. A plain snapshot takes no
-    writer lock. A compacting one runs under the engine's writer lock, so
-    no commit lands between the snapshot and the journal truncation; it
-    must go into the directory of the engine's own journal, or ValueError
-    is raised before anything is written.
+    The engine writes one snapshot at a time. A plain snapshot does not
+    hold the engine's writer lock. A compacting one does, so no commit
+    lands between the snapshot and the journal truncation; it must go into
+    the directory of the engine's own journal, or ValueError is raised
+    before anything is written. A snapshot into a store whose journal the
+    engine does not hold takes that journal's lock for the write
+    (lock_journal), so it raises StoreLocked while a writer holds that
+    store and changes none of its files; a journal file the lock created
+    is removed before the lock is released.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     journal = engine.journal
-    if compact and journal is not None and journal.path.resolve() != journal_path.resolve():
+    own = journal is not None and _still_names(journal_path, journal._file.fileno())
+    if compact and journal is not None and not own:
         raise ValueError(f"a compaction goes into the engine's own store, {journal.path.parent}")
 
     derived = engine.encoder.deterministic
 
     def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
-        write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)
+        lock, created = (nullcontext(), False) if own else lock_journal(journal_path)
+        with lock:
+            try:
+                write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)
+            finally:
+                if created:
+                    journal_path.unlink()
 
     engine.snapshot(write, compact)
     return snapshot_path

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import shutil
+import stat
 import tempfile
 import threading
 from dataclasses import FrozenInstanceError, replace
@@ -1702,6 +1703,100 @@ def test_a_writable_open_loads_under_the_journal_lock(tmp_path, monkeypatch):
     assert loads == [store / JOURNAL_FILENAME] * 2
 
 
+def record_fsyncs(monkeypatch):
+    """Make os.fsync record the stat of each file or directory it syncs."""
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return synced
+
+
+def synced_since(synced, *directories):
+    """Which of directories were fsynced, in order, and how many files were,
+    since the last call; then forget them."""
+    names = [
+        next((d for d in directories if os.path.samestat(os.stat(d), s)), "?")
+        for s in synced if stat.S_ISDIR(s.st_mode)
+    ]
+    files = sum(stat.S_ISREG(s.st_mode) for s in synced)
+    synced.clear()
+    return names, files
+
+
+def test_a_new_store_is_durable_before_its_first_add_returns(tmp_path, monkeypatch):
+    synced = record_fsyncs(monkeypatch)
+    store = tmp_path / "new" / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    try:
+        # the open syncs the parent of each directory it created
+        assert synced_since(synced, tmp_path, tmp_path / "new", store) == (
+            [tmp_path / "new", tmp_path], 0
+        )
+        # the first add syncs the journal, then the directory holding it
+        engine.add_memory(CONTENT_A, TS[0])
+        assert synced_since(synced, tmp_path, tmp_path / "new", store) == ([store], 1)
+        engine.add_memory(CONTENT_D, TS[1])
+        assert synced_since(synced, tmp_path, tmp_path / "new", store) == ([], 1)
+    finally:
+        engine.close()
+
+
+def test_opening_an_existing_empty_directory_fsyncs_nothing(tmp_path, monkeypatch):
+    # The open that perfbench's ingest setup times: no fsync, one empty file.
+    synced = record_fsyncs(monkeypatch)
+    engine = open_engine(tmp_path, encoder=encoder(), id_seed=7)
+    assert synced == []
+    engine.close()
+    assert synced == []
+    assert [(path.name, path.read_bytes()) for path in tmp_path.iterdir()] == [
+        (JOURNAL_FILENAME, b"")
+    ]
+
+
+def store_files(store):
+    return {path.name: path.read_bytes() for path in store.iterdir()}
+
+
+def test_a_snapshot_into_a_store_a_live_writer_holds_is_refused(tmp_path):
+    store = tmp_path / "store"
+    writer = open_engine(store, encoder=encoder(), id_seed=7)
+    try:
+        for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+            writer.add_memory(content, TS[i])
+        reader = open_engine(store, encoder=encoder(), read_only=True)
+        writer.add_memory(CONTENT_D, TS[3])
+        snapshot_engine(writer, store, compact=True)
+        writer.add_memory("a fifth note about lentil soup", TS[4])
+        files = store_files(store)
+        # the reader predates the compaction: the journal would not follow its snapshot
+        with pytest.raises(StoreLocked, match="locked"):
+            snapshot_engine(reader, store)
+        reader.close()
+        assert store_files(store) == files
+        acknowledged = state_map(writer.state_snapshot()[0])
+    finally:
+        writer.close()
+
+    reopened = open_engine(store, encoder=encoder())
+    assert len(reopened) == 5
+    assert state_map(reopened.state_snapshot()[0]) == acknowledged
+    reopened.close()
+
+
+def test_an_in_memory_snapshot_into_an_empty_directory_leaves_only_the_snapshot(tmp_path):
+    engine = live_engine()
+    engine.add_memory(CONTENT_A, TS[0])
+    assert snapshot_engine(engine, tmp_path) == tmp_path / SNAPSHOT_FILENAME
+    assert [path.name for path in tmp_path.iterdir()] == [SNAPSHOT_FILENAME]
+    reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
+    assert state_map(reloaded.notes) == state_map(engine.state_snapshot()[0])
+
+
 @pytest.fixture
 def six_note_writer(tmp_path):
     """A writer whose store holds three notes in a snapshot and three more
@@ -1791,13 +1886,15 @@ MACHINE_WORDS = (
 
 class DurableStoreMachine(RuleBasedStateMachine):
     """Adds, snapshots, compactions, failed compactions, torn writes,
-    refused second writers, read-only opens and reopens in any order.
+    refused second writers, read-only opens, snapshots by a kept reader
+    and reopens in any order.
 
     The model is the state the live engine acknowledged last: its notes as
     canonical JSON and its last_seq. A reopen and a read-only open must
     reproduce exactly that state, whatever the torn write left at the end
-    of the journal, and a second writer must change neither the model nor
-    the store's files.
+    of the journal, and neither a second writer nor a snapshot by a reader
+    opened at an earlier step may change the model or the store's files
+    while the writer is open.
     """
 
     def __init__(self):
@@ -1811,6 +1908,8 @@ class DurableStoreMachine(RuleBasedStateMachine):
         self.clock = 0
         # set by a failed compaction, cleared by a reopen
         self.failed = False
+        # a read-only engine opened at an earlier step
+        self.reader = None
 
     def open(self):
         return open_engine(self.store, encoder=self.encoder, id_seed=11)
@@ -1818,6 +1917,8 @@ class DurableStoreMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.engine is not None:
             self.engine.close()
+        if self.reader is not None:
+            self.reader.close()
         shutil.rmtree(self.root, ignore_errors=True)
 
     def is_open(self):
@@ -1894,6 +1995,23 @@ class DurableStoreMachine(RuleBasedStateMachine):
             assert reader.audit() == []
         finally:
             reader.close()
+
+    @rule()
+    def keep_reader(self):
+        if self.reader is not None:
+            self.reader.close()
+        self.reader = open_engine(self.store, encoder=self.encoder, read_only=True)
+
+    @precondition(lambda self: self.engine is not None and self.reader is not None)
+    @rule()
+    def reader_snapshot(self):
+        files = store_files(self.store)
+        with pytest.raises(StoreLocked):
+            snapshot_engine(self.reader, self.store)
+        assert store_files(self.store) == files
+        notes, last_seq = self.engine.state_snapshot()
+        assert state_map(notes) == self.acked
+        assert last_seq == self.acked_seq
 
     @rule()
     def reopen(self):
