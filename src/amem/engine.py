@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -38,6 +38,7 @@ from .notes import (
     normalize_terms,
     note_text,
     now_timestamp,
+    revise,
     validate_timestamp,
 )
 
@@ -121,8 +122,10 @@ def _evolve(
     """The events a directive adds after the new note's note_added: the new
     note, then the neighbors by rank. Links go both ways and stay inside the
     neighbor set. A note whose context or tags change is note_evolved, one
-    whose links alone change links_changed; each is built once, with its
-    final fields and, if evolved, its embedding from one encode_many."""
+    whose links alone change links_changed; each is built once, by revise,
+    with its final fields and, if evolved, its embedding from one
+    encode_many. revise checks only what changed, so a links change keeps
+    its note's embedding and checks one new link, however many it has."""
     if not directive.should_evolve:
         return []
 
@@ -163,7 +166,7 @@ def _evolve(
     for (_, update), vector in zip(rewrites, encoder.encode_many(texts) if texts else ()):
         update["embedding"] = vector
     return [
-        ("note_evolved" if "embedding" in update else "links_changed", replace(note, **update), note)
+        ("note_evolved" if "embedding" in update else "links_changed", revise(note, **update), note)
         for note, update in updates
     ]
 

@@ -20,17 +20,34 @@ one of two ways, never both:
   deterministic encoder that wrote the record, and note_from_fields checks
   the derived vector against N.
 
+Each check of a note's values runs once, where the note enters:
+
+- MemoryNote(...) runs every check of every field (_check_id and the
+  other per-field checks below, in one order). The engine builds each new
+  note this way.
+- note_from_fields runs the same checks, once each, on a loaded record's
+  values, then builds the note without __post_init__ (_assemble). The
+  record's shape was checked as it was read (is_derived_record), and the
+  note text and a read-only encoder row may come in from the load's
+  encode_many batch.
+- revise builds an evolved note from a checked one and checks only what
+  changed: new tags or context and the text they make, a new embedding,
+  the links the note did not have. It keeps the note's embedding array.
+
+The once-checked builds refuse exactly what the constructor would refuse
+of the same values, with the same exception class.
+
 A note keeps the derived record it was rendered to: canonical_json
 renders it once per note object and returns the same text on every later
 call. The journal renders each note it adds or rewrites before the note
 is published, and a snapshot sees only published notes, so a snapshot
 renders only the notes changed since their last render (a links change
 journals no record). A note is immutable, so the text cannot go stale;
-dataclasses.replace builds a new note that carries none. A rendered note
-holds its record's text, about 0.1 KB more than the record's length.
-Stored records are not kept: one is about 4.6 KB, three times the
-float32 embedding it spells out. Two threads may render one note at
-once: both write the same text.
+dataclasses.replace and revise build a new note that carries none. A
+rendered note holds its record's text, about 0.1 KB more than the
+record's length. Stored records are not kept: one is about 4.6 KB, three
+times the float32 embedding it spells out. Two threads may render one
+note at once: both write the same text.
 """
 
 from __future__ import annotations
@@ -50,7 +67,7 @@ from .errors import EmptyContent, InvalidTimestamp
 NoteId = str
 
 _ID_RE = re.compile(r"[0-9a-f]{32}")
-_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 _TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 
@@ -86,12 +103,12 @@ def validate_timestamp(value: str) -> str:
     fields, so lexicographic order on valid timestamps matches time order.
     Raises InvalidTimestamp otherwise.
     """
-    match = _TIMESTAMP_RE.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
+    if not isinstance(value, str) or _TIMESTAMP_RE.fullmatch(value) is None:
         raise InvalidTimestamp(f"timestamp not in YYYY-MM-DDTHH:MM:SSZ form: {value!r}")
     try:
-        # The verdict of strptime with _TIMESTAMP_FMT, at a fifth of its cost.
-        datetime(*map(int, match.groups()))
+        # On this shape, the verdict of strptime with _TIMESTAMP_FMT, at a
+        # twentieth of its cost.
+        datetime.fromisoformat(value[:-1])
     except ValueError as exc:
         raise InvalidTimestamp(f"timestamp has impossible date or time: {value!r}") from exc
     return value
@@ -130,6 +147,21 @@ def note_text(note: "MemoryNote") -> str:
     return compose_note_text(note.content, note.keywords, note.tags, note.context)
 
 
+# The checks of one field each. MemoryNote's constructor runs all of them
+# in this order; note_from_fields runs them once on a record's values, and
+# revise only on the fields it changes.
+
+
+def _check_id(value: Any) -> None:
+    if not is_note_id(value):
+        raise ValueError(f"malformed note id: {value!r}")
+
+
+def _check_content(value: Any) -> None:
+    if not isinstance(value, str) or not value.strip():
+        raise EmptyContent("note content is empty or whitespace-only")
+
+
 def _check_terms(label: str, terms: tuple[str, ...]) -> None:
     if not isinstance(terms, tuple) or len(terms) < 1:
         raise ValueError(f"{label} must be a non-empty tuple")
@@ -140,6 +172,57 @@ def _check_terms(label: str, terms: tuple[str, ...]) -> None:
         if term in seen:
             raise ValueError(f"duplicate {label} entry: {term!r}")
         seen.add(term)
+
+
+def _check_context(value: Any) -> None:
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError("note context is empty")
+
+
+def _check_text(text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("note text holds a lone surrogate; UTF-8 cannot encode it") from None
+
+
+def _check_vector(vec: np.ndarray) -> None:
+    if vec.ndim != 1 or vec.size < 1:
+        raise ValueError("embedding must be a non-empty 1-D vector")
+    if not np.isfinite(vec).all():
+        raise ValueError("embedding contains NaN or Inf")
+
+
+_FLOAT32 = np.dtype(np.float32)
+_LITTLE_FLOAT32 = np.dtype("<f4")
+
+
+def _frozen_vector(vec: Any) -> np.ndarray:
+    """A checked vector that is already a read-only float32 array, as
+    encoders return them, unchanged; any other, a read-only float32 copy."""
+    if not isinstance(vec, np.ndarray) or vec.dtype is not _FLOAT32 or vec.flags.writeable:
+        vec = np.array(vec, dtype=np.float32)
+        vec.setflags(write=False)
+    _check_vector(vec)
+    return vec
+
+
+# Ids joined by commas: a set of n links passes when the joined text is this
+# long and matches, which it does exactly when every link is a note id.
+_JOINED_IDS_RE = re.compile(r"[0-9a-f]{32}(?:,[0-9a-f]{32})*")
+
+
+def _check_links(note_id: str, links: frozenset[Any]) -> None:
+    if links:
+        try:
+            joined = ",".join(links)
+        except TypeError:
+            joined = ""
+        if len(joined) != 33 * len(links) - 1 or _JOINED_IDS_RE.fullmatch(joined) is None:
+            bad = next(link for link in links if not is_note_id(link))
+            raise ValueError(f"malformed link id: {bad!r}")
+    if note_id in links:
+        raise ValueError("note may not link to itself")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,36 +246,21 @@ class MemoryNote:
     links: frozenset[NoteId] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not is_note_id(self.id):
-            raise ValueError(f"malformed note id: {self.id!r}")
-        if not isinstance(self.content, str) or not self.content.strip():
-            raise EmptyContent("note content is empty or whitespace-only")
+        _check_id(self.id)
+        _check_content(self.content)
         validate_timestamp(self.timestamp)
         _check_terms("keywords", self.keywords)
         _check_terms("tags", self.tags)
-        if not isinstance(self.context, str) or not self.context.strip():
-            raise ValueError("note context is empty")
-        try:
-            note_text(self).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("note text holds a lone surrogate; UTF-8 cannot encode it") from None
-
+        _check_context(self.context)
+        _check_text(note_text(self))
         vec = np.asarray(self.embedding, dtype=np.float32)
-        if vec.ndim != 1 or vec.size < 1:
-            raise ValueError("embedding must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("embedding contains NaN or Inf")
+        _check_vector(vec)
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "embedding", vec)
-
         if not isinstance(self.links, frozenset):
             object.__setattr__(self, "links", frozenset(self.links))
-        for link in self.links:
-            if not is_note_id(link):
-                raise ValueError(f"malformed link id: {link!r}")
-        if self.id in self.links:
-            raise ValueError("note may not link to itself")
+        _check_links(self.id, self.links)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryNote):
@@ -259,7 +327,7 @@ def join_float32(vec: np.ndarray) -> str:
 def embedding_crc(vec: np.ndarray) -> int:
     """CRC-32 of a vector's little-endian float32 bytes: what a derived
     record stores in place of the embedding."""
-    return zlib.crc32(np.ascontiguousarray(vec, dtype="<f4"))
+    return zlib.crc32(np.ascontiguousarray(vec, dtype=_LITTLE_FLOAT32))
 
 
 def canonical_json(note: MemoryNote, derived: bool = False) -> str:
@@ -357,24 +425,56 @@ def record_text(data: dict[str, Any]) -> str:
     return compose_note_text(data["content"], data["keywords"], data["tags"], data["context"])
 
 
+def _assemble(
+    note_id: NoteId,
+    content: str,
+    timestamp: str,
+    keywords: tuple[str, ...],
+    tags: tuple[str, ...],
+    context: str,
+    embedding: np.ndarray,
+    links: frozenset[NoteId],
+) -> MemoryNote:
+    """A note of fields its caller has checked, built without __post_init__."""
+    note = object.__new__(MemoryNote)
+    note.__dict__.update(
+        id=note_id,
+        content=content,
+        timestamp=timestamp,
+        keywords=keywords,
+        tags=tags,
+        context=context,
+        embedding=embedding,
+        links=links,
+    )
+    return note
+
+
 def note_from_fields(
-    data: dict[str, Any], embedding: np.ndarray | None = None, derived: bool | None = None
+    data: dict[str, Any],
+    embedding: np.ndarray | None = None,
+    derived: bool | None = None,
+    text: str | None = None,
 ) -> MemoryNote:
     """Build a note from decoded JSON fields, enforcing exact key set and types.
 
     A stored record's note gets the record's floats. A derived record's
     gets `embedding`, the encoding of its record_text, which must match the
-    record's embedding_crc. A caller that has already checked the record
-    passes is_derived_record's verdict as derived, and the shape is not
-    checked again.
+    record's embedding_crc; a read-only float32 vector is kept, not copied.
+    A caller that has already checked the record passes is_derived_record's
+    verdict as derived, and the shape is not checked again, and one that
+    has composed the record's record_text passes it as text. Every check of
+    MemoryNote's constructor then runs once, in its order, on the record's
+    values, and MemoryNote refuses exactly the records this refuses.
     """
     if derived is None:
         derived = is_derived_record(data)
     if not derived:
         try:
-            embedding = np.asarray(data["embedding"], dtype=np.float32)
+            embedding = np.array(data["embedding"], dtype=np.float32)
         except OverflowError:
             raise ValueError("embedding holds an integer beyond float range") from None
+        embedding.setflags(write=False)
     elif embedding is None:
         raise ValueError(
             "record stores embedding_crc; only the deterministic encoder "
@@ -382,13 +482,57 @@ def note_from_fields(
         )
     elif embedding_crc(embedding) != data["embedding_crc"]:
         raise ValueError("derived embedding does not match its embedding_crc")
-    return MemoryNote(
-        id=data["id"],
-        content=data["content"],
-        timestamp=data["timestamp"],
-        keywords=tuple(data["keywords"]),
-        tags=tuple(data["tags"]),
-        context=data["context"],
-        embedding=embedding,
-        links=frozenset(data["links"]),
+    note_id, content, timestamp, context = (
+        data["id"], data["content"], data["timestamp"], data["context"]
+    )
+    keywords, tags = tuple(data["keywords"]), tuple(data["tags"])
+    _check_id(note_id)
+    _check_content(content)
+    validate_timestamp(timestamp)
+    _check_terms("keywords", keywords)
+    _check_terms("tags", tags)
+    _check_context(context)
+    _check_text(compose_note_text(content, keywords, tags, context) if text is None else text)
+    embedding = _frozen_vector(embedding)
+    links = frozenset(data["links"])
+    _check_links(note_id, links)
+    return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links)
+
+
+def revise(
+    note: MemoryNote,
+    *,
+    tags: tuple[str, ...] | None = None,
+    context: str | None = None,
+    embedding: np.ndarray | None = None,
+    links: Iterable[NoteId] | None = None,
+) -> MemoryNote:
+    """The note with the given fields changed, as dataclasses.replace builds
+    it, checking only what changed: the new tags or context and the text
+    they add, the new embedding (a read-only float32 vector is kept, not
+    copied), and the links the note did not have. Unchanged fields are the
+    note's own, its embedding included."""
+    if tags is not None:
+        _check_terms("tags", tags)
+    if context is not None:
+        _check_context(context)
+    new_tags = note.tags if tags is None else tags
+    new_context = note.context if context is None else context
+    if tags is not None or context is not None:
+        _check_text(compose_note_text(note.content, note.keywords, new_tags, new_context))
+    embedding = note.embedding if embedding is None else _frozen_vector(embedding)
+    if links is None:
+        links = note.links
+    else:
+        links = links if isinstance(links, frozenset) else frozenset(links)
+        _check_links(note.id, links - note.links)
+    return _assemble(
+        note.id,
+        note.content,
+        note.timestamp,
+        note.keywords,
+        new_tags,
+        new_context,
+        embedding,
+        links,
     )

@@ -37,7 +37,7 @@ import logging
 import os
 import re
 import zlib
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
@@ -82,6 +82,15 @@ _LINE_RE = re.compile(
     r'^\{"seq":(\d+),"kind":"(' + "|".join(map(re.escape, EVENT_KINDS)) + r')",'
     r'"payload":(.*),"crc":(\d+)\}\s*$'
 )
+# The same frame over a line's bytes, reading ASCII digits and whitespace
+# only: every line the journal writes, framed with no decode. Under DOTALL
+# the payload's .* jumps to the end of the line (which holds no newline)
+# and steps back to the last comma, so the payload is never scanned.
+_FRAME_RE = re.compile(
+    rb'\{"seq":([0-9]+),"kind":"(' + "|".join(EVENT_KINDS).encode() + rb')",'
+    rb'"payload":(.*),"crc":([0-9]+)\}[ \t\n\r\x0b\x0c]*',
+    re.DOTALL,
+)
 
 
 def payload_crc(payload_json: str) -> int:
@@ -102,10 +111,11 @@ class JournalEvent:
 
 
 def _parse_line(text: str) -> JournalEvent:
-    """Check one journal line's framing: shape, checksum and seq >= 1.
+    """Check one decoded journal line's framing: shape, checksum and seq >= 1.
 
     The payload is not parsed here. Raises ValueError for a line that fails
-    a check, which only a torn write produces.
+    a check, which only a torn write produces. _frame defers to this for
+    every line its bytes pattern does not frame.
     """
     match = _LINE_RE.match(text)
     if match is None:
@@ -117,6 +127,35 @@ def _parse_line(text: str) -> JournalEvent:
     if seq < 1:
         raise ValueError("journal sequence numbers start at 1")
     return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
+
+
+def _frame(data: bytes, start: int, end: int) -> tuple[int, str, bytes] | None:
+    """The seq, kind and payload bytes of the line data[start:end], or None
+    if _parse_line refuses the decoded line.
+
+    _FRAME_RE frames a line with one match, without slicing or decoding it.
+    A line it frames, whose checksum holds, whose seq is at least 1 and
+    whose payload is UTF-8 is one _parse_line accepts, with the same
+    fields; any other line goes to _parse_line itself, which also reads
+    the digits and whitespace that are not ASCII.
+    """
+    match = _FRAME_RE.fullmatch(data, start, end)
+    if match is not None:
+        seq, kind, payload, crc = match.groups()
+        try:
+            if (
+                zlib.crc32(payload) == int(crc)
+                and int(seq) >= 1
+                and (payload.isascii() or payload.decode("utf-8"))
+            ):
+                return int(seq), kind.decode("ascii"), payload
+        except ValueError:
+            pass
+    try:
+        event = _parse_line(data[start:end].decode("utf-8"))
+    except ValueError:
+        return None
+    return event.seq, event.kind, event.payload_json.encode("utf-8")
 
 
 def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
@@ -279,43 +318,36 @@ def read_journal(
     """Read the events past seq `after` from a journal file.
 
     Returns (events, truncation_offset). Only framing is checked here: line
-    shape, checksum, seq >= 1 and contiguity; replay_events parses the
-    payloads. Reading stops at the first line that fails shape, checksum or
-    seq >= 1, or that lacks its newline, which is how a crash-truncated tail
-    is skipped; the byte offset of that line is reported, or None for a
-    clean file. A framed line that breaks contiguity raises SequenceGap,
-    since truncation can never produce gaps. Lines with seq <= after (the
-    events a snapshot already covers) get the same checks but are not
-    returned, so every verdict is the same for every `after`.
+    shape, checksum, seq >= 1 and contiguity, each line once by _frame;
+    replay_events parses the payloads. Reading stops at the first line
+    that fails shape, checksum or seq >= 1, or that lacks its newline,
+    which is how a crash-truncated tail is skipped; the byte offset of
+    that line is reported, or None for a clean file or a blank tail. A
+    framed line that breaks contiguity raises SequenceGap, since
+    truncation can never produce gaps. Lines with seq <= after (the events
+    a snapshot already covers) get the same checks but become no events,
+    so every verdict is the same for every `after`.
     """
     data = Path(path).read_bytes()
     events: list[JournalEvent] = []
-    truncated: int | None = None
     pos = 0
     last_seq: int | None = None
     while pos < len(data):
         newline = data.find(b"\n", pos)
-        line_bytes = data[pos:] if newline == -1 else data[pos:newline]
-        if line_bytes.strip() == b"" or newline == -1:
-            # Every append ends its line with a newline, so a last line
-            # without one was cut off, even when what is left of it parses.
-            if data[pos:].strip() != b"":
-                truncated = pos
-            break
-        try:
-            event = _parse_line(line_bytes.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            truncated = pos
-            break
-        if last_seq is not None and event.seq != last_seq + 1:
-            raise SequenceGap(
-                f"journal jumps from seq {last_seq} to {event.seq} at byte {pos}"
-            )
-        if event.seq > after:
-            events.append(event)
-        last_seq = event.seq
+        # Every append ends its line with a newline, so a last line without
+        # one was cut off, even when what is left of it parses.
+        frame = _frame(data, pos, newline) if newline != -1 else None
+        if frame is None:
+            # A blank tail is a clean end; anything else is a torn one.
+            return events, pos if data[pos:].strip() else None
+        seq, kind, payload = frame
+        if last_seq is not None and seq != last_seq + 1:
+            raise SequenceGap(f"journal jumps from seq {last_seq} to {seq} at byte {pos}")
+        if seq > after:
+            events.append(JournalEvent(seq, kind, payload.decode("utf-8")))
+        last_seq = seq
         pos = newline + 1
-    return events, truncated
+    return events, None
 
 
 def replay_events(
@@ -482,6 +514,11 @@ def _build_notes(
     non-deterministic encoder that check degrades to a warning, and a
     derived record fails, as with no encoder. A stored embedding of another
     dimension than the encoder's and a dangling link always fail.
+
+    note_from_fields runs each check of a note once, on the text composed
+    for the chunk's encode_many and the encoder's read-only row; a note's
+    links are checked against the records as one set, and only a failure
+    sorts them, to name the first dangling link.
     """
     verify = encoder if encoder is not None and encoder.deterministic else None
     if encoder is not None and verify is None:
@@ -490,15 +527,13 @@ def _build_notes(
     ordered = sorted(records)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
-        if verify is not None:
-            encoded = verify.encode_many([record_text(record) for record in chunk])
-        else:
-            encoded = [None] * len(chunk)
-        for record, vector in zip(chunk, encoded):
+        texts = [record_text(record) for record in chunk]
+        encoded = verify.encode_many(texts) if verify is not None else [None] * len(chunk)
+        for record, text, vector in zip(chunk, texts, encoded):
             note_id = record["id"]
             derived = "embedding_crc" in record
             try:
-                note = note_from_fields(record, vector, derived)
+                note = note_from_fields(record, vector, derived, text)
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                 raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
             if not derived and encoder is not None and note.embedding.size != encoder.dimension:
@@ -506,9 +541,9 @@ def _build_notes(
                     f"stored embeddings of dimension [{note.embedding.size}], "
                     f"encoder's {encoder.dimension}"
                 )
-            for link in sorted(note.links):
-                if link not in records:
-                    raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
+            if not records.keys() >= note.links:
+                link = min(note.links - records.keys())
+                raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
             if not derived and vector is not None and not np.array_equal(vector, note.embedding):
                 raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
             notes[note_id] = note
@@ -650,6 +685,65 @@ def open_engine(
     return engine
 
 
+# The start of a snapshot as _snapshot_parts writes it, around its config.
+_HEADER_HEAD_RE = re.compile(
+    r'\{"format_version":(?:' + "|".join(map(str, READABLE_VERSIONS)) + r'),"config":'
+)
+_HEADER_TAIL_RE = re.compile(r',"last_seq":(0|[1-9][0-9]*),"notes":\[')
+# Bytes read for a snapshot's header, and first for a journal's last line.
+_HEADER_BYTES = 4096
+_TAIL_BYTES = 16384
+
+
+def _snapshot_last_seq(path: Path) -> int:
+    """A snapshot's last_seq, read from its header and not its notes; 0 when
+    there is no snapshot. A header not laid out as _snapshot_parts writes
+    it, or longer than _HEADER_BYTES, is read with the whole snapshot."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return 0
+    with handle:
+        head = handle.read(_HEADER_BYTES)
+    try:
+        text = head.decode("utf-8")
+        start = _HEADER_HEAD_RE.match(text)
+        if start is not None:
+            _, end = json.JSONDecoder().raw_decode(text, start.end())
+            match = _HEADER_TAIL_RE.match(text, end)
+            if match is not None:
+                return int(match.group(1))
+    except ValueError:
+        pass
+    return read_snapshot(path)[2]
+
+
+def _journal_last_seq(path: Path, size: int) -> int:
+    """The seq of the last line of a journal of `size` bytes that _frame
+    accepts, read back from the end, so a torn tail is passed over; 0 when
+    no line frames."""
+    if not size:
+        return 0
+    with open(path, "rb") as handle:
+        span = _TAIL_BYTES
+        while True:
+            start = max(0, size - span)
+            handle.seek(start)
+            data = handle.read(size - start)
+            end = data.rfind(b"\n")
+            while end != -1:
+                begin = data.rfind(b"\n", 0, end) + 1
+                if begin == 0 and start > 0:
+                    break  # the line may begin before what was read
+                frame = _frame(data, begin, end)
+                if frame is not None:
+                    return frame[0]
+                end = begin - 1
+            if start == 0:
+                return 0
+            span *= 4
+
+
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:
     """Snapshot a live engine's store; optionally drop journaled history.
 
@@ -661,7 +755,11 @@ def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], com
     engine does not hold takes that journal's lock for the write
     (lock_journal), so it raises StoreLocked while a writer holds that
     store and changes none of its files; a journal file the lock created
-    is removed before the lock is released.
+    is removed before the lock is released. Under that lock it writes only
+    when the store's last_seq, read from the snapshot's header and the
+    journal's last framed line, is 0 (an empty or new directory) or the
+    engine's, and raises ValueError otherwise, so an engine that fell
+    behind a store never replaces its newer snapshot.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     journal = engine.journal
@@ -672,9 +770,22 @@ def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], com
     derived = engine.encoder.deterministic
 
     def write(notes: Mapping[str, MemoryNote], last_seq: int) -> None:
-        lock, created = (nullcontext(), False) if own else lock_journal(journal_path)
+        if own:
+            write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)
+            return
+        lock, created = lock_journal(journal_path)
         with lock:
             try:
+                stored = max(
+                    _snapshot_last_seq(snapshot_path),
+                    _journal_last_seq(journal_path, os.fstat(lock.fileno()).st_size),
+                )
+                if stored not in (0, last_seq):
+                    raise ValueError(
+                        f"store {journal_path.parent} is at seq {stored} and the engine "
+                        f"at seq {last_seq}; only an engine at the store's last seq "
+                        "may snapshot into it"
+                    )
                 write_snapshot(snapshot_path, notes, engine.config, last_seq, derived=derived)
             finally:
                 if created:

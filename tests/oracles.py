@@ -19,6 +19,7 @@ import math
 import re
 import sys
 import unicodedata
+import zlib
 from datetime import datetime
 from functools import lru_cache
 from pathlib import Path
@@ -171,6 +172,63 @@ def strptime_timestamp_ok(value: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# journal framing
+
+
+_JOURNAL_LINE = re.compile(
+    r'^\{"seq":(\d+),"kind":"(note_added|note_evolved|links_changed)",'
+    r'"payload":(.*),"crc":(\d+)\}\s*$'
+)
+
+
+def oracle_read_journal(path, after: int = 0):
+    """read_journal as it framed lines before it framed bytes: each line
+    decoded, matched by a text pattern whose payload is a greedy (.*), and
+    CRC'd after encoding the payload back, every line wrapped in an event.
+    Returns (events, truncation offset); a gap raises SequenceGap."""
+    from amem.errors import SequenceGap
+    from amem.persistence import JournalEvent
+
+    def parse(text: str) -> JournalEvent:
+        match = _JOURNAL_LINE.match(text)
+        if match is None:
+            raise ValueError("journal line does not match the event shape")
+        seq = int(match.group(1))
+        payload_json = match.group(3)
+        crc = zlib.crc32(payload_json.encode("utf-8")) & 0xFFFFFFFF
+        if crc != int(match.group(4)):
+            raise ValueError("journal line checksum mismatch")
+        if seq < 1:
+            raise ValueError("journal sequence numbers start at 1")
+        return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
+
+    data = Path(path).read_bytes()
+    events = []
+    truncated = None
+    pos = 0
+    last_seq = None
+    while pos < len(data):
+        newline = data.find(b"\n", pos)
+        line_bytes = data[pos:] if newline == -1 else data[pos:newline]
+        if line_bytes.strip() == b"" or newline == -1:
+            if data[pos:].strip() != b"":
+                truncated = pos
+            break
+        try:
+            event = parse(line_bytes.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            truncated = pos
+            break
+        if last_seq is not None and event.seq != last_seq + 1:
+            raise SequenceGap(f"journal jumps from seq {last_seq} to {event.seq} at byte {pos}")
+        if event.seq > after:
+            events.append(event)
+        last_seq = event.seq
+        pos = newline + 1
+    return events, truncated
 
 
 # ---------------------------------------------------------------------------

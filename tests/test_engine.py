@@ -25,6 +25,7 @@ from amem.errors import (
     SchemaViolation,
 )
 from amem import gateway as gateway_module
+from amem import notes as notes_module
 from amem.gateway import EvolutionDirective, LinkOpinion, LlmGateway, MockBackend
 from amem.index import cosine
 from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
@@ -429,14 +430,22 @@ def test_an_evolving_add_builds_each_changed_note_once(tmp_path, journal, monkey
     engine.add_memory(CONTENT_C, TS[1])
     before = len(parsed_events(tmp_path / "j.jsonl"))
 
+    # A note is built by MemoryNote's constructor or, for a revision of a
+    # checked note, by notes._assemble; count both.
     built = []
     post_init = MemoryNote.__post_init__
+    assemble = notes_module._assemble
 
     def counting_post_init(note):
         built.append(note.id)
         post_init(note)
 
+    def counting_assemble(note_id, *fields):
+        built.append(note_id)
+        return assemble(note_id, *fields)
+
     monkeypatch.setattr(MemoryNote, "__post_init__", counting_post_init)
+    monkeypatch.setattr(notes_module, "_assemble", counting_assemble)
     shown = []
 
     def directive(ranked):
@@ -459,6 +468,24 @@ def test_an_evolving_add_builds_each_changed_note_once(tmp_path, journal, monkey
     rewritten = engine.get_note(shown[0])
     assert rewritten.context == "Rewritten beside a soup."
     assert np.array_equal(rewritten.embedding, engine.encoder.encode(note_text(rewritten)))
+    assert engine.audit() == []
+
+
+def test_a_links_only_change_keeps_its_notes_embedding(tmp_path, journal):
+    backend = RankedDirectiveBackend()
+    engine = fresh_engine(journal=journal, backend=backend)
+    backend.directive = lambda ranked: fixed_directive()
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_C, TS[1])
+    before = {note.id: note for note in engine.iter_notes()}
+    backend.directive = lambda ranked: fixed_directive(connections=ranked)
+    id_d = engine.add_memory(CONTENT_D, TS[2])
+
+    for note_id, old in before.items():
+        linked = engine.get_note(note_id)
+        assert linked.links == old.links | {id_d}
+        # the same read-only array, neither copied nor checked again
+        assert linked.embedding is old.embedding
     assert engine.audit() == []
 
 

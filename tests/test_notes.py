@@ -32,6 +32,7 @@ from amem.notes import (
     note_text,
     now_timestamp,
     record_text,
+    revise,
     validate_timestamp,
 )
 from oracles import per_element_embedding, strptime_timestamp_ok
@@ -757,3 +758,130 @@ def test_threads_that_render_the_same_notes_at_once_all_get_their_records():
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
     assert [canonical_json(note, derived=True) for note in notes] == expected
+
+
+# ---------------------------------------------------------------------------
+# once-checked builds give the public constructor's verdict
+
+VALID_TEXT = st.text(st.characters(codec="utf-8"), min_size=1, max_size=12).filter(str.strip)
+VALID_TERMS = st.lists(VALID_TEXT, min_size=1, max_size=3).map(normalize_terms).filter(bool)
+FLOAT32_VECTORS = st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=8).map(
+    lambda bits: np.asarray(bits, dtype=np.uint32).view(np.float32)
+)
+# Changes to the fields revise changes, and those only a record brings.
+CHANGES = (
+    "none", "bad_link", "self_link", "new_links", "blank_context", "new_context",
+    "unnormalized_tag", "duplicate_tag", "new_tags", "lone_surrogate",
+    "nan_embedding", "new_embedding", "misshapen_embedding",
+)
+RECORD_CHANGES = ("blank_content", "bad_timestamp", "bad_id", "unnormalized_keyword")
+
+
+@st.composite
+def valid_fields(draw):
+    note_id = draw(NOTE_IDS)
+    moment = draw(st.datetimes())
+    return dict(
+        id=note_id,
+        content=draw(VALID_TEXT),
+        timestamp=(
+            f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}"
+            f"T{moment.hour:02d}:{moment.minute:02d}:{moment.second:02d}Z"
+        ),
+        keywords=draw(VALID_TERMS),
+        tags=draw(VALID_TERMS),
+        context=draw(VALID_TEXT),
+        embedding=draw(FLOAT32_VECTORS),
+        links=frozenset(draw(st.lists(NOTE_IDS, max_size=4))) - {note_id},
+    )
+
+
+def draw_change(data, fields, record):
+    """One drawn change to fields, of a kind MemoryNote may refuse or not:
+    to any field for a record, else only to the fields revise changes."""
+    kind = data.draw(st.sampled_from(CHANGES + RECORD_CHANGES if record else CHANGES))
+    if kind == "bad_link":
+        bad = data.draw(st.sampled_from(["not-an-id", "A" * 32, "0" * 31, "0" * 32 + "\n", 7]))
+        return {"links": fields["links"] | {bad}}
+    if kind == "self_link":
+        return {"links": fields["links"] | {fields["id"]}}
+    if kind == "new_links":
+        return {"links": fields["links"] | set(data.draw(st.lists(NOTE_IDS, max_size=3)))}
+    if kind == "blank_context":
+        return {"context": data.draw(st.sampled_from(["", " ", "\n\t "]))}
+    if kind == "new_context":
+        return {"context": data.draw(ANY_TEXT)}
+    if kind == "unnormalized_tag":
+        bad = data.draw(st.sampled_from(["Upper", " pad", "", "x\t"]))
+        return {"tags": fields["tags"] + (bad,)}
+    if kind == "duplicate_tag":
+        return {"tags": fields["tags"] + fields["tags"][:1]}
+    if kind == "new_tags":
+        return {"tags": normalize_terms(data.draw(st.lists(ANY_TEXT, max_size=3)))}
+    if kind == "lone_surrogate":
+        names = ["content", "keywords", "tags", "context"] if record else ["tags", "context"]
+        name = data.draw(st.sampled_from(names))
+        char = data.draw(st.sampled_from("\ud800\udbff\udc00\udfff"))
+        terms = name in ("keywords", "tags")
+        return {name: fields[name] + ((char,) if terms else char)}
+    if kind == "nan_embedding":
+        vec = fields["embedding"].copy()
+        vec[data.draw(st.integers(0, vec.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+        return {"embedding": vec}
+    if kind == "new_embedding":
+        return {"embedding": data.draw(FLOAT32_VECTORS)}
+    if kind == "misshapen_embedding":
+        shape = data.draw(st.sampled_from([(0,), (2, 2)]))
+        return {"embedding": np.ones(shape, dtype=np.float32)}
+    if kind == "blank_content":
+        return {"content": data.draw(st.sampled_from(["", "  \n"]))}
+    if kind == "bad_timestamp":
+        bad = data.draw(st.sampled_from(["2023-02-30T00:00:00Z", "2023-1-01T00:00:00Z"]))
+        return {"timestamp": bad}
+    if kind == "bad_id":
+        return {"id": data.draw(st.sampled_from(["nope", "F" * 32]))}
+    if kind == "unnormalized_keyword":
+        return {"keywords": fields["keywords"] + ("Mixed",)}
+    return {}
+
+
+def verdict(build):
+    """The note build() returns, or the class of what it raises."""
+    try:
+        note = build()
+    except Exception as exc:  # the verdict is the exception's class
+        return type(exc)
+    assert not note.embedding.flags.writeable
+    assert type(note.links) is frozenset
+    return note
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=valid_fields(), data=st.data())
+def test_note_from_fields_gives_the_constructors_verdict(fields, data):
+    changed = {**fields, **draw_change(data, fields, record=True)}
+    record = {
+        **changed,
+        "keywords": list(changed["keywords"]),
+        "tags": list(changed["tags"]),
+        "links": list(changed["links"]),
+        "embedding": changed["embedding"].tolist(),
+    }
+    derived = {key: value for key, value in record.items() if key != "embedding"}
+    derived["embedding_crc"] = embedding_crc(changed["embedding"])
+    expected = verdict(lambda: MemoryNote(**changed))
+    assert verdict(lambda: note_from_fields(record)) == expected
+    assert verdict(lambda: note_from_fields(derived, changed["embedding"])) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=valid_fields(), data=st.data())
+def test_revise_gives_the_constructors_verdict(fields, data):
+    note = MemoryNote(**fields)
+    change = draw_change(data, fields, record=False)
+    revised = verdict(lambda: revise(note, **change))
+    assert revised == verdict(lambda: replace(note, **change))
+    if isinstance(revised, MemoryNote) and "embedding" not in change:
+        assert revised.embedding is note.embedding

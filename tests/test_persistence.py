@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import stat
 import tempfile
@@ -63,6 +64,7 @@ from amem.persistence import (
     store_paths,
     write_snapshot,
 )
+from oracles import oracle_read_journal
 
 CONTENT_A = "photography camera tripod photography camera"
 CONTENT_B = "photography camera darkroom darkroom photography camera"
@@ -188,6 +190,84 @@ def test_links_changed_payload_matches_a_json_dumps_reference(note_id, added, re
         ensure_ascii=False,
         separators=(",", ":"),
     )
+
+
+# Damage read_journal must read exactly as the line oracle does.
+JOURNAL_DAMAGE = ("cut", "flip", "blank", "crlf", "unicode_digits", "unicode_space")
+
+
+def damaged_journal(data, lines, damage):
+    """Apply one drawn damage to the journal bytes built from lines."""
+    raw = b"".join(lines)
+    starts = [sum(len(line) for line in lines[:i]) for i in range(len(lines) + 1)]
+    line = data.draw(st.integers(0, len(lines) - 1))
+    head, tail = raw[: starts[line]], raw[starts[line + 1]:]
+    if damage == "cut":
+        return raw[: data.draw(st.integers(0, len(raw)))]
+    if damage == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    if damage == "blank":
+        blank = data.draw(st.sampled_from([b"\n", b"  \n", b"\t\r\n", b" "]))
+        return head + blank + raw[starts[line]:]
+    if damage == "crlf":
+        return head + lines[line][:-1] + b"\r\n" + tail
+    if damage == "unicode_digits":
+        # The same seq in Arabic-Indic digits, which a text pattern's \d reads.
+        seq = re.match(rb'\{"seq":([0-9]+)', lines[line])
+        if seq is None:
+            return raw
+        digits = "".join(chr(0x660 + int(d)) for d in seq.group(1).decode())
+        return head + b'{"seq":' + digits.encode("utf-8") + lines[line][seq.end():] + tail
+    space = data.draw(st.sampled_from(["\u00a0", "\u3000", "\x1c", "\x85"]))
+    return head + lines[line][:-1] + space.encode("utf-8") + b"\n" + tail
+
+
+def framing_outcome(read, path, after):
+    try:
+        return read(path, after)
+    except Exception as exc:  # the verdict is the exception's class
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.integers(0, 12),
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(persistence.EVENT_KINDS),
+            st.sampled_from(
+                [
+                    '{"id":"a","added":[],"removed":[]}',
+                    '{"id":"h\u00e9ron \u6771\u4eac","added":["b"],"removed":[]}',
+                    '{"a":1,"crc":5}',
+                    '{"a":"x"},"crc":7}',
+                ]
+            )
+            | st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=12),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    damages=st.lists(st.sampled_from(JOURNAL_DAMAGE), max_size=3),
+    data=st.data(),
+)
+def test_read_journal_gives_the_line_oracles_verdict(first, events, damages, data):
+    lines = [
+        JournalEvent(first + i, kind, payload).line().encode("utf-8")
+        for i, (kind, payload) in enumerate(events)
+    ]
+    raw = b"".join(lines)
+    for damage in damages:
+        raw = damaged_journal(data, lines, damage)
+        lines = raw.splitlines(keepends=True) or [b"\n"]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / JOURNAL_FILENAME
+        path.write_bytes(raw)
+        for after in range(first + len(events) + 1):
+            assert framing_outcome(read_journal, path, after) == framing_outcome(
+                oracle_read_journal, path, after
+            )
 
 
 def test_journal_append_guards(tmp_path):
@@ -1621,6 +1701,30 @@ def test_a_load_builds_each_note_once_through_note_from_fields(tmp_path, monkeyp
     assert sorted(calls) == sorted(notes)
 
 
+@pytest.mark.parametrize("loader", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
+def test_a_load_checks_each_record_once_without_post_init(tmp_path, monkeypatch, loader):
+    # A journaled store: a snapshot partway, then a journal that runs on.
+    write_pipeline_store(tmp_path, loader())
+    built, post_inits = [], []
+
+    def counted(*args, **kwargs):
+        note = note_from_fields(*args, **kwargs)
+        built.append(note.id)
+        return note
+
+    def counted_post_init(note):
+        post_inits.append(note.id)
+
+    monkeypatch.setattr(persistence, "note_from_fields", counted)
+    monkeypatch.setattr(MemoryNote, "__post_init__", counted_post_init)
+    notes = load_store(*store_paths(tmp_path), encoder=loader()).notes
+    assert sorted(built) == sorted(notes)
+    assert post_inits == []
+    for note in notes.values():
+        assert not note.embedding.flags.writeable
+        assert type(note.links) is frozenset
+
+
 def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
     note = hand_note(IdGenerator(seed=4), "alpha", embedding=basis_vector(16))
     path = tmp_path / JOURNAL_FILENAME
@@ -1797,6 +1901,103 @@ def test_an_in_memory_snapshot_into_an_empty_directory_leaves_only_the_snapshot(
     assert state_map(reloaded.notes) == state_map(engine.state_snapshot()[0])
 
 
+def test_a_snapshot_by_a_reader_behind_a_closed_writer_is_refused(tmp_path):
+    store = tmp_path / "store"
+    writer = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        writer.add_memory(content, TS[i])
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    writer.add_memory(CONTENT_D, TS[3])
+    snapshot_engine(writer, store, compact=True)
+    writer.add_memory("a fifth note about lentil soup", TS[4])
+    notes, last_seq = writer.state_snapshot()
+    acknowledged = state_map(notes)
+    writer.close()
+    files = store_files(store)
+    # The reader stopped at seq 8; the store's snapshot and journal run on.
+    assert reader.state_snapshot()[1] == 8
+    with pytest.raises(ValueError, match=f"at seq {last_seq} and the engine at seq 8"):
+        snapshot_engine(reader, store)
+    reader.close()
+    assert store_files(store) == files
+
+    reopened = open_engine(store, encoder=encoder())
+    assert len(reopened) == 5
+    assert state_map(reopened.state_snapshot()[0]) == acknowledged
+    reopened.close()
+
+
+def test_a_reader_at_the_stores_last_seq_snapshots_past_a_torn_tail(tmp_path):
+    store = tmp_path / "store"
+    writer = open_engine(store, encoder=encoder(), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        writer.add_memory(content, TS[i])
+    notes, last_seq = writer.state_snapshot()
+    acknowledged = state_map(notes)
+    writer.close()
+    torn = JournalEvent(last_seq + 1, "links_changed", '{"id":"a","added":[],"removed":[]}').line()
+    with open(store / JOURNAL_FILENAME, "ab") as handle:
+        handle.write(torn.encode("utf-8")[:-1])
+    reader = open_engine(store, encoder=encoder(), read_only=True)
+    snapshot_engine(reader, store)
+    reader.close()
+    assert read_snapshot(store / SNAPSHOT_FILENAME)[2] == last_seq
+
+    reopened = open_engine(store, encoder=encoder())
+    assert state_map(reopened.state_snapshot()[0]) == acknowledged
+    reopened.close()
+
+
+def test_the_snapshot_check_reads_no_whole_store(tmp_path, monkeypatch):
+    # perfbench's reopen shape: a writer snapshots into a copy of its store,
+    # which holds a snapshot and a journal that runs past it.
+    store = tmp_path / "store"
+    writer = open_engine(store, encoder=encoder(), id_seed=7)
+    writer.add_memory(CONTENT_A, TS[0])
+    writer.add_memory(CONTENT_B, TS[1])
+    snapshot_engine(writer, store)
+    writer.add_memory(CONTENT_C, TS[2])
+    behind = tmp_path / "behind"
+    shutil.copytree(store, behind)
+    writer.add_memory(CONTENT_D, TS[3])
+    current = tmp_path / "current"
+    shutil.copytree(store, current)
+    stored_seq = read_snapshot(store / SNAPSHOT_FILENAME)[2]
+    behind_seq = read_journal(behind / JOURNAL_FILENAME)[0][-1].seq
+    last_seq = writer.state_snapshot()[1]
+    assert stored_seq < behind_seq < last_seq
+
+    def whole_store_read(*args, **kwargs):
+        raise AssertionError("the snapshot check read the whole store")
+
+    monkeypatch.setattr(persistence, "read_snapshot", whole_store_read)
+    monkeypatch.setattr(persistence, "read_journal", whole_store_read)
+    try:
+        snapshot_engine(writer, current)
+        files = store_files(behind)
+        # An engine ahead of a store may not replace it either.
+        refusal = f"at seq {behind_seq} and the engine at seq {last_seq}"
+        with pytest.raises(ValueError, match=refusal):
+            snapshot_engine(writer, behind)
+        assert store_files(behind) == files
+    finally:
+        writer.close()
+        monkeypatch.undo()
+    assert read_snapshot(current / SNAPSHOT_FILENAME)[2] == last_seq
+
+
+@pytest.mark.parametrize(
+    "categories", [{"last_seq": 3, "a": 2}, {f"c{i:05d}": 1 for i in range(900)}]
+)
+def test_a_snapshot_header_gives_the_last_seq_read_snapshot_gives(tmp_path, categories):
+    # A category named last_seq, and a config longer than the bytes read
+    # for a header, which then falls back on the whole snapshot.
+    path = tmp_path / SNAPSHOT_FILENAME
+    write_snapshot(path, {}, EngineConfig(k_by_category=categories), 17)
+    assert persistence._snapshot_last_seq(path) == read_snapshot(path)[2] == 17
+    assert persistence._snapshot_last_seq(tmp_path / "absent.json") == 0
+
+
 @pytest.fixture
 def six_note_writer(tmp_path):
     """A writer whose store holds three notes in a snapshot and three more
@@ -1886,15 +2087,17 @@ MACHINE_WORDS = (
 
 class DurableStoreMachine(RuleBasedStateMachine):
     """Adds, snapshots, compactions, failed compactions, torn writes,
-    refused second writers, read-only opens, snapshots by a kept reader
-    and reopens in any order.
+    refused second writers, read-only opens, snapshots by a kept reader,
+    closes and reopens in any order.
 
     The model is the state the live engine acknowledged last: its notes as
     canonical JSON and its last_seq. A reopen and a read-only open must
     reproduce exactly that state, whatever the torn write left at the end
     of the journal, and neither a second writer nor a snapshot by a reader
     opened at an earlier step may change the model or the store's files
-    while the writer is open.
+    while the writer is open. Once the writer is closed, such a snapshot
+    goes in only from a reader at the acknowledged last_seq; from any
+    other it changes no file.
     """
 
     def __init__(self):
@@ -1996,22 +2199,43 @@ class DurableStoreMachine(RuleBasedStateMachine):
         finally:
             reader.close()
 
+    @precondition(is_open)
+    @rule()
+    def close_writer(self):
+        self.engine.close()
+        self.engine = None
+
     @rule()
     def keep_reader(self):
         if self.reader is not None:
             self.reader.close()
         self.reader = open_engine(self.store, encoder=self.encoder, read_only=True)
 
-    @precondition(lambda self: self.engine is not None and self.reader is not None)
+    @precondition(lambda self: self.reader is not None)
     @rule()
     def reader_snapshot(self):
         files = store_files(self.store)
-        with pytest.raises(StoreLocked):
-            snapshot_engine(self.reader, self.store)
-        assert store_files(self.store) == files
-        notes, last_seq = self.engine.state_snapshot()
+        if self.engine is not None:
+            with pytest.raises(StoreLocked):
+                snapshot_engine(self.reader, self.store)
+            assert store_files(self.store) == files
+            notes, last_seq = self.engine.state_snapshot()
+            assert state_map(notes) == self.acked
+            assert last_seq == self.acked_seq
+            return
+        # With the writer closed, the snapshot goes in only from a reader
+        # at the store's last seq, and then it holds the acknowledged state.
+        notes, last_seq = self.reader.state_snapshot()
+        if last_seq != self.acked_seq:
+            with pytest.raises(ValueError, match="only an engine at the store's last seq"):
+                snapshot_engine(self.reader, self.store)
+            assert store_files(self.store) == files
+            return
+        snapshot_engine(self.reader, self.store)
         assert state_map(notes) == self.acked
-        assert last_seq == self.acked_seq
+        loaded = load_store(*store_paths(self.store), encoder=self.encoder)
+        assert state_map(loaded.notes) == self.acked
+        assert loaded.last_seq == self.acked_seq
 
     @rule()
     def reopen(self):
