@@ -12,7 +12,11 @@ A snapshot captures the whole store (note records sorted by id), the
 engine config, and the last applied sequence number, written atomically
 via temp-file-and-rename. Loading a snapshot and replaying the journal
 events past its sequence number reproduces the live store exactly, byte
-for byte.
+for byte. The journal is read back from its end only as far as the
+snapshot does not cover (redo starts at the checkpoint), so the lines it
+covers are not framed. Past it, a line that fails its framing is a
+crash-torn tail, which every open logs and a writable open cuts, unless
+a note_added line frames after it: that is damage, and the load fails.
 
 Store format 2 does not store what the encoder derives: under a
 deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
@@ -78,14 +82,10 @@ READABLE_VERSIONS = (1, 2)
 
 EVENT_KINDS = ("note_added", "note_evolved", "links_changed")
 
-_LINE_RE = re.compile(
-    r'^\{"seq":(\d+),"kind":"(' + "|".join(map(re.escape, EVENT_KINDS)) + r')",'
-    r'"payload":(.*),"crc":(\d+)\}\s*$'
-)
-# The same frame over a line's bytes, reading ASCII digits and whitespace
-# only: every line the journal writes, framed with no decode. Under DOTALL
-# the payload's .* jumps to the end of the line (which holds no newline)
-# and steps back to the last comma, so the payload is never scanned.
+# A journal line as the writer writes it, over its bytes: ASCII digits and
+# ASCII whitespace only, framed with no decode. Under DOTALL the payload's
+# .* jumps to the end of the line (which holds no newline) and steps back
+# to the last comma, so the payload is never scanned.
 _FRAME_RE = re.compile(
     rb'\{"seq":([0-9]+),"kind":"(' + "|".join(EVENT_KINDS).encode() + rb')",'
     rb'"payload":(.*),"crc":([0-9]+)\}[ \t\n\r\x0b\x0c]*',
@@ -110,35 +110,14 @@ class JournalEvent:
         return f'{{"seq":{self.seq},"kind":"{self.kind}","payload":{self.payload_json},"crc":{crc}}}\n'
 
 
-def _parse_line(text: str) -> JournalEvent:
-    """Check one decoded journal line's framing: shape, checksum and seq >= 1.
-
-    The payload is not parsed here. Raises ValueError for a line that fails
-    a check, which only a torn write produces. _frame defers to this for
-    every line its bytes pattern does not frame.
-    """
-    match = _LINE_RE.match(text)
-    if match is None:
-        raise ValueError("journal line does not match the event shape")
-    seq = int(match.group(1))
-    payload_json = match.group(3)
-    if payload_crc(payload_json) != int(match.group(4)):
-        raise ValueError("journal line checksum mismatch")
-    if seq < 1:
-        raise ValueError("journal sequence numbers start at 1")
-    return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
+# A framed line's seq, kind and payload bytes.
+_Frame = tuple[int, str, bytes]
 
 
-def _frame(data: bytes, start: int, end: int) -> tuple[int, str, bytes] | None:
-    """The seq, kind and payload bytes of the line data[start:end], or None
-    if _parse_line refuses the decoded line.
-
-    _FRAME_RE frames a line with one match, without slicing or decoding it.
-    A line it frames, whose checksum holds, whose seq is at least 1 and
-    whose payload is UTF-8 is one _parse_line accepts, with the same
-    fields; any other line goes to _parse_line itself, which also reads
-    the digits and whitespace that are not ASCII.
-    """
+def _frame(data: bytes, start: int, end: int) -> _Frame | None:
+    """The seq, kind and payload bytes of the journal line data[start:end],
+    or None if it fails its framing: the shape, the checksum, seq >= 1 or a
+    UTF-8 payload. The payload is not parsed here."""
     match = _FRAME_RE.fullmatch(data, start, end)
     if match is not None:
         seq, kind, payload, crc = match.groups()
@@ -149,13 +128,45 @@ def _frame(data: bytes, start: int, end: int) -> tuple[int, str, bytes] | None:
                 and (payload.isascii() or payload.decode("utf-8"))
             ):
                 return int(seq), kind.decode("ascii"), payload
-        except ValueError:
+        except ValueError:  # more digits than int() reads, or no UTF-8
             pass
-    try:
-        event = _parse_line(data[start:end].decode("utf-8"))
-    except ValueError:
-        return None
-    return event.seq, event.kind, event.payload_json.encode("utf-8")
+    return None
+
+
+# Bytes read first from a journal's end; each further read takes four times
+# as many.
+_TAIL_BYTES = 16384
+
+
+def _lines_back(fd: int, size: int) -> Iterator[tuple[int, _Frame | None, bool]]:
+    """The lines of the journal open as fd, of `size` bytes, from its last
+    back to its first, each as (byte offset, _frame's frame, blank), framed
+    as they are reached. The file is read from its end in spans that grow
+    fourfold, so a caller that stops early reads at most a span more than
+    the lines it was given, and frames none of it. A last line without its
+    newline was cut off, so it frames as None even when what is left of it
+    would frame; blank says whether a line that frames as None holds only
+    whitespace."""
+    start, data, span = size, b"", _TAIL_BYTES
+    end = size  # where the next line ends, before its newline
+    while True:
+        # data holds the file's bytes from offset start to size.
+        begin = data.rfind(b"\n", 0, end - start) + 1
+        if begin == 0 and start > 0:
+            # The line may begin before what was read.
+            read_from = max(0, start - span)
+            data = os.pread(fd, start - read_from, read_from) + data
+            start, span = read_from, span * 4
+            continue
+        if end == size:
+            if start + begin < size:
+                yield start + begin, None, not data[begin:].strip()
+        else:
+            frame = _frame(data, begin, end - start)
+            yield start + begin, frame, frame is None and not data[begin:end - start].strip()
+        if start + begin == 0:
+            return
+        end = start + begin - 1
 
 
 def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
@@ -319,34 +330,70 @@ def read_journal(
 
     Returns (events, truncation_offset). Only framing is checked here: line
     shape, checksum, seq >= 1 and contiguity, each line once by _frame;
-    replay_events parses the payloads. Reading stops at the first line
-    that fails shape, checksum or seq >= 1, or that lacks its newline,
-    which is how a crash-truncated tail is skipped; the byte offset of
-    that line is reported, or None for a clean file or a blank tail. A
-    framed line that breaks contiguity raises SequenceGap, since
-    truncation can never produce gaps. Lines with seq <= after (the events
-    a snapshot already covers) get the same checks but become no events,
-    so every verdict is the same for every `after`.
+    replay_events parses the payloads.
+
+    The file is read back from its end to the last line that frames with a
+    seq of at most after + 1 (the first one past after, or after's own
+    line), the stop, or to its start when no line does. The checksum does
+    not cover the seq, so the stop is checked against the nearest framed
+    line before it, which must be one seq lower, or lower across lines that
+    fail; else SequenceGap. The lines before the stop are what a snapshot at
+    `after` already covers: past that one check they are not framed, nor
+    read beyond the span that holds it, so damage or a gap among them is
+    not seen. From the stop on, a framed line that breaks contiguity raises
+    SequenceGap, since a crash never leaves a gap. The first line that
+    fails its framing, or lacks its newline, ends the read:
+    - if it and every line after it are blank, the file ends cleanly and
+      the offset is None;
+    - if a note_added line frames after it, it is damage and not a torn
+      write, since a change journals its note_added first and no change
+      follows a torn one: LoadIntegrityError names its offset;
+    - otherwise it is a crash-torn tail: its offset is returned, and logged
+      as a warning with the bytes it skips.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        fd = handle.fileno()
+        size = os.fstat(fd).st_size
+        walk = _lines_back(fd, size)
+        lines = []
+        for line in walk:
+            lines.append(line)
+            stop = line[1]
+            if stop is not None and stop[0] <= after + 1:
+                failed = False
+                for _, frame, _ in walk:
+                    if frame is not None:
+                        if frame[0] != stop[0] - 1 and (not failed or frame[0] >= stop[0]):
+                            raise SequenceGap(
+                                f"journal jumps from seq {frame[0]} to {stop[0]} at byte {line[0]}"
+                            )
+                        break
+                    failed = True
+                break
+    lines.reverse()
     events: list[JournalEvent] = []
-    pos = 0
     last_seq: int | None = None
-    while pos < len(data):
-        newline = data.find(b"\n", pos)
-        # Every append ends its line with a newline, so a last line without
-        # one was cut off, even when what is left of it parses.
-        frame = _frame(data, pos, newline) if newline != -1 else None
+    for index, (offset, frame, _) in enumerate(lines):
         if frame is None:
-            # A blank tail is a clean end; anything else is a torn one.
-            return events, pos if data[pos:].strip() else None
+            rest = lines[index:]
+            if all(blank for _, _, blank in rest):
+                return events, None
+            if any(later is not None and later[1] == "note_added" for _, later, _ in rest):
+                raise LoadIntegrityError(
+                    f"journal line at byte {offset} is damaged and acknowledged "
+                    "changes follow it"
+                )
+            logger.warning(
+                "journal %s: read stops at a torn tail of %d bytes at byte %d",
+                path, size - offset, offset,
+            )
+            return events, offset
         seq, kind, payload = frame
         if last_seq is not None and seq != last_seq + 1:
-            raise SequenceGap(f"journal jumps from seq {last_seq} to {seq} at byte {pos}")
+            raise SequenceGap(f"journal jumps from seq {last_seq} to {seq} at byte {offset}")
         if seq > after:
             events.append(JournalEvent(seq, kind, payload.decode("utf-8")))
         last_seq = seq
-        pos = newline + 1
     return events, None
 
 
@@ -587,7 +634,8 @@ def load_store(
     the journal, and is done again if the snapshot path no longer names the
     held file. A compaction renames its snapshot before it cuts the journal,
     so an unchanged snapshot proves the journal read whole, and only then is
-    a SequenceGap damage. After _LOAD_ATTEMPTS replaced snapshots: StoreLocked.
+    a SequenceGap or a damaged line damage. After _LOAD_ATTEMPTS replaced
+    snapshots: StoreLocked.
     """
     snapshot_file, journal_file = Path(snapshot_path), Path(journal_path)
     for _ in range(_LOAD_ATTEMPTS):
@@ -604,7 +652,7 @@ def load_store(
             if journal_file.exists() and journal_file.stat().st_size:
                 fresh, truncated = read_journal(journal_file, after=last_seq)
                 last_seq = replay_events(records, fresh, start_after=last_seq)
-        except SequenceGap:
+        except (SequenceGap, LoadIntegrityError):
             if _still_names(snapshot_file, held):
                 raise
         else:
@@ -690,9 +738,8 @@ _HEADER_HEAD_RE = re.compile(
     r'\{"format_version":(?:' + "|".join(map(str, READABLE_VERSIONS)) + r'),"config":'
 )
 _HEADER_TAIL_RE = re.compile(r',"last_seq":(0|[1-9][0-9]*),"notes":\[')
-# Bytes read for a snapshot's header, and first for a journal's last line.
+# Bytes read for a snapshot's header.
 _HEADER_BYTES = 4096
-_TAIL_BYTES = 16384
 
 
 def _snapshot_last_seq(path: Path) -> int:
@@ -725,23 +772,7 @@ def _journal_last_seq(path: Path, size: int) -> int:
     if not size:
         return 0
     with open(path, "rb") as handle:
-        span = _TAIL_BYTES
-        while True:
-            start = max(0, size - span)
-            handle.seek(start)
-            data = handle.read(size - start)
-            end = data.rfind(b"\n")
-            while end != -1:
-                begin = data.rfind(b"\n", 0, end) + 1
-                if begin == 0 and start > 0:
-                    break  # the line may begin before what was read
-                frame = _frame(data, begin, end)
-                if frame is not None:
-                    return frame[0]
-                end = begin - 1
-            if start == 0:
-                return 0
-            span *= 4
+        return next((frame[0] for _, frame, _ in _lines_back(handle.fileno(), size) if frame), 0)
 
 
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:

@@ -180,16 +180,30 @@ def strptime_timestamp_ok(value: str) -> bool:
 
 _JOURNAL_LINE = re.compile(
     r'^\{"seq":(\d+),"kind":"(note_added|note_evolved|links_changed)",'
-    r'"payload":(.*),"crc":(\d+)\}\s*$'
+    r'"payload":(.*),"crc":(\d+)\}\s*$',
+    re.ASCII,
 )
 
 
 def oracle_read_journal(path, after: int = 0):
-    """read_journal as it framed lines before it framed bytes: each line
+    """read_journal's verdict from a forward parse of every line: each line
     decoded, matched by a text pattern whose payload is a greedy (.*), and
-    CRC'd after encoding the payload back, every line wrapped in an event.
-    Returns (events, truncation offset); a gap raises SequenceGap."""
-    from amem.errors import SequenceGap
+    CRC'd after encoding the payload back. Returns (events, truncation
+    offset); a gap raises SequenceGap.
+
+    This is the line-by-line reading that read_journal once did, under
+    three rules that read_journal added to it:
+    1. Only ASCII digits and ASCII whitespace frame (re.ASCII above).
+    2. Covered lines are not read: the read starts at the last line that
+       parses with a seq of at most after + 1, or at the first line when
+       none does. Before it, only the nearest line that parses is looked
+       at: its seq must be one lower, or lower when lines that fail lie
+       between them, else SequenceGap. The rest is ignored.
+    3. A failing line is a torn tail only when no later line parses as
+       note_added; otherwise LoadIntegrityError. A blank rest of the file
+       is a clean end, as before.
+    """
+    from amem.errors import LoadIntegrityError, SequenceGap
     from amem.persistence import JournalEvent
 
     def parse(text: str) -> JournalEvent:
@@ -206,29 +220,53 @@ def oracle_read_journal(path, after: int = 0):
         return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
 
     data = Path(path).read_bytes()
-    events = []
-    truncated = None
+    parsed = []  # (offset, event or None), one per line
     pos = 0
-    last_seq = None
     while pos < len(data):
         newline = data.find(b"\n", pos)
-        line_bytes = data[pos:] if newline == -1 else data[pos:newline]
-        if line_bytes.strip() == b"" or newline == -1:
-            if data[pos:].strip() != b"":
-                truncated = pos
+        if newline == -1:
+            parsed.append((pos, None))  # a line without its newline was cut off
             break
         try:
-            event = parse(line_bytes.decode("utf-8"))
+            event = parse(data[pos:newline].decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            truncated = pos
-            break
+            event = None
+        parsed.append((pos, event))
+        pos = newline + 1
+
+    start = None
+    for index, (_, event) in enumerate(parsed):
+        if event is not None and event.seq <= after + 1:
+            start = index
+    if start is None:
+        start = 0
+    else:
+        stop_at, stop = parsed[start]
+        for index in range(start - 1, -1, -1):
+            earlier = parsed[index][1]
+            if earlier is not None:
+                adjacent = index == start - 1
+                if not (earlier.seq == stop.seq - 1 or (not adjacent and earlier.seq < stop.seq)):
+                    raise SequenceGap(f"journal jumps from seq {earlier.seq} to {stop.seq} at byte {stop_at}")
+                break
+
+    events = []
+    last_seq = None
+    for index in range(start, len(parsed)):
+        pos, event = parsed[index]
+        if event is None:
+            if data[pos:].strip() == b"":
+                return events, None
+            for _, later in parsed[index + 1:]:
+                if later is not None and later.kind == "note_added":
+                    raise LoadIntegrityError(f"damaged journal line at byte {pos}")
+            return events, pos
         if last_seq is not None and event.seq != last_seq + 1:
             raise SequenceGap(f"journal jumps from seq {last_seq} to {event.seq} at byte {pos}")
         if event.seq > after:
             events.append(event)
         last_seq = event.seq
-        pos = newline + 1
-    return events, truncated
+    return events, None
 
 
 # ---------------------------------------------------------------------------

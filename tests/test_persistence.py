@@ -193,7 +193,7 @@ def test_links_changed_payload_matches_a_json_dumps_reference(note_id, added, re
 
 
 # Damage read_journal must read exactly as the line oracle does.
-JOURNAL_DAMAGE = ("cut", "flip", "blank", "crlf", "unicode_digits", "unicode_space")
+JOURNAL_DAMAGE = ("cut", "flip", "blank", "crlf", "unicode_digits", "unicode_space", "seq")
 
 
 def damaged_journal(data, lines, damage):
@@ -212,6 +212,13 @@ def damaged_journal(data, lines, damage):
         return head + blank + raw[starts[line]:]
     if damage == "crlf":
         return head + lines[line][:-1] + b"\r\n" + tail
+    if damage == "seq":
+        # Another seq, which the checksum (over the payload only) lets frame.
+        seq = re.match(rb'\{"seq":([0-9]+)', lines[line])
+        if seq is None:
+            return raw
+        other = str(data.draw(st.integers(0, 20))).encode()
+        return head + b'{"seq":' + other + lines[line][seq.end():] + tail
     if damage == "unicode_digits":
         # The same seq in Arabic-Indic digits, which a text pattern's \d reads.
         seq = re.match(rb'\{"seq":([0-9]+)', lines[line])
@@ -421,16 +428,69 @@ def test_reading_past_a_seq_agrees_with_a_full_read_on_every_prefix(tmp_path):
         assert_after_matches_full_read(prefix)
 
 
-def test_a_covered_line_with_a_bad_checksum_still_ends_the_read(tmp_path):
+def test_a_line_with_a_bad_checksum_is_refused_unless_covered(tmp_path):
+    # Notes are added after seq 2, so a crash cannot have torn it: before
+    # the snapshot covers it, it is damage; after, it is not read.
     _, journal_path = populated(tmp_path)
     lines = journal_path.read_bytes().splitlines(keepends=True)
     head, crc = lines[1].rsplit(b'"crc":', 1)
     lines[1] = head + b'"crc":' + str(int(crc[:-2]) ^ 1).encode() + b"}\n"
-    journal_path.write_bytes(b"".join(lines))
-    events, truncated = read_journal(journal_path)
-    assert [event.seq for event in events] == [1]
-    assert truncated == len(lines[0])
-    assert_after_matches_full_read(journal_path)
+    data = b"".join(lines)
+    journal_path.write_bytes(data)
+    for after in (0, 1):
+        with pytest.raises(LoadIntegrityError, match=f"at byte {len(lines[0])} "):
+            read_journal(journal_path, after=after)
+    for after in range(2, len(lines) + 2):
+        events, truncated = read_journal(journal_path, after=after)
+        assert [event.seq for event in events] == list(range(after + 1, len(lines) + 1))
+        assert truncated is None
+    assert journal_path.read_bytes() == data
+
+
+def test_read_journal_frames_only_the_lines_past_after(tmp_path, monkeypatch):
+    _, journal_path = populated(tmp_path)
+    full, _ = read_journal(journal_path)
+    framed = []
+
+    def counting_frame(data, start, end):
+        framed.append(start)
+        return frame(data, start, end)
+
+    frame = persistence._frame
+    monkeypatch.setattr(persistence, "_frame", counting_frame)
+    for after in range(len(full) + 2):
+        framed.clear()
+        events, truncated = read_journal(journal_path, after=after)
+        assert events == full[after:] and truncated is None
+        # the line the walk stops at and the framed line before it
+        assert len(framed) <= len(events) + 2
+
+
+@pytest.mark.parametrize("span", [1, 7, 300])
+def test_reading_back_in_small_spans_gives_the_line_oracles_verdict(tmp_path, monkeypatch, span):
+    # Each damage lands on lines that the spans split.
+    _, journal_path = populated(tmp_path)
+    data = journal_path.read_bytes()
+    cut = data.index(b"\n", len(data) // 2) + 1
+    flipped = bytearray(data)
+    flipped[cut + 30] ^= 1
+    damaged = [
+        data,
+        data[:-5],
+        data + b"  \n\t",
+        data[:cut] + b"\n" + data[cut:],
+        bytes(flipped),
+        bytes(flipped[: len(data) - 100]),
+    ]
+    monkeypatch.setattr(persistence, "_TAIL_BYTES", span)
+    for raw in damaged:
+        journal_path.write_bytes(raw)
+        for after in range(12):
+            assert framing_outcome(read_journal, journal_path, after) == framing_outcome(
+                oracle_read_journal, journal_path, after
+            )
+    journal_path.write_bytes(data[:-5])
+    assert persistence._journal_last_seq(journal_path, len(data) - 5) == 8
 
 
 def test_a_framed_line_with_a_bad_payload_is_read_and_fails_the_replay(tmp_path):
@@ -817,8 +877,11 @@ def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
     torn_at = before.journal_truncated_at
     assert torn_at is not None
 
-    # a read-only open recovers in memory and leaves the file alone
-    reader = open_engine(store, encoder=encoder(), read_only=True)
+    # a read-only open recovers in memory, says so, and leaves the file alone
+    with caplog.at_level(logging.WARNING, logger="amem.persistence"):
+        reader = open_engine(store, encoder=encoder(), read_only=True)
+    assert f"torn tail of {len(torn) - torn_at} bytes at byte {torn_at}" in caplog.text
+    caplog.clear()
     assert len(reader.state_snapshot()[0]) == len(before.notes)
     reader.close()
     assert journal_path.read_bytes() == torn
@@ -879,6 +942,78 @@ def test_a_framed_line_with_a_bad_payload_fails_a_writable_open_and_cuts_nothing
     with pytest.raises(LoadIntegrityError, match="seq 2"):
         open_engine(tmp_path, encoder=encoder())
     assert journal_path.read_bytes() == data
+
+
+def nine_adds_with_a_plain_snapshot_after_six(store):
+    """A store of 9 adds whose plain snapshot covers the first 6, and the
+    offsets of each add's journal lines."""
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    starts = []
+    for i in range(9):
+        if i == 6:
+            snapshot_engine(engine, store)
+        starts.append(engine.state_snapshot()[1])
+        engine.add_memory(f"note {i} about {('tea', 'rain', 'maps')[i % 3]} and more", TS[i])
+    engine.close()
+    lines = (store / JOURNAL_FILENAME).read_bytes().splitlines(keepends=True)
+    offsets = [sum(map(len, lines[:seq])) for seq in range(len(lines) + 1)]
+    return lines, [offsets[seq] for seq in starts]
+
+
+def flip_a_payload_byte(store, offset):
+    path = store / JOURNAL_FILENAME
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"content":"', offset) + len(b'"content":"')
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def test_a_damaged_covered_line_costs_no_acknowledged_add(tmp_path):
+    store = tmp_path / "store"
+    lines, _ = nine_adds_with_a_plain_snapshot_after_six(store)
+    flip_a_payload_byte(store, len(lines[0]))
+    files = store_files(store)
+    for read_only in (True, False):
+        engine = open_engine(store, encoder=encoder(), read_only=read_only)
+        assert len(engine) == 9
+        engine.close()
+        assert store_files(store) == files
+
+
+def test_a_damaged_line_before_an_add_fails_both_opens_and_cuts_nothing(tmp_path):
+    store = tmp_path / "store"
+    _, add_starts = nine_adds_with_a_plain_snapshot_after_six(store)
+    flip_a_payload_byte(store, add_starts[6])
+    files = store_files(store)
+    for read_only in (True, False):
+        with pytest.raises(LoadIntegrityError, match=f"at byte {add_starts[6]} "):
+            open_engine(store, encoder=encoder(), read_only=read_only)
+        assert store_files(store) == files
+
+
+@pytest.mark.parametrize("torn_before", [False, True])
+@pytest.mark.parametrize("lower", [0, 1, 5])
+def test_a_last_line_whose_seq_reads_as_covered_fails_both_opens(tmp_path, lower, torn_before):
+    # The checksum covers the payload only, so a damaged seq still frames.
+    # Read back from the end, the last line would stop the walk at once and
+    # hide the uncovered adds before it, also across a line that fails.
+    store = tmp_path / "store"
+    nine_adds_with_a_plain_snapshot_after_six(store)
+    after = read_snapshot(store / SNAPSHOT_FILENAME)[2]
+    path = store / JOURNAL_FILENAME
+    lines = path.read_bytes().splitlines(keepends=True)
+    seq = re.match(rb'\{"seq":([0-9]+)', lines[-1])
+    assert int(seq.group(1)) > after + 1
+    lines[-1] = b'{"seq":' + str(after + 1 - lower).encode() + lines[-1][seq.end():]
+    if torn_before:
+        head, crc = lines[-2].rsplit(b'"crc":', 1)
+        lines[-2] = head + b'"crc":' + str(int(crc[:-2]) ^ 1).encode() + b"}\n"
+    path.write_bytes(b"".join(lines))
+    files = store_files(store)
+    for read_only in (True, False):
+        with pytest.raises(SequenceGap, match=f"to {after + 1 - lower} "):
+            open_engine(store, encoder=encoder(), read_only=read_only)
+        assert store_files(store) == files
 
 
 def test_read_only_open_of_a_missing_store_writes_nothing(tmp_path):
@@ -2062,6 +2197,21 @@ def test_a_read_only_open_raced_by_a_compaction_sees_every_acknowledged_add(
     state = read_only_state(tmp_path)
     assert len(state[0]) == 6
     assert state == (state_map(acknowledged[0]), acknowledged[1])
+
+
+def test_a_damaged_read_under_a_compaction_is_read_again(tmp_path, monkeypatch, six_note_writer):
+    # The spans read back from a journal's end before and after a
+    # compaction's cut can mix two journals; the replaced snapshot says so.
+    real_read = persistence.read_journal
+
+    def read_under_a_compaction(path, after=0):
+        monkeypatch.setattr(persistence, "read_journal", real_read)
+        snapshot_engine(six_note_writer, tmp_path, compact=True)
+        raise LoadIntegrityError("journal line at byte 0 is damaged")
+
+    monkeypatch.setattr(persistence, "read_journal", read_under_a_compaction)
+    notes, last_seq = six_note_writer.state_snapshot()
+    assert read_only_state(tmp_path) == (state_map(notes), last_seq)
 
 
 def test_a_snapshot_replaced_under_every_read_fails_the_open(
