@@ -15,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import string
 import threading
+from itertools import chain
 from typing import Any, Protocol, Sequence
 
 import numpy as np
@@ -25,6 +27,12 @@ from .errors import BackendUnavailable, DimensionMismatch
 from .index import _is_count
 
 _TOKEN_RE = re.compile(r"\w+")
+
+# A bytes.translate table that keeps the bytes \w matches in ASCII text,
+# [0-9A-Za-z_], and maps every other byte to a space.
+_SPACE_NON_WORD = bytes(
+    b if chr(b) in string.ascii_letters + string.digits + "_" else 0x20 for b in range(256)
+)
 
 DEFAULT_DIMENSION = 384
 
@@ -71,6 +79,15 @@ class Encoder(Protocol):
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
 
+def _tokenize(text: str) -> list[str]:
+    """_TOKEN_RE.findall(text.lower()), with one bytes.translate and a
+    split when the lowercased text is ASCII (see HashEncoder)."""
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.encode("ascii").translate(_SPACE_NON_WORD).decode("ascii").split()
+    return _TOKEN_RE.findall(lowered)
+
+
 def basis_vector(dimension: int) -> np.ndarray:
     """The fixed unit vector assigned to empty text: (1, 0, ..., 0)."""
     vec = np.zeros(dimension, dtype=np.float32)
@@ -80,18 +97,26 @@ def basis_vector(dimension: int) -> np.ndarray:
 
 
 class HashEncoder:
-    """Deterministic reference encoder built on keyed blake2b hashing.
+    r"""Deterministic reference encoder built on keyed blake2b hashing.
 
-    Text is lowercased and split into word tokens. Each distinct token's
-    seeded 64-bit-keyed hash stream, read as big-endian 32-bit words, selects
-    dimension/8 signed coordinates: word >> 1 modulo the dimension is the
-    coordinate and the low bit its sign. Every occurrence of a token adds 1
-    to each of its coordinates with that sign (the signed hashing trick of
-    Weinberger et al., 2009), and the summed vector is L2-normalized in
-    float64, then narrowed to float32 once at the end. Every sum is a small
-    integer, exact in float64, so neither the order of tokens in the text nor
-    the order of the additions (one vectorized bincount per batch of texts)
-    can change a bit.
+    Text is lowercased and split into word tokens, the runs of \w. When the
+    lowercased text is ASCII, one bytes.translate maps every byte outside
+    [0-9A-Za-z_] to a space and a whitespace split takes the tokens: on
+    ASCII text \w matches exactly those bytes, so with only they and spaces
+    left the split ends each token where the regex does. (str.split alone
+    would also split at the separators \x1c-\x1f, which are spaces by
+    then.) Other text goes through the regex. The ASCII test comes after
+    lowercasing, which can make text ASCII: "K" (KELVIN SIGN) becomes "k".
+
+    Each distinct token's seeded 64-bit-keyed hash stream, read as
+    big-endian 32-bit words, selects dimension/8 signed coordinates: word
+    >> 1 modulo the dimension is the coordinate and the low bit its sign.
+    Every occurrence of a token adds 1 to each of its coordinates with that
+    sign (the signed hashing trick of Weinberger et al., 2009), and the
+    summed vector is L2-normalized in float64, then narrowed to float32 once
+    at the end. Every sum is a small integer, exact in float64, so neither
+    the order of tokens in the text nor the order of the additions (one
+    vectorized bincount per batch of texts) can change a bit.
 
     Same seed, same text, same vector, on any platform, whether the text is
     encoded alone or in a batch.
@@ -148,14 +173,15 @@ class HashEncoder:
         """The signed slots of every token occurrence, one row each, in order."""
         rows = self._rows
         with self._table_lock:
-            new = list(dict.fromkeys(t for tokens in texts for t in tokens if t not in rows))
+            distinct = dict.fromkeys(chain.from_iterable(texts))
+            new = [token for token in distinct if token not in rows]
             if new:
                 if len(rows) + len(new) > _TOKEN_LIMIT:
                     # A full table starts over, from this batch's tokens.
                     rows.clear()
-                    new = list(dict.fromkeys(t for tokens in texts for t in tokens))
+                    new = list(distinct)
                 self._learn(new)
-            slots = self._coords[[rows[t] for tokens in texts for t in tokens]]
+            slots = self._coords[list(map(rows.__getitem__, chain.from_iterable(texts)))]
             if len(self._coords) > _TOKEN_LIMIT:
                 # Only a batch with more distinct tokens than the limit
                 # gets here; it leaves an empty table behind.
@@ -167,7 +193,7 @@ class HashEncoder:
         return self.encode_many([text])[0]
 
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+        tokens = [_tokenize(text) for text in texts]
         n, dimension = len(tokens), self.dimension
         slots = self._token_table(tokens).astype(np.intp)
         if n > 1:

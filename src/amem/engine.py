@@ -458,17 +458,29 @@ class MemoryEngine:
 
     # -- wiring used by persistence and tools ---------------------------------
 
-    def adopt_state(self, notes: Mapping[NoteId, MemoryNote], last_seq: int = 0) -> None:
+    def adopt_state(
+        self,
+        notes: Mapping[NoteId, MemoryNote],
+        last_seq: int = 0,
+        embeddings: np.ndarray | None = None,
+    ) -> None:
         """Install a loaded note set wholesale, with the last journal
-        sequence number it includes. Only for empty engines."""
+        sequence number it includes. Only for empty engines.
+
+        embeddings, when given, is the read-only matrix of the notes'
+        embeddings in id order that load_store builds, whose rows the notes
+        view; the index adopts it with no copy, and copies it only before
+        its first write into it. Without it the embeddings are stacked into
+        a new matrix."""
         with self._writing():
             if self._notes:
                 raise RuntimeError("adopt_state requires an empty engine")
             ordered = sorted(notes)
             with self._view.write():
                 if ordered:
-                    matrix = np.stack([notes[nid].embedding for nid in ordered])
-                    self._index.bulk_load(ordered, matrix)
+                    if embeddings is None:
+                        embeddings = np.stack([notes[nid].embedding for nid in ordered])
+                    self._index.bulk_load(ordered, embeddings)
                 self._notes = {nid: notes[nid] for nid in ordered}
                 self._last_seq = last_seq
 

@@ -139,9 +139,11 @@ class VectorIndex:
         return vec
 
     def _ensure_capacity(self, extra: int) -> None:
+        """Room for extra more rows in a matrix the index may write: an
+        adopted read-only matrix is copied before the first write."""
         needed = self._count + extra
         capacity = self._rows.shape[0]
-        if needed <= capacity:
+        if needed <= capacity and self._rows.flags.writeable:
             return
         new_capacity = max(_INITIAL_CAPACITY, capacity)
         while new_capacity < needed:
@@ -178,15 +180,19 @@ class VectorIndex:
         row = self._slot.get(note_id)
         if row is None:
             raise UnknownId(f"id not present in index: {note_id}")
+        self._ensure_capacity(0)
         self._rows[row] = vec
         self._set_norms(row, vec[None, :])
 
     def bulk_load(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Insert many rows at once. Equivalent to repeated insert, much faster.
 
-        When the index is empty and the matrix is already float32,
-        C-contiguous and writeable, the index adopts it without copying; the
-        caller must not mutate it afterwards.
+        When the index is empty and the matrix is already float32 and
+        C-contiguous, the index adopts it without copying. A writeable
+        matrix the caller must not mutate afterwards; a read-only one, such
+        as the embedding matrix whose rows a load's notes view, the index
+        copies before its first write (an update, or an insert, which
+        outgrows it), so no row a note views ever changes.
         """
         matrix = np.asarray(vectors, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[1] != self._dim:
@@ -207,7 +213,7 @@ class VectorIndex:
             if note_id in self._slot:
                 raise DuplicateId(f"id already present in index: {note_id}")
         base = self._count
-        if base == 0 and matrix.flags["C_CONTIGUOUS"] and matrix.flags["WRITEABLE"]:
+        if base == 0 and matrix.flags["C_CONTIGUOUS"]:
             self._rows = matrix
             self._norms = np.empty(n, dtype=np.float64)
         else:

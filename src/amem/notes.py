@@ -28,8 +28,9 @@ Each check of a note's values runs once, where the note enters:
 - note_from_fields runs the same checks, once each, on a loaded record's
   values, then builds the note without __post_init__ (_assemble). The
   record's shape was checked as it was read (is_derived_record), and the
-  note text and a read-only encoder row may come in from the load's
-  encode_many batch.
+  note text may come in from the load's encode_many batch, with a
+  read-only row of the load's embedding matrix that the load checked once
+  for its whole batch.
 - revise builds an evolved note from a checked one and checks only what
   changed: new tags or context and the text they make, a new embedding,
   the links the note did not have. It keeps the note's embedding array.
@@ -455,6 +456,7 @@ def note_from_fields(
     embedding: np.ndarray | None = None,
     derived: bool | None = None,
     text: str | None = None,
+    checked: bool = False,
 ) -> MemoryNote:
     """Build a note from decoded JSON fields, enforcing exact key set and types.
 
@@ -462,10 +464,13 @@ def note_from_fields(
     gets `embedding`, the encoding of its record_text, which must match the
     record's embedding_crc; a read-only float32 vector is kept, not copied.
     A caller that has already checked the record passes is_derived_record's
-    verdict as derived, and the shape is not checked again, and one that
-    has composed the record's record_text passes it as text. Every check of
-    MemoryNote's constructor then runs once, in its order, on the record's
-    values, and MemoryNote refuses exactly the records this refuses.
+    verdict as derived, and the shape is not checked again; one that has
+    composed the record's record_text passes it as text; and one that has
+    made _frozen_vector's checks of a derived record's embedding (a
+    read-only, finite, 1-D float32 vector), as a load does once per batch
+    of rows, passes checked. Every check of MemoryNote's constructor then
+    runs once, in its order, on the record's values, and MemoryNote refuses
+    exactly the records this refuses.
     """
     if derived is None:
         derived = is_derived_record(data)
@@ -493,7 +498,8 @@ def note_from_fields(
     _check_terms("tags", tags)
     _check_context(context)
     _check_text(compose_note_text(content, keywords, tags, context) if text is None else text)
-    embedding = _frozen_vector(embedding)
+    if not (derived and checked):
+        embedding = _frozen_vector(embedding)
     links = frozenset(data["links"])
     _check_links(note_id, links)
     return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links)

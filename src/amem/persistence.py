@@ -26,7 +26,8 @@ stores still load; a writable open of one appends format 2 records.
 
 A load keeps records until its end: read_snapshot and replay_events check
 each record's shape, and load_store then builds every note in one pass
-that encodes the note texts 256 at a time. So a store opened with another
+that encodes the note texts 256 at a time (into one embedding matrix,
+which the notes view and the index adopts). So a store opened with another
 encoder (another kind, seed or dimension) fails note by note with
 LoadIntegrityError, and so does a CRC record opened with a
 non-deterministic encoder or none. A record that a later event replaces
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,9 +98,10 @@ def payload_crc(payload_json: str) -> int:
     return zlib.crc32(payload_json.encode("utf-8")) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class JournalEvent:
-    """One journal line: sequence number, kind, and canonical payload text."""
+class JournalEvent(NamedTuple):
+    """One journal line: sequence number, kind, and canonical payload text.
+    A named tuple, which a read builds for every line past the snapshot at
+    a fraction of a frozen dataclass's cost."""
 
     seq: int
     kind: str
@@ -551,9 +553,12 @@ def read_snapshot(
 
 def _build_notes(
     records: dict[str, dict[str, Any]], encoder: Encoder | None
-) -> dict[str, MemoryNote]:
+) -> tuple[dict[str, MemoryNote], np.ndarray | None]:
     """Build the note of every record in id order, or raise
-    LoadIntegrityError for the first that fails.
+    LoadIntegrityError for the first that fails. Returns the notes, and
+    under a deterministic encoder the read-only matrix of their embeddings,
+    one row per note in id order (None for an empty store, and without a
+    deterministic encoder).
 
     Under a deterministic encoder one encode_many per chunk gives a derived
     record its embedding, checked against its embedding_crc, and a stored
@@ -562,25 +567,38 @@ def _build_notes(
     derived record fails, as with no encoder. A stored embedding of another
     dimension than the encoder's and a dangling link always fail.
 
-    note_from_fields runs each check of a note once, on the text composed
-    for the chunk's encode_many and the encoder's read-only row; a note's
-    links are checked against the records as one set, and only a failure
-    sorts them, to name the first dangling link.
+    Each chunk's encodings are copied into its rows of the one matrix, and
+    _frozen_vector's checks (float32, the encoder's dimension, finite) run
+    once for the chunk. A derived record's note gets its row as a
+    read-only view, not a copy; a stored record's note keeps its own
+    floats, which its row then takes, bit for bit. note_from_fields runs
+    every other check of a note once, on the text composed for the chunk's
+    encode_many; a note's links are checked against the records as one
+    set, and only a failure sorts them, to name the first dangling link.
     """
     verify = encoder if encoder is not None and encoder.deterministic else None
     if encoder is not None and verify is None:
         logger.warning("encoder is not deterministic; skipping embedding verification")
     notes: dict[str, MemoryNote] = {}
     ordered = sorted(records)
+    matrix = None
+    if verify is not None and ordered:
+        matrix = np.empty((len(ordered), verify.dimension), dtype=np.float32)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
         texts = [record_text(record) for record in chunk]
-        encoded = verify.encode_many(texts) if verify is not None else [None] * len(chunk)
-        for record, text, vector in zip(chunk, texts, encoded):
+        if matrix is None:
+            encoded = [None] * len(chunk)
+        else:
+            rows = matrix[start:start + len(chunk)]
+            encoded = _frozen_rows(verify.encode_many(texts), rows, chunk)
+        for at, (record, text, vector) in enumerate(zip(chunk, texts, encoded), start):
             note_id = record["id"]
             derived = "embedding_crc" in record
             try:
-                note = note_from_fields(record, vector, derived, text)
+                note = note_from_fields(
+                    record, vector, derived, text, checked=matrix is not None
+                )
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                 raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
             if not derived and encoder is not None and note.embedding.size != encoder.dimension:
@@ -591,18 +609,50 @@ def _build_notes(
             if not records.keys() >= note.links:
                 link = min(note.links - records.keys())
                 raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
-            if not derived and vector is not None and not np.array_equal(vector, note.embedding):
-                raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
+            if not derived and vector is not None:
+                if not np.array_equal(vector, note.embedding):
+                    raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
+                matrix[at] = note.embedding
             notes[note_id] = note
-    return notes
+    if matrix is not None:
+        matrix.setflags(write=False)
+    return notes, matrix
+
+
+def _frozen_rows(
+    vectors: list[np.ndarray], block: np.ndarray, chunk: list[dict[str, Any]]
+) -> list[np.ndarray]:
+    """Copy the encodings of a chunk's records into block, their rows of a
+    load's float32 embedding matrix, and return the rows as read-only
+    views. _frozen_vector's checks run here, once for the block: each
+    encoding becomes float32 as it is copied, and must be 1-D of the
+    block's width and finite."""
+    try:
+        np.stack(vectors, out=block)
+    except ValueError as exc:
+        raise LoadIntegrityError(
+            f"the encoder's {len(vectors)} encodings of {len(chunk)} note texts "
+            f"are not each a 1-D vector of its dimension {block.shape[1]}"
+        ) from exc
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        note_id = chunk[int(np.argmin(finite))]["id"]
+        raise LoadIntegrityError(f"note {note_id}: embedding contains NaN or Inf")
+    block.setflags(write=False)
+    return list(block)
 
 
 @dataclass
 class LoadResult:
+    """A loaded store: its notes, and under a deterministic encoder the
+    read-only matrix of their embeddings in id order, whose rows the
+    derived notes view, for adopt_state to hand the index as it stands."""
+
     notes: dict[str, MemoryNote]
     last_seq: int
     config: EngineConfig | None
     journal_truncated_at: int | None
+    embeddings: np.ndarray | None
 
 
 # Reads in a row that a compaction may spoil before load_store gives up.
@@ -628,7 +678,11 @@ def load_store(
     Either file may be absent; both absent yields an empty store. Records
     are shape-checked as they are read; then _build_notes builds and
     verifies every note, and a record that fails there fails the load as
-    "note <id>: ...".
+    "note <id>: ...". Under a deterministic encoder the result carries the
+    read-only matrix of every embedding in id order, whose rows the derived
+    notes view; open_engine hands it to adopt_state, and the index copies
+    it only before its first write into it, so the store holds each
+    embedding once and no note's embedding ever changes.
 
     The read takes no lock: it holds the snapshot open, reads it and then
     the journal, and is done again if the snapshot path no longer names the
@@ -657,7 +711,8 @@ def load_store(
                 raise
         else:
             if _still_names(snapshot_file, held):
-                return LoadResult(_build_notes(records, encoder), last_seq, config, truncated)
+                notes, embeddings = _build_notes(records, encoder)
+                return LoadResult(notes, last_seq, config, truncated, embeddings)
         finally:
             if held is not None:
                 os.close(held)
@@ -717,7 +772,7 @@ def open_engine(
         if journal is not None:
             journal._adopt(result.last_seq, result.journal_truncated_at)
         engine = MemoryEngine(encoder, gateway, config, journal=journal, id_seed=id_seed)
-        engine.adopt_state(result.notes, result.last_seq)
+        engine.adopt_state(result.notes, result.last_seq, result.embeddings)
         if read_only:
             engine._failed = "the store was opened read-only; open it writable to add"
     except BaseException:

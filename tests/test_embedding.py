@@ -169,6 +169,61 @@ def test_cancelled_signs_give_the_basis_vector():
         assert np.array_equal(vec, basis_vector(1))
 
 
+# Characters where a byte split and \w could part ways: the separators
+# \x1c-\x1f, which str.split takes for whitespace; "_" and digits, which
+# \w matches; non-ASCII letters, digits and spaces; and KELVIN SIGN, whose
+# lowercase is the ASCII "k".
+TOKENIZER_CHARS = st.one_of(
+    st.sampled_from(list("aZ09_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f.,-'")),
+    st.sampled_from(list("\u212a\u0130\u00e9\u00df\u65e5\u0661\u00a0\u2028\u3000")),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(TOKENIZER_CHARS, max_size=40))
+@example(text="a\x1cb\x1dc\x1ed\x1fe")
+@example(text="snake_case 42 x1_y2 __")
+@example(text="\u212aelvin K\u212a")
+@example(text="mixed \u65e5\u672c\u8a9e words \u0661\u0662 stra\u00dfe")
+def test_the_tokenizer_gives_the_regex_tokens(text):
+    assert embedding._tokenize(text) == embedding._TOKEN_RE.findall(text.lower())
+
+
+class CountingHasher:
+    """Wraps a blake2b hasher and its copies, counting every digest."""
+
+    def __init__(self, inner, digests):
+        self._inner = inner
+        self._digests = digests
+
+    def copy(self):
+        return CountingHasher(self._inner.copy(), self._digests)
+
+    def update(self, data):
+        self._inner.update(data)
+
+    def digest(self):
+        self._digests.append(1)
+        return self._inner.digest()
+
+
+def test_a_cold_batch_hashes_each_distinct_token_once():
+    # 384 dimensions take 48 coordinates of 4 bytes per token: three 64-byte
+    # digests. A warm batch finds every token in the table.
+    texts = DIALOGUE.read_text("utf-8").splitlines()
+    enc = HashEncoder()
+    expected = vector_bytes(HashEncoder().encode_many(texts))
+    digests = []
+    enc._hasher = CountingHasher(enc._hasher, digests)
+    distinct = {token for text in texts for token in embedding._TOKEN_RE.findall(text.lower())}
+    assert vector_bytes(enc.encode_many(texts)) == expected
+    assert len(digests) == 3 * len(distinct)
+    del digests[:]
+    assert vector_bytes(enc.encode_many(texts)) == expected
+    assert digests == []
+
+
 def test_a_batch_crossing_the_token_bound_encodes_like_single_texts():
     enc = HashEncoder(dimension=8, seed=1)
     enc.encode(" ".join(f"warm{i}" for i in range(_TOKEN_LIMIT - 1000)))

@@ -1860,6 +1860,114 @@ def test_a_load_checks_each_record_once_without_post_init(tmp_path, monkeypatch,
         assert type(note.links) is frozenset
 
 
+@pytest.mark.parametrize("writer", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
+def test_an_open_puts_every_embedding_in_one_read_only_index_matrix(tmp_path, writer):
+    write_pipeline_store(tmp_path, writer())
+    engine = open_engine(tmp_path, read_only=True)
+    rows = engine._index._rows
+    notes = list(engine.iter_notes())
+    assert not rows.flags.writeable
+    # the rows adopt_state would stack, bit for bit, in id order
+    assert rows.tobytes() == np.stack([note.embedding for note in notes]).tobytes()
+    for note in notes:
+        assert not note.embedding.flags.writeable
+        # a derived record's note views its row; a stored one keeps its floats
+        assert np.shares_memory(note.embedding, rows) == (writer is HashEncoder)
+    engine.close()
+
+
+def test_a_stored_negative_zero_reaches_the_index_bit_for_bit(tmp_path):
+    # The encoding has +0.0 where the record stores -0.0: equal values, so
+    # the record loads, and both its note and its index row keep its bits.
+    note = hand_note(IdGenerator(seed=4), "alpha")
+    vec = note.embedding.copy()
+    vec[np.flatnonzero(vec == 0)[0]] = -0.0
+    note = replace(note, embedding=vec)
+    write_snapshot(tmp_path / SNAPSHOT_FILENAME, {note.id: note}, EngineConfig(), 0)
+    engine = open_engine(tmp_path, encoder=encoder(), read_only=True)
+    assert engine.get_note(note.id).embedding.tobytes() == vec.tobytes()
+    assert engine._index._rows[0].tobytes() == vec.tobytes()
+    engine.close()
+
+
+def test_a_load_checks_its_encodings_once_per_batch(tmp_path, monkeypatch):
+    write_pipeline_store(tmp_path)
+    calls = []
+
+    def counted(vec):
+        calls.append(vec)
+        return notes_module._check_vector(vec)
+
+    monkeypatch.setattr(notes_module, "_check_vector", counted)
+    assert len(load_store(*store_paths(tmp_path), encoder=HashEncoder()).notes) == 62
+    assert calls == []
+
+
+class NonFiniteEncoder(HashEncoder):
+    """A HashEncoder whose encodings of one text hold a NaN."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def encode_many(self, texts):
+        vectors = [vec.copy() for vec in super().encode_many(texts)]
+        for text, vec in zip(texts, vectors):
+            if text == self.text:
+                vec[3] = np.nan
+        return vectors
+
+
+def test_a_non_finite_encoding_fails_the_load_naming_its_note(tmp_path):
+    write_pipeline_store(tmp_path)
+    notes = load_store(*store_paths(tmp_path), encoder=HashEncoder()).notes
+    victim = sorted(notes)[40]
+    encoder = NonFiniteEncoder(note_text(notes[victim]))
+    with pytest.raises(LoadIntegrityError, match=f"^note {victim}: embedding contains NaN or Inf$"):
+        load_store(*store_paths(tmp_path), encoder=encoder)
+
+
+class ShortEncoder(HashEncoder):
+    """A HashEncoder whose encodings are one coordinate short of its dimension."""
+
+    def encode_many(self, texts):
+        return [vec[:-1] for vec in super().encode_many(texts)]
+
+
+def test_encodings_not_of_the_encoders_dimension_fail_the_load(tmp_path):
+    write_pipeline_store(tmp_path)
+    with pytest.raises(LoadIntegrityError, match="not each a 1-D vector of its dimension 384"):
+        load_store(*store_paths(tmp_path), encoder=ShortEncoder())
+
+
+def test_an_update_before_any_insert_copies_the_loaded_matrix(tmp_path):
+    write_pipeline_store(tmp_path)
+    engine = open_engine(tmp_path, read_only=True)
+    index = engine._index
+    first, second = list(engine.iter_notes())[:2]
+    held = first.embedding.tobytes()
+    index.update(first.id, second.embedding)
+    assert index._rows.flags.writeable
+    assert not np.shares_memory(index._rows, first.embedding)
+    assert first.embedding.tobytes() == held
+    assert index._rows[0].tobytes() == second.embedding.tobytes()
+    engine.close()
+
+
+def test_a_note_held_across_an_evolving_add_keeps_its_embedding(tmp_path):
+    write_pipeline_store(tmp_path)
+    engine = open_engine(tmp_path, gateway=LlmGateway(), id_seed=5)
+    held = list(engine.iter_notes())
+    before = [note.embedding.tobytes() for note in held]
+    content = DIALOGUE.read_text("utf-8").splitlines()[0] + " Revisited a third time."
+    engine.add_memory(content, "2024-03-02T00:00:00Z")
+    after = [engine.get_note(note.id).embedding.tobytes() for note in held]
+    assert after != before  # the add re-encoded a neighbour
+    assert [note.embedding.tobytes() for note in held] == before
+    assert engine.audit() == []
+    engine.close()
+
+
 def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
     note = hand_note(IdGenerator(seed=4), "alpha", embedding=basis_vector(16))
     path = tmp_path / JOURNAL_FILENAME
