@@ -470,8 +470,10 @@ class MemoryEngine:
         embeddings, when given, is the read-only matrix of the notes'
         embeddings in id order that load_store builds, whose rows the notes
         view; the index adopts it with no copy, and copies it only before
-        its first write into it. Without it the embeddings are stacked into
-        a new matrix."""
+        its first write into it. Without it the index stacks the notes'
+        embeddings, in id order, straight into its own buffer, sized as
+        inserts grow it, so each embedding is copied once and the inserts
+        that follow do not copy the matrix again."""
         with self._writing():
             if self._notes:
                 raise RuntimeError("adopt_state requires an empty engine")
@@ -479,7 +481,7 @@ class MemoryEngine:
             with self._view.write():
                 if ordered:
                     if embeddings is None:
-                        embeddings = np.stack([notes[nid].embedding for nid in ordered])
+                        embeddings = [notes[nid].embedding for nid in ordered]
                     self._index.bulk_load(ordered, embeddings)
                 self._notes = {nid: notes[nid] for nid in ordered}
                 self._last_seq = last_seq

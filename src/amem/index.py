@@ -138,13 +138,15 @@ class VectorIndex:
             raise ValueError("vector contains NaN or Inf")
         return vec
 
-    def _ensure_capacity(self, extra: int) -> None:
-        """Room for extra more rows in a matrix the index may write: an
-        adopted read-only matrix is copied before the first write."""
+    def _room(self, extra: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row and norm buffers with room for extra more rows in a matrix
+        the index may write: its own when they have it, else new ones of
+        _INITIAL_CAPACITY rows doubled until they fit, holding its rows.
+        An adopted read-only matrix is copied before the first write."""
         needed = self._count + extra
         capacity = self._rows.shape[0]
         if needed <= capacity and self._rows.flags.writeable:
-            return
+            return self._rows, self._norms
         new_capacity = max(_INITIAL_CAPACITY, capacity)
         while new_capacity < needed:
             new_capacity *= 2
@@ -152,14 +154,17 @@ class VectorIndex:
         rows[: self._count] = self._rows[: self._count]
         norms = np.empty(new_capacity, dtype=np.float64)
         norms[: self._count] = self._norms[: self._count]
-        self._rows = rows
-        self._norms = norms
+        return rows, norms
 
     def _set_norms(self, start: int, rows: np.ndarray) -> None:
         """Store the float64 norms of rows from position start on. vecdot
-        rounds each row as the per-row np.dot of the oracles does."""
+        rounds each row as the per-row np.dot of the oracles does. The rows
+        are widened into one buffer, so one chunk's copy is alive at a time."""
+        buffer = np.empty((min(len(rows), _NORM_CHUNK), self._dim))
         for offset in range(0, len(rows), _NORM_CHUNK):
-            wide = rows[offset : offset + _NORM_CHUNK].astype(np.float64)
+            chunk = rows[offset : offset + _NORM_CHUNK]
+            wide = buffer[: len(chunk)]
+            wide[...] = chunk
             at = start + offset
             self._norms[at : at + len(wide)] = np.sqrt(np.vecdot(wide, wide))
 
@@ -167,7 +172,7 @@ class VectorIndex:
         vec = self._check_vector(vector)
         if note_id in self._slot:
             raise DuplicateId(f"id already present in index: {note_id}")
-        self._ensure_capacity(1)
+        self._rows, self._norms = self._room(1)
         row = self._count
         self._rows[row] = vec
         self._set_norms(row, vec[None, :])
@@ -180,21 +185,36 @@ class VectorIndex:
         row = self._slot.get(note_id)
         if row is None:
             raise UnknownId(f"id not present in index: {note_id}")
-        self._ensure_capacity(0)
+        self._rows, self._norms = self._room(0)
         self._rows[row] = vec
         self._set_norms(row, vec[None, :])
 
-    def bulk_load(self, ids: Sequence[str], vectors: np.ndarray) -> None:
+    def bulk_load(self, ids: Sequence[str], vectors: np.ndarray | Sequence[np.ndarray]) -> None:
         """Insert many rows at once. Equivalent to repeated insert, much faster.
 
-        When the index is empty and the matrix is already float32 and
-        C-contiguous, the index adopts it without copying. A writeable
+        A sequence of 1-D vectors is stacked straight into the index's own
+        buffer, grown as insert grows it (_INITIAL_CAPACITY rows, doubled
+        until they fit), so each vector is copied once and no temporary
+        matrix is made. The spare rows are pages nothing has written, which
+        cost no memory until inserts fill them without a reallocation.
+
+        A matrix, when the index is empty and the matrix is already float32
+        and C-contiguous, the index adopts without copying. A writeable
         matrix the caller must not mutate afterwards; a read-only one, such
         as the embedding matrix whose rows a load's notes view, the index
         copies before its first write (an update, or an insert, which
         outgrows it), so no row a note views ever changes.
+
+        Either way the checks are the same: shape, one vector per id, no
+        duplicate or present id, finite values. A load that fails them
+        changes nothing the index holds.
         """
-        matrix = np.asarray(vectors, dtype=np.float32)
+        base = self._count
+        grown = None if isinstance(vectors, np.ndarray) else self._stacked(vectors)
+        if grown is None:
+            matrix = np.asarray(vectors, dtype=np.float32)
+        else:
+            matrix = grown[0][base : base + len(vectors)]
         if matrix.ndim != 2 or matrix.shape[1] != self._dim:
             raise DimensionMismatch(
                 f"expected shape (n, {self._dim}), got {matrix.shape}"
@@ -212,18 +232,34 @@ class VectorIndex:
         for note_id in ids:
             if note_id in self._slot:
                 raise DuplicateId(f"id already present in index: {note_id}")
-        base = self._count
-        if base == 0 and matrix.flags["C_CONTIGUOUS"]:
+        if grown is not None:
+            self._rows, self._norms = grown
+        elif base == 0 and matrix.flags["C_CONTIGUOUS"]:
             self._rows = matrix
             self._norms = np.empty(n, dtype=np.float64)
         else:
-            self._ensure_capacity(n)
+            self._rows, self._norms = self._room(n)
             self._rows[base : base + n] = matrix
         self._set_norms(base, matrix)
         for offset, note_id in enumerate(ids):
             self._slot[note_id] = base + offset
             self._ids.append(note_id)
         self._count += n
+
+    def _stacked(
+        self, vectors: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Row and norm buffers (_room's) with vectors stacked as float32
+        into the rows after the index's own, or None when vectors do not
+        stack into them as 1-D vectors of the index's dimension; bulk_load
+        then reads them as a matrix, to raise what a matrix would raise."""
+        try:
+            rows, norms = self._room(len(vectors))
+            block = rows[self._count : self._count + len(vectors)]
+            np.stack(vectors, out=block, casting="unsafe")
+        except (TypeError, ValueError):
+            return None
+        return rows, norms
 
     def top_k(
         self, query: np.ndarray, k: int, exclude: Iterable[str] = ()

@@ -29,14 +29,16 @@ Each check of a note's values runs once, where the note enters:
   values, then builds the note without __post_init__ (_assemble). The
   record's shape was checked as it was read (is_derived_record), and the
   note text may come in from the load's encode_many batch, with a
-  read-only row of the load's embedding matrix that the load checked once
-  for its whole batch.
+  read-only row of the load's embedding matrix: a derived record's, which
+  the load checked once for its whole batch, or a stored record's, which
+  stored_row parsed its floats into and checked.
 - revise builds an evolved note from a checked one and checks only what
   changed: new tags or context and the text they make, a new embedding,
   the links the note did not have. It keeps the note's embedding array.
 
 The once-checked builds refuse exactly what the constructor would refuse
-of the same values, with the same exception class.
+of the same values, with the same exception class. All three give every
+note without links the one shared empty set, _NO_LINKS.
 
 A note keeps the derived record it was rendered to: canonical_json
 renders it once per note object and returns the same text on every later
@@ -56,7 +58,7 @@ from __future__ import annotations
 import random
 import re
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from typing import Any, Collection, Iterable
@@ -226,6 +228,11 @@ def _check_links(note_id: str, links: frozenset[Any]) -> None:
         raise ValueError("note may not link to itself")
 
 
+# The links of every linkless note: one shared empty set, where a set of
+# its own would cost each note 216 bytes.
+_NO_LINKS: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryNote:
     """One immutable memory record.
@@ -244,7 +251,7 @@ class MemoryNote:
     tags: tuple[str, ...]
     context: str
     embedding: np.ndarray
-    links: frozenset[NoteId] = field(default_factory=frozenset)
+    links: frozenset[NoteId] = _NO_LINKS
 
     def __post_init__(self) -> None:
         _check_id(self.id)
@@ -259,8 +266,8 @@ class MemoryNote:
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "embedding", vec)
-        if not isinstance(self.links, frozenset):
-            object.__setattr__(self, "links", frozenset(self.links))
+        links = self.links if isinstance(self.links, frozenset) else frozenset(self.links)
+        object.__setattr__(self, "links", links or _NO_LINKS)
         _check_links(self.id, self.links)
 
     def __eq__(self, other: object) -> bool:
@@ -451,6 +458,31 @@ def _assemble(
     return note
 
 
+def _stored_floats(values: list[Any], out: np.ndarray | None = None) -> np.ndarray:
+    """A stored record's floats as a read-only float32 vector, parsed into
+    out when given; ValueError for an integer no float holds."""
+    try:
+        if out is None:
+            out = np.array(values, dtype=np.float32)
+        else:
+            out[...] = values
+    except OverflowError:
+        raise ValueError("embedding holds an integer beyond float range") from None
+    out.setflags(write=False)
+    return out
+
+
+def stored_row(values: list[Any], row: np.ndarray) -> np.ndarray:
+    """Parse a stored record's floats (is_derived_record's list of numbers,
+    as many as the row is wide) into row, its float32 row of a load's
+    embedding matrix, and return the row read-only with _frozen_vector's
+    checks made: the embedding note_from_fields takes with checked. The
+    ValueError is note_from_fields' own for the same floats."""
+    vec = _stored_floats(values, row)
+    _check_vector(vec)
+    return vec
+
+
 def note_from_fields(
     data: dict[str, Any],
     embedding: np.ndarray | None = None,
@@ -460,26 +492,25 @@ def note_from_fields(
 ) -> MemoryNote:
     """Build a note from decoded JSON fields, enforcing exact key set and types.
 
-    A stored record's note gets the record's floats. A derived record's
+    A stored record's note gets the record's floats: parsed here, or, as
+    `embedding`, the row stored_row parsed them into. A derived record's
     gets `embedding`, the encoding of its record_text, which must match the
     record's embedding_crc; a read-only float32 vector is kept, not copied.
     A caller that has already checked the record passes is_derived_record's
     verdict as derived, and the shape is not checked again; one that has
     composed the record's record_text passes it as text; and one that has
-    made _frozen_vector's checks of a derived record's embedding (a
-    read-only, finite, 1-D float32 vector), as a load does once per batch
-    of rows, passes checked. Every check of MemoryNote's constructor then
-    runs once, in its order, on the record's values, and MemoryNote refuses
-    exactly the records this refuses.
+    made _frozen_vector's checks of the embedding it passes (a read-only,
+    finite, 1-D float32 vector), passes checked: a load does so once per
+    batch of a derived record's encodings, and stored_row for a stored
+    record's row. Every check of MemoryNote's constructor then runs once,
+    in its order, on the record's values (a stored row's before them), and
+    MemoryNote refuses exactly the records this refuses.
     """
     if derived is None:
         derived = is_derived_record(data)
     if not derived:
-        try:
-            embedding = np.array(data["embedding"], dtype=np.float32)
-        except OverflowError:
-            raise ValueError("embedding holds an integer beyond float range") from None
-        embedding.setflags(write=False)
+        if embedding is None:
+            embedding = _stored_floats(data["embedding"])
     elif embedding is None:
         raise ValueError(
             "record stores embedding_crc; only the deterministic encoder "
@@ -498,9 +529,9 @@ def note_from_fields(
     _check_terms("tags", tags)
     _check_context(context)
     _check_text(compose_note_text(content, keywords, tags, context) if text is None else text)
-    if not (derived and checked):
+    if not checked:
         embedding = _frozen_vector(embedding)
-    links = frozenset(data["links"])
+    links = frozenset(data["links"]) if data["links"] else _NO_LINKS
     _check_links(note_id, links)
     return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links)
 
@@ -530,7 +561,7 @@ def revise(
     if links is None:
         links = note.links
     else:
-        links = links if isinstance(links, frozenset) else frozenset(links)
+        links = (links if isinstance(links, frozenset) else frozenset(links)) or _NO_LINKS
         _check_links(note.id, links - note.links)
     return _assemble(
         note.id,

@@ -26,11 +26,11 @@ stores still load; a writable open of one appends format 2 records.
 
 A load keeps records until its end: read_snapshot and replay_events check
 each record's shape, and load_store then builds every note in one pass
-that encodes the note texts 256 at a time (into one embedding matrix,
-which the notes view and the index adopts). So a store opened with another
-encoder (another kind, seed or dimension) fails note by note with
-LoadIntegrityError, and so does a CRC record opened with a
-non-deterministic encoder or none. A record that a later event replaces
+that encodes the note texts 256 at a time into one embedding matrix, and
+parses stored floats into their rows of it; the notes view its rows and
+the index adopts it. So a store opened with another encoder (another
+kind, seed or dimension) fails note by note with LoadIntegrityError, and
+so does a CRC record opened with a non-deterministic encoder or none. A record that a later event replaces
 gets only the shape check.
 """
 
@@ -70,6 +70,7 @@ from .notes import (
     json_text_list,
     note_from_fields,
     record_text,
+    stored_row,
 )
 
 logger = logging.getLogger(__name__)
@@ -556,9 +557,9 @@ def _build_notes(
 ) -> tuple[dict[str, MemoryNote], np.ndarray | None]:
     """Build the note of every record in id order, or raise
     LoadIntegrityError for the first that fails. Returns the notes, and
-    under a deterministic encoder the read-only matrix of their embeddings,
-    one row per note in id order (None for an empty store, and without a
-    deterministic encoder).
+    under an encoder the read-only matrix of their embeddings, one row per
+    note in id order, whose rows the notes view (None for an empty store,
+    and without an encoder).
 
     Under a deterministic encoder one encode_many per chunk gives a derived
     record its embedding, checked against its embedding_crc, and a stored
@@ -569,12 +570,13 @@ def _build_notes(
 
     Each chunk's encodings are copied into its rows of the one matrix, and
     _frozen_vector's checks (float32, the encoder's dimension, finite) run
-    once for the chunk. A derived record's note gets its row as a
-    read-only view, not a copy; a stored record's note keeps its own
-    floats, which its row then takes, bit for bit. note_from_fields runs
-    every other check of a note once, on the text composed for the chunk's
-    encode_many; a note's links are checked against the records as one
-    set, and only a failure sorts them, to name the first dangling link.
+    once for the chunk. A stored record's floats are parsed straight into
+    its row (stored_row, which checks them), over its encoding, so the row
+    keeps the stored bits (a -0.0 where the encoding has +0.0, say). Every
+    note gets its row as a read-only view, not a copy. note_from_fields
+    runs every other check of a note once, on the text composed for the
+    chunk's encode_many; a note's links are checked against the records as
+    one set, and only a failure sorts them, to name the first dangling link.
     """
     verify = encoder if encoder is not None and encoder.deterministic else None
     if encoder is not None and verify is None:
@@ -582,12 +584,13 @@ def _build_notes(
     notes: dict[str, MemoryNote] = {}
     ordered = sorted(records)
     matrix = None
-    if verify is not None and ordered:
-        matrix = np.empty((len(ordered), verify.dimension), dtype=np.float32)
+    if encoder is not None and ordered:
+        width = encoder.dimension
+        matrix = np.empty((len(ordered), width), dtype=np.float32)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
         texts = [record_text(record) for record in chunk]
-        if matrix is None:
+        if verify is None:
             encoded = [None] * len(chunk)
         else:
             rows = matrix[start:start + len(chunk)]
@@ -596,9 +599,13 @@ def _build_notes(
             note_id = record["id"]
             derived = "embedding_crc" in record
             try:
-                note = note_from_fields(
-                    record, vector, derived, text, checked=matrix is not None
-                )
+                if not derived and matrix is not None:
+                    # The row holds the encoding, which the floats must equal. Floats
+                    # of another width get an array of their own, and fail below.
+                    encoding = None if vector is None else vector.copy()
+                    floats = record["embedding"]
+                    vector = stored_row(floats, matrix[at]) if len(floats) == width else None
+                note = note_from_fields(record, vector, derived, text, checked=vector is not None)
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                 raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
             if not derived and encoder is not None and note.embedding.size != encoder.dimension:
@@ -609,10 +616,9 @@ def _build_notes(
             if not records.keys() >= note.links:
                 link = min(note.links - records.keys())
                 raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
-            if not derived and vector is not None:
-                if not np.array_equal(vector, note.embedding):
+            if not derived and verify is not None:
+                if not np.array_equal(note.embedding, encoding):
                     raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
-                matrix[at] = note.embedding
             notes[note_id] = note
     if matrix is not None:
         matrix.setflags(write=False)
@@ -644,9 +650,10 @@ def _frozen_rows(
 
 @dataclass
 class LoadResult:
-    """A loaded store: its notes, and under a deterministic encoder the
-    read-only matrix of their embeddings in id order, whose rows the
-    derived notes view, for adopt_state to hand the index as it stands."""
+    """A loaded store: its notes, and under an encoder the read-only
+    matrix of their embeddings in id order, whose rows the notes view,
+    derived and stored alike, for adopt_state to hand the index as it
+    stands (None for an empty store, and for a load without an encoder)."""
 
     notes: dict[str, MemoryNote]
     last_seq: int
@@ -678,10 +685,10 @@ def load_store(
     Either file may be absent; both absent yields an empty store. Records
     are shape-checked as they are read; then _build_notes builds and
     verifies every note, and a record that fails there fails the load as
-    "note <id>: ...". Under a deterministic encoder the result carries the
-    read-only matrix of every embedding in id order, whose rows the derived
-    notes view; open_engine hands it to adopt_state, and the index copies
-    it only before its first write into it, so the store holds each
+    "note <id>: ...". Under an encoder, deterministic or not, the result
+    carries the read-only matrix of every embedding in id order, whose rows
+    the notes view; open_engine hands it to adopt_state, and the index
+    copies it only before its first write into it, so the store holds each
     embedding once and no note's embedding ever changes.
 
     The read takes no lock: it holds the snapshot open, reads it and then

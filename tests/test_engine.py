@@ -11,6 +11,7 @@ import random
 from collections import Counter
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -865,6 +866,54 @@ def test_adopted_state_is_queryable():
     hits = engine.retrieve("alpha note body", k=1)
     assert hits[0].note.id == a.id
     assert engine.audit() == []
+
+
+def many_notes(n, dimension, seed=9):
+    ids = IdGenerator(seed=seed)
+    rows = np.random.default_rng(seed).standard_normal((n, dimension)).astype(np.float32)
+    notes = {}
+    for i, row in enumerate(rows):
+        note = MemoryNote(
+            id=ids.fresh(),
+            content=f"note {i} body",
+            timestamp=TS[0],
+            keywords=(f"kw{i}",),
+            tags=("topic:bulk",),
+            context="Filler.",
+            embedding=row,
+        )
+        notes[note.id] = note
+    return notes
+
+
+def test_an_add_after_adopt_state_writes_into_the_adopted_buffer():
+    notes = many_notes(1500, 48)
+    engine = fresh_engine()
+    engine.adopt_state(notes)
+    rows = engine._index._rows
+    # the rows inserts grow to: 1024, doubled until they fit
+    assert rows.shape == (2048, 48)
+    assert rows[:1500].tobytes() == np.stack([notes[nid].embedding for nid in sorted(notes)]).tobytes()
+    engine.add_memory(CONTENT_A, TS[1])
+    assert engine._index._rows is rows
+    assert len(engine) == 1501
+    assert engine.audit(verify_embeddings=False) == []
+
+
+def test_adopt_state_and_an_add_copy_each_embedding_once():
+    n, dimension = 3000, 384
+    notes = many_notes(n, dimension)
+    engine = fresh_engine(dimension=dimension)
+    tracemalloc.start()
+    try:
+        engine.adopt_state(notes)
+        engine.add_memory(CONTENT_A, TS[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Stacking a matrix of n rows and then doubling it for the add's
+    # insert, with the stacked one still alive, peaks at about 3 n x d x 4.
+    assert peak < 2.5 * n * dimension * 4
 
 
 def test_state_snapshot_is_stable_under_later_writes():

@@ -539,6 +539,70 @@ def test_bulk_load_guards_leave_index_untouched():
     assert len(index) == 2
 
 
+@pytest.mark.parametrize("before", [0, 700], ids=["empty", "populated"])
+def test_bulk_load_of_a_list_is_repeated_insert_bit_for_bit(before):
+    rng = np.random.default_rng(17)
+    n = 1500
+    rows = unit_rows(rng, n, 24) * rng.uniform(0.5, 4.0, (n, 1)).astype(np.float32)
+    ids = seeded_ids(n)
+    reference = build_index(ids, rows)
+    index = build_index(ids[:before], rows[:before])
+    # 1-D vectors of any float dtype, as insert takes them
+    vectors = [row.astype(np.float64) if i % 3 else row for i, row in enumerate(rows[before:])]
+    index.bulk_load(ids[before:], vectors)
+    assert index.ids() == reference.ids()
+    # the buffer repeated inserts grow, holding the same rows and norms
+    assert index._rows.shape == reference._rows.shape
+    assert index._rows[:n].tobytes() == reference._rows[:n].tobytes()
+    assert index._norms[:n].tobytes() == reference._norms[:n].tobytes()
+    for query in (*unit_rows(rng, 5, 24), rows[3]):
+        for k in (1, 10, n):
+            assert index.top_k(query, k) == reference.top_k(query, k)
+            assert index.top_k(query, k) == full_product_top_k(ids, rows, query, k)
+
+
+def test_an_insert_after_bulk_loading_a_list_writes_into_the_same_buffer():
+    rng = np.random.default_rng(18)
+    rows = unit_rows(rng, 1100, 8)
+    ids = seeded_ids(1101)
+    index = VectorIndex(8)
+    index.bulk_load(ids[:1100], list(rows))
+    buffer = index._rows
+    index.insert(ids[1100], rows[0])
+    assert index._rows is buffer
+    assert len(index) == 1101
+
+
+@pytest.mark.parametrize("before", [0, 3], ids=["empty", "populated"])
+def test_bulk_load_guards_raise_for_a_list_what_they_raise_for_a_matrix(before):
+    rng = np.random.default_rng(19)
+    rows = unit_rows(rng, 10, 8)
+    ids = seeded_ids(10)
+    index = build_index(ids[:before], rows[:before])
+    query = rows[0]
+    held = (len(index), index.ids(), index.top_k(query, 10))
+    nan = [row.copy() for row in rows[5:7]]
+    nan[1][3] = np.nan
+    cases = [
+        (DimensionMismatch, [ids[5]], [np.ones(9, dtype=np.float32)]),
+        (DimensionMismatch, ids[5:7], [np.ones((2, 8), dtype=np.float32)] * 2),
+        (ValueError, ids[5:7], [rows[5], np.ones(9, dtype=np.float32)]),
+        (ValueError, ids[5:7], nan),
+        (ValueError, ids[5:6], list(rows[5:7])),
+        (DuplicateId, [ids[5], ids[5]], list(rows[5:7])),
+    ]
+    if before:
+        cases.append((DuplicateId, [ids[0], ids[5]], list(rows[5:7])))
+    for error, batch_ids, vectors in cases:
+        with pytest.raises(error) as raised:
+            index.bulk_load(batch_ids, vectors)
+        # the same vectors as one matrix (a ragged list cannot be one)
+        with pytest.raises(error) as from_matrix:
+            index.bulk_load(batch_ids, np.asarray(vectors, dtype=np.float32))
+        assert str(raised.value) == str(from_matrix.value)
+        assert (len(index), index.ids(), index.top_k(query, 10)) == held
+
+
 def test_bulk_load_empty_batch_is_noop():
     index = VectorIndex(8)
     index.bulk_load([], np.empty((0, 8), dtype=np.float32))

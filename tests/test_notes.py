@@ -430,6 +430,27 @@ def test_canonical_json_sorts_links():
     assert data["links"] == linked
 
 
+def test_every_linkless_note_shares_one_empty_link_set():
+    rng = random.Random(9)
+    note = make_note(rng)
+    linked = make_note(rng, links=[IDS.fresh()])
+    record = json.loads(canonical_json(note))
+    derived = json.loads(canonical_json(note, derived=True))
+    linkless = [
+        note,
+        make_note(rng, links=[]),
+        replace(linked, links=()),
+        note_from_fields(record),
+        note_from_fields(derived, note.embedding),
+        revise(linked, links=[]),
+        revise(linked, links=frozenset()),
+        revise(note, tags=("topic:other",)),
+    ]
+    assert all(built.links == frozenset() for built in linkless)
+    assert len({id(built.links) for built in linkless}) == 1
+    assert linked.links and revise(linked, context="Other.").links is linked.links
+
+
 def test_canonical_json_keeps_unicode_raw():
     note = MemoryNote(
         id=IDS.fresh(),

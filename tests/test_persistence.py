@@ -1860,10 +1860,18 @@ def test_a_load_checks_each_record_once_without_post_init(tmp_path, monkeypatch,
         assert type(note.links) is frozenset
 
 
-@pytest.mark.parametrize("writer", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
-def test_an_open_puts_every_embedding_in_one_read_only_index_matrix(tmp_path, writer):
+@pytest.mark.parametrize(
+    "writer, loader",
+    [
+        (HashEncoder, HashEncoder),
+        (UndeclaredHashEncoder, HashEncoder),
+        (UndeclaredHashEncoder, UndeclaredHashEncoder),
+    ],
+    ids=["derived", "stored", "stored-nondeterministic"],
+)
+def test_an_open_puts_every_embedding_in_one_read_only_index_matrix(tmp_path, writer, loader):
     write_pipeline_store(tmp_path, writer())
-    engine = open_engine(tmp_path, read_only=True)
+    engine = open_engine(tmp_path, encoder=loader(), read_only=True)
     rows = engine._index._rows
     notes = list(engine.iter_notes())
     assert not rows.flags.writeable
@@ -1871,8 +1879,8 @@ def test_an_open_puts_every_embedding_in_one_read_only_index_matrix(tmp_path, wr
     assert rows.tobytes() == np.stack([note.embedding for note in notes]).tobytes()
     for note in notes:
         assert not note.embedding.flags.writeable
-        # a derived record's note views its row; a stored one keeps its floats
-        assert np.shares_memory(note.embedding, rows) == (writer is HashEncoder)
+        # a derived record's note views its row, and so does a stored one
+        assert np.shares_memory(note.embedding, rows)
     engine.close()
 
 
