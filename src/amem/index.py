@@ -45,10 +45,6 @@ from .errors import DimensionMismatch, DuplicateId, UnknownId
 # a multiple of every row grouping of the BLAS kernels.
 _RESCORE_BLOCK = 64
 
-# bulk_load checks finiteness this many rows at a time, which bounds the
-# temporary mask.
-_CHECK_CHUNK = 65536
-
 # _set_norms widens this many rows to float64 at a time, which bounds the
 # temporary copy.
 _NORM_CHUNK = 1024
@@ -156,17 +152,19 @@ class VectorIndex:
         norms[: self._count] = self._norms[: self._count]
         return rows, norms
 
-    def _set_norms(self, start: int, rows: np.ndarray) -> None:
-        """Store the float64 norms of rows from position start on. vecdot
-        rounds each row as the per-row np.dot of the oracles does. The rows
-        are widened into one buffer, so one chunk's copy is alive at a time."""
+    def _set_norms(self, norms: np.ndarray, start: int, rows: np.ndarray) -> None:
+        """Store the float64 norms of rows in norms from position start on.
+        vecdot rounds each row as the per-row np.dot of the oracles does.
+        The rows are widened into one buffer, so one chunk's copy is alive
+        at a time. A float32 row is finite exactly when its norm is: no
+        finite float32 row's sum of squares overflows float64."""
         buffer = np.empty((min(len(rows), _NORM_CHUNK), self._dim))
         for offset in range(0, len(rows), _NORM_CHUNK):
             chunk = rows[offset : offset + _NORM_CHUNK]
             wide = buffer[: len(chunk)]
             wide[...] = chunk
             at = start + offset
-            self._norms[at : at + len(wide)] = np.sqrt(np.vecdot(wide, wide))
+            norms[at : at + len(wide)] = np.sqrt(np.vecdot(wide, wide))
 
     def insert(self, note_id: str, vector: np.ndarray) -> None:
         vec = self._check_vector(vector)
@@ -175,7 +173,7 @@ class VectorIndex:
         self._rows, self._norms = self._room(1)
         row = self._count
         self._rows[row] = vec
-        self._set_norms(row, vec[None, :])
+        self._set_norms(self._norms, row, vec[None, :])
         self._ids.append(note_id)
         self._slot[note_id] = row
         self._count += 1
@@ -187,7 +185,7 @@ class VectorIndex:
             raise UnknownId(f"id not present in index: {note_id}")
         self._rows, self._norms = self._room(0)
         self._rows[row] = vec
-        self._set_norms(row, vec[None, :])
+        self._set_norms(self._norms, row, vec[None, :])
 
     def bulk_load(self, ids: Sequence[str], vectors: np.ndarray | Sequence[np.ndarray]) -> None:
         """Insert many rows at once. Equivalent to repeated insert, much faster.
@@ -206,8 +204,9 @@ class VectorIndex:
         outgrows it), so no row a note views ever changes.
 
         Either way the checks are the same: shape, one vector per id, no
-        duplicate or present id, finite values. A load that fails them
-        changes nothing the index holds.
+        duplicate or present id, finite values, read off the rows' norms,
+        which are computed before anything is published. A load that fails
+        them changes nothing the index holds.
         """
         base = self._count
         grown = None if isinstance(vectors, np.ndarray) else self._stacked(vectors)
@@ -226,21 +225,23 @@ class VectorIndex:
         n = matrix.shape[0]
         if n == 0:
             return
-        for start in range(0, n, _CHECK_CHUNK):
-            if not np.all(np.isfinite(matrix[start : start + _CHECK_CHUNK])):
-                raise ValueError("bulk batch contains NaN or Inf")
+        # Rows and norms from base on are written before the checks below,
+        # into slots the index has not published, so a load that fails
+        # them leaves the index as it was.
+        if grown is not None:
+            rows, norms = grown
+        elif base == 0 and matrix.flags["C_CONTIGUOUS"]:
+            rows, norms = matrix, np.empty(n, dtype=np.float64)
+        else:
+            rows, norms = self._room(n)
+            rows[base : base + n] = matrix
+        self._set_norms(norms, base, matrix)
+        if not np.isfinite(norms[base : base + n]).all():
+            raise ValueError("bulk batch contains NaN or Inf")
         for note_id in ids:
             if note_id in self._slot:
                 raise DuplicateId(f"id already present in index: {note_id}")
-        if grown is not None:
-            self._rows, self._norms = grown
-        elif base == 0 and matrix.flags["C_CONTIGUOUS"]:
-            self._rows = matrix
-            self._norms = np.empty(n, dtype=np.float64)
-        else:
-            self._rows, self._norms = self._room(n)
-            self._rows[base : base + n] = matrix
-        self._set_norms(base, matrix)
+        self._rows, self._norms = rows, norms
         for offset, note_id in enumerate(ids):
             self._slot[note_id] = base + offset
             self._ids.append(note_id)

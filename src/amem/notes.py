@@ -29,9 +29,9 @@ Each check of a note's values runs once, where the note enters:
   values, then builds the note without __post_init__ (_assemble). The
   record's shape was checked as it was read (is_derived_record), and the
   note text may come in from the load's encode_many batch, with a
-  read-only row of the load's embedding matrix: a derived record's, which
-  the load checked once for its whole batch, or a stored record's, which
-  stored_row parsed its floats into and checked.
+  read-only row of the load's embedding matrix, which holds a derived
+  record's encoding or a stored record's parsed floats, and which the
+  load checked once for its whole chunk.
 - revise builds an evolved note from a checked one and checks only what
   changed: new tags or context and the text they make, a new embedding,
   the links the note did not have. It keeps the note's embedding array.
@@ -460,27 +460,20 @@ def _assemble(
 
 def _stored_floats(values: list[Any], out: np.ndarray | None = None) -> np.ndarray:
     """A stored record's floats as a read-only float32 vector, parsed into
-    out when given; ValueError for an integer no float holds."""
+    out when given (a load's row for them); ValueError for an integer no
+    float holds. A float beyond float32 range becomes an Inf without a
+    warning, for the finiteness check to refuse; the values are not
+    otherwise checked here."""
     try:
-        if out is None:
-            out = np.array(values, dtype=np.float32)
-        else:
-            out[...] = values
+        with np.errstate(over="ignore"):
+            if out is None:
+                out = np.array(values, dtype=np.float32)
+            else:
+                out[...] = values
     except OverflowError:
         raise ValueError("embedding holds an integer beyond float range") from None
     out.setflags(write=False)
     return out
-
-
-def stored_row(values: list[Any], row: np.ndarray) -> np.ndarray:
-    """Parse a stored record's floats (is_derived_record's list of numbers,
-    as many as the row is wide) into row, its float32 row of a load's
-    embedding matrix, and return the row read-only with _frozen_vector's
-    checks made: the embedding note_from_fields takes with checked. The
-    ValueError is note_from_fields' own for the same floats."""
-    vec = _stored_floats(values, row)
-    _check_vector(vec)
-    return vec
 
 
 def note_from_fields(
@@ -493,18 +486,18 @@ def note_from_fields(
     """Build a note from decoded JSON fields, enforcing exact key set and types.
 
     A stored record's note gets the record's floats: parsed here, or, as
-    `embedding`, the row stored_row parsed them into. A derived record's
-    gets `embedding`, the encoding of its record_text, which must match the
+    `embedding`, the row a load parsed them into. A derived record's gets
+    `embedding`, the encoding of its record_text, which must match the
     record's embedding_crc; a read-only float32 vector is kept, not copied.
     A caller that has already checked the record passes is_derived_record's
     verdict as derived, and the shape is not checked again; one that has
     composed the record's record_text passes it as text; and one that has
     made _frozen_vector's checks of the embedding it passes (a read-only,
     finite, 1-D float32 vector), passes checked: a load does so once per
-    batch of a derived record's encodings, and stored_row for a stored
-    record's row. Every check of MemoryNote's constructor then runs once,
-    in its order, on the record's values (a stored row's before them), and
-    MemoryNote refuses exactly the records this refuses.
+    chunk of its embedding matrix, derived rows and stored alike. Every
+    check of MemoryNote's constructor then runs once, in its order, on the
+    record's values, and MemoryNote refuses exactly the records this
+    refuses.
     """
     if derived is None:
         derived = is_derived_record(data)

@@ -26,12 +26,14 @@ stores still load; a writable open of one appends format 2 records.
 
 A load keeps records until its end: read_snapshot and replay_events check
 each record's shape, and load_store then builds every note in one pass
-that encodes the note texts 256 at a time into one embedding matrix, and
-parses stored floats into their rows of it; the notes view its rows and
-the index adopts it. So a store opened with another encoder (another
-kind, seed or dimension) fails note by note with LoadIntegrityError, and
-so does a CRC record opened with a non-deterministic encoder or none. A record that a later event replaces
-gets only the shape check.
+under the encoder it is given. The pass fills one float32 embedding
+matrix 256 rows at a time: the encodings of the note texts, then stored
+floats parsed straight into their rows, then one finiteness check of the
+chunk; the notes view its rows and the index adopts it. So a store
+opened with another encoder (another kind, seed or dimension) fails with
+LoadIntegrityError, and so does a CRC record opened with a
+non-deterministic encoder. A record that a later event replaces gets
+only the shape check.
 """
 
 from __future__ import annotations
@@ -64,13 +66,13 @@ from .errors import (
 from .gateway import LlmGateway
 from .notes import (
     MemoryNote,
+    _stored_floats,
     canonical_json,
     is_derived_record,
     is_text_list,
     json_text_list,
     note_from_fields,
     record_text,
-    stored_row,
 )
 
 logger = logging.getLogger(__name__)
@@ -553,113 +555,101 @@ def read_snapshot(
 
 
 def _build_notes(
-    records: dict[str, dict[str, Any]], encoder: Encoder | None
-) -> tuple[dict[str, MemoryNote], np.ndarray | None]:
+    records: dict[str, dict[str, Any]], encoder: Encoder
+) -> tuple[dict[str, MemoryNote], np.ndarray]:
     """Build the note of every record in id order, or raise
-    LoadIntegrityError for the first that fails. Returns the notes, and
-    under an encoder the read-only matrix of their embeddings, one row per
-    note in id order, whose rows the notes view (None for an empty store,
-    and without an encoder).
+    LoadIntegrityError for the first that fails. Returns the notes and the
+    read-only float32 matrix of their embeddings, one row per note in id
+    order, whose rows the notes view.
 
-    Under a deterministic encoder one encode_many per chunk gives a derived
-    record its embedding, checked against its embedding_crc, and a stored
-    record the encoding its floats must equal bit for bit. With a
-    non-deterministic encoder that check degrades to a warning, and a
-    derived record fails, as with no encoder. A stored embedding of another
-    dimension than the encoder's and a dangling link always fail.
-
-    Each chunk's encodings are copied into its rows of the one matrix, and
-    _frozen_vector's checks (float32, the encoder's dimension, finite) run
-    once for the chunk. A stored record's floats are parsed straight into
-    its row (stored_row, which checks them), over its encoding, so the row
-    keeps the stored bits (a -0.0 where the encoding has +0.0, say). Every
-    note gets its row as a read-only view, not a copy. note_from_fields
-    runs every other check of a note once, on the text composed for the
-    chunk's encode_many; a note's links are checked against the records as
-    one set, and only a failure sorts them, to name the first dangling link.
+    Each chunk of records fills its rows of the matrix: under a
+    deterministic encoder one encode_many gives every record its encoding,
+    and a stored record's floats are then parsed straight into its row, so
+    the row keeps the stored bits (a -0.0 where the encoding has +0.0,
+    say). Stored floats of another width than the encoder's fail at once.
+    One finiteness check over the chunk's rows then names the first note
+    whose embedding holds a NaN or Inf, and note_from_fields builds each
+    note with its row as a read-only view, running every other check once,
+    on the text composed for encode_many. A derived record's embedding must
+    match its embedding_crc, and a stored record's floats must equal its
+    encoding bit for bit. With a non-deterministic encoder nothing is
+    encoded: that check degrades to a warning, and a derived record fails.
+    A note's links are checked against the records as one set, and only a
+    failure sorts them, to name the first dangling link.
     """
-    verify = encoder if encoder is not None and encoder.deterministic else None
-    if encoder is not None and verify is None:
+    verify = encoder.deterministic
+    if not verify:
         logger.warning("encoder is not deterministic; skipping embedding verification")
-    notes: dict[str, MemoryNote] = {}
+    width = encoder.dimension
     ordered = sorted(records)
-    matrix = None
-    if encoder is not None and ordered:
-        width = encoder.dimension
-        matrix = np.empty((len(ordered), width), dtype=np.float32)
+    notes: dict[str, MemoryNote] = {}
+    # Zeros, so the row of a derived record that a non-deterministic
+    # encoder cannot derive is finite until note_from_fields refuses it.
+    matrix = np.zeros((len(ordered), width), dtype=np.float32)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
         texts = [record_text(record) for record in chunk]
-        if verify is None:
-            encoded = [None] * len(chunk)
-        else:
-            rows = matrix[start:start + len(chunk)]
-            encoded = _frozen_rows(verify.encode_many(texts), rows, chunk)
-        for at, (record, text, vector) in enumerate(zip(chunk, texts, encoded), start):
+        rows = matrix[start:start + len(chunk)]
+        if verify:
+            encodings = encoder.encode_many(texts)
+            try:
+                np.stack(encodings, out=rows)
+            except ValueError as exc:
+                raise LoadIntegrityError(
+                    f"the encoder's {len(encodings)} encodings of {len(chunk)} note texts "
+                    f"are not each a 1-D vector of its dimension {width}"
+                ) from exc
+            # The rows hold them now: free the encoder's batch before the next.
+            del encodings
+        # The encodings that stored floats must equal, by row.
+        expected: dict[int, np.ndarray] = {}
+        for at, record in enumerate(chunk):
+            if "embedding_crc" not in record:
+                floats = record["embedding"]
+                if len(floats) != width:
+                    raise LoadIntegrityError(
+                        f"stored embeddings of dimension [{len(floats)}], encoder's {width}"
+                    )
+                if verify:
+                    expected[at] = rows[at].copy()
+                try:
+                    _stored_floats(floats, rows[at])
+                except ValueError as exc:
+                    raise LoadIntegrityError(f"note {record['id']}: {exc}") from exc
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            note_id = chunk[int(np.argmin(finite))]["id"]
+            raise LoadIntegrityError(f"note {note_id}: embedding contains NaN or Inf")
+        rows.setflags(write=False)
+        for at, (record, text, row) in enumerate(zip(chunk, texts, rows)):
             note_id = record["id"]
             derived = "embedding_crc" in record
+            vector = None if derived and not verify else row
             try:
-                if not derived and matrix is not None:
-                    # The row holds the encoding, which the floats must equal. Floats
-                    # of another width get an array of their own, and fail below.
-                    encoding = None if vector is None else vector.copy()
-                    floats = record["embedding"]
-                    vector = stored_row(floats, matrix[at]) if len(floats) == width else None
-                note = note_from_fields(record, vector, derived, text, checked=vector is not None)
+                note = note_from_fields(record, vector, derived, text, checked=True)
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                 raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
-            if not derived and encoder is not None and note.embedding.size != encoder.dimension:
-                raise LoadIntegrityError(
-                    f"stored embeddings of dimension [{note.embedding.size}], "
-                    f"encoder's {encoder.dimension}"
-                )
             if not records.keys() >= note.links:
                 link = min(note.links - records.keys())
                 raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
-            if not derived and verify is not None:
-                if not np.array_equal(note.embedding, encoding):
-                    raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
+            if at in expected and not np.array_equal(row, expected[at]):
+                raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
             notes[note_id] = note
-    if matrix is not None:
-        matrix.setflags(write=False)
+    matrix.setflags(write=False)
     return notes, matrix
-
-
-def _frozen_rows(
-    vectors: list[np.ndarray], block: np.ndarray, chunk: list[dict[str, Any]]
-) -> list[np.ndarray]:
-    """Copy the encodings of a chunk's records into block, their rows of a
-    load's float32 embedding matrix, and return the rows as read-only
-    views. _frozen_vector's checks run here, once for the block: each
-    encoding becomes float32 as it is copied, and must be 1-D of the
-    block's width and finite."""
-    try:
-        np.stack(vectors, out=block)
-    except ValueError as exc:
-        raise LoadIntegrityError(
-            f"the encoder's {len(vectors)} encodings of {len(chunk)} note texts "
-            f"are not each a 1-D vector of its dimension {block.shape[1]}"
-        ) from exc
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        note_id = chunk[int(np.argmin(finite))]["id"]
-        raise LoadIntegrityError(f"note {note_id}: embedding contains NaN or Inf")
-    block.setflags(write=False)
-    return list(block)
 
 
 @dataclass
 class LoadResult:
-    """A loaded store: its notes, and under an encoder the read-only
-    matrix of their embeddings in id order, whose rows the notes view,
-    derived and stored alike, for adopt_state to hand the index as it
-    stands (None for an empty store, and for a load without an encoder)."""
+    """A loaded store: its notes, and the read-only matrix of their
+    embeddings in id order, whose rows the notes view, for adopt_state to
+    hand the index as it stands (no rows for an empty store)."""
 
     notes: dict[str, MemoryNote]
     last_seq: int
     config: EngineConfig | None
     journal_truncated_at: int | None
-    embeddings: np.ndarray | None
+    embeddings: np.ndarray
 
 
 # Reads in a row that a compaction may spoil before load_store gives up.
@@ -678,18 +668,20 @@ def _still_names(path: Path, fd: int | None) -> bool:
 def load_store(
     snapshot_path: str | os.PathLike[str],
     journal_path: str | os.PathLike[str],
-    encoder: Encoder | None = None,
+    encoder: Encoder,
 ) -> LoadResult:
-    """Reconstruct a store from snapshot and journal files.
+    """Reconstruct a store from snapshot and journal files, under the
+    encoder that derives and checks its embeddings.
 
     Either file may be absent; both absent yields an empty store. Records
     are shape-checked as they are read; then _build_notes builds and
     verifies every note, and a record that fails there fails the load as
-    "note <id>: ...". Under an encoder, deterministic or not, the result
-    carries the read-only matrix of every embedding in id order, whose rows
-    the notes view; open_engine hands it to adopt_state, and the index
-    copies it only before its first write into it, so the store holds each
-    embedding once and no note's embedding ever changes.
+    "note <id>: ...". The result carries the read-only matrix of every
+    embedding in id order, whose rows the notes view; open_engine hands it
+    to adopt_state, and the index copies it only before its first write
+    into it (an insert or an update), so no note's embedding ever changes.
+    Until that write the store holds each embedding once; after it the
+    notes still view the load's matrix and the index holds its own copy.
 
     The read takes no lock: it holds the snapshot open, reads it and then
     the journal, and is done again if the snapshot path no longer names the

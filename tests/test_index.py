@@ -538,6 +538,20 @@ def test_bulk_load_guards_leave_index_untouched():
     index.insert(ids[1], rows[1])
     assert len(index) == 2
 
+    # an empty index refuses a matrix it would adopt, and keeps none of it
+    empty = VectorIndex(8)
+    adoptable = rows[:3].copy()
+    adoptable[2, 5] = np.nan
+    assert adoptable.dtype == np.float32 and adoptable.flags["C_CONTIGUOUS"]
+    held = adoptable.tobytes()
+    with pytest.raises(ValueError):
+        empty.bulk_load(ids[:3], adoptable)
+    assert len(empty) == 0 and empty.ids() == []
+    empty.insert(ids[0], rows[4])
+    assert adoptable.tobytes() == held
+    assert not np.shares_memory(empty._rows, adoptable)
+    assert empty.top_k(rows[4], 3) == [(ids[0], pytest.approx(1.0))]
+
 
 @pytest.mark.parametrize("before", [0, 700], ids=["empty", "populated"])
 def test_bulk_load_of_a_list_is_repeated_insert_bit_for_bit(before):

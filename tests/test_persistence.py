@@ -16,6 +16,7 @@ import shutil
 import stat
 import tempfile
 import threading
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -663,7 +664,7 @@ def test_load_store_rejects_dangling_links(tmp_path):
         journal.note_added(note)
         journal.sync()
     with pytest.raises(LoadIntegrityError, match="unknown id"):
-        load_store(tmp_path / SNAPSHOT_FILENAME, path)
+        load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
 
 
 def test_load_store_verifies_embeddings_deterministically(tmp_path):
@@ -673,8 +674,8 @@ def test_load_store_verifies_embeddings_deterministically(tmp_path):
     with Journal(path) as journal:
         journal.note_added(stale)
         journal.sync()
-    # without an encoder the load cannot check embeddings
-    result = load_store(tmp_path / SNAPSHOT_FILENAME, path)
+    # a non-deterministic encoder cannot check embeddings
+    result = load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=UndeclaredHashEncoder(DIM))
     assert len(result.notes) == 1
     with pytest.raises(LoadIntegrityError, match="embedding"):
         load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
@@ -1705,9 +1706,8 @@ class FakeRemoteEncoder:
 
 def test_a_derived_record_refuses_a_non_deterministic_encoder(tmp_path):
     store = v2_store(tmp_path, compact=False)
-    for other in (FakeRemoteEncoder(), None):
-        with pytest.raises(LoadIntegrityError, match="embedding_crc"):
-            load_store(*store_paths(store), encoder=other)
+    with pytest.raises(LoadIntegrityError, match="embedding_crc"):
+        load_store(*store_paths(store), encoder=FakeRemoteEncoder())
 
 
 def test_a_non_deterministic_encoders_store_keeps_its_floats_bit_for_bit(tmp_path):
@@ -1785,6 +1785,16 @@ def test_a_malformed_derived_record_fails_the_load(tmp_path, changes):
         pytest.param(lambda vec: [value != 0 for value in vec], FakeRemoteEncoder, id="booleans"),
         # a number no float holds is refused, not raised as OverflowError
         pytest.param(lambda vec: [10**400] + vec[1:], FakeRemoteEncoder, id="huge-integer"),
+        # JSON NaN, and a float beyond float32 range, which is cast to an
+        # Inf: the load's finiteness check refuses both, with no warning
+        pytest.param(lambda vec: vec[:-1] + [float("nan")], encoder, id="nan"),
+        pytest.param(
+            lambda vec: vec[:-1] + [float("nan")], FakeRemoteEncoder, id="nan-nondeterministic"
+        ),
+        pytest.param(lambda vec: [1e39] + vec[1:], encoder, id="beyond-float32"),
+        pytest.param(
+            lambda vec: [1e39] + vec[1:], FakeRemoteEncoder, id="beyond-float32-nondeterministic"
+        ),
     ],
 )
 def test_a_stored_embedding_of_other_than_numbers_fails_the_load(tmp_path, entries, loader):
@@ -1797,8 +1807,32 @@ def test_a_stored_embedding_of_other_than_numbers_fails_the_load(tmp_path, entri
         assert load(tmp_path / "file.json").notes == {note.id: note}
     record["embedding"] = entries(record["embedding"])
     for load in record_loads(record, loader):
-        with pytest.raises(LoadIntegrityError, match="embedding"):
-            load(tmp_path / "file.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LoadIntegrityError, match="embedding"):
+                load(tmp_path / "file.json")
+
+
+@pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writable"])
+@pytest.mark.parametrize(
+    "loader", [HashEncoder, UndeclaredHashEncoder], ids=["deterministic", "nondeterministic"]
+)
+def test_stored_floats_of_another_width_fail_the_open_and_change_no_file(
+    tmp_path, loader, read_only
+):
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=UndeclaredHashEncoder(DIM), id_seed=7)
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        engine.add_memory(content, TS[i])
+        if i == 1:
+            snapshot_engine(engine, store)
+    engine.close()
+    files = {path.name: path.read_bytes() for path in store.iterdir()}
+    assert loader().dimension == 384 != DIM
+    message = re.escape(f"stored embeddings of dimension [{DIM}], encoder's 384")
+    with pytest.raises(LoadIntegrityError, match=f"^{message}$"):
+        open_engine(store, encoder=loader(), read_only=read_only)
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == files
 
 
 @pytest.mark.parametrize("loader", [HashEncoder, UndeclaredHashEncoder], ids=["derived", "stored"])
