@@ -111,6 +111,11 @@ class HashEncoder:
     Each distinct token's seeded 64-bit-keyed hash stream, read as
     big-endian 32-bit words, selects dimension/8 signed coordinates: word
     >> 1 modulo the dimension is the coordinate and the low bit its sign.
+    The stream is the concatenated 64-byte blake2b digests of the token's
+    UTF-8 bytes followed by a big-endian 4-byte block number, 0, 1, ...
+    Those messages share a prefix, so a cold token's bytes reach the keyed
+    hash once, and its key block is compressed once rather than once per
+    digest; each digest then adds only its block number.
     Every occurrence of a token adds 1 to each of its coordinates with that
     sign (the signed hashing trick of Weinberger et al., 2009), and the
     summed vector is L2-normalized in float64, then narrowed to float32 once
@@ -157,16 +162,36 @@ class HashEncoder:
             grown = np.empty((capacity, self._coords_per_token), dtype=self._coords.dtype)
             grown[:start] = self._coords[:start]
             self._coords = grown
+        # A keyed blake2b hashes its zero-padded key as the first message
+        # block, so every message of a token shares the key block and the
+        # token's bytes. That prefix is fed once per token; each digest but
+        # the last comes from a copy of it fed its block number, the last
+        # from the prefix itself.
+        *copied, last = self._block_suffixes
         digests = []
         for token in tokens:
-            data = token.encode("utf-8")
-            for suffix in self._block_suffixes:
-                hasher = self._hasher.copy()
-                hasher.update(data + suffix)
+            prefix = self._hasher.copy()
+            prefix.update(token.encode("utf-8"))
+            for suffix in copied:
+                hasher = prefix.copy()
+                hasher.update(suffix)
                 digests.append(hasher.digest())
+            prefix.update(last)
+            digests.append(prefix.digest())
         words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(tokens), -1)
         words = words[:, : self._coords_per_token]
-        self._coords[start:end] = (words >> 1) % self.dimension * 2 + (words & 1)
+        # The slot (word >> 1) % dimension * 2 + (word & 1) equals
+        # word - (word >> 1) // dimension * 2 * dimension, because word is
+        # (word >> 1) * 2 + (word & 1). numpy divides a uint32 array by a
+        # scalar about ten times faster than it takes the remainder, and
+        # every step writes into one uint32 buffer: a fresh temporary per
+        # step would cost more than the division saves.
+        slots = np.right_shift(words, 1, dtype=np.uint32)
+        slots //= self.dimension
+        slots *= self.dimension
+        slots <<= 1
+        np.subtract(words, slots, out=slots)
+        self._coords[start:end] = slots
         self._rows.update(zip(tokens, range(start, end)))
 
     def _token_table(self, texts: list[list[str]]) -> np.ndarray:
@@ -181,7 +206,9 @@ class HashEncoder:
                     rows.clear()
                     new = list(distinct)
                 self._learn(new)
-            slots = self._coords[list(map(rows.__getitem__, chain.from_iterable(texts)))]
+            occurrences = sum(map(len, texts))
+            found = map(rows.__getitem__, chain.from_iterable(texts))
+            slots = self._coords[np.fromiter(found, np.intp, occurrences)]
             if len(self._coords) > _TOKEN_LIMIT:
                 # Only a batch with more distinct tokens than the limit
                 # gets here; it leaves an empty table behind.
@@ -195,10 +222,13 @@ class HashEncoder:
     def encode_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         tokens = [_tokenize(text) for text in texts]
         n, dimension = len(tokens), self.dimension
-        slots = self._token_table(tokens).astype(np.intp)
+        slots = self._token_table(tokens)
         if n > 1:
             offsets = np.arange(n, dtype=np.intp) * (2 * dimension)
-            slots += np.repeat(offsets, [len(t) for t in tokens])[:, None]
+            offsets = np.repeat(offsets, [len(t) for t in tokens])
+            slots = np.add(slots, offsets[:, None], dtype=np.intp)
+        else:
+            slots = slots.astype(np.intp)
         # Text i's coordinate c sums to counts[i, c, 1] - counts[i, c, 0].
         # Freeing the slots first keeps the batch's peak memory at the bincount.
         counts = np.bincount(slots.ravel(), minlength=n * dimension * 2).reshape(n, dimension, 2)

@@ -110,10 +110,16 @@ def test_encode_many_matches_encode():
 
 
 # Tokens include repeats, case folds and non-ASCII words; separators
-# include punctuation, so some texts hold no token at all.
+# include punctuation, so some texts hold no token at all. Two tokens are
+# longer than 124 UTF-8 bytes, so that a token and its 4-byte block number
+# span two 128-byte blake2b blocks: 130 ASCII bytes, and 126 bytes of
+# "straße" (7 bytes each).
+LONG_TOKENS = ["river" * 26, "straße" * 18]
 TEXTS = st.lists(
     st.tuples(
-        st.sampled_from(["a", "b", "c", "A", "river", "é", "日本", "straße", "x1", "_"]),
+        st.sampled_from(
+            ["a", "b", "c", "A", "river", "é", "日本", "straße", "x1", "_", *LONG_TOKENS]
+        ),
         st.sampled_from([" ", "  ", "\n", "\t", ", ", "!", "\u00a0"]),
     ),
     max_size=12,
@@ -126,12 +132,15 @@ def vector_bytes(vectors):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    dimension=st.sampled_from([1, 8, 48, 128, 129, 384]),
+    dimension=st.sampled_from([1, 8, 48, 128, 129, 384, 1000]),
     texts=st.lists(st.one_of(TEXTS, st.sampled_from(["", "   ", "\n\t", "a a b"])), max_size=8),
     warmup=st.lists(TEXTS, max_size=4),
 )
 @example(dimension=1, texts=["a a b", "a b", "b a c", "", "a"], warmup=[])
 @example(dimension=8, texts=["a a b", "a a b", "  "], warmup=["a"])
+# 1000 dimensions take 8 digests per token. A token of 124 bytes fills its
+# first block with the block number; one of 128 fills it alone.
+@example(dimension=1000, texts=["b" * 124, "c" * 128 + " " + " ".join(LONG_TOKENS)], warmup=[])
 def test_encode_many_matches_encode_byte_for_byte(dimension, texts, warmup):
     expected = vector_bytes([HashEncoder(dimension, seed=3).encode(text) for text in texts])
     assert expected == vector_bytes([oracle_hash_encode(text, dimension, 3) for text in texts])
@@ -191,16 +200,19 @@ def test_the_tokenizer_gives_the_regex_tokens(text):
 
 
 class CountingHasher:
-    """Wraps a blake2b hasher and its copies, counting every digest."""
+    """Wraps a blake2b hasher and its copies, counting every digest and,
+    when given a list for it, the length of every update."""
 
-    def __init__(self, inner, digests):
+    def __init__(self, inner, digests, fed=None):
         self._inner = inner
         self._digests = digests
+        self._fed = [] if fed is None else fed
 
     def copy(self):
-        return CountingHasher(self._inner.copy(), self._digests)
+        return CountingHasher(self._inner.copy(), self._digests, self._fed)
 
     def update(self, data):
+        self._fed.append(len(data))
         self._inner.update(data)
 
     def digest(self):
@@ -222,6 +234,23 @@ def test_a_cold_batch_hashes_each_distinct_token_once():
     del digests[:]
     assert vector_bytes(enc.encode_many(texts)) == expected
     assert digests == []
+
+
+@pytest.mark.parametrize("dimension, digests_per_token", [(64, 1), (384, 3), (1000, 8)])
+def test_a_cold_batch_feeds_each_distinct_token_to_the_hash_once(dimension, digests_per_token):
+    # Every digest of a token hashes the same key block and token bytes
+    # before its 4-byte block number, so that prefix is fed once per token
+    # and each digest adds only its block number.
+    texts = DIALOGUE.read_text("utf-8").splitlines() + [" ".join(LONG_TOKENS), "日本 é 日本"]
+    enc = HashEncoder(dimension, seed=3)
+    expected = vector_bytes(HashEncoder(dimension, seed=3).encode_many(texts))
+    digests, fed = [], []
+    enc._hasher = CountingHasher(enc._hasher, digests, fed)
+    distinct = {token for text in texts for token in embedding._TOKEN_RE.findall(text.lower())}
+    assert vector_bytes(enc.encode_many(texts)) == expected
+    assert len(digests) == digests_per_token * len(distinct)
+    token_bytes = sum(len(token.encode("utf-8")) for token in distinct)
+    assert sum(fed) == token_bytes + 4 * len(digests)
 
 
 def test_a_batch_crossing_the_token_bound_encodes_like_single_texts():
