@@ -64,7 +64,8 @@ class EngineConfig:
     enable_link_generation: bool = True
     enable_evolution: bool = True
     enable_link_expansion: bool = False
-    k_by_category: Mapping[str, int] = field(default_factory=dict)
+    # Out of the hash, which a read-only mapping cannot give; still compared.
+    k_by_category: Mapping[str, int] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_by_category", MappingProxyType(dict(self.k_by_category)))

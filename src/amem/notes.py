@@ -7,8 +7,10 @@ Notes are value objects; evolution replaces a note with a rewritten copy
 rather than mutating it in place.
 
 The canonical encoding is the one codec of a note: canonical_json writes
-it and note_from_fields reads it back. A record carries the embedding in
-one of two ways, never both:
+it, and a load reads it back in three steps: is_derived_record checks the
+record's shape, the load fills the record's row of its embedding matrix,
+and note_from_fields builds the note on that row. A record carries the
+embedding in one of two ways, never both:
 
 - "embedding": [...], the float32 components as text, stored. Every note
   MemoryNote accepts comes back bit for bit from the UTF-8 bytes of this
@@ -22,16 +24,14 @@ one of two ways, never both:
 
 Each check of a note's values runs once, where the note enters:
 
-- MemoryNote(...) runs every check of every field (_check_id and the
-  other per-field checks below, in one order). The engine builds each new
-  note this way.
+- MemoryNote(...) runs every check of every field: _check_fields, then
+  the embedding's and the links' checks. The engine builds each new note
+  this way.
 - note_from_fields runs the same checks, once each, on a loaded record's
-  values, then builds the note without __post_init__ (_assemble). The
-  record's shape was checked as it was read (is_derived_record), and the
-  note text may come in from the load's encode_many batch, with a
-  read-only row of the load's embedding matrix, which holds a derived
-  record's encoding or a stored record's parsed floats, and which the
-  load checked once for its whole chunk.
+  values, then builds the note without __post_init__ (_assemble). It is
+  given the record, the record's read-only row of the load's embedding
+  matrix, which the load checked once for its whole chunk, and the
+  record_text the load composed for its encode_many batch.
 - revise builds an evolved note from a checked one and checks only what
   changed: new tags or context and the text they make, a new embedding,
   the links the note did not have. It keeps the note's embedding array.
@@ -150,9 +150,9 @@ def note_text(note: "MemoryNote") -> str:
     return compose_note_text(note.content, note.keywords, note.tags, note.context)
 
 
-# The checks of one field each. MemoryNote's constructor runs all of them
-# in this order; note_from_fields runs them once on a record's values, and
-# revise only on the fields it changes.
+# The checks of one field each. MemoryNote's constructor and
+# note_from_fields run all of them, the first seven through _check_fields;
+# revise runs only those of the fields it changes.
 
 
 def _check_id(value: Any) -> None:
@@ -187,6 +187,26 @@ def _check_text(text: str) -> None:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise ValueError("note text holds a lone surrogate; UTF-8 cannot encode it") from None
+
+
+def _check_fields(
+    note_id: Any,
+    content: Any,
+    timestamp: Any,
+    keywords: tuple[str, ...],
+    tags: tuple[str, ...],
+    context: Any,
+    text: str,
+) -> None:
+    """Every check of a note's values but its embedding's and links', in
+    the constructor's order; text is the note text of these values."""
+    _check_id(note_id)
+    _check_content(content)
+    validate_timestamp(timestamp)
+    _check_terms("keywords", keywords)
+    _check_terms("tags", tags)
+    _check_context(context)
+    _check_text(text)
 
 
 def _check_vector(vec: np.ndarray) -> None:
@@ -254,13 +274,13 @@ class MemoryNote:
     links: frozenset[NoteId] = _NO_LINKS
 
     def __post_init__(self) -> None:
-        _check_id(self.id)
-        _check_content(self.content)
-        validate_timestamp(self.timestamp)
-        _check_terms("keywords", self.keywords)
-        _check_terms("tags", self.tags)
-        _check_context(self.context)
-        _check_text(note_text(self))
+        try:
+            text = note_text(self)
+        except TypeError:  # a field that is not text, which _check_fields refuses first
+            text = ""
+        _check_fields(
+            self.id, self.content, self.timestamp, self.keywords, self.tags, self.context, text
+        )
         vec = np.asarray(self.embedding, dtype=np.float32)
         _check_vector(vec)
         vec = vec.copy()
@@ -458,72 +478,36 @@ def _assemble(
     return note
 
 
-def _stored_floats(values: list[Any], out: np.ndarray | None = None) -> np.ndarray:
-    """A stored record's floats as a read-only float32 vector, parsed into
-    out when given (a load's row for them); ValueError for an integer no
-    float holds. A float beyond float32 range becomes an Inf without a
-    warning, for the finiteness check to refuse; the values are not
-    otherwise checked here."""
+def _stored_floats(values: list[Any], out: np.ndarray) -> None:
+    """Parse a stored record's floats into out, a load's float32 row for
+    them; ValueError for an integer no float holds. A float beyond float32
+    range becomes an Inf without a warning, for the load's finiteness check
+    to refuse; the values are not otherwise checked here."""
     try:
         with np.errstate(over="ignore"):
-            if out is None:
-                out = np.array(values, dtype=np.float32)
-            else:
-                out[...] = values
+            out[...] = values
     except OverflowError:
         raise ValueError("embedding holds an integer beyond float range") from None
-    out.setflags(write=False)
-    return out
 
 
-def note_from_fields(
-    data: dict[str, Any],
-    embedding: np.ndarray | None = None,
-    derived: bool | None = None,
-    text: str | None = None,
-    checked: bool = False,
-) -> MemoryNote:
-    """Build a note from decoded JSON fields, enforcing exact key set and types.
+def note_from_fields(data: dict[str, Any], embedding: np.ndarray, text: str) -> MemoryNote:
+    """Build the note of a loaded record, as the load reads it back.
 
-    A stored record's note gets the record's floats: parsed here, or, as
-    `embedding`, the row a load parsed them into. A derived record's gets
-    `embedding`, the encoding of its record_text, which must match the
-    record's embedding_crc; a read-only float32 vector is kept, not copied.
-    A caller that has already checked the record passes is_derived_record's
-    verdict as derived, and the shape is not checked again; one that has
-    composed the record's record_text passes it as text; and one that has
-    made _frozen_vector's checks of the embedding it passes (a read-only,
-    finite, 1-D float32 vector), passes checked: a load does so once per
-    chunk of its embedding matrix, derived rows and stored alike. Every
-    check of MemoryNote's constructor then runs once, in its order, on the
-    record's values, and MemoryNote refuses exactly the records this
-    refuses.
+    data is a record that is_derived_record accepted, embedding its row of
+    the load's matrix (read-only, finite, 1-D float32, kept as it is, not
+    copied) and text its record_text. A stored record's row holds its
+    parsed floats; a derived record's holds the encoding of its text, which
+    must match the record's embedding_crc. Every other check of
+    MemoryNote's constructor then runs once, in its order, on the record's
+    values, and MemoryNote refuses exactly the records this refuses.
     """
-    if derived is None:
-        derived = is_derived_record(data)
-    if not derived:
-        if embedding is None:
-            embedding = _stored_floats(data["embedding"])
-    elif embedding is None:
-        raise ValueError(
-            "record stores embedding_crc; only the deterministic encoder "
-            "that wrote it can derive its embedding"
-        )
-    elif embedding_crc(embedding) != data["embedding_crc"]:
+    if "embedding_crc" in data and embedding_crc(embedding) != data["embedding_crc"]:
         raise ValueError("derived embedding does not match its embedding_crc")
     note_id, content, timestamp, context = (
         data["id"], data["content"], data["timestamp"], data["context"]
     )
     keywords, tags = tuple(data["keywords"]), tuple(data["tags"])
-    _check_id(note_id)
-    _check_content(content)
-    validate_timestamp(timestamp)
-    _check_terms("keywords", keywords)
-    _check_terms("tags", tags)
-    _check_context(context)
-    _check_text(compose_note_text(content, keywords, tags, context) if text is None else text)
-    if not checked:
-        embedding = _frozen_vector(embedding)
+    _check_fields(note_id, content, timestamp, keywords, tags, context, text)
     links = frozenset(data["links"]) if data["links"] else _NO_LINKS
     _check_links(note_id, links)
     return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links)

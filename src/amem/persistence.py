@@ -25,15 +25,16 @@ any other encoder's records store the floats, as format 1 did. Format 1
 stores still load; a writable open of one appends format 2 records.
 
 A load keeps records until its end: read_snapshot and replay_events check
-each record's shape, and load_store then builds every note in one pass
-under the encoder it is given. The pass fills one float32 embedding
-matrix 256 rows at a time: the encodings of the note texts, then stored
-floats parsed straight into their rows, then one finiteness check of the
-chunk; the notes view its rows and the index adopts it. So a store
-opened with another encoder (another kind, seed or dimension) fails with
+each record's shape (is_derived_record), and load_store then builds every
+note in one pass under the encoder it is given. The pass fills one
+float32 embedding matrix 256 rows at a time: the encodings of the note
+texts, then stored floats parsed straight into their rows, then one
+finiteness check of the chunk; note_from_fields builds each note on its
+row and record_text, and the index adopts the matrix. So a store opened
+with another encoder (another kind, seed or dimension) fails with
 LoadIntegrityError, and so does a CRC record opened with a
-non-deterministic encoder. A record that a later event replaces gets
-only the shape check.
+non-deterministic encoder, before any note is built. A record that a
+later event replaces gets only the shape check.
 """
 
 from __future__ import annotations
@@ -567,15 +568,17 @@ def _build_notes(
     and a stored record's floats are then parsed straight into its row, so
     the row keeps the stored bits (a -0.0 where the encoding has +0.0,
     say). Stored floats of another width than the encoder's fail at once.
+    With a non-deterministic encoder nothing is encoded: a derived record
+    fails where its row would be filled, before any note is built, and the
+    check of stored floats against their encoding degrades to a warning.
     One finiteness check over the chunk's rows then names the first note
     whose embedding holds a NaN or Inf, and note_from_fields builds each
-    note with its row as a read-only view, running every other check once,
-    on the text composed for encode_many. A derived record's embedding must
-    match its embedding_crc, and a stored record's floats must equal its
-    encoding bit for bit. With a non-deterministic encoder nothing is
-    encoded: that check degrades to a warning, and a derived record fails.
-    A note's links are checked against the records as one set, and only a
-    failure sorts them, to name the first dangling link.
+    note on its row, a read-only view, and the text composed for
+    encode_many, running every other check once. A derived record's
+    embedding must match its embedding_crc, and a stored record's floats
+    must equal its encoding bit for bit. A note's links are checked against
+    the records as one set, and only a failure sorts them, to name the
+    first dangling link.
     """
     verify = encoder.deterministic
     if not verify:
@@ -583,9 +586,8 @@ def _build_notes(
     width = encoder.dimension
     ordered = sorted(records)
     notes: dict[str, MemoryNote] = {}
-    # Zeros, so the row of a derived record that a non-deterministic
-    # encoder cannot derive is finite until note_from_fields refuses it.
-    matrix = np.zeros((len(ordered), width), dtype=np.float32)
+    # Every row is filled below, or the load fails first.
+    matrix = np.empty((len(ordered), width), dtype=np.float32)
     for start in range(0, len(ordered), _VERIFY_CHUNK):
         chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
         texts = [record_text(record) for record in chunk]
@@ -604,18 +606,24 @@ def _build_notes(
         # The encodings that stored floats must equal, by row.
         expected: dict[int, np.ndarray] = {}
         for at, record in enumerate(chunk):
-            if "embedding_crc" not in record:
-                floats = record["embedding"]
-                if len(floats) != width:
-                    raise LoadIntegrityError(
-                        f"stored embeddings of dimension [{len(floats)}], encoder's {width}"
-                    )
+            if "embedding_crc" in record:
                 if verify:
-                    expected[at] = rows[at].copy()
-                try:
-                    _stored_floats(floats, rows[at])
-                except ValueError as exc:
-                    raise LoadIntegrityError(f"note {record['id']}: {exc}") from exc
+                    continue
+                raise LoadIntegrityError(
+                    f"note {record['id']}: record stores embedding_crc; only the "
+                    "deterministic encoder that wrote it can derive its embedding"
+                )
+            floats = record["embedding"]
+            if len(floats) != width:
+                raise LoadIntegrityError(
+                    f"stored embeddings of dimension [{len(floats)}], encoder's {width}"
+                )
+            if verify:
+                expected[at] = rows[at].copy()
+            try:
+                _stored_floats(floats, rows[at])
+            except ValueError as exc:
+                raise LoadIntegrityError(f"note {record['id']}: {exc}") from exc
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             note_id = chunk[int(np.argmin(finite))]["id"]
@@ -623,10 +631,8 @@ def _build_notes(
         rows.setflags(write=False)
         for at, (record, text, row) in enumerate(zip(chunk, texts, rows)):
             note_id = record["id"]
-            derived = "embedding_crc" in record
-            vector = None if derived and not verify else row
             try:
-                note = note_from_fields(record, vector, derived, text, checked=True)
+                note = note_from_fields(record, row, text)
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
                 raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
             if not records.keys() >= note.links:

@@ -156,6 +156,30 @@ def per_element_embedding(vec) -> str:
 
 
 # ---------------------------------------------------------------------------
+# reading one note record back
+
+
+def read_back(record, encoding=None):
+    """The note a load builds of one decoded record, step by step as
+    persistence._build_notes takes it: the shape check, then the row (the
+    record's stored floats parsed, or else the given encoding of its text),
+    then the row checked as the load's matrix guarantees it (1-D, non-empty,
+    finite) and made read-only, then note_from_fields on the row and the
+    record's text. Raises what the first failing step raises."""
+    from amem.notes import _stored_floats, is_derived_record, note_from_fields, record_text
+
+    if is_derived_record(record):
+        row = np.array(encoding, dtype=np.float32)
+    else:
+        row = np.empty(len(record["embedding"]), dtype=np.float32)
+        _stored_floats(record["embedding"], row)
+    if row.ndim != 1 or row.size < 1 or not np.isfinite(row).all():
+        raise ValueError("embedding is not a non-empty, finite 1-D vector")
+    row.setflags(write=False)
+    return note_from_fields(record, row, record_text(record))
+
+
+# ---------------------------------------------------------------------------
 # timestamps
 
 

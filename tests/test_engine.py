@@ -118,6 +118,15 @@ def test_config_k_for_category():
     assert config.k_for("other") == 7
 
 
+def test_config_hashes_and_compares_its_category_ks():
+    config = EngineConfig(k_link=4, k_by_category={"qa": 3})
+    same = EngineConfig(k_link=4, k_by_category={"qa": 3})
+    assert hash(config) == hash(same)
+    assert len({config, same, EngineConfig()}) == 2
+    assert config != EngineConfig(k_link=4, k_by_category={"qa": 2})
+    assert config != EngineConfig(k_link=4)
+
+
 def test_config_mapping_round_trip():
     config = EngineConfig(
         k_link=4, enable_evolution=False, k_by_category={"b": 2, "a": 5}

@@ -25,17 +25,17 @@ from amem.notes import (
     canonical_json,
     compose_note_text,
     embedding_crc,
+    is_derived_record,
     is_note_id,
     join_float32,
     normalize_terms,
-    note_from_fields,
     note_text,
     now_timestamp,
     record_text,
     revise,
     validate_timestamp,
 )
-from oracles import per_element_embedding, strptime_timestamp_ok
+from oracles import per_element_embedding, read_back, strptime_timestamp_ok
 
 IDS = IdGenerator(seed=7)
 
@@ -331,6 +331,32 @@ def test_note_rejects_self_link_and_bad_link_ids():
         MemoryNote(id=note_id, links=frozenset({"not-an-id"}), **base)
 
 
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("content", None, EmptyContent),
+        ("keywords", None, ValueError),
+        ("keywords", ("k", 1), ValueError),
+        ("tags", ["t", 1], ValueError),
+        ("context", 5, ValueError),
+    ],
+)
+def test_a_field_that_is_not_text_gets_its_own_checks_verdict(name, value, error):
+    # The note text cannot be composed of these values; the field's own
+    # check refuses them, with its class, before the text is checked.
+    base = dict(
+        id=IDS.fresh(),
+        content="c",
+        timestamp="2023-01-01T00:00:00Z",
+        keywords=("k",),
+        tags=("t",),
+        context="ctx",
+        embedding=np.ones(4, dtype=np.float32),
+    )
+    with pytest.raises(error):
+        MemoryNote(**{**base, name: value})
+
+
 def test_note_rejects_lone_surrogates():
     base = dict(
         id=IDS.fresh(),
@@ -358,7 +384,7 @@ def test_note_rejects_lone_surrogates():
 def test_note_equality_covers_every_field():
     rng = random.Random(5)
     note = make_note(rng)
-    same = note_from_fields(json.loads(canonical_json(note)))
+    same = read_back(json.loads(canonical_json(note)))
     assert note == same
     assert hash(note) == hash(same)
     bumped = np.array(note.embedding)
@@ -440,8 +466,8 @@ def test_every_linkless_note_shares_one_empty_link_set():
         note,
         make_note(rng, links=[]),
         replace(linked, links=()),
-        note_from_fields(record),
-        note_from_fields(derived, note.embedding),
+        read_back(record),
+        read_back(derived, note.embedding),
         revise(linked, links=[]),
         revise(linked, links=frozenset()),
         revise(note, tags=("topic:other",)),
@@ -471,7 +497,7 @@ def test_canonical_round_trip_randomized():
     for _ in range(100):
         note = make_note(rng, dimension=rng.randint(1, 48), links=[IDS.fresh() for _ in range(rng.randint(0, 4))])
         blob = canonical_json(note).encode()
-        back = note_from_fields(json.loads(blob))
+        back = read_back(json.loads(blob))
         assert back == note
         assert back.embedding.dtype == np.float32
         assert canonical_json(back).encode() == blob
@@ -558,20 +584,20 @@ def test_encode_embedding_matches_per_element_oracle_property(pool, picks):
     assert "[" + join_float32(vec) + "]" == per_element_embedding(vec)
 
 
-def test_note_from_fields_rejects_wrong_key_sets():
+def test_is_derived_record_rejects_wrong_key_sets():
     rng = random.Random(10)
     note = make_note(rng)
     data = json.loads(canonical_json(note))
     missing = dict(data)
     del missing["tags"]
     with pytest.raises(ValueError):
-        note_from_fields(missing)
+        is_derived_record(missing)
     extra = dict(data)
     extra["surprise"] = 1
     with pytest.raises(ValueError):
-        note_from_fields(extra)
+        is_derived_record(extra)
     with pytest.raises(ValueError):
-        note_from_fields(["not", "a", "dict"])
+        is_derived_record(["not", "a", "dict"])
 
 
 
@@ -588,14 +614,14 @@ def test_a_derived_record_swaps_the_floats_for_their_crc():
     # the CRC-32 of the little-endian float32 bytes
     assert derived["embedding_crc"] == zlib.crc32(note.embedding.astype("<f4").tobytes())
     assert record_text(derived) == note_text(note)
-    back = note_from_fields(derived, note.embedding)
+    back = read_back(derived, note.embedding)
     assert back == note and canonical_json(back, derived=True) == canonical_json(note, derived=True)
     flipped = note.embedding.copy()
     flipped.view(np.uint32)[3] ^= 1
     with pytest.raises(ValueError, match="does not match its embedding_crc"):
-        note_from_fields(derived, flipped)
-    with pytest.raises(ValueError, match="deterministic encoder"):
-        note_from_fields(derived)
+        read_back(derived, flipped)
+    # Without a deterministic encoder the load refuses the record before
+    # any note is built: test_a_derived_record_refuses_a_non_deterministic_encoder.
 
 
 @pytest.mark.parametrize(
@@ -676,7 +702,7 @@ def test_every_accepted_note_round_trips_bit_for_bit(
     except (ValueError, EmptyContent):
         return
     text = canonical_json(note)
-    back = note_from_fields(json.loads(text.encode("utf-8")))
+    back = read_back(json.loads(text.encode("utf-8")))
     assert back == note
     assert canonical_json(back) == text
 
@@ -893,8 +919,8 @@ def test_note_from_fields_gives_the_constructors_verdict(fields, data):
     derived = {key: value for key, value in record.items() if key != "embedding"}
     derived["embedding_crc"] = embedding_crc(changed["embedding"])
     expected = verdict(lambda: MemoryNote(**changed))
-    assert verdict(lambda: note_from_fields(record)) == expected
-    assert verdict(lambda: note_from_fields(derived, changed["embedding"])) == expected
+    assert verdict(lambda: read_back(record)) == expected
+    assert verdict(lambda: read_back(derived, changed["embedding"])) == expected
 
 
 @settings(max_examples=400, deadline=None)

@@ -1710,6 +1710,27 @@ def test_a_derived_record_refuses_a_non_deterministic_encoder(tmp_path):
         load_store(*store_paths(store), encoder=FakeRemoteEncoder())
 
 
+def test_a_derived_record_fails_a_non_deterministic_load_before_any_note_is_built(
+    tmp_path, monkeypatch
+):
+    store = v2_store(tmp_path, compact=True)
+    records, _, _ = read_snapshot(store / SNAPSHOT_FILENAME)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0]["id"])
+        return note_from_fields(*args, **kwargs)
+
+    monkeypatch.setattr(persistence, "note_from_fields", counted)
+    message = (
+        f"note {min(records)}: record stores embedding_crc; only the "
+        "deterministic encoder that wrote it can derive its embedding"
+    )
+    with pytest.raises(LoadIntegrityError, match=f"^{re.escape(message)}$"):
+        load_store(*store_paths(store), encoder=FakeRemoteEncoder())
+    assert calls == []
+
+
 def test_a_non_deterministic_encoders_store_keeps_its_floats_bit_for_bit(tmp_path):
     store = tmp_path / "store"
     engine = open_engine(store, encoder=FakeRemoteEncoder(), id_seed=7)
