@@ -466,7 +466,9 @@ class MemoryEngine:
         embeddings: np.ndarray | None = None,
     ) -> None:
         """Install a loaded note set wholesale, with the last journal
-        sequence number it includes. Only for empty engines.
+        sequence number it includes. Only for empty engines: a non-empty
+        one raises RuntimeError before the index is touched, and the
+        index's bulk_load fills only an empty index.
 
         embeddings, when given, is the read-only matrix of the notes'
         embeddings in id order that load_store builds, whose rows the notes

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
 
-from .embedding import post_json
+from .embedding import _tokenize, post_json
 from .errors import BackendUnavailable, EmptyContent, MissingSlot, SchemaViolation
 from .index import _is_count
 from .notes import MemoryNote, validate_timestamp
@@ -185,11 +185,19 @@ _JSON_TYPES: dict[str, type] = {"object": dict, "array": list, "string": str, "b
 def _validate(value: Any, schema: Mapping[str, Any], label: str) -> None:
     """Raise SchemaViolation unless value fits schema, in the JSON-Schema
     subset _RESPONSE_SCHEMAS uses: type (object, array, string, boolean),
-    required, additionalProperties false, items and minItems."""
+    required, additionalProperties false, items and minItems. A string
+    must also be one UTF-8 can encode: JSON allows a lone surrogate such
+    as "\\ud800", which no note may hold."""
     kind = schema["type"]
     if not isinstance(value, _JSON_TYPES[kind]):
         raise SchemaViolation(f"{label} must be of type {kind}")
-    if kind == "object":
+    if kind == "string":
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SchemaViolation(f"{label} holds a lone surrogate") from exc
+    elif kind == "object":
         properties = schema["properties"]
         missing = [key for key in schema["required"] if key not in value]
         if missing:
@@ -255,8 +263,6 @@ def parse_evolution_directive(raw: Any, neighbor_ids: Sequence[str]) -> Evolutio
 # Deterministic mock rules
 
 
-_MOCK_TOKEN_RE = re.compile(r"\w+")
-
 _STOPWORDS = frozenset(
     """
     a about above after again all am an and any are aren as at be because
@@ -281,7 +287,7 @@ def mock_note_attributes(content: str, timestamp: str) -> dict[str, Any]:
     first keyword k is padded with "k-note" and "k-topic". Context names the
     top keyword; tags mirror keywords with a "topic:" prefix.
     """
-    tokens = _MOCK_TOKEN_RE.findall(content.lower())
+    tokens = _tokenize(content)
     candidates = [token for token in tokens if token not in _STOPWORDS]
     if not candidates:
         candidates = tokens

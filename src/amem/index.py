@@ -188,32 +188,41 @@ class VectorIndex:
         self._set_norms(self._norms, row, vec[None, :])
 
     def bulk_load(self, ids: Sequence[str], vectors: np.ndarray | Sequence[np.ndarray]) -> None:
-        """Insert many rows at once. Equivalent to repeated insert, much faster.
+        """Fill an empty index with many rows at once. Equivalent to repeated
+        insert, much faster. A non-empty index raises ValueError.
 
         A sequence of 1-D vectors is stacked straight into the index's own
         buffer, grown as insert grows it (_INITIAL_CAPACITY rows, doubled
         until they fit), so each vector is copied once and no temporary
         matrix is made. The spare rows are pages nothing has written, which
-        cost no memory until inserts fill them without a reallocation.
+        cost no memory until inserts fill them without a reallocation. A
+        sequence that does not stack so is read as a matrix, and raises what
+        that matrix would.
 
-        A matrix, when the index is empty and the matrix is already float32
-        and C-contiguous, the index adopts without copying. A writeable
-        matrix the caller must not mutate afterwards; a read-only one, such
-        as the embedding matrix whose rows a load's notes view, the index
-        copies before its first write (an update, or an insert, which
-        outgrows it), so no row a note views ever changes.
+        A matrix the index adopts as float32 and C-contiguous, with no copy
+        when it already is. A writeable matrix the caller must not mutate
+        afterwards; a read-only one, such as the embedding matrix whose rows
+        a load's notes view, the index copies before its first write (an
+        update, or an insert, which outgrows it), so no row a note views
+        ever changes.
 
         Either way the checks are the same: shape, one vector per id, no
-        duplicate or present id, finite values, read off the rows' norms,
-        which are computed before anything is published. A load that fails
-        them changes nothing the index holds.
+        duplicate id, finite values, read off the rows' norms, which are
+        computed before anything is published. A load that fails them
+        leaves the index empty.
         """
-        base = self._count
-        grown = None if isinstance(vectors, np.ndarray) else self._stacked(vectors)
-        if grown is None:
-            matrix = np.asarray(vectors, dtype=np.float32)
-        else:
-            matrix = grown[0][base : base + len(vectors)]
+        if self._count:
+            raise ValueError("bulk_load fills an empty index")
+        matrix = None
+        if not isinstance(vectors, np.ndarray):
+            try:
+                rows, norms = self._room(len(vectors))
+                matrix = np.stack(vectors, out=rows[: len(vectors)], casting="unsafe")
+            except (TypeError, ValueError):
+                pass
+        if matrix is None:
+            matrix = rows = np.ascontiguousarray(vectors, dtype=np.float32)
+            norms = np.empty(len(rows), dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self._dim:
             raise DimensionMismatch(
                 f"expected shape (n, {self._dim}), got {matrix.shape}"
@@ -225,42 +234,13 @@ class VectorIndex:
         n = matrix.shape[0]
         if n == 0:
             return
-        # Rows and norms from base on are written before the checks below,
-        # into slots the index has not published, so a load that fails
-        # them leaves the index as it was.
-        if grown is not None:
-            rows, norms = grown
-        elif base == 0 and matrix.flags["C_CONTIGUOUS"]:
-            rows, norms = matrix, np.empty(n, dtype=np.float64)
-        else:
-            rows, norms = self._room(n)
-            rows[base : base + n] = matrix
-        self._set_norms(norms, base, matrix)
-        if not np.isfinite(norms[base : base + n]).all():
+        self._set_norms(norms, 0, matrix)
+        if not np.isfinite(norms[:n]).all():
             raise ValueError("bulk batch contains NaN or Inf")
-        for note_id in ids:
-            if note_id in self._slot:
-                raise DuplicateId(f"id already present in index: {note_id}")
         self._rows, self._norms = rows, norms
-        for offset, note_id in enumerate(ids):
-            self._slot[note_id] = base + offset
-            self._ids.append(note_id)
-        self._count += n
-
-    def _stacked(
-        self, vectors: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Row and norm buffers (_room's) with vectors stacked as float32
-        into the rows after the index's own, or None when vectors do not
-        stack into them as 1-D vectors of the index's dimension; bulk_load
-        then reads them as a matrix, to raise what a matrix would raise."""
-        try:
-            rows, norms = self._room(len(vectors))
-            block = rows[self._count : self._count + len(vectors)]
-            np.stack(vectors, out=block, casting="unsafe")
-        except (TypeError, ValueError):
-            return None
-        return rows, norms
+        self._ids = list(ids)
+        self._slot = dict(zip(self._ids, range(n)))
+        self._count = n
 
     def top_k(
         self, query: np.ndarray, k: int, exclude: Iterable[str] = ()

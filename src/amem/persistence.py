@@ -208,11 +208,12 @@ class Journal:
     them; the engine syncs once per mutating operation, after the last event
     of that operation. So events not synced at close() belong to a change
     that failed and was never acknowledged: close() drops them, and cuts
-    off any bytes a failed sync() left past the last successful one. Given
-    torn_at, the offset of a torn tail, it first cuts the file back to it:
-    appends after a torn line would be unreachable. With derived, note
-    records carry embedding_crc in place of the embedding (for an engine
-    whose encoder is deterministic).
+    off any bytes a failed sync() left past the last successful one.
+    open_engine continues it from the loaded last_seq through _adopt,
+    which first cuts a torn tail back to its offset: appends after a torn
+    line would be unreachable. With derived, note records carry
+    embedding_crc in place of the embedding (for an engine whose encoder
+    is deterministic).
 
     A journal takes its file's exclusive flock through lock_journal and
     holds it until close(), so a store has one writer at a time; created
@@ -225,17 +226,16 @@ class Journal:
         self,
         path: str | os.PathLike[str],
         last_seq: int = 0,
-        torn_at: int | None = None,
         derived: bool = False,
     ) -> None:
         self._path = Path(path)
         self._derived = derived
+        self._last = int(last_seq)
         self._pending: list[bytes] = []
         self._dir_synced = False
         self._file, self._created = lock_journal(self._path)
         try:
             self._synced = os.fstat(self._file.fileno()).st_size
-            self._adopt(last_seq, torn_at)
         except BaseException:
             self._file.close()
             raise
@@ -707,8 +707,14 @@ def load_store(
             records, config, last_seq = (
                 read_snapshot(snapshot_file) if held is not None else ({}, None, 0)
             )
-            # A writable open of a new store has just created an empty journal.
-            if journal_file.exists() and journal_file.stat().st_size:
+            # A writable open of a new store has just created an empty
+            # journal, and a snapshot into a store without one unlinks the
+            # empty journal its lock created: either reads as no journal.
+            try:
+                journal_size = journal_file.stat().st_size
+            except FileNotFoundError:
+                journal_size = 0
+            if journal_size:
                 fresh, truncated = read_journal(journal_file, after=last_seq)
                 last_seq = replay_events(records, fresh, start_after=last_seq)
         except (SequenceGap, LoadIntegrityError):

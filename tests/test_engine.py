@@ -274,6 +274,41 @@ def test_schema_failure_during_evolution_leaves_store_untouched(tmp_path, journa
     assert backend.calls.count("evolution_directive") == 3
 
 
+def test_a_keyword_with_a_lone_surrogate_falls_back_to_the_mock(tmp_path, journal):
+    # JSON allows "\ud800"; no note may hold it, so the answer is a
+    # schema violation, retried and then replaced by the mock's.
+    class SurrogateBackend(RecordingBackend):
+        def complete(self, task, payload):
+            answer = super().complete(task, payload)
+            if task == "note_attributes":
+                answer = {**answer, "keywords": ["alpha\ud800", *answer["keywords"][1:]]}
+            return answer
+
+    backend = SurrogateBackend()
+    engine = fresh_engine(journal=journal, backend=backend)
+    note_id = engine.add_memory(CONTENT_A, TS[0])
+    assert backend.calls == ["note_attributes"] * 3
+    assert engine.get_note(note_id).keywords == ("camera", "photography", "tripod")
+    assert [kind for kind, _ in parsed_events(tmp_path / "j.jsonl")] == ["note_added"]
+    assert engine.audit() == []
+
+
+def test_a_rewritten_context_with_a_lone_surrogate_leaves_store_untouched(tmp_path, journal):
+    backend = FixedDirectiveBackend()
+    engine = fresh_engine(journal=journal, backend=backend)
+    engine.add_memory(CONTENT_A, TS[0])
+    before_state = snapshot_bytes(engine)
+    before_journal = (tmp_path / "j.jsonl").read_bytes()
+    backend.directive = fixed_directive(contexts=["Rewritten \ud800 beside a soup recipe."])
+
+    with pytest.raises(SchemaViolation, match="lone surrogate"):
+        engine.add_memory(CONTENT_D, TS[1])
+
+    assert snapshot_bytes(engine) == before_state
+    assert (tmp_path / "j.jsonl").read_bytes() == before_journal
+    assert backend.calls.count("evolution_directive") == 3
+
+
 # ---------------------------------------------------------------------------
 # journal event stream
 

@@ -2385,6 +2385,38 @@ def test_a_damaged_read_under_a_compaction_is_read_again(tmp_path, monkeypatch, 
     assert read_only_state(tmp_path) == (state_map(notes), last_seq)
 
 
+def test_a_read_only_open_reads_a_journal_unlinked_under_its_probe_as_none(
+    tmp_path, monkeypatch
+):
+    # A snapshot into a store with no journal locks through a journal it
+    # creates empty and then unlinks; here the unlink lands right after the
+    # open's first look at the journal.
+    engine = live_engine()
+    engine.add_memory(CONTENT_A, TS[0])
+    snapshot_engine(engine, tmp_path)
+    journal_path = tmp_path / JOURNAL_FILENAME
+    assert not journal_path.exists()
+    journal_path.touch()
+    probes = []
+
+    def probe(real):
+        def probed(path, *args, **kwargs):
+            result = real(path, *args, **kwargs)
+            if path == journal_path and not probes:
+                probes.append(path)
+                path.unlink()
+            return result
+
+        return probed
+
+    monkeypatch.setattr(Path, "exists", probe(Path.exists))
+    monkeypatch.setattr(Path, "stat", probe(Path.stat))
+    reader = open_engine(tmp_path, encoder=encoder(), read_only=True)
+    assert probes == [journal_path] and not journal_path.exists()
+    assert state_map(reader.state_snapshot()[0]) == state_map(engine.state_snapshot()[0])
+    reader.close()
+
+
 def test_a_snapshot_replaced_under_every_read_fails_the_open(
     tmp_path, monkeypatch, six_note_writer
 ):
