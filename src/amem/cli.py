@@ -188,38 +188,44 @@ def _setting(section: dict[str, Any], key: str, default: int | float, where: str
     return type(default)(value)
 
 
+def _build_encoder(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, Any]:
+    """The backend mode and the encoder for this invocation. The remote
+    encoder needs the config's embedding section and no other."""
+    mode = resolve_backend_mode(args, cfg)
+    embed_cfg = cfg.get("embedding", {})
+    if not isinstance(embed_cfg, dict):
+        raise UsageError("config embedding must be a JSON object")
+    dimension = _setting(embed_cfg, "dimension", DEFAULT_DIMENSION, "embedding.")
+    encoder_seed = _setting(cfg, "encoder_seed", 0)
+    embed_timeout = _setting(embed_cfg, "timeout", 30.0, "embedding.")
+    if mode == "mock":
+        return mode, HashEncoder(dimension=dimension, seed=encoder_seed)
+    if "url" not in embed_cfg or "model" not in embed_cfg:
+        raise UsageError(
+            "remote backend needs embedding.url and embedding.model in the config file"
+        )
+    return mode, RemoteEncoder(
+        url=embed_cfg["url"], model=embed_cfg["model"], dimension=dimension, timeout=embed_timeout
+    )
+
+
 def build_components(
     args: argparse.Namespace, cfg: dict[str, Any]
 ) -> tuple[Any, LlmGateway, EngineConfig | None, int | None]:
     """Encoder, gateway, engine config, and id seed for this invocation."""
-    mode = resolve_backend_mode(args, cfg)
-    embed_cfg, llm_cfg = cfg.get("embedding", {}), cfg.get("llm", {})
-    for name, section in (("embedding", embed_cfg), ("llm", llm_cfg)):
-        if not isinstance(section, dict):
-            raise UsageError(f"config {name} must be a JSON object")
-    dimension = _setting(embed_cfg, "dimension", DEFAULT_DIMENSION, "embedding.")
-    encoder_seed = _setting(cfg, "encoder_seed", 0)
-    embed_timeout = _setting(embed_cfg, "timeout", 30.0, "embedding.")
+    mode, encoder = _build_encoder(args, cfg)
+    llm_cfg = cfg.get("llm", {})
+    if not isinstance(llm_cfg, dict):
+        raise UsageError("config llm must be a JSON object")
     llm_timeout = _setting(llm_cfg, "timeout", 60.0, "llm.")
     max_in_flight = _setting(llm_cfg, "max_in_flight", 4, "llm.")
     config_id_seed = _setting(cfg, "id_seed", 0) if "id_seed" in cfg else None
 
     if mode == "mock":
-        encoder: Any = HashEncoder(dimension=dimension, seed=encoder_seed)
         gateway = LlmGateway(MockBackend())
     else:
         if "url" not in llm_cfg or "model" not in llm_cfg:
             raise UsageError("remote backend needs llm.url and llm.model in the config file")
-        if "url" not in embed_cfg or "model" not in embed_cfg:
-            raise UsageError(
-                "remote backend needs embedding.url and embedding.model in the config file"
-            )
-        encoder = RemoteEncoder(
-            url=embed_cfg["url"],
-            model=embed_cfg["model"],
-            dimension=dimension,
-            timeout=embed_timeout,
-        )
         gateway = LlmGateway(
             RemoteChatBackend(
                 url=llm_cfg["url"],
@@ -392,7 +398,7 @@ def read_pairs_file(path: str) -> list[tuple[str, str]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_cli_config(args.config)
-    encoder, _, _, _ = build_components(args, cfg)
+    _, encoder = _build_encoder(args, cfg)
     pairs = read_pairs_file(args.pairs)
     reports = [evaluate_pair(prediction, reference, encoder) for prediction, reference in pairs]
     lines = ["pair," + ",".join(METRIC_NAMES)]

@@ -376,16 +376,7 @@ class MemoryEngine:
         journal = self._journal
         with self._fail_stop():
             if journal is not None:
-                for kind, note, old in events:
-                    if kind == "note_added":
-                        journal.note_added(note)
-                    elif kind == "note_evolved":
-                        journal.note_evolved(note)
-                    else:
-                        journal.links_changed(
-                            note.id, note.links - old.links, old.links - note.links
-                        )
-                journal.sync()
+                journal.write(events)
             with self._view.write():
                 for kind, note, _ in events:
                     if kind == "note_added":

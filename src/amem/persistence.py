@@ -14,9 +14,9 @@ via temp-file-and-rename. Loading a snapshot and replaying the journal
 events past its sequence number reproduces the live store exactly, byte
 for byte. The journal is read back from its end only as far as the
 snapshot does not cover (redo starts at the checkpoint), so the lines it
-covers are not framed. Past it, a line that fails its framing is a
-crash-torn tail, which every open logs and a writable open cuts, unless
-a note_added line frames after it: that is damage, and the load fails.
+covers are not framed. Past it, any line that fails its framing is a
+tail, which every open logs and a writable open cuts, unless a
+note_added line frames after it: that is damage, and the load fails.
 
 Store format 2 does not store what the encoder derives: under a
 deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
@@ -55,7 +55,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .embedding import Encoder, HashEncoder
-from .engine import _VERIFY_CHUNK, EngineConfig, MemoryEngine
+from .engine import _VERIFY_CHUNK, EngineConfig, MemoryEngine, _Event
 from .errors import (
     EmptyContent,
     InvalidTimestamp,
@@ -144,15 +144,14 @@ def _frame(data: bytes, start: int, end: int) -> _Frame | None:
 _TAIL_BYTES = 16384
 
 
-def _lines_back(fd: int, size: int) -> Iterator[tuple[int, _Frame | None, bool]]:
+def _lines_back(fd: int, size: int) -> Iterator[tuple[int, _Frame | None]]:
     """The lines of the journal open as fd, of `size` bytes, from its last
-    back to its first, each as (byte offset, _frame's frame, blank), framed
-    as they are reached. The file is read from its end in spans that grow
+    back to its first, each as (byte offset, _frame's frame), framed as
+    they are reached. The file is read from its end in spans that grow
     fourfold, so a caller that stops early reads at most a span more than
     the lines it was given, and frames none of it. A last line without its
     newline was cut off, so it frames as None even when what is left of it
-    would frame; blank says whether a line that frames as None holds only
-    whitespace."""
+    would frame, and a line of whitespace alone fails like any other."""
     start, data, span = size, b"", _TAIL_BYTES
     end = size  # where the next line ends, before its newline
     while True:
@@ -164,12 +163,10 @@ def _lines_back(fd: int, size: int) -> Iterator[tuple[int, _Frame | None, bool]]
             data = os.pread(fd, start - read_from, read_from) + data
             start, span = read_from, span * 4
             continue
-        if end == size:
-            if start + begin < size:
-                yield start + begin, None, not data[begin:].strip()
-        else:
-            frame = _frame(data, begin, end - start)
-            yield start + begin, frame, frame is None and not data[begin:end - start].strip()
+        if end < size:
+            yield start + begin, _frame(data, begin, end - start)
+        elif start + begin < size:
+            yield start + begin, None
         if start + begin == 0:
             return
         end = start + begin - 1
@@ -205,10 +202,10 @@ class Journal:
     """Writable handle on a journal file, and the only code that shortens it.
 
     Appends buffer in process memory until sync(), which writes and fsyncs
-    them; the engine syncs once per mutating operation, after the last event
-    of that operation. So events not synced at close() belong to a change
-    that failed and was never acknowledged: close() drops them, and cuts
-    off any bytes a failed sync() left past the last successful one.
+    them; write() appends the events of one change and then syncs once.
+    So events not synced at close() belong to a change that failed and was
+    never acknowledged: close() drops them, and cuts off any bytes a failed
+    sync() left past the last successful one.
     open_engine continues it from the loaded last_seq through _adopt,
     which first cuts a torn tail back to its offset: appends after a torn
     line would be unreachable. With derived, note records carry
@@ -222,15 +219,10 @@ class Journal:
     before the first event it acknowledges.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        last_seq: int = 0,
-        derived: bool = False,
-    ) -> None:
+    def __init__(self, path: str | os.PathLike[str], derived: bool = False) -> None:
         self._path = Path(path)
         self._derived = derived
-        self._last = int(last_seq)
+        self._last = 0
         self._pending: list[bytes] = []
         self._dir_synced = False
         self._file, self._created = lock_journal(self._path)
@@ -272,6 +264,19 @@ class Journal:
             )
         self._pending.append(event.line().encode("utf-8"))
         self._last = event.seq
+
+    def write(self, events: Iterable[_Event]) -> None:
+        """Append one change's events in order, each through the method of
+        its kind (links_changed gets the links gained and lost against the
+        old note), then sync once."""
+        for kind, note, old in events:
+            if kind == "note_added":
+                self.note_added(note)
+            elif kind == "note_evolved":
+                self.note_evolved(note)
+            else:
+                self.links_changed(note.id, note.links - old.links, old.links - note.links)
+        self.sync()
 
     def note_added(self, note: MemoryNote) -> None:
         payload = canonical_json(note, self._derived)
@@ -348,14 +353,13 @@ def read_journal(
     read beyond the span that holds it, so damage or a gap among them is
     not seen. From the stop on, a framed line that breaks contiguity raises
     SequenceGap, since a crash never leaves a gap. The first line that
-    fails its framing, or lacks its newline, ends the read:
-    - if it and every line after it are blank, the file ends cleanly and
-      the offset is None;
+    fails its framing, or lacks its newline, ends the read, even one of
+    whitespace alone, which the writer never writes:
     - if a note_added line frames after it, it is damage and not a torn
       write, since a change journals its note_added first and no change
       follows a torn one: LoadIntegrityError names its offset;
-    - otherwise it is a crash-torn tail: its offset is returned, and logged
-      as a warning with the bytes it skips.
+    - otherwise it is a tail: its offset is returned, and logged as a
+      warning with the bytes it skips.
     """
     with open(path, "rb") as handle:
         fd = handle.fileno()
@@ -367,7 +371,7 @@ def read_journal(
             stop = line[1]
             if stop is not None and stop[0] <= after + 1:
                 failed = False
-                for _, frame, _ in walk:
+                for _, frame in walk:
                     if frame is not None:
                         if frame[0] != stop[0] - 1 and (not failed or frame[0] >= stop[0]):
                             raise SequenceGap(
@@ -379,12 +383,9 @@ def read_journal(
     lines.reverse()
     events: list[JournalEvent] = []
     last_seq: int | None = None
-    for index, (offset, frame, _) in enumerate(lines):
+    for index, (offset, frame) in enumerate(lines):
         if frame is None:
-            rest = lines[index:]
-            if all(blank for _, _, blank in rest):
-                return events, None
-            if any(later is not None and later[1] == "note_added" for _, later, _ in rest):
+            if any(later is not None and later[1] == "note_added" for _, later in lines[index:]):
                 raise LoadIntegrityError(
                     f"journal line at byte {offset} is damaged and acknowledged "
                     "changes follow it"
@@ -838,7 +839,7 @@ def _journal_last_seq(path: Path, size: int) -> int:
     if not size:
         return 0
     with open(path, "rb") as handle:
-        return next((frame[0] for _, frame, _ in _lines_back(handle.fileno(), size) if frame), 0)
+        return next((frame[0] for _, frame in _lines_back(handle.fileno(), size) if frame), 0)
 
 
 def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], compact: bool = False) -> Path:
@@ -854,9 +855,10 @@ def snapshot_engine(engine: MemoryEngine, store_dir: str | os.PathLike[str], com
     store and changes none of its files; a journal file the lock created
     is removed before the lock is released. Under that lock it writes only
     when the store's last_seq, read from the snapshot's header and the
-    journal's last framed line, is 0 (an empty or new directory) or the
-    engine's, and raises ValueError otherwise, so an engine that fell
-    behind a store never replaces its newer snapshot.
+    journal's last framed line, is 0 (an empty directory) or the engine's,
+    and raises ValueError otherwise, so an engine that fell behind a store
+    never replaces its newer snapshot. The directory must exist: into a
+    missing one lock_journal raises FileNotFoundError and creates nothing.
     """
     snapshot_path, journal_path = store_paths(store_dir)
     journal = engine.journal

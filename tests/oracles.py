@@ -224,8 +224,8 @@ def oracle_read_journal(path, after: int = 0):
        at: its seq must be one lower, or lower when lines that fail lie
        between them, else SequenceGap. The rest is ignored.
     3. A failing line is a torn tail only when no later line parses as
-       note_added; otherwise LoadIntegrityError. A blank rest of the file
-       is a clean end, as before.
+       note_added; otherwise LoadIntegrityError. A line of whitespace
+       alone fails like any other, since the writer never writes one.
     """
     from amem.errors import LoadIntegrityError, SequenceGap
     from amem.persistence import JournalEvent
@@ -279,8 +279,6 @@ def oracle_read_journal(path, after: int = 0):
     for index in range(start, len(parsed)):
         pos, event = parsed[index]
         if event is None:
-            if data[pos:].strip() == b"":
-                return events, None
             for _, later in parsed[index + 1:]:
                 if later is not None and later.kind == "note_added":
                     raise LoadIntegrityError(f"damaged journal line at byte {pos}")

@@ -524,6 +524,28 @@ def test_eval_is_deterministic(tmp_path):
     assert run_cli(argv) == run_cli(argv)
 
 
+class UnreachableSession:
+    """Stands in for requests.Session: no service answers."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        raise requests.ConnectionError("connection refused")
+
+
+def test_eval_needs_only_the_embedding_settings(tmp_path, monkeypatch):
+    # eval only encodes: a remote config without an llm section passes the
+    # config check, and the unreachable encoder is a backend error.
+    monkeypatch.setattr(requests, "Session", UnreachableSession)
+    cfg = tmp_path / "remote.json"
+    cfg.write_text(
+        json.dumps({"backend": "remote", "embedding": {"url": "http://models.invalid", "model": "m"}}),
+        "utf-8",
+    )
+    code, out, err = run_cli(["--config", str(cfg), "eval", str(DATA_DIR / "pairs.jsonl")])
+    assert code == EXIT_BACKEND
+    assert out == ""
+    assert "embedding endpoint unreachable" in err
+
+
 def test_eval_reports_the_bad_line(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(

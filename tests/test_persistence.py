@@ -279,7 +279,8 @@ def test_read_journal_gives_the_line_oracles_verdict(first, events, damages, dat
 
 
 def test_journal_append_guards(tmp_path):
-    journal = Journal(tmp_path / "j.jsonl", last_seq=5)
+    journal = Journal(tmp_path / "j.jsonl")
+    journal._adopt(5, None)
     with pytest.raises(SequenceGap):
         journal.append(JournalEvent(7, "links_changed", '{"id":"x"}'))
     with pytest.raises(ValueError):
@@ -648,7 +649,8 @@ def test_load_store_rejects_gap_between_snapshot_and_journal(tmp_path):
     snapshot_engine(engine, tmp_path)
     _, last_seq = engine.state_snapshot()
     journal_path.unlink()
-    with Journal(journal_path, last_seq=last_seq + 5) as journal:
+    with Journal(journal_path) as journal:
+        journal._adopt(last_seq + 5, None)
         journal.note_added(hand_note(IdGenerator(seed=9), "omega"))
         journal.sync()
     with pytest.raises(SequenceGap):
@@ -866,39 +868,50 @@ def test_reload_then_continue_then_reload_again(tmp_path):
 
 
 def test_writes_after_a_torn_tail_survive_reopen(tmp_path, caplog):
-    store = tmp_path / "store"
-    engine = open_engine(store, encoder=encoder(), id_seed=7)
-    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
-        engine.add_memory(content, TS[i])
-    engine.close()
-    journal_path = store / JOURNAL_FILENAME
-    torn = journal_path.read_bytes()[:-40]
-    journal_path.write_bytes(torn)
-    before = load_store(*store_paths(store), encoder=encoder())
-    torn_at = before.journal_truncated_at
-    assert torn_at is not None
+    # A tail is what fails framing at the journal's end: a line cut short
+    # (tail None: the last 40 bytes go), or whitespace alone, which the
+    # writer never writes. Each is cut before the next append.
+    for number, tail in enumerate((None, b"\n", b"  ", b"\t\r\n")):
+        store = tmp_path / f"store{number}"
+        engine = open_engine(store, encoder=encoder(), id_seed=7)
+        for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
+            engine.add_memory(content, TS[i])
+        engine.close()
+        journal_path = store / JOURNAL_FILENAME
+        whole = journal_path.read_bytes()
+        torn = whole[:-40] if tail is None else whole + tail
+        journal_path.write_bytes(torn)
+        before = load_store(*store_paths(store), encoder=encoder())
+        torn_at = before.journal_truncated_at
+        assert torn_at is not None
+        assert tail is None or torn_at == len(whole)
 
-    # a read-only open recovers in memory, says so, and leaves the file alone
-    with caplog.at_level(logging.WARNING, logger="amem.persistence"):
-        reader = open_engine(store, encoder=encoder(), read_only=True)
-    assert f"torn tail of {len(torn) - torn_at} bytes at byte {torn_at}" in caplog.text
-    caplog.clear()
-    assert len(reader.state_snapshot()[0]) == len(before.notes)
-    reader.close()
-    assert journal_path.read_bytes() == torn
+        # a read-only open recovers in memory, says so, and leaves the file alone
+        with caplog.at_level(logging.WARNING, logger="amem.persistence"):
+            reader = open_engine(store, encoder=encoder(), read_only=True)
+        assert f"torn tail of {len(torn) - torn_at} bytes at byte {torn_at}" in caplog.text
+        caplog.clear()
+        assert len(reader.state_snapshot()[0]) == len(before.notes)
+        reader.close()
+        assert journal_path.read_bytes() == torn
 
-    with caplog.at_level(logging.WARNING, logger="amem.persistence"):
-        recovered = open_engine(store, encoder=encoder(), id_seed=8)
-    assert journal_path.read_bytes() == torn[:torn_at]
-    assert f"at byte {torn_at}" in caplog.text
-    recovered.add_memory("fresh note written after the recovery", TS[10])
-    live = state_map(recovered.state_snapshot()[0])
-    recovered.close()
-    assert len(live) == len(before.notes) + 1
+        with caplog.at_level(logging.WARNING, logger="amem.persistence"):
+            recovered = open_engine(store, encoder=encoder(), id_seed=8)
+        assert journal_path.read_bytes() == torn[:torn_at]
+        assert f"at byte {torn_at}" in caplog.text
+        caplog.clear()
+        recovered.add_memory("fresh note written after the recovery", TS[10])
+        live = state_map(recovered.state_snapshot()[0])
+        recovered.close()
+        assert len(live) == len(before.notes) + 1
 
-    reloaded = load_store(*store_paths(store), encoder=encoder())
-    assert reloaded.journal_truncated_at is None
-    assert state_map(reloaded.notes) == live
+        reloaded = load_store(*store_paths(store), encoder=encoder())
+        assert reloaded.journal_truncated_at is None
+        assert state_map(reloaded.notes) == live
+        reopened = open_engine(store, encoder=encoder())
+        assert state_map(reopened.state_snapshot()[0]) == live
+        assert reopened.audit() == []
+        reopened.close()
 
 
 
@@ -1032,8 +1045,8 @@ def test_read_only_open_of_a_missing_store_writes_nothing(tmp_path):
 class GatedJournal(Journal):
     """Once armed, blocks in its next note_added until released."""
 
-    def __init__(self, path, last_seq=0):
-        super().__init__(path, last_seq)
+    def __init__(self, path):
+        super().__init__(path)
         self.armed = False
         self.entered = threading.Event()
         self.release = threading.Event()
@@ -2201,6 +2214,10 @@ def test_a_snapshot_into_a_store_a_live_writer_holds_is_refused(tmp_path):
 def test_an_in_memory_snapshot_into_an_empty_directory_leaves_only_the_snapshot(tmp_path):
     engine = live_engine()
     engine.add_memory(CONTENT_A, TS[0])
+    # the directory must exist: a snapshot creates none
+    with pytest.raises(FileNotFoundError):
+        snapshot_engine(engine, tmp_path / "missing")
+    assert not (tmp_path / "missing").exists()
     assert snapshot_engine(engine, tmp_path) == tmp_path / SNAPSHOT_FILENAME
     assert [path.name for path in tmp_path.iterdir()] == [SNAPSHOT_FILENAME]
     reloaded = load_store(*store_paths(tmp_path), encoder=encoder())
@@ -2440,17 +2457,17 @@ MACHINE_WORDS = (
 
 class DurableStoreMachine(RuleBasedStateMachine):
     """Adds, snapshots, compactions, failed compactions, torn writes,
-    refused second writers, read-only opens, snapshots by a kept reader,
-    closes and reopens in any order.
+    whitespace tails, refused second writers, read-only opens, snapshots by
+    a kept reader, closes and reopens in any order.
 
     The model is the state the live engine acknowledged last: its notes as
     canonical JSON and its last_seq. A reopen and a read-only open must
-    reproduce exactly that state, whatever the torn write left at the end
-    of the journal, and neither a second writer nor a snapshot by a reader
-    opened at an earlier step may change the model or the store's files
-    while the writer is open. Once the writer is closed, such a snapshot
-    goes in only from a reader at the acknowledged last_seq; from any
-    other it changes no file.
+    reproduce exactly that state, whatever a torn write or whitespace left
+    at the end of the journal, and neither a second writer nor a snapshot
+    by a reader opened at an earlier step may change the model or the
+    store's files while the writer is open. Once the writer is closed,
+    such a snapshot goes in only from a reader at the acknowledged
+    last_seq; from any other it changes no file.
     """
 
     def __init__(self):
@@ -2529,6 +2546,21 @@ class DurableStoreMachine(RuleBasedStateMachine):
         cut = data.draw(st.one_of(st.just(len(raw) - 1), st.integers(1, len(raw) - 1)))
         with open(self.store / JOURNAL_FILENAME, "ab") as handle:
             handle.write(raw[:cut])
+
+    @precondition(is_open)
+    @rule(tail=st.sampled_from([b"\n", b"  ", b"\t\r\n"]))
+    def whitespace_tail(self, tail):
+        # Whitespace past the last line, which the writer never writes, is a
+        # tail like a torn write's: both opens read the acknowledged state,
+        # and the writable one cuts the tail before anything is appended.
+        self.engine.close()
+        self.engine = None
+        journal_path = self.store / JOURNAL_FILENAME
+        whole = journal_path.read_bytes()
+        journal_path.write_bytes(whole + tail)
+        self.read_only_open()
+        self.reopen()
+        assert journal_path.read_bytes() == whole
 
     @precondition(is_open)
     @rule()
