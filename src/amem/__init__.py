@@ -43,6 +43,7 @@ from .metrics import (
     bleu1,
     embed_sim,
     evaluate_pair,
+    evaluate_pairs,
     f1,
     meteor,
     rouge_2,
@@ -104,6 +105,7 @@ __all__ = [
     "cosine",
     "embed_sim",
     "evaluate_pair",
+    "evaluate_pairs",
     "f1",
     "load_store",
     "meteor",

@@ -18,7 +18,7 @@ import logging
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator
 
 from . import bench as bench_mod
 from .embedding import DEFAULT_DIMENSION, HashEncoder, RemoteEncoder
@@ -39,7 +39,7 @@ from .errors import (
     VersionMismatch,
 )
 from .gateway import LlmGateway, MockBackend, RemoteChatBackend
-from .metrics import METRIC_NAMES, evaluate_pair, mean_report
+from .metrics import METRIC_NAMES, evaluate_pairs, mean_report
 from .notes import join_float32
 from .persistence import open_engine, snapshot_engine
 
@@ -248,12 +248,11 @@ def build_components(
     return encoder, gateway, engine_config, id_seed
 
 
-def emit_json(payload: Any, pretty: bool, out: TextIO | None = None) -> None:
-    stream = out if out is not None else sys.stdout
+def emit_json(payload: Any, pretty: bool) -> None:
     if pretty:
-        stream.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
     else:
-        stream.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
+        sys.stdout.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -400,7 +399,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_cli_config(args.config)
     _, encoder = _build_encoder(args, cfg)
     pairs = read_pairs_file(args.pairs)
-    reports = [evaluate_pair(prediction, reference, encoder) for prediction, reference in pairs]
+    reports = evaluate_pairs(pairs, encoder)
     lines = ["pair," + ",".join(METRIC_NAMES)]
     for number, report in enumerate(reports, start=1):
         values = report.as_dict()

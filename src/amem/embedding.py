@@ -251,8 +251,10 @@ class RemoteEncoder:
 
     Sends {"model", "input"} and expects {"data": [{"index", "embedding"}]}.
     Returned vectors are re-normalized locally so downstream cosine math sees
-    unit vectors regardless of service behavior. Transport failures, non-200
-    statuses and malformed responses or rows raise BackendUnavailable.
+    unit vectors regardless of service behavior, whatever the rows' scale.
+    Transport failures, non-200 statuses and malformed responses or rows,
+    among them a row of zeros or one holding a non-finite value, raise
+    BackendUnavailable.
     """
 
     deterministic = False
@@ -312,9 +314,14 @@ class RemoteEncoder:
                 raise DimensionMismatch(
                     f"embedding response dimension {vec.size} != {self.dimension}"
                 )
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.all(np.isfinite(vec)):
+            if not (np.all(np.isfinite(vec)) and vec.any()):
                 raise BackendUnavailable("embedding response contains a degenerate vector")
+            with np.errstate(over="ignore", under="ignore"):
+                norm = float(np.linalg.norm(vec))
+            if norm == 0.0 or norm == np.inf:
+                # The squares left float64's range: scale the largest entry to 1 first.
+                vec = vec / np.abs(vec).max()
+                norm = float(np.linalg.norm(vec))
             out = (vec / norm).astype(np.float32)
             out.setflags(write=False)
             vectors.append(out)

@@ -119,10 +119,13 @@ def _evolve(
     neighbors: Sequence[MemoryNote],
     directive: EvolutionDirective,
     encoder: Encoder,
+    rewrite_neighbors: bool,
 ) -> list[_Event]:
     """The events a directive adds after the new note's note_added: the new
-    note, then the neighbors by rank. Links go both ways and stay inside the
-    neighbor set. A note whose context or tags change is note_evolved, one
+    note, then the neighbors by rank. Here alone a directive meets the
+    neighbors: connections outside them and entries past them are ignored,
+    and without rewrite_neighbors (evolution off) no context or tags are
+    rewritten. A note whose context or tags change is note_evolved, one
     whose links alone change links_changed; each is built once, by revise,
     with its final fields and, if evolved, its embedding from one
     encode_many. revise checks only what changed, so a links change keeps
@@ -131,8 +134,8 @@ def _evolve(
         return []
 
     suggested = set(directive.suggested_connections)
-    contexts = directive.new_context_neighborhood
-    tag_lists = directive.new_tags_neighborhood
+    contexts = directive.new_context_neighborhood if rewrite_neighbors else ()
+    tag_lists = directive.new_tags_neighborhood if rewrite_neighbors else ()
     connections: list[NoteId] = []
     updates: list[tuple[MemoryNote, dict[str, Any]]] = []
     for position, neighbor in enumerate(neighbors):
@@ -172,9 +175,9 @@ def _evolve(
     ]
 
 
-# Notes whose embeddings audit and load_store encode in one batch; bounds
-# the memory of a verification however large the store.
-_VERIFY_CHUNK = 256
+# Notes per call of a whole-store pass (audit's and load_store's encodes,
+# write_snapshot's writes); bounds the pass's memory however large the store.
+_PASS_CHUNK = 256
 
 
 def _note_problems(
@@ -184,8 +187,8 @@ def _note_problems(
     missing backlinks, and, given an encoder, stale embeddings. One
     encode_many per chunk of notes."""
     ordered = sorted(notes)
-    for start in range(0, len(ordered), _VERIFY_CHUNK):
-        chunk = ordered[start:start + _VERIFY_CHUNK]
+    for start in range(0, len(ordered), _PASS_CHUNK):
+        chunk = ordered[start:start + _PASS_CHUNK]
         if encoder is not None:
             expected = encoder.encode_many([note_text(notes[note_id]) for note_id in chunk])
         else:
@@ -244,8 +247,8 @@ class MemoryEngine:
     The store is one notes dict, its last journaled sequence number, and the
     index. Only _commit and adopt_state change them, holding the writer lock
     (_mutate) and the view lock for writing. Every other read holds the view
-    lock for reading, except the writer's own reads in add_memory, _commit
-    and adopt_state, which no other thread can race. The view lock is not
+    lock for reading, except the writer's own reads in add_memory, _decide,
+    _commit and adopt_state, which no other thread can race. The view lock is not
     re-entrant and a waiting writer blocks new readers, so no method holding
     it calls another that takes it, and iter_notes holds no lock between
     yields. snapshot writes one snapshot at a time. After a failed journal
@@ -330,44 +333,47 @@ class MemoryEngine:
     def add_memory(self, content: str, timestamp: str | None = None) -> NoteId:
         """Construct, link, and evolve one new memory. Returns its id.
 
-        Gateway calls run first; then the note and every change its
-        evolution makes are committed together, so a backend or journal
-        failure leaves the store untouched. The neighbor query runs against
-        the store as it was before this note, which is exactly a
-        self-excluding top-k over the store with the note inserted.
+        The draft (s1 and the note's encode) reads no store state, and the
+        id is drawn after it, so a failed draft draws none. _decide turns
+        the note into its change's events and _commit writes them together,
+        so a backend or journal failure leaves the store untouched.
         """
         if not isinstance(content, str) or not content.strip():
             raise EmptyContent("note content is empty or whitespace-only")
         ts = validate_timestamp(timestamp) if timestamp is not None else now_timestamp()
         with self._writing():
-            notes = self._notes  # the writer's own read: no view lock
             attrs = self._gateway.generate_note_attributes(content, ts)
-            keywords = normalize_terms(attrs.keywords)
-            tags = normalize_terms(attrs.tags)
-            context = attrs.context
-            text = compose_note_text(content, keywords, tags, context)
+            keywords, tags = normalize_terms(attrs.keywords), normalize_terms(attrs.tags)
+            text = compose_note_text(content, keywords, tags, attrs.context)
+            embedding = self._encoder.encode(text)
             note = MemoryNote(
-                id=self._ids.fresh(notes.keys()),
+                id=self._ids.fresh(self._notes.keys()),
                 content=content,
                 timestamp=ts,
                 keywords=keywords,
                 tags=tags,
-                context=context,
-                embedding=self._encoder.encode(text),
+                context=attrs.context,
+                embedding=embedding,
             )
-
-            events: list[_Event] = [("note_added", note, None)]
-            if self.config.enable_link_generation and notes:
-                ranked = self._index.top_k(note.embedding, self.config.k_link)
-                neighbors = [notes[nid] for nid, _ in ranked]
-                opinion = self._gateway.opine_links(note, neighbors)
-                if opinion.should_evolve:
-                    directive = self._gateway.propose_evolution(note, neighbors)
-                    if not self.config.enable_evolution:
-                        directive = directive.without_rewrites()
-                    events += _evolve(note, neighbors, directive, self._encoder)
-            self._commit(events)
+            self._commit(self._decide(note))
             return note.id
+
+    def _decide(self, note: MemoryNote) -> list[_Event]:
+        """The events adding note makes: its note_added, then those _evolve
+        maps s3's directive to. The neighbors are ranked in the store as it
+        was before this note, exactly a self-excluding top-k over the store
+        with the note inserted. A writer's read: it changes nothing."""
+        events: list[_Event] = [("note_added", note, None)]
+        notes = self._notes
+        if not (self.config.enable_link_generation and notes):
+            return events
+        ranked = self._index.top_k(note.embedding, self.config.k_link)
+        neighbors = [notes[nid] for nid, _ in ranked]
+        if not self._gateway.opine_links(note, neighbors).should_evolve:
+            return events
+        directive = self._gateway.propose_evolution(note, neighbors)
+        evolve = self.config.enable_evolution
+        return events + _evolve(note, neighbors, directive, self._encoder, evolve)
 
     def _commit(self, events: Sequence[_Event]) -> None:
         """Journal and sync one change's finished events, then publish them

@@ -27,7 +27,7 @@ import os
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
@@ -119,7 +119,8 @@ class LinkOpinion:
 
 @dataclass(frozen=True)
 class EvolutionDirective:
-    """Concrete evolution decision against a fixed ranked neighbor list.
+    """An s3 evolution decision as the model gave it. The engine maps it
+    onto the ranked neighbors and applies its own evolution switch.
 
     suggested_connections name neighbors the new note should link to.
     tags_to_update are tags appended to the new note. The neighborhood lists
@@ -136,10 +137,6 @@ class EvolutionDirective:
     @classmethod
     def no_op(cls) -> "EvolutionDirective":
         return cls(should_evolve=False)
-
-    def without_rewrites(self) -> "EvolutionDirective":
-        """Keep link and tag suggestions, drop neighbor rewrites."""
-        return replace(self, new_context_neighborhood=(), new_tags_neighborhood=())
 
 
 def _array(items: dict[str, Any], **limits: int) -> dict[str, Any]:
@@ -233,14 +230,13 @@ def parse_link_opinion(raw: Any) -> LinkOpinion:
     return LinkOpinion(should_evolve=raw["should_evolve"], rationale=raw["rationale"])
 
 
-def parse_evolution_directive(raw: Any, neighbor_ids: Sequence[str]) -> EvolutionDirective:
-    """Validate a backend response against the s3 schema, then sanitize it.
+def parse_evolution_directive(raw: Any) -> EvolutionDirective:
+    """Validate a backend response against the s3 schema and convert it.
 
     Unknown actions are logged, not rejected, since live models occasionally
     emit actions nobody defined semantics for; the engine reads no action
-    list. Connection suggestions outside the candidate neighbor set are
-    filtered out, and the positional neighborhood lists are truncated to the
-    number of candidates.
+    list. Nothing else is filtered here: the engine maps the directive onto
+    the ranked neighbors and applies its own evolution switch.
     """
     _validate(raw, _RESPONSE_SCHEMAS["evolution_directive"], "evolution_directive")
     for action in raw["actions"]:
@@ -248,14 +244,12 @@ def parse_evolution_directive(raw: Any, neighbor_ids: Sequence[str]) -> Evolutio
             logger.warning("ignoring unsupported evolution action %r", action)
     if not raw["should_evolve"]:
         return EvolutionDirective.no_op()
-    allowed = set(neighbor_ids)
-    count = len(neighbor_ids)
     return EvolutionDirective(
         should_evolve=True,
-        suggested_connections=tuple(nid for nid in raw["suggested_connections"] if nid in allowed),
+        suggested_connections=tuple(raw["suggested_connections"]),
         tags_to_update=tuple(raw["tags_to_update"]),
-        new_context_neighborhood=tuple(raw["new_context_neighborhood"][:count]),
-        new_tags_neighborhood=tuple(tuple(tags) for tags in raw["new_tags_neighborhood"][:count]),
+        new_context_neighborhood=tuple(raw["new_context_neighborhood"]),
+        new_tags_neighborhood=tuple(tuple(tags) for tags in raw["new_tags_neighborhood"]),
     )
 
 
@@ -554,11 +548,9 @@ class LlmGateway:
     def propose_evolution(
         self, new_note: MemoryNote, neighbors: Sequence[MemoryNote]
     ) -> EvolutionDirective:
-        """Run the s3 evolution decision."""
+        """Run the s3 evolution decision. The directive comes back as the
+        model gave it; the engine maps it onto the neighbors."""
         if not neighbors:
             raise ValueError("propose_evolution requires at least one neighbor")
         payload = {"new_note": new_note, "neighbors": list(neighbors)}
-        ids = [note.id for note in neighbors]
-        return self._ask(
-            "evolution_directive", payload, lambda raw: parse_evolution_directive(raw, ids)
-        )
+        return self._ask("evolution_directive", payload, parse_evolution_directive)

@@ -157,7 +157,13 @@ def meteor(candidate: TokenSequence, reference: TokenSequence) -> float:
 def embed_sim(a: str, b: str, encoder: Encoder) -> float:
     """Embedding similarity for reports: the cosine of the two encodings,
     clamped below at 0."""
-    return max(0.0, cosine(encoder.encode(a), encoder.encode(b)))
+    return _embed_sims([(a, b)], encoder)[0]
+
+
+def _embed_sims(pairs: Sequence[tuple[str, str]], encoder: Encoder) -> list[float]:
+    """embed_sim of each pair, from one encode_many over all their texts."""
+    vectors = encoder.encode_many([text for pair in pairs for text in pair])
+    return [max(0.0, cosine(a, b)) for a, b in zip(vectors[0::2], vectors[1::2])]
 
 
 @dataclass(frozen=True)
@@ -180,16 +186,27 @@ METRIC_NAMES = tuple(item.name for item in fields(MetricReport))
 
 def evaluate_pair(prediction: str, reference: str, encoder: Encoder) -> MetricReport:
     """Score one prediction against one reference on every metric."""
-    pred_tokens = tokenize(prediction)
-    ref_tokens = tokenize(reference)
-    return MetricReport(
-        f1=f1(pred_tokens, ref_tokens),
-        bleu1=bleu1(pred_tokens, ref_tokens),
-        rouge_l=rouge_l(pred_tokens, ref_tokens),
-        rouge_2=rouge_2(pred_tokens, ref_tokens),
-        meteor=meteor(pred_tokens, ref_tokens),
-        embed_sim=embed_sim(prediction, reference, encoder),
-    )
+    return evaluate_pairs([(prediction, reference)], encoder)[0]
+
+
+def evaluate_pairs(pairs: Sequence[tuple[str, str]], encoder: Encoder) -> list[MetricReport]:
+    """Score each (prediction, reference) pair on every metric. One
+    encode_many embeds every text, so a remote encoder makes one request."""
+    reports = []
+    for (prediction, reference), sim in zip(pairs, _embed_sims(pairs, encoder)):
+        pred_tokens = tokenize(prediction)
+        ref_tokens = tokenize(reference)
+        reports.append(
+            MetricReport(
+                f1=f1(pred_tokens, ref_tokens),
+                bleu1=bleu1(pred_tokens, ref_tokens),
+                rouge_l=rouge_l(pred_tokens, ref_tokens),
+                rouge_2=rouge_2(pred_tokens, ref_tokens),
+                meteor=meteor(pred_tokens, ref_tokens),
+                embed_sim=sim,
+            )
+        )
+    return reports
 
 
 def mean_report(reports: Sequence[MetricReport]) -> MetricReport:

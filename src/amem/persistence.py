@@ -55,7 +55,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .embedding import Encoder, HashEncoder
-from .engine import _VERIFY_CHUNK, EngineConfig, MemoryEngine, _Event
+from .engine import _PASS_CHUNK, EngineConfig, MemoryEngine, _Event
 from .errors import (
     EmptyContent,
     InvalidTimestamp,
@@ -449,11 +449,6 @@ def replay_events(
     return last
 
 
-# Note records that write_snapshot encodes and writes with one call; bounds
-# the memory of a snapshot however large the store.
-_SNAPSHOT_CHUNK = 256
-
-
 def _snapshot_parts(
     notes: Mapping[str, MemoryNote], config: EngineConfig, last_seq: int, derived: bool
 ) -> Iterator[str]:
@@ -465,9 +460,9 @@ def _snapshot_parts(
         f'"last_seq":{last_seq},"notes":['
     )
     ids = sorted(notes)
-    for start in range(0, len(ids), _SNAPSHOT_CHUNK):
+    for start in range(0, len(ids), _PASS_CHUNK):
         records = ",".join(
-            canonical_json(notes[nid], derived) for nid in ids[start:start + _SNAPSHOT_CHUNK]
+            canonical_json(notes[nid], derived) for nid in ids[start:start + _PASS_CHUNK]
         )
         yield ("," if start else "") + records
     yield "]}"
@@ -589,8 +584,8 @@ def _build_notes(
     notes: dict[str, MemoryNote] = {}
     # Every row is filled below, or the load fails first.
     matrix = np.empty((len(ordered), width), dtype=np.float32)
-    for start in range(0, len(ordered), _VERIFY_CHUNK):
-        chunk = [records[note_id] for note_id in ordered[start:start + _VERIFY_CHUNK]]
+    for start in range(0, len(ordered), _PASS_CHUNK):
+        chunk = [records[note_id] for note_id in ordered[start:start + _PASS_CHUNK]]
         texts = [record_text(record) for record in chunk]
         rows = matrix[start:start + len(chunk)]
         if verify:

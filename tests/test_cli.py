@@ -15,7 +15,7 @@ import pytest
 import requests
 
 from amem.bench import CONCURRENT_CSV_HEADER, CSV_HEADER
-from amem.embedding import DEFAULT_DIMENSION
+from amem.embedding import DEFAULT_DIMENSION, HashEncoder
 from amem.cli import (
     EXIT_BACKEND,
     EXIT_IO,
@@ -544,6 +544,36 @@ def test_eval_needs_only_the_embedding_settings(tmp_path, monkeypatch):
     assert code == EXIT_BACKEND
     assert out == ""
     assert "embedding endpoint unreachable" in err
+
+
+class CountingEmbeddingSession:
+    """Stands in for requests.Session: an embedding service that answers
+    each request with HashEncoder vectors and keeps each request's inputs."""
+
+    encoder = HashEncoder(dimension=DEFAULT_DIMENSION, seed=0)
+    inputs = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.inputs.append(json["input"])
+        vectors = self.encoder.encode_many(json["input"])
+        data = [{"index": i, "embedding": v.tolist()} for i, v in enumerate(vectors)]
+        return SimpleNamespace(status_code=200, json=lambda: {"data": data})
+
+
+def test_eval_embeds_the_whole_file_in_one_request(tmp_path, monkeypatch):
+    monkeypatch.setattr(CountingEmbeddingSession, "inputs", [])
+    monkeypatch.setattr(requests, "Session", CountingEmbeddingSession)
+    cfg = tmp_path / "remote.json"
+    cfg.write_text(
+        json.dumps({"backend": "remote", "embedding": {"url": "http://models.invalid", "model": "m"}}),
+        "utf-8",
+    )
+    code, out, _ = run_cli(["--config", str(cfg), "eval", str(DATA_DIR / "pairs.jsonl")])
+    assert code == EXIT_OK
+    pairs = [json.loads(line) for line in (DATA_DIR / "pairs.jsonl").read_text("utf-8").splitlines()]
+    texts = [text for pair in pairs for text in (pair["prediction"], pair["reference"])]
+    assert CountingEmbeddingSession.inputs == [[text for text in texts if text.strip()]]
+    assert len(list(csv.DictReader(io.StringIO(out)))) == len(pairs) + 1
 
 
 def test_eval_reports_the_bad_line(tmp_path):

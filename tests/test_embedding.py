@@ -416,6 +416,16 @@ def test_remote_encoder_normalizes_and_orders_rows():
     assert session.requests[0]["json"] == {"model": "m", "input": ["one", "two"]}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_remote_encoder_normalizes_rows_whose_squares_leave_float64(scale):
+    # the plain norm of these rows overflows to inf or underflows to 0
+    session = FakeSession([FakeResponse(200, embedding_body([[scale, scale, 0.0, 0.0]]))])
+    enc = RemoteEncoder(url="http://e", model="m", dimension=4, session=session)
+    expected = (np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)).astype(np.float32)
+    assert np.array_equal(enc.encode("text"), expected)
+
+
 def test_remote_encoder_handles_blank_texts_locally():
     session = FakeSession([FakeResponse(200, embedding_body([[0.0, 5.0, 0.0]]))])
     enc = RemoteEncoder(url="http://e", model="m", dimension=3, session=session)
@@ -473,6 +483,8 @@ def test_remote_encoder_error_paths():
         [{"index": 0, "embedding": [True, 0.0, 0.0]}],
         [{"index": 0, "embedding": [[1.0]] * 3}],
         [{"index": 0, "embedding": [10**400, 0.0, 0.0]}],
+        [{"index": 0, "embedding": [float("inf"), 0.0, 0.0]}],
+        [{"index": 0, "embedding": [float("nan"), 1.0, 0.0]}],
         [{"index": True, "embedding": one}],
         [{"index": "0", "embedding": one}],
         [{"index": 1, "embedding": one}, {"index": 1, "embedding": one}],

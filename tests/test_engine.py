@@ -666,6 +666,72 @@ def test_evolution_off_links_but_freezes_existing_notes():
     assert engine.audit() == []
 
 
+def test_evolution_off_keeps_links_and_tags_but_rewrites_no_neighbor(tmp_path, journal):
+    backend = FixedDirectiveBackend()
+    engine = fresh_engine(
+        config=EngineConfig(enable_evolution=False), journal=journal, backend=backend
+    )
+    id_a = engine.add_memory(CONTENT_A, TS[0])
+    before = engine.get_note(id_a)
+    backend.directive = fixed_directive(
+        connections=[id_a],
+        tags=["topic:gear"],
+        contexts=["Rewritten beside a soup recipe."],
+        tag_lists=[["topic:soup", "topic:gear"]],
+    )
+    id_d = engine.add_memory(CONTENT_D, TS[1])
+
+    note_a, note_d = engine.get_note(id_a), engine.get_note(id_d)
+    assert note_a.links == frozenset({id_d})
+    assert note_d.links == frozenset({id_a})
+    assert note_d.tags == ("topic:recipe", "topic:soup", "topic:lentil", "topic:gear")
+    assert note_a.context == before.context
+    assert note_a.tags == before.tags
+    assert note_a.embedding.tobytes() == before.embedding.tobytes()
+    events = parsed_events(tmp_path / "j.jsonl")[1:]
+    assert [(kind, payload["id"]) for kind, payload in events] == [
+        ("note_added", id_d),
+        ("note_evolved", id_d),
+        ("links_changed", id_a),
+    ]
+    assert engine.audit() == []
+
+
+def test_rewrites_past_the_neighbor_list_change_nothing(tmp_path, journal):
+    backend = FixedDirectiveBackend()
+    engine = fresh_engine(config=EngineConfig(k_link=1), journal=journal, backend=backend)
+    backend.directive = fixed_directive()
+    engine.add_memory(CONTENT_A, TS[0])
+    engine.add_memory(CONTENT_B, TS[1])
+    before_state = snapshot_bytes(engine)
+    # entry 1 would be the second-ranked note, which is not a neighbor at k_link=1
+    backend.directive = fixed_directive(
+        contexts=["", "Rewritten past the neighbors."], tag_lists=[[], ["topic:past"]]
+    )
+    id_d = engine.add_memory(CONTENT_D, TS[2])
+
+    assert backend.calls.count("evolution_directive") == 2
+    events = parsed_events(tmp_path / "j.jsonl")
+    assert [(kind, payload["id"]) for kind, payload in events[2:]] == [("note_added", id_d)]
+    engine_without_d = [note for note in engine.iter_notes() if note.id != id_d]
+    assert "\n".join(canonical_json(note) for note in engine_without_d) == before_state
+    assert engine.audit() == []
+
+
+def test_an_add_whose_encode_fails_draws_no_id(monkeypatch):
+    engine = fresh_engine()
+
+    def down(text):
+        raise BackendUnavailable("embedding service down")
+
+    monkeypatch.setattr(engine.encoder, "encode", down)
+    with pytest.raises(BackendUnavailable):
+        engine.add_memory(CONTENT_A, TS[0])
+    monkeypatch.undo()
+    assert len(engine) == 0
+    assert engine.add_memory(CONTENT_B, TS[1]) == fresh_engine().add_memory(CONTENT_B, TS[1])
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 

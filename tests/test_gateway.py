@@ -215,7 +215,7 @@ def full_directive(neighbors, **overrides):
 
 def test_parse_directive_happy_path():
     ids = [IDS.fresh(), IDS.fresh()]
-    directive = parse_evolution_directive(full_directive(ids), ids)
+    directive = parse_evolution_directive(full_directive(ids))
     assert directive.should_evolve is True
     assert directive.suggested_connections == tuple(ids)
     assert directive.tags_to_update == ("topic:new",)
@@ -226,8 +226,8 @@ def test_parse_directive_drops_unknown_actions(caplog):
     ids = [IDS.fresh()]
     raw = full_directive(ids, actions=["strengthen", "merge", "prune", "update_neighbor"])
     with caplog.at_level(logging.WARNING, logger="amem.gateway"):
-        directive = parse_evolution_directive(raw, ids)
-    assert directive == parse_evolution_directive(full_directive(ids), ids)
+        directive = parse_evolution_directive(raw)
+    assert directive == parse_evolution_directive(full_directive(ids))
     warnings = [record.getMessage() for record in caplog.records]
     assert warnings == [
         "ignoring unsupported evolution action 'merge'",
@@ -235,30 +235,26 @@ def test_parse_directive_drops_unknown_actions(caplog):
     ]
 
 
-def test_parse_directive_filters_foreign_connections():
+def test_parse_directive_keeps_the_answer_as_given():
+    # the engine, not the parser, maps a directive onto the neighbors
     ids = [IDS.fresh(), IDS.fresh()]
     foreign = IDS.fresh()
-    raw = full_directive(ids, suggested_connections=[ids[1], foreign, ids[0]])
-    directive = parse_evolution_directive(raw, ids)
-    assert directive.suggested_connections == (ids[1], ids[0])
-
-
-def test_parse_directive_truncates_positional_lists():
-    ids = [IDS.fresh(), IDS.fresh()]
     raw = full_directive(
         ids,
+        suggested_connections=[ids[1], foreign, ids[0]],
         new_context_neighborhood=["one", "two", "three", "four"],
         new_tags_neighborhood=[["a"], ["b"], ["c"]],
     )
-    directive = parse_evolution_directive(raw, ids)
-    assert directive.new_context_neighborhood == ("one", "two")
-    assert directive.new_tags_neighborhood == (("a",), ("b",))
+    directive = parse_evolution_directive(raw)
+    assert directive.suggested_connections == (ids[1], foreign, ids[0])
+    assert directive.new_context_neighborhood == ("one", "two", "three", "four")
+    assert directive.new_tags_neighborhood == (("a",), ("b",), ("c",))
 
 
 def test_parse_directive_false_collapses_to_no_op():
     ids = [IDS.fresh()]
     raw = full_directive(ids, should_evolve=False)
-    directive = parse_evolution_directive(raw, ids)
+    directive = parse_evolution_directive(raw)
     assert directive == EvolutionDirective.no_op()
 
 
@@ -278,22 +274,7 @@ def test_parse_directive_rejections():
         raw = full_directive(ids)
         mutate(raw)
         with pytest.raises(SchemaViolation):
-            parse_evolution_directive(raw, ids)
-
-
-def test_directive_without_rewrites_keeps_links_and_tags():
-    ids = [IDS.fresh()]
-    raw = full_directive(
-        ids,
-        actions=["strengthen", "update_neighbor"],
-        new_context_neighborhood=["new ctx"],
-        new_tags_neighborhood=[["t1"]],
-    )
-    directive = parse_evolution_directive(raw, ids).without_rewrites()
-    assert directive.suggested_connections == tuple(ids)
-    assert directive.tags_to_update == ("topic:new",)
-    assert directive.new_context_neighborhood == ()
-    assert directive.new_tags_neighborhood == ()
+            parse_evolution_directive(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +331,7 @@ def test_mock_directive_strengthen_vs_rewrite():
 
     raw = mock_evolution_directive(new, [stranger, one_shared, two_shared])
     assert raw["actions"] == ["strengthen", "update_neighbor"]
-    directive = parse_evolution_directive(
-        raw, [stranger.id, one_shared.id, two_shared.id]
-    )
+    directive = parse_evolution_directive(raw)
     assert directive.should_evolve is True
     assert directive.suggested_connections == (one_shared.id, two_shared.id)
     assert "topic:camera" in directive.tags_to_update
@@ -377,7 +356,7 @@ def test_mock_directive_no_overlap_is_no_op():
     stranger = note_with(["soup", "recipe", "leek"])
     raw = mock_evolution_directive(new, [stranger])
     assert raw["should_evolve"] is False
-    directive = parse_evolution_directive(raw, [stranger.id])
+    directive = parse_evolution_directive(raw)
     assert directive == EvolutionDirective.no_op()
 
 
@@ -554,7 +533,7 @@ def test_remote_chat_backend_sends_the_schema_the_parser_enforces():
         "link_opinion": ({"should_evolve": True, "rationale": "r"}, parse_link_opinion),
         "evolution_directive": (
             full_directive(ids),
-            lambda raw: parse_evolution_directive(raw, ids),
+            parse_evolution_directive,
         ),
     }
     assert set(valid) == set(_RESPONSE_SCHEMAS)

@@ -2635,6 +2635,9 @@ class DurableStoreMachine(RuleBasedStateMachine):
 
 
 TestDurableStoreMachine = DurableStoreMachine.TestCase
+# The fewest examples and steps found to catch, in each of 12 seeded runs of
+# the generate phase, a whitespace tail that only a later add and reopen
+# expose; about 4 s on a 2-core host.
 TestDurableStoreMachine.settings = settings(
-    max_examples=50, stateful_step_count=20, deadline=None, database=None
+    max_examples=100, stateful_step_count=50, deadline=None, database=None
 )
