@@ -110,8 +110,8 @@ class RetrievedMemory:
     expanded: bool = False
 
 
-# A change's journal event: kind, the note it leaves, the note it replaces.
-_Event = tuple[str, MemoryNote, "MemoryNote | None"]
+# A change's event: its kind and the note it leaves.
+_Event = tuple[str, MemoryNote]
 
 
 def _evolve(
@@ -121,17 +121,19 @@ def _evolve(
     encoder: Encoder,
     rewrite_neighbors: bool,
 ) -> list[_Event]:
-    """The events a directive adds after the new note's note_added: the new
-    note, then the neighbors by rank. Here alone a directive meets the
+    """The events of the change that adds new_note under a directive: the
+    new note's note_added, with its links and any evolved tags folded in,
+    then the changed neighbors by rank. Here alone a directive meets the
     neighbors: connections outside them and entries past them are ignored,
     and without rewrite_neighbors (evolution off) no context or tags are
-    rewritten. A note whose context or tags change is note_evolved, one
-    whose links alone change links_changed; each is built once, by revise,
-    with its final fields and, if evolved, its embedding from one
-    encode_many. revise checks only what changed, so a links change keeps
-    its note's embedding and checks one new link, however many it has."""
+    rewritten. A neighbor whose context or tags change is note_evolved, one
+    whose links alone change links_changed; each changed note is built
+    once, by revise, with its final fields and, if its text changed, its
+    embedding from one encode_many. revise checks only what changed, so a
+    links change keeps its note's embedding and checks one new link,
+    however many it has."""
     if not directive.should_evolve:
-        return []
+        return [("note_added", new_note)]
 
     suggested = set(directive.suggested_connections)
     contexts = directive.new_context_neighborhood if rewrite_neighbors else ()
@@ -154,23 +156,22 @@ def _evolve(
             updates.append((neighbor, update))
 
     # A new note links to nothing yet, so any connection changes its links.
-    update = {"links": new_note.links.union(connections)} if connections else {}
+    added = {"links": new_note.links.union(connections)} if connections else {}
     # Stored tags hold no duplicates, so this appends only unseen terms.
     new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
     if new_tags != new_note.tags:
-        update["tags"] = new_tags
-    if update:
-        updates.insert(0, (new_note, update))
+        added["tags"] = new_tags
 
-    rewrites = [(note, update) for note, update in updates if update.keys() != {"links"}]
+    changed = [(new_note, added), *updates]
+    rewrites = [(note, update) for note, update in changed if update.keys() - {"links"}]
     texts = [
         compose_note_text(n.content, n.keywords, u.get("tags", n.tags), u.get("context", n.context))
         for n, u in rewrites
     ]
     for (_, update), vector in zip(rewrites, encoder.encode_many(texts) if texts else ()):
         update["embedding"] = vector
-    return [
-        ("note_evolved" if "embedding" in update else "links_changed", revise(note, **update), note)
+    return [("note_added", revise(new_note, **added) if added else new_note)] + [
+        ("note_evolved" if "embedding" in update else "links_changed", revise(note, **update))
         for note, update in updates
     ]
 
@@ -359,11 +360,12 @@ class MemoryEngine:
             return note.id
 
     def _decide(self, note: MemoryNote) -> list[_Event]:
-        """The events adding note makes: its note_added, then those _evolve
-        maps s3's directive to. The neighbors are ranked in the store as it
-        was before this note, exactly a self-excluding top-k over the store
-        with the note inserted. A writer's read: it changes nothing."""
-        events: list[_Event] = [("note_added", note, None)]
+        """The events adding note makes, as _evolve maps s3's directive to
+        them; without one, note's note_added alone. The neighbors are ranked
+        in the store as it was before this note, exactly a self-excluding
+        top-k over the store with the note inserted. A writer's read: it
+        changes nothing."""
+        events: list[_Event] = [("note_added", note)]
         notes = self._notes
         if not (self.config.enable_link_generation and notes):
             return events
@@ -372,8 +374,7 @@ class MemoryEngine:
         if not self._gateway.opine_links(note, neighbors).should_evolve:
             return events
         directive = self._gateway.propose_evolution(note, neighbors)
-        evolve = self.config.enable_evolution
-        return events + _evolve(note, neighbors, directive, self._encoder, evolve)
+        return _evolve(note, neighbors, directive, self._encoder, self.config.enable_evolution)
 
     def _commit(self, events: Sequence[_Event]) -> None:
         """Journal and sync one change's finished events, then publish them
@@ -384,12 +385,12 @@ class MemoryEngine:
             if journal is not None:
                 journal.write(events)
             with self._view.write():
-                for kind, note, _ in events:
+                for kind, note in events:
                     if kind == "note_added":
                         self._index.insert(note.id, note.embedding)
                     elif kind == "note_evolved":
                         self._index.update(note.id, note.embedding)
-                self._notes.update((note.id, note) for _, note, _ in events)
+                self._notes.update((note.id, note) for _, note in events)
                 if journal is not None:
                     self._last_seq = journal.last_seq
 

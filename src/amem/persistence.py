@@ -1,12 +1,22 @@
 """Durable storage: append-only journal, snapshots, and state reconstruction.
 
-The journal is a JSON-lines file; each line carries a strictly increasing
-sequence number, an event kind, a canonical payload, and a CRC-32 of the
-payload text. Three event kinds exist: note_added and note_evolved carry a
-full note record in canonical encoding, links_changed carries a small
-delta. Events are ordered so that any byte prefix of the journal
-reconstructs a store with no dangling references: a note always enters the
-log before anything points at it.
+The journal is a JSON-lines file with one line per change (journal format
+3): {"seq":N,"kind":"note_added","payload":[N,R0,R1,...],"crc":C}. R0 is
+the new note's final record, with its links and any evolved tags folded
+in; R1... are the final records of the neighbors the change rewrote, in
+rank order; C is the CRC-32 of the payload text, so it covers the seq as
+well. A neighbor whose links alone change is not written: on replay every
+note R0 links to gets R0's id back, as evolution gave it. So a torn tail
+never splits a change, and any byte prefix of the journal reconstructs a
+store with no dangling or one-sided link.
+
+Journals of formats 1 and 2 hold one line per event, each with its own
+seq and a CRC of its payload alone: note_added and note_evolved carry a
+full note record, links_changed a small delta. They still replay, and a
+writable open of such a store appends format 3 lines after them, the seq
+counting on. An older build frames a format 3 line as note_added and
+refuses its array payload with LoadIntegrityError, so it never cuts such
+lines as a torn tail.
 
 A snapshot captures the whole store (note records sorted by id), the
 engine config, and the last applied sequence number, written atomically
@@ -22,7 +32,9 @@ Store format 2 does not store what the encoder derives: under a
 deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
 the embedding's little-endian float32 bytes) in place of its floats, and
 any other encoder's records store the floats, as format 1 did. Format 1
-stores still load; a writable open of one appends format 2 records.
+stores still load; a writable open of one appends format 2 records, in
+format 3 lines. Format 3 changes only the journal: a snapshot keeps
+format_version 2.
 
 A load keeps records until its end: read_snapshot and replay_events check
 each record's shape (is_derived_record), and load_store then builds every
@@ -48,7 +60,6 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, takewhile
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -71,7 +82,6 @@ from .notes import (
     canonical_json,
     is_derived_record,
     is_text_list,
-    json_text_list,
     note_from_fields,
     record_text,
 )
@@ -85,6 +95,8 @@ FORMAT_VERSION = 2
 # derived records.
 READABLE_VERSIONS = (1, 2)
 
+# The kinds a journal line may carry: format 3 writes note_added alone,
+# and the other two are read from format 1 and 2 journals.
 EVENT_KINDS = ("note_added", "note_evolved", "links_changed")
 
 # A journal line as the writer writes it, over its bytes: ASCII digits and
@@ -122,8 +134,10 @@ _Frame = tuple[int, str, bytes]
 
 def _frame(data: bytes, start: int, end: int) -> _Frame | None:
     """The seq, kind and payload bytes of the journal line data[start:end],
-    or None if it fails its framing: the shape, the checksum, seq >= 1 or a
-    UTF-8 payload. The payload is not parsed here."""
+    or None if it fails its framing: the shape, the checksum, seq >= 1, a
+    UTF-8 payload, or for a note_added array (a format 3 change) a payload
+    that begins with the line's own seq, which the checksum so covers. The
+    payload is not parsed here."""
     match = _FRAME_RE.fullmatch(data, start, end)
     if match is not None:
         seq, kind, payload, crc = match.groups()
@@ -131,6 +145,11 @@ def _frame(data: bytes, start: int, end: int) -> _Frame | None:
             if (
                 zlib.crc32(payload) == int(crc)
                 and int(seq) >= 1
+                and (
+                    kind != b"note_added"
+                    or not payload.startswith(b"[")
+                    or payload.startswith(b"[" + seq + b",")
+                )
                 and (payload.isascii() or payload.decode("utf-8"))
             ):
                 return int(seq), kind.decode("ascii"), payload
@@ -201,11 +220,11 @@ def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
 class Journal:
     """Writable handle on a journal file, and the only code that shortens it.
 
-    Appends buffer in process memory until sync(), which writes and fsyncs
-    them; write() appends the events of one change and then syncs once.
-    So events not synced at close() belong to a change that failed and was
-    never acknowledged: close() drops them, and cuts off any bytes a failed
-    sync() left past the last successful one.
+    Changes buffer in process memory until sync(), which writes each as one
+    line and fsyncs them; write() journals one change and then syncs. So a
+    change not synced at close() failed and was never acknowledged: close()
+    drops it, and cuts off any bytes a failed sync() left past the last
+    successful one.
     open_engine continues it from the loaded last_seq through _adopt,
     which first cuts a torn tail back to its offset: appends after a torn
     line would be unreachable. With derived, note records carry
@@ -216,14 +235,15 @@ class Journal:
     holds it until close(), so a store has one writer at a time; created
     says whether that call created the file. Its first successful sync()
     also fsyncs the journal's directory, so the file's entry is durable
-    before the first event it acknowledges.
+    before the first change it acknowledges.
     """
 
     def __init__(self, path: str | os.PathLike[str], derived: bool = False) -> None:
         self._path = Path(path)
         self._derived = derived
         self._last = 0
-        self._pending: list[bytes] = []
+        # The changes begun since the last sync: each its seq, then its records.
+        self._pending: list[tuple[int, list[str]]] = []
         self._dir_synced = False
         self._file, self._created = lock_journal(self._path)
         try:
@@ -255,46 +275,35 @@ class Journal:
     def last_seq(self) -> int:
         return self._last
 
-    def append(self, event: JournalEvent) -> None:
-        if event.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown journal event kind: {event.kind!r}")
-        if event.seq != self._last + 1:
-            raise SequenceGap(
-                f"journal expected seq {self._last + 1}, got {event.seq}"
-            )
-        self._pending.append(event.line().encode("utf-8"))
-        self._last = event.seq
-
     def write(self, events: Iterable[_Event]) -> None:
-        """Append one change's events in order, each through the method of
-        its kind (links_changed gets the links gained and lost against the
-        old note), then sync once."""
-        for kind, note, old in events:
+        """Journal one change as one line, then sync. The change's
+        note_added and each note_evolved render their records through the
+        method of their kind; a links_changed note is not written, since its
+        new links are backlinks to the change's new note, which replay
+        gives back from the new note's record."""
+        for kind, note in events:
             if kind == "note_added":
                 self.note_added(note)
             elif kind == "note_evolved":
                 self.note_evolved(note)
-            else:
-                self.links_changed(note.id, note.links - old.links, old.links - note.links)
         self.sync()
 
     def note_added(self, note: MemoryNote) -> None:
-        payload = canonical_json(note, self._derived)
-        self.append(JournalEvent(self._last + 1, "note_added", payload))
+        """Begin the next change, at the next seq, with note's record."""
+        record = canonical_json(note, self._derived)
+        self._last += 1
+        self._pending.append((self._last, [record]))
 
     def note_evolved(self, note: MemoryNote) -> None:
-        payload = canonical_json(note, self._derived)
-        self.append(JournalEvent(self._last + 1, "note_evolved", payload))
-
-    def links_changed(self, note_id: str, added: Iterable[str], removed: Iterable[str]) -> None:
-        payload = (
-            f'{{"id":{encode_basestring(note_id)},"added":{json_text_list(sorted(added))},'
-            f'"removed":{json_text_list(sorted(removed))}}}'
-        )
-        self.append(JournalEvent(self._last + 1, "links_changed", payload))
+        """Add note's record, a rewritten neighbor's, to the begun change."""
+        self._pending[-1][1].append(canonical_json(note, self._derived))
 
     def sync(self) -> None:
-        data = b"".join(self._pending)
+        """Write the begun changes, one line each, and fsync them."""
+        data = b"".join(
+            JournalEvent(seq, "note_added", f"[{seq},{','.join(records)}]").line().encode("utf-8")
+            for seq, records in self._pending
+        )
         self._pending.clear()
         rest = memoryview(data)
         while rest:
@@ -306,7 +315,7 @@ class Journal:
         self._synced += len(data)
 
     def _cut(self, length: int) -> None:
-        """Drop the pending events and cut the file to `length` bytes, durably.
+        """Drop the pending changes and cut the file to `length` bytes, durably.
         The durable length is set first, so close() never pads after a failure."""
         self._pending.clear()
         self._synced = length
@@ -345,19 +354,20 @@ def read_journal(
 
     The file is read back from its end to the last line that frames with a
     seq of at most after + 1 (the first one past after, or after's own
-    line), the stop, or to its start when no line does. The checksum does
-    not cover the seq, so the stop is checked against the nearest framed
-    line before it, which must be one seq lower, or lower across lines that
-    fail; else SequenceGap. The lines before the stop are what a snapshot at
-    `after` already covers: past that one check they are not framed, nor
-    read beyond the span that holds it, so damage or a gap among them is
-    not seen. From the stop on, a framed line that breaks contiguity raises
-    SequenceGap, since a crash never leaves a gap. The first line that
-    fails its framing, or lacks its newline, ends the read, even one of
-    whitespace alone, which the writer never writes:
+    line), the stop, or to its start when no line does. The stop is checked
+    against the nearest framed line before it, which must be one seq lower,
+    or lower across lines that fail; else SequenceGap (a format 2 line's
+    checksum does not cover its seq). The lines before the stop are what a
+    snapshot at `after` already covers: past that one check they are not
+    framed, nor read beyond the span that holds it, so damage or a gap
+    among them is not seen. From the stop on, a framed line that breaks
+    contiguity raises SequenceGap, since a crash never leaves a gap. The
+    first line that fails its framing, or lacks its newline, ends the read,
+    even one of whitespace alone, which the writer never writes:
     - if a note_added line frames after it, it is damage and not a torn
-      write, since a change journals its note_added first and no change
-      follows a torn one: LoadIntegrityError names its offset;
+      write, since every change's first line frames as note_added (a format
+      3 change is that one line) and no change follows a torn one:
+      LoadIntegrityError names its offset;
     - otherwise it is a tail: its offset is returned, and logged as a
       warning with the bytes it skips.
     """
@@ -412,8 +422,12 @@ def replay_events(
     This is the one place a journal payload is parsed, once per event. Each
     event must be seq start_after + 1, then the next, or SequenceGap is
     raised; a payload that is not a valid event raises LoadIntegrityError.
-    A note record enters the map shape-checked, and links_changed edits its
-    links; load_store builds the notes.
+    A note record enters the map shape-checked, and load_store builds the
+    notes. A format 3 change, a note_added whose payload is the array
+    [seq, new note's record, rewritten notes' records...], adds the new
+    note, replaces the rewritten ones, and gives every note the new note
+    links to its backlink. Of format 2's events, links_changed edits one
+    note's links.
     """
     last = start_after
     for event in events:
@@ -421,7 +435,9 @@ def replay_events(
             raise SequenceGap(f"journal event seq {event.seq} does not follow seq {last}")
         try:
             payload = json.loads(event.payload_json)
-            if event.kind != "links_changed":
+            if event.kind == "note_added" and isinstance(payload, list):
+                _replay_change(records, event.seq, payload)
+            elif event.kind != "links_changed":
                 is_derived_record(payload)
                 note_id = payload["id"]
                 if event.kind == "note_added" and note_id in records:
@@ -447,6 +463,30 @@ def replay_events(
             raise LoadIntegrityError(f"journal event seq {event.seq}: {exc}") from exc
         last = event.seq
     return last
+
+
+def _replay_change(records: dict[str, dict[str, Any]], seq: int, change: list[Any]) -> None:
+    """Apply a format 3 change, [seq, added, *evolved], to records; ValueError
+    for one that is not a change at seq of records that fit them."""
+    if len(change) < 2 or type(change[0]) is not int or change[0] != seq:
+        raise ValueError(f"change must be [{seq}, note record, ...]")
+    added, *evolved = change[1:]
+    for record in change[1:]:
+        is_derived_record(record)
+    note_id = added["id"]
+    if note_id in records:
+        raise ValueError(f"note {note_id} added twice")
+    for record in evolved:
+        if record["id"] not in records:
+            raise ValueError(f"evolved note {record['id']} does not exist")
+    records[note_id] = added
+    records.update((record["id"], record) for record in evolved)
+    for link in added["links"]:
+        record = records.get(link)
+        if record is None:
+            raise ValueError(f"note {note_id} links to unknown id {link}")
+        if note_id not in record["links"]:
+            record["links"] = sorted([*record["links"], note_id])
 
 
 def _snapshot_parts(

@@ -216,7 +216,7 @@ def oracle_read_journal(path, after: int = 0):
     offset); a gap raises SequenceGap.
 
     This is the line-by-line reading that read_journal once did, under
-    three rules that read_journal added to it:
+    four rules that read_journal added to it:
     1. Only ASCII digits and ASCII whitespace frame (re.ASCII above).
     2. Covered lines are not read: the read starts at the last line that
        parses with a seq of at most after + 1, or at the first line when
@@ -226,6 +226,8 @@ def oracle_read_journal(path, after: int = 0):
     3. A failing line is a torn tail only when no later line parses as
        note_added; otherwise LoadIntegrityError. A line of whitespace
        alone fails like any other, since the writer never writes one.
+    4. A note_added payload that begins with "[" (a format 3 change) must
+       begin with "[" and the line's own seq digits, then a comma.
     """
     from amem.errors import LoadIntegrityError, SequenceGap
     from amem.persistence import JournalEvent
@@ -241,6 +243,12 @@ def oracle_read_journal(path, after: int = 0):
             raise ValueError("journal line checksum mismatch")
         if seq < 1:
             raise ValueError("journal sequence numbers start at 1")
+        if (
+            match.group(2) == "note_added"
+            and payload_json.startswith("[")
+            and not payload_json.startswith(f"[{match.group(1)},")
+        ):
+            raise ValueError("a change's payload must begin with its line's seq")
         return JournalEvent(seq=seq, kind=match.group(2), payload_json=payload_json)
 
     data = Path(path).read_bytes()

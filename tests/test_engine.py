@@ -289,7 +289,7 @@ def test_a_keyword_with_a_lone_surrogate_falls_back_to_the_mock(tmp_path, journa
     note_id = engine.add_memory(CONTENT_A, TS[0])
     assert backend.calls == ["note_attributes"] * 3
     assert engine.get_note(note_id).keywords == ("camera", "photography", "tripod")
-    assert [kind for kind, _ in parsed_events(tmp_path / "j.jsonl")] == ["note_added"]
+    assert record_ids(parsed_changes(tmp_path / "j.jsonl")) == [[note_id]]
     assert engine.audit() == []
 
 
@@ -313,10 +313,16 @@ def test_a_rewritten_context_with_a_lone_surrogate_leaves_store_untouched(tmp_pa
 # journal event stream
 
 
-def parsed_events(path):
+def parsed_changes(path):
+    """Each journal line's change: its note records, the new note's first."""
     events, truncated = read_journal(path)
     assert truncated is None
-    return [(e.kind, json.loads(e.payload_json)) for e in events]
+    assert all(e.kind == "note_added" for e in events)
+    return [json.loads(e.payload_json)[1:] for e in events]
+
+
+def record_ids(changes):
+    return [[record["id"] for record in change] for change in changes]
 
 
 def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
@@ -325,16 +331,13 @@ def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
     id_b = engine.add_memory(CONTENT_B, TS[1])
     journal.sync()
 
-    events = parsed_events(tmp_path / "j.jsonl")
-    kinds = [kind for kind, _ in events]
-    assert kinds == ["note_added", "note_added", "links_changed", "note_evolved"]
-    # the insert event carries the note before any links exist
-    assert events[1][1]["id"] == id_b
-    assert events[1][1]["links"] == []
-    # then the new note gains its links, then the neighbor is rewritten
-    assert events[2][1] == {"id": id_b, "added": [id_a], "removed": []}
-    assert events[3][1]["id"] == id_a
-    assert events[3][1]["context"] == (
+    changes = parsed_changes(tmp_path / "j.jsonl")
+    # one line per add: the new note, then the neighbor it rewrote
+    assert record_ids(changes) == [[id_a], [id_b, id_a]]
+    # each record is the note as the change left it, links included
+    assert changes[1][0]["links"] == [id_a]
+    assert changes[1][1]["links"] == [id_b]
+    assert changes[1][1]["context"] == (
         "Expands on camera and photography with newer material."
     )
 
@@ -353,29 +356,26 @@ def test_an_evolving_add_syncs_once(tmp_path):
         engine.add_memory(CONTENT_A, TS[0])
         assert journal.syncs == 1
         engine.add_memory(CONTENT_B, TS[1])
-        # B was inserted, linked and rewrote A: three events, one sync
-        assert journal.last_seq == 4
+        # B was inserted, linked and rewrote A: one change, one line, one sync
+        assert journal.last_seq == 2
         assert journal.syncs == 2
 
 
 def test_journal_prefix_never_dangles(tmp_path, journal):
-    # every event-stream prefix references only already-added notes
+    # every change references only its own new note and notes added before
     engine = fresh_engine(journal=journal)
     for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
         engine.add_memory(content, TS[i])
     journal.sync()
 
     seen = set()
-    for kind, payload in parsed_events(tmp_path / "j.jsonl"):
-        if kind == "note_added":
-            seen.add(payload["id"])
-            assert set(payload["links"]) <= seen
-        elif kind == "note_evolved":
-            assert payload["id"] in seen
-            assert set(payload["links"]) <= seen
-        else:
-            assert payload["id"] in seen
-            assert set(payload["added"]) | set(payload["removed"]) <= seen
+    for added, *evolved in parsed_changes(tmp_path / "j.jsonl"):
+        assert added["id"] not in seen
+        seen.add(added["id"])
+        assert set(added["links"]) <= seen
+        for record in evolved:
+            assert record["id"] in seen
+            assert set(record["links"]) <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +425,11 @@ def test_evolution_extends_the_new_notes_tags(tmp_path, journal):
     assert note_d.tags == ("topic:recipe", "topic:soup", "topic:lentil", "topic:gear")
     # the tag change feeds the enriched text, so the embedding moved with it
     assert np.array_equal(note_d.embedding, engine.encoder.encode(note_text(note_d)))
-    events = parsed_events(tmp_path / "j.jsonl")[1:]
-    assert [(kind, payload["id"]) for kind, payload in events] == [
-        ("note_added", id_d),
-        ("note_evolved", id_d),
-        ("links_changed", id_a),
-    ]
+    # D is written once, with its links and tags; A, linked only, not at all
+    changes = parsed_changes(tmp_path / "j.jsonl")[1:]
+    assert record_ids(changes) == [[id_d]]
+    assert changes[0][0]["links"] == [id_a]
+    assert changes[0][0]["tags"] == list(note_d.tags)
     assert engine.audit() == []
 
 
@@ -443,13 +442,9 @@ def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal)
     )
     id_d = engine.add_memory(CONTENT_D, TS[1])
 
-    events = parsed_events(tmp_path / "j.jsonl")[1:]
-    assert [(kind, payload["id"]) for kind, payload in events] == [
-        ("note_added", id_d),
-        ("links_changed", id_d),
-        ("note_evolved", id_a),
-    ]
-    rewritten = events[2][1]
+    changes = parsed_changes(tmp_path / "j.jsonl")[1:]
+    assert record_ids(changes) == [[id_d, id_a]]
+    rewritten = changes[0][1]
     assert rewritten["links"] == [id_d]
     assert rewritten["context"] == "Rewritten beside a soup recipe."
     note_a = engine.get_note(id_a)
@@ -473,7 +468,7 @@ def test_an_evolving_add_builds_each_changed_note_once(tmp_path, journal, monkey
     backend.directive = lambda ranked: fixed_directive()
     engine.add_memory(CONTENT_A, TS[0])
     engine.add_memory(CONTENT_C, TS[1])
-    before = len(parsed_events(tmp_path / "j.jsonl"))
+    before = len(parsed_changes(tmp_path / "j.jsonl"))
 
     # A note is built by MemoryNote's constructor or, for a revision of a
     # checked note, by notes._assemble; count both.
@@ -503,13 +498,9 @@ def test_an_evolving_add_builds_each_changed_note_once(tmp_path, journal, monkey
 
     # the new note is built, then rebuilt with its links; each neighbor once
     assert Counter(built) == Counter({id_d: 2, shown[0]: 1, shown[1]: 1})
-    events = parsed_events(tmp_path / "j.jsonl")[before:]
-    assert [(kind, payload["id"]) for kind, payload in events] == [
-        ("note_added", id_d),
-        ("links_changed", id_d),
-        ("note_evolved", shown[0]),
-        ("links_changed", shown[1]),
-    ]
+    # the links-only neighbor is not written: its backlink is implied
+    assert record_ids(parsed_changes(tmp_path / "j.jsonl")[before:]) == [[id_d, shown[0]]]
+    assert engine.get_note(shown[1]).links == frozenset({id_d})
     rewritten = engine.get_note(shown[0])
     assert rewritten.context == "Rewritten beside a soup."
     assert np.array_equal(rewritten.embedding, engine.encoder.encode(note_text(rewritten)))
@@ -688,12 +679,7 @@ def test_evolution_off_keeps_links_and_tags_but_rewrites_no_neighbor(tmp_path, j
     assert note_a.context == before.context
     assert note_a.tags == before.tags
     assert note_a.embedding.tobytes() == before.embedding.tobytes()
-    events = parsed_events(tmp_path / "j.jsonl")[1:]
-    assert [(kind, payload["id"]) for kind, payload in events] == [
-        ("note_added", id_d),
-        ("note_evolved", id_d),
-        ("links_changed", id_a),
-    ]
+    assert record_ids(parsed_changes(tmp_path / "j.jsonl")[1:]) == [[id_d]]
     assert engine.audit() == []
 
 
@@ -711,8 +697,7 @@ def test_rewrites_past_the_neighbor_list_change_nothing(tmp_path, journal):
     id_d = engine.add_memory(CONTENT_D, TS[2])
 
     assert backend.calls.count("evolution_directive") == 2
-    events = parsed_events(tmp_path / "j.jsonl")
-    assert [(kind, payload["id"]) for kind, payload in events[2:]] == [("note_added", id_d)]
+    assert record_ids(parsed_changes(tmp_path / "j.jsonl")[2:]) == [[id_d]]
     engine_without_d = [note for note in engine.iter_notes() if note.id != id_d]
     assert "\n".join(canonical_json(note) for note in engine_without_d) == before_state
     assert engine.audit() == []

@@ -17,6 +17,7 @@ import stat
 import tempfile
 import threading
 import warnings
+import zlib
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,6 +122,13 @@ def hand_note(ids, keyword, links=(), embedding=None):
     )
 
 
+def change_line(seq, *notes):
+    """The format 3 journal line of a change: its seq, then the notes'
+    records, the new note's first."""
+    records = ",".join(canonical_json(note) for note in notes)
+    return JournalEvent(seq, "note_added", f"[{seq},{records}]").line()
+
+
 # ---------------------------------------------------------------------------
 # journal line format
 
@@ -136,6 +144,55 @@ def test_event_line_shape_and_checksum():
     assert json.loads(line)["crc"] == crc
 
 
+def test_a_damaged_seq_digit_fails_the_framing_of_a_change_line(tmp_path):
+    # A change's checksum covers its payload, which begins with its seq, so
+    # no other seq frames: also not on a journal's first line, which has no
+    # line before it to check its seq against, and read as covered when its
+    # seq could be damaged. Damage before a framed change fails the load;
+    # on the last line it is a tail, as any damage there is.
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    for i in range(12):
+        if i == 10:
+            snapshot_engine(engine, store, compact=True)
+        engine.add_memory(f"note {i} about {('tea', 'rain', 'maps')[i % 3]} and more", TS[i])
+    engine.close()
+    journal_path = store / JOURNAL_FILENAME
+    lines = journal_path.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["seq"] for line in lines] == [11, 12]
+    for index, line in enumerate(lines):
+        for at in range(len(b'{"seq":'), len(b'{"seq":12')):
+            for digit in set(b"0123456789") - {line[at]}:
+                damaged = line[:at] + bytes([digit]) + line[at + 1:]
+                assert persistence._frame(damaged, 0, len(damaged) - 1) is None
+                if index == 0:
+                    journal_path.write_bytes(damaged + lines[1])
+                    with pytest.raises(LoadIntegrityError, match="at byte 0 "):
+                        read_journal(journal_path, after=10)
+                    journal_path.write_bytes(damaged)
+                    assert read_journal(journal_path, after=10) == ([], 0)
+                else:
+                    journal_path.write_bytes(lines[0] + damaged)
+                    events, truncated = read_journal(journal_path, after=10)
+                    assert [event.seq for event in events] == [11]
+                    assert truncated == len(lines[0])
+
+
+def test_an_older_build_frames_a_change_line_and_refuses_its_payload(tmp_path):
+    # A format 2 build frames a line by _FRAME_RE and a checksum of its
+    # payload, then checks the payload of a note_added with
+    # is_derived_record: a change line passes the first two steps and fails
+    # the third, so that build fails the load and cuts nothing.
+    ids = IdGenerator(seed=4)
+    line = change_line(1, hand_note(ids, "alpha"), hand_note(ids, "beta")).encode("utf-8")
+    match = persistence._FRAME_RE.fullmatch(line)
+    assert match is not None
+    seq, kind, payload, crc = match.groups()
+    assert (seq, kind) == (b"1", b"note_added") and zlib.crc32(payload) == int(crc)
+    with pytest.raises(ValueError, match="JSON object"):
+        is_derived_record(json.loads(payload))
+
+
 def test_journal_round_trip(tmp_path):
     ids = IdGenerator(seed=3)
     a = hand_note(ids, "alpha")
@@ -144,53 +201,18 @@ def test_journal_round_trip(tmp_path):
     with Journal(path) as journal:
         journal.note_added(a)
         journal.note_added(b)
-        journal.links_changed(b.id, added=[a.id], removed=[])
         journal.note_evolved(a)
         journal.sync()
-        assert journal.last_seq == 4
+        assert journal.last_seq == 2
 
     events, truncated = read_journal(path)
     assert truncated is None
-    assert [e.seq for e in events] == [1, 2, 3, 4]
-    assert [e.kind for e in events] == [
-        "note_added",
-        "note_added",
-        "links_changed",
-        "note_evolved",
-    ]
-    assert events[0].payload_json == canonical_json(a)
-    assert json.loads(events[2].payload_json) == {"id": b.id, "added": [a.id], "removed": []}
-
-
-# Any text UTF-8 can encode, with what JSON escapes or may be mis-escaped
-# drawn often: quotes, backslashes, control characters, U+2028/U+2029 and
-# characters beyond the BMP.
-PAYLOAD_TEXT = st.text(
-    st.sampled_from('"\\/\x00\x1f\x7f\x85\n\u2028\u2029\U0001f600')
-    | st.characters(codec=None, exclude_categories=("Cs",)),
-    max_size=8,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    note_id=PAYLOAD_TEXT,
-    added=st.lists(PAYLOAD_TEXT, max_size=4),
-    removed=st.sets(PAYLOAD_TEXT, max_size=4),
-)
-def test_links_changed_payload_matches_a_json_dumps_reference(note_id, added, removed):
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / JOURNAL_FILENAME
-        with Journal(path) as journal:
-            journal.links_changed(note_id, added, removed)
-            journal.sync()
-        (event,), truncated = read_journal(path)
-    assert truncated is None
-    assert event.payload_json == json.dumps(
-        {"id": note_id, "added": sorted(added), "removed": sorted(removed)},
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    # one line per change: its seq, its new note, then the notes it rewrote
+    assert [e.seq for e in events] == [1, 2]
+    assert [e.kind for e in events] == ["note_added", "note_added"]
+    assert events[0].payload_json == f"[1,{canonical_json(a)}]"
+    assert events[1].payload_json == f"[2,{canonical_json(b)},{canonical_json(a)}]"
+    assert path.read_text("utf-8") == change_line(1, a) + change_line(2, b, a)
 
 
 # Damage read_journal must read exactly as the line oracle does.
@@ -276,16 +298,6 @@ def test_read_journal_gives_the_line_oracles_verdict(first, events, damages, dat
             assert framing_outcome(read_journal, path, after) == framing_outcome(
                 oracle_read_journal, path, after
             )
-
-
-def test_journal_append_guards(tmp_path):
-    journal = Journal(tmp_path / "j.jsonl")
-    journal._adopt(5, None)
-    with pytest.raises(SequenceGap):
-        journal.append(JournalEvent(7, "links_changed", '{"id":"x"}'))
-    with pytest.raises(ValueError):
-        journal.append(JournalEvent(6, "note_deleted", '{"id":"x"}'))
-    journal.close()
 
 
 def test_read_journal_rejects_sequence_gaps(tmp_path):
@@ -401,6 +413,51 @@ def test_every_journal_prefix_loads_consistently(tmp_path):
     assert sizes_seen == {0, 1, 2, 3, 4}
 
 
+def test_every_crash_prefix_of_a_change_journal_opens_to_its_whole_changes(tmp_path):
+    # Four adds, the fourth linking a neighbor it rewrites and one it leaves
+    # as it was, then a plain snapshot and a fifth add. A crash leaves a
+    # prefix of the journal, and the snapshot only once the four lines it
+    # covers were synced, or not yet. Each prefix opens writable to exactly
+    # the changes whose line is whole, with every link's backlink.
+    store = tmp_path / "store"
+    engine = open_engine(store, encoder=encoder(), id_seed=7)
+    contents = (
+        CONTENT_A,
+        CONTENT_C,
+        CONTENT_D,
+        "aperture lens tripod aperture lens tripod",
+        "soup lentil broth soup lentil",
+    )
+    states = [{}]
+    for i, content in enumerate(contents):
+        if i == 4:
+            snapshot_engine(engine, store)
+        engine.add_memory(content, TS[i])
+        states.append(state_map(engine.state_snapshot()[0]))
+    engine.close()
+    snapshot_path, journal_path = store_paths(store)
+    data, snapshot = journal_path.read_bytes(), snapshot_path.read_bytes()
+    added, rewritten = json.loads(data.splitlines()[3])["payload"][1:]
+    assert len(added["links"]) == 2 and rewritten["id"] in added["links"]
+    ends = [at + 1 for at, byte in enumerate(data) if byte == ord("\n")]
+    assert len(ends) == 5
+
+    prefix = tmp_path / "prefix"
+    prefix.mkdir()
+    prefix_snapshot, prefix_journal = store_paths(prefix)
+    for cut in range(len(data) + 1):
+        whole = sum(end <= cut for end in ends)
+        for with_snapshot in {False, whole >= 4}:
+            prefix_journal.write_bytes(data[:cut])
+            if with_snapshot:
+                prefix_snapshot.write_bytes(snapshot)
+            reopened = open_engine(prefix, encoder=encoder())
+            assert state_map(reopened.state_snapshot()[0]) == states[whole]
+            assert reopened.audit() == []
+            reopened.close()
+            prefix_snapshot.unlink(missing_ok=True)
+
+
 def assert_after_matches_full_read(path):
     """read_journal(path, after=k) returns the full read's events past k
     and the same truncation offset, for every k."""
@@ -414,14 +471,19 @@ def assert_after_matches_full_read(path):
 
 def test_reading_past_a_seq_agrees_with_a_full_read_on_every_prefix(tmp_path):
     ids = IdGenerator(seed=5)
-    a, b = hand_note(ids, "alpha"), hand_note(ids, "beta")
+    a, b, c = hand_note(ids, "alpha"), hand_note(ids, "beta"), hand_note(ids, "gamma")
     path = tmp_path / "j.jsonl"
+    # two format 2 lines, as an older build wrote them, then format 3 changes
+    path.write_text(
+        JournalEvent(1, "note_added", canonical_json(a)).line()
+        + JournalEvent(2, "links_changed", f'{{"id":"{a.id}","added":[],"removed":[]}}').line(),
+        "utf-8",
+    )
     with Journal(path) as journal:
-        journal.note_added(a)
-        journal.links_changed(a.id, added=[], removed=[])
+        journal._adopt(2, None)
         journal.note_added(b)
-        journal.links_changed(b.id, added=[a.id], removed=[])
-        journal.links_changed(a.id, added=[b.id], removed=[])
+        journal.note_evolved(a)
+        journal.note_added(c)
         journal.sync()
     data = path.read_bytes()
     prefix = tmp_path / "prefix.jsonl"
@@ -492,7 +554,7 @@ def test_reading_back_in_small_spans_gives_the_line_oracles_verdict(tmp_path, mo
                 oracle_read_journal, journal_path, after
             )
     journal_path.write_bytes(data[:-5])
-    assert persistence._journal_last_seq(journal_path, len(data) - 5) == 8
+    assert persistence._journal_last_seq(journal_path, len(data) - 5) == 3
 
 
 def test_a_framed_line_with_a_bad_payload_is_read_and_fails_the_replay(tmp_path):
@@ -945,12 +1007,13 @@ def test_a_framed_line_with_a_bad_payload_fails_a_writable_open_and_cuts_nothing
     ids = IdGenerator(seed=6)
     a, b, c = hand_note(ids, "alpha"), hand_note(ids, "beta"), hand_note(ids, "gamma")
     snapshot_path, journal_path = store_paths(tmp_path)
-    with Journal(journal_path) as journal:
-        journal.note_added(a)
-        journal.append(JournalEvent(2, "links_changed", "[1]"))
-        journal.note_added(b)
-        journal.note_added(c)
-        journal.sync()
+    journal_path.write_text(
+        change_line(1, a)
+        + JournalEvent(2, "links_changed", "[1]").line()
+        + change_line(3, b)
+        + change_line(4, c),
+        "utf-8",
+    )
     write_snapshot(snapshot_path, {a.id: a}, EngineConfig(), 1)
     data = journal_path.read_bytes()
     with pytest.raises(LoadIntegrityError, match="seq 2"):
@@ -1008,17 +1071,21 @@ def test_a_damaged_line_before_an_add_fails_both_opens_and_cuts_nothing(tmp_path
 @pytest.mark.parametrize("torn_before", [False, True])
 @pytest.mark.parametrize("lower", [0, 1, 5])
 def test_a_last_line_whose_seq_reads_as_covered_fails_both_opens(tmp_path, lower, torn_before):
-    # The checksum covers the payload only, so a damaged seq still frames.
-    # Read back from the end, the last line would stop the walk at once and
-    # hide the uncovered adds before it, also across a line that fails.
+    # A format 2 line's checksum covers its payload only, so a damaged seq
+    # still frames (a change line's payload begins with its seq). The last
+    # add is rewritten as such a line: read_journal frames lines of either
+    # format alike. Read back from the end, the last line would stop the
+    # walk at once and hide the uncovered adds before it, also across a
+    # line that fails.
     store = tmp_path / "store"
     nine_adds_with_a_plain_snapshot_after_six(store)
     after = read_snapshot(store / SNAPSHOT_FILENAME)[2]
     path = store / JOURNAL_FILENAME
     lines = path.read_bytes().splitlines(keepends=True)
-    seq = re.match(rb'\{"seq":([0-9]+)', lines[-1])
-    assert int(seq.group(1)) > after + 1
-    lines[-1] = b'{"seq":' + str(after + 1 - lower).encode() + lines[-1][seq.end():]
+    last = json.loads(lines[-1])
+    assert last["seq"] > after + 1
+    record = json.dumps(last["payload"][1], ensure_ascii=False, separators=(",", ":"))
+    lines[-1] = JournalEvent(after + 1 - lower, "note_added", record).line().encode("utf-8")
     if torn_before:
         head, crc = lines[-2].rsplit(b'"crc":', 1)
         lines[-2] = head + b'"crc":' + str(int(crc[:-2]) ^ 1).encode() + b"}\n"
@@ -1361,17 +1428,17 @@ def test_close_keeps_the_reason_of_an_earlier_failure(tmp_path, monkeypatch):
         engine.add_memory(CONTENT_B, TS[1])
 
 
-class LinkSyncFailingJournal(Journal):
-    """A journal whose sync raises EIO once a links_changed event is pending."""
+class RewriteSyncFailingJournal(Journal):
+    """A journal whose sync raises EIO once a rewritten note's record is pending."""
 
-    linking = False
+    rewriting = False
 
-    def links_changed(self, note_id, added, removed):
-        super().links_changed(note_id, added, removed)
-        self.linking = True
+    def note_evolved(self, note):
+        super().note_evolved(note)
+        self.rewriting = True
 
     def sync(self):
-        if self.linking:
+        if self.rewriting:
             raise OSError(errno.EIO, "injected fsync failure")
         super().sync()
 
@@ -1380,7 +1447,7 @@ def test_a_failed_sync_of_an_evolving_add_keeps_none_of_it(tmp_path, monkeypatch
     # B links to and rewrites A; the note, its links and the rewrite are one
     # change, so none of them may survive the failed sync.
     store = tmp_path / "store"
-    monkeypatch.setattr(persistence, "Journal", LinkSyncFailingJournal)
+    monkeypatch.setattr(persistence, "Journal", RewriteSyncFailingJournal)
     engine = open_engine(store, encoder=encoder(), id_seed=7)
     engine.add_memory(CONTENT_A, TS[0])
     live = state_map(engine.state_snapshot()[0])
@@ -1533,6 +1600,8 @@ def test_a_failed_compaction_cut_stops_the_engine(tmp_path, monkeypatch):
 DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 # The store of write_pipeline_store as format 1 wrote it, committed as it was.
 V1_STORE = Path(__file__).parent / "data" / "v1_store"
+# And as format 2 wrote it: one journal line per event, each with its seq.
+V2_STORE = Path(__file__).parent / "data" / "v2_store"
 
 
 def pipeline_engine(store, encoder=None):
@@ -1565,13 +1634,15 @@ def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     write_pipeline_store(tmp_path)
     events, truncated = read_journal(tmp_path / JOURNAL_FILENAME)
     assert truncated is None
-    assert sum(event.kind == "note_evolved" for event in events) == 66
+    # one line per add, which carries 66 rewritten neighbors in all
+    assert len(events) == 62
+    assert sum(len(json.loads(event.payload_json)) - 2 for event in events) == 66
 
     assert file_digest(tmp_path / JOURNAL_FILENAME) == (
-        "350c724e0ede0a943009f18540af9d161c6fa9ba2a9724a9a591691b39f0bf44"
+        "acf8302374beed5a38d2de35deaede7fa337d5ec84c68968b4277716bbd68014"
     )
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
-        "f5ac8741e6d5b6ac37b013bb7920addf9bb5f59f57c915bd5f3127d0ec5b7b88"
+        "8dc844e96f4b910965c4bc682b6f20584ab4a689a42ec4cffab7a5eb9b47e844"
     )
 
 
@@ -1616,10 +1687,10 @@ def test_mock_pipeline_float_record_store_bytes_are_pinned(tmp_path):
     assert b'"embedding":[' in journal and b"embedding_crc" not in journal
 
     assert file_digest(tmp_path / JOURNAL_FILENAME) == (
-        "70097fcbf074621894f057456b93e7508869155974860e14b296e74ce6ec6c82"
+        "1a324b0c9db3d654632f0d8a4798cff2edceacda7a94c945d0d05764c1a85c0f"
     )
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
-        "decf0c1fa39864e44fbd6219b43394b042e1e145d0dfd1004a6071b1da4f5706"
+        "b8c840d9d486b059b9fd064cb00d09c2b021950198a0ba155fd74d8371590eee"
     )
 
 
@@ -1636,13 +1707,69 @@ def test_the_v1_fixture_loads_to_the_notes_of_the_same_v2_store(tmp_path):
     v2 = load_store(*store_paths(tmp_path), encoder=HashEncoder())
     assert len(v2.notes) == 62
     assert state_map(v1.notes) == state_map(v2.notes)
-    assert v1.last_seq == v2.last_seq and v1.config == v2.config
+    assert v1.config == v2.config
+    # formats 1 and 2 count events, format 3 changes
+    assert v1.last_seq == load_store(*store_paths(V2_STORE), encoder=HashEncoder()).last_seq
     # and each snapshot alone, with no journal tail
     assert state_map(
         load_store(V1_STORE / SNAPSHOT_FILENAME, tmp_path / "none", encoder=HashEncoder()).notes
     ) == state_map(
         load_store(tmp_path / SNAPSHOT_FILENAME, tmp_path / "none", encoder=HashEncoder()).notes
     )
+
+
+def test_the_v2_fixture_loads_to_the_notes_of_the_same_format_3_store(tmp_path):
+    # The fixture's bytes are those the pinned digests gave before format 3.
+    assert file_digest(V2_STORE / JOURNAL_FILENAME) == (
+        "350c724e0ede0a943009f18540af9d161c6fa9ba2a9724a9a591691b39f0bf44"
+    )
+    assert file_digest(V2_STORE / SNAPSHOT_FILENAME) == (
+        "f5ac8741e6d5b6ac37b013bb7920addf9bb5f59f57c915bd5f3127d0ec5b7b88"
+    )
+    write_pipeline_store(tmp_path)
+    v2 = load_store(*store_paths(V2_STORE), encoder=HashEncoder())
+    v3 = load_store(*store_paths(tmp_path), encoder=HashEncoder())
+    assert len(v3.notes) == 62
+    assert state_map(v2.notes) == state_map(v3.notes)
+    assert v2.config == v3.config
+    # one seq per event against one per change
+    assert (v2.last_seq, v3.last_seq) == (
+        len((V2_STORE / JOURNAL_FILENAME).read_bytes().splitlines()),
+        62,
+    )
+    # the snapshots differ only in their header's last_seq
+    v2_head, notes = (V2_STORE / SNAPSHOT_FILENAME).read_bytes().split(b',"notes":', 1)
+    v3_head, v3_notes = (tmp_path / SNAPSHOT_FILENAME).read_bytes().split(b',"notes":', 1)
+    assert v3_notes == notes
+    assert re.sub(rb'"last_seq":[0-9]+', b"", v2_head) == re.sub(rb'"last_seq":[0-9]+', b"", v3_head)
+
+
+def test_a_writable_open_of_the_v2_fixture_appends_change_lines(tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(V2_STORE, store)
+    v2_journal = (store / JOURNAL_FILENAME).read_bytes()
+    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=5)
+    first = engine.state_snapshot()[1]
+    for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C)):
+        engine.add_memory(content, TS[i])
+    live, live_seq = engine.state_snapshot()
+    engine.close()
+
+    # after the format 2 lines, one change line per add, the seq counting on
+    journal = (store / JOURNAL_FILENAME).read_bytes()
+    assert journal.startswith(v2_journal)
+    tail = [json.loads(line) for line in journal[len(v2_journal):].splitlines()]
+    assert [line["seq"] for line in tail] == [first + 1, first + 2, first + 3] == [
+        line["payload"][0] for line in tail
+    ]
+    assert {line["kind"] for line in tail} == {"note_added"} and live_seq == first + 3
+    assert any(line["payload"][1]["links"] for line in tail)
+    for read_only in (True, False):
+        reopened = open_engine(store, encoder=HashEncoder(), read_only=read_only)
+        assert reopened.state_snapshot()[1] == live_seq
+        assert state_map(reopened.state_snapshot()[0]) == state_map(live)
+        assert reopened.audit() == []
+        reopened.close()
 
 
 def test_a_v1_snapshot_with_a_v2_journal_tail_loads(tmp_path):
@@ -1659,7 +1786,7 @@ def test_a_v1_snapshot_with_a_v2_journal_tail_loads(tmp_path):
     journal = (store / JOURNAL_FILENAME).read_bytes()
     assert journal.startswith(v1_journal)
     tail = [json.loads(line)["payload"] for line in journal[len(v1_journal):].splitlines()]
-    records = [payload for payload in tail if "content" in payload]
+    records = [record for change in tail for record in change[1:]]
     assert records and all("embedding_crc" in r and "embedding" not in r for r in records)
     assert b'"embedding_crc"' not in v1_journal
 
@@ -1874,7 +2001,9 @@ def test_a_load_checks_each_records_shape_once(tmp_path, monkeypatch, loader):
     write_pipeline_store(tmp_path, loader())
     snapshot = json.loads((tmp_path / SNAPSHOT_FILENAME).read_text("utf-8"))
     events, _ = read_journal(tmp_path / JOURNAL_FILENAME, after=snapshot["last_seq"])
-    records = len(snapshot["notes"]) + sum(event.kind != "links_changed" for event in events)
+    records = len(snapshot["notes"]) + sum(
+        len(json.loads(event.payload_json)) - 1 for event in events
+    )
 
     calls = []
 
@@ -2237,9 +2366,9 @@ def test_a_snapshot_by_a_reader_behind_a_closed_writer_is_refused(tmp_path):
     acknowledged = state_map(notes)
     writer.close()
     files = store_files(store)
-    # The reader stopped at seq 8; the store's snapshot and journal run on.
-    assert reader.state_snapshot()[1] == 8
-    with pytest.raises(ValueError, match=f"at seq {last_seq} and the engine at seq 8"):
+    # The reader stopped at seq 3; the store's snapshot and journal run on.
+    assert reader.state_snapshot()[1] == 3
+    with pytest.raises(ValueError, match=f"at seq {last_seq} and the engine at seq 3"):
         snapshot_engine(reader, store)
     reader.close()
     assert store_files(store) == files
