@@ -9,8 +9,11 @@ rather than mutating it in place.
 The canonical encoding is the one codec of a note: canonical_json writes
 it, and a load reads it back in three steps: is_derived_record checks the
 record's shape, the load fills the record's row of its embedding matrix,
-and note_from_fields builds the note on that row. A record carries the
-embedding in one of two ways, never both:
+and note_from_fields builds the note on that row. The journal writes a
+note that evolution rewrote as a delta record of the fields evolution
+changes (delta_json), and replay merges it onto the note's whole record
+(merge_record) before those steps. A record carries the embedding in one
+of two ways, never both:
 
 - "embedding": [...], the float32 components as text, stored. Every note
   MemoryNote accepts comes back bit for bit from the UTF-8 bytes of this
@@ -42,15 +45,16 @@ note without links the one shared empty set, _NO_LINKS.
 
 A note keeps the derived record it was rendered to: canonical_json
 renders it once per note object and returns the same text on every later
-call. The journal renders each note it adds or rewrites before the note
-is published, and a snapshot sees only published notes, so a snapshot
-renders only the notes changed since their last render (a links change
-journals no record). A note is immutable, so the text cannot go stale;
-dataclasses.replace and revise build a new note that carries none. A
-rendered note holds its record's text, about 0.1 KB more than the
-record's length. Stored records are not kept: one is about 4.6 KB, three
-times the float32 embedding it spells out. Two threads may render one
-note at once: both write the same text.
+call. The journal renders each note it adds before the note is
+published, and a snapshot sees only published notes, so a snapshot
+renders only the notes changed since their last render: those a links
+change or a rewrite changed, of which the journal writes no whole record
+(a rewrite's delta is not kept). A note is immutable, so the text cannot
+go stale; dataclasses.replace and revise build a new note that carries
+none. A rendered note holds its record's text, about 0.1 KB more than
+the record's length. Stored records are not kept: one is about 4.6 KB,
+three times the float32 embedding it spells out. Two threads may render
+one note at once: both write the same text.
 """
 
 from __future__ import annotations
@@ -382,10 +386,35 @@ def canonical_json(note: MemoryNote, derived: bool = False) -> str:
     if derived:
         text = note._derived_json
         if text is None:
-            text = _render(note, f',"embedding_crc":{embedding_crc(note.embedding)}')
+            text = _render(note, _embedding_json(note, True))
             object.__setattr__(note, "_derived_json", text)
         return text
-    return _render(note, f',"embedding":[{join_float32(note.embedding)}]')
+    return _render(note, _embedding_json(note, False))
+
+
+def delta_json(note: MemoryNote, derived: bool = False) -> str:
+    """The delta record of a note that evolution rewrote, as the journal
+    writes it: the id, tags, context and embedding (its CRC with derived)
+    as canonical_json writes them, in that order. These are the fields
+    evolution changes, but for the new note's backlink, which replay gives
+    back from the new note's record; merge_record reads the delta back onto
+    the note's record. It is rendered on every call and not kept on the
+    note, so a snapshot renders the note's whole record."""
+    return "".join(
+        (
+            '{"id":"', note.id,
+            '","tags":', json_text_list(note.tags),
+            ',"context":', encode_basestring(note.context),
+            _embedding_json(note, derived),
+            "}",
+        )
+    )
+
+
+def _embedding_json(note: MemoryNote, derived: bool) -> str:
+    if derived:
+        return f',"embedding_crc":{embedding_crc(note.embedding)}'
+    return f',"embedding":[{join_float32(note.embedding)}]'
 
 
 def _render(note: MemoryNote, embedding: str) -> str:
@@ -446,6 +475,32 @@ def is_derived_record(data: Any) -> bool:
     ):
         raise ValueError("embedding must be a list of numbers")
     return derived
+
+
+# A later record's fields other than its embedding's: a whole record's, or
+# a delta's (delta_json's).
+_EMBEDDING_KEYS = frozenset(("embedding", "embedding_crc"))
+_LATER_KEYS = (_STORED_KEYS - _EMBEDDING_KEYS, frozenset(("id", "tags", "context")))
+
+
+def merge_record(record: dict[str, Any], later: dict[str, Any]) -> dict[str, Any]:
+    """The record a later record of a change leaves: later merged onto
+    record, the note's current record, after record's embedding is dropped.
+    A whole record replaces every field; a delta replaces its own and keeps
+    the rest, links included. ValueError for a later record that is
+    neither, for a merged record that is_derived_record refuses, and for
+    stored floats of another width than record's."""
+    if later.keys() - _EMBEDDING_KEYS not in _LATER_KEYS:
+        raise ValueError(f"note record has wrong field set: {sorted(later)}")
+    merged = {key: value for key, value in record.items() if key not in _EMBEDDING_KEYS}
+    merged.update(later)
+    derived = is_derived_record(merged)
+    old = record.get("embedding")
+    if not derived and old is not None and len(merged["embedding"]) != len(old):
+        raise ValueError(
+            f"stored embedding of {len(merged['embedding'])} floats replaces one of {len(old)}"
+        )
+    return merged
 
 
 def record_text(data: dict[str, Any]) -> str:

@@ -1,22 +1,32 @@
 """Durable storage: append-only journal, snapshots, and state reconstruction.
 
 The journal is a JSON-lines file with one line per change (journal format
-3): {"seq":N,"kind":"note_added","payload":[N,R0,R1,...],"crc":C}. R0 is
+4): {"seq":N,"kind":"note_added","payload":[N,R0,R1,...],"crc":C}. R0 is
 the new note's final record, with its links and any evolved tags folded
-in; R1... are the final records of the neighbors the change rewrote, in
-rank order; C is the CRC-32 of the payload text, so it covers the seq as
-well. A neighbor whose links alone change is not written: on replay every
-note R0 links to gets R0's id back, as evolution gave it. So a torn tail
-never splits a change, and any byte prefix of the journal reconstructs a
-store with no dangling or one-sided link.
+in; R1... are delta records of the neighbors the change rewrote, in rank
+order, each {"id":...,"tags":[...],"context":...,"embedding_crc":N} (with
+"embedding":[...] in place of the CRC under a non-deterministic encoder);
+C is the CRC-32 of the payload text, so it covers the seq as well. A
+neighbor's content, keywords, timestamp and links are not written, since
+evolution changes none of them but the links, and on replay every note R0
+links to gets R0's id back, as evolution gave it. So a neighbor whose links
+alone change is not written at all, a torn tail never splits a change, and
+any byte prefix of the journal reconstructs a store with no dangling or
+one-sided link.
 
-Journals of formats 1 and 2 hold one line per event, each with its own
-seq and a CRC of its payload alone: note_added and note_evolved carry a
-full note record, links_changed a small delta. They still replay, and a
-writable open of such a store appends format 3 lines after them, the seq
-counting on. An older build frames a format 3 line as note_added and
-refuses its array payload with LoadIntegrityError, so it never cuts such
-lines as a torn tail.
+Replay merges each R1... onto its note's current record (merge_record):
+the old embedding or CRC is dropped, the record's fields are replaced by
+the later record's, and the merged record is shape-checked. Format 3
+lines, the same line with whole records in place of deltas, so replay
+exactly as they did: a whole record replaces every field. Journals of
+formats 1 and 2 hold one line per event, each with its own seq and a CRC
+of its payload alone: note_added and note_evolved carry a full note
+record, links_changed a small delta. They all still replay, and a writable
+open of such a store appends format 4 lines after them, the seq counting
+on. An older build frames a format 3 or 4 line as note_added and refuses
+what it cannot read with LoadIntegrityError: a build before format 3 the
+array payload, and a format 3 build a delta, whose shape is_derived_record
+refuses. So no older build cuts such lines as a torn tail.
 
 A snapshot captures the whole store (note records sorted by id), the
 engine config, and the last applied sequence number, written atomically
@@ -33,7 +43,7 @@ deterministic encoder a note record carries "embedding_crc" (the CRC-32 of
 the embedding's little-endian float32 bytes) in place of its floats, and
 any other encoder's records store the floats, as format 1 did. Format 1
 stores still load; a writable open of one appends format 2 records, in
-format 3 lines. Format 3 changes only the journal: a snapshot keeps
+format 4 lines. Formats 3 and 4 change only the journal: a snapshot keeps
 format_version 2.
 
 A load keeps records until its end: read_snapshot and replay_events check
@@ -80,8 +90,10 @@ from .notes import (
     MemoryNote,
     _stored_floats,
     canonical_json,
+    delta_json,
     is_derived_record,
     is_text_list,
+    merge_record,
     note_from_fields,
     record_text,
 )
@@ -95,7 +107,7 @@ FORMAT_VERSION = 2
 # derived records.
 READABLE_VERSIONS = (1, 2)
 
-# The kinds a journal line may carry: format 3 writes note_added alone,
+# The kinds a journal line may carry: formats 3 and 4 write note_added alone,
 # and the other two are read from format 1 and 2 journals.
 EVENT_KINDS = ("note_added", "note_evolved", "links_changed")
 
@@ -135,9 +147,9 @@ _Frame = tuple[int, str, bytes]
 def _frame(data: bytes, start: int, end: int) -> _Frame | None:
     """The seq, kind and payload bytes of the journal line data[start:end],
     or None if it fails its framing: the shape, the checksum, seq >= 1, a
-    UTF-8 payload, or for a note_added array (a format 3 change) a payload
-    that begins with the line's own seq, which the checksum so covers. The
-    payload is not parsed here."""
+    UTF-8 payload, or for a note_added array (a format 3 or 4 change) a
+    payload that begins with the line's own seq, which the checksum so
+    covers. The payload is not parsed here."""
     match = _FRAME_RE.fullmatch(data, start, end)
     if match is not None:
         seq, kind, payload, crc = match.groups()
@@ -295,8 +307,8 @@ class Journal:
         self._pending.append((self._last, [record]))
 
     def note_evolved(self, note: MemoryNote) -> None:
-        """Add note's record, a rewritten neighbor's, to the begun change."""
-        self._pending[-1][1].append(canonical_json(note, self._derived))
+        """Add note's delta record, a rewritten neighbor's, to the begun change."""
+        self._pending[-1][1].append(delta_json(note, self._derived))
 
     def sync(self) -> None:
         """Write the begun changes, one line each, and fsync them."""
@@ -423,11 +435,11 @@ def replay_events(
     event must be seq start_after + 1, then the next, or SequenceGap is
     raised; a payload that is not a valid event raises LoadIntegrityError.
     A note record enters the map shape-checked, and load_store builds the
-    notes. A format 3 change, a note_added whose payload is the array
-    [seq, new note's record, rewritten notes' records...], adds the new
-    note, replaces the rewritten ones, and gives every note the new note
-    links to its backlink. Of format 2's events, links_changed edits one
-    note's links.
+    notes. A format 3 or 4 change, a note_added whose payload is the array
+    [seq, new note's record, rewritten notes' records...], merges each
+    rewritten note's whole or delta record onto its current one, adds the
+    new note, and gives every note the new note links to its backlink. Of
+    format 2's events, links_changed edits one note's links.
     """
     last = start_after
     for event in events:
@@ -466,21 +478,24 @@ def replay_events(
 
 
 def _replay_change(records: dict[str, dict[str, Any]], seq: int, change: list[Any]) -> None:
-    """Apply a format 3 change, [seq, added, *evolved], to records; ValueError
-    for one that is not a change at seq of records that fit them."""
+    """Apply a format 3 or 4 change, [seq, added, *evolved], to records:
+    each evolved record is merged onto its note's current one (merge_record),
+    then added is added and gives each note it links to its backlink.
+    ValueError for one that is not a change at seq of records that fit them."""
     if len(change) < 2 or type(change[0]) is not int or change[0] != seq:
         raise ValueError(f"change must be [{seq}, note record, ...]")
     added, *evolved = change[1:]
-    for record in change[1:]:
-        is_derived_record(record)
+    is_derived_record(added)
     note_id = added["id"]
     if note_id in records:
         raise ValueError(f"note {note_id} added twice")
-    for record in evolved:
-        if record["id"] not in records:
-            raise ValueError(f"evolved note {record['id']} does not exist")
+    for later in evolved:
+        if not isinstance(later, dict) or type(later.get("id")) is not str:
+            raise ValueError("an evolved note's record must be a JSON object with a text id")
+        if later["id"] not in records:
+            raise ValueError(f"evolved note {later['id']} does not exist")
+        records[later["id"]] = merge_record(records[later["id"]], later)
     records[note_id] = added
-    records.update((record["id"], record) for record in evolved)
     for link in added["links"]:
         record = records.get(link)
         if record is None:

@@ -334,12 +334,14 @@ def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
     changes = parsed_changes(tmp_path / "j.jsonl")
     # one line per add: the new note, then the neighbor it rewrote
     assert record_ids(changes) == [[id_a], [id_b, id_a]]
-    # each record is the note as the change left it, links included
+    # the new note's record is the note as the change left it, links
+    # included; the neighbor's is the delta of what evolution rewrote
     assert changes[1][0]["links"] == [id_a]
-    assert changes[1][1]["links"] == [id_b]
+    assert set(changes[1][1]) == {"id", "tags", "context", "embedding"}
     assert changes[1][1]["context"] == (
         "Expands on camera and photography with newer material."
     )
+    assert engine.get_note(id_a).links == frozenset({id_b})
 
 
 class CountingJournal(Journal):
@@ -375,7 +377,7 @@ def test_journal_prefix_never_dangles(tmp_path, journal):
         assert set(added["links"]) <= seen
         for record in evolved:
             assert record["id"] in seen
-            assert set(record["links"]) <= seen
+            assert "links" not in record
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +447,11 @@ def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal)
     changes = parsed_changes(tmp_path / "j.jsonl")[1:]
     assert record_ids(changes) == [[id_d, id_a]]
     rewritten = changes[0][1]
-    assert rewritten["links"] == [id_d]
+    # its backlink is implied by D's record, so the delta carries no links
+    assert "links" not in rewritten
     assert rewritten["context"] == "Rewritten beside a soup recipe."
     note_a = engine.get_note(id_a)
+    assert note_a.links == frozenset({id_d})
     assert np.array_equal(note_a.embedding, engine.encoder.encode(note_text(note_a)))
     assert engine.audit() == []
 

@@ -45,6 +45,7 @@ from amem.notes import (
     IdGenerator,
     MemoryNote,
     canonical_json,
+    delta_json,
     is_derived_record,
     note_from_fields,
     note_text,
@@ -211,8 +212,11 @@ def test_journal_round_trip(tmp_path):
     assert [e.seq for e in events] == [1, 2]
     assert [e.kind for e in events] == ["note_added", "note_added"]
     assert events[0].payload_json == f"[1,{canonical_json(a)}]"
-    assert events[1].payload_json == f"[2,{canonical_json(b)},{canonical_json(a)}]"
-    assert path.read_text("utf-8") == change_line(1, a) + change_line(2, b, a)
+    # a rewritten note is written as its delta record
+    assert events[1].payload_json == f"[2,{canonical_json(b)},{delta_json(a)}]"
+    assert path.read_text("utf-8") == (
+        change_line(1, a) + JournalEvent(2, "note_added", events[1].payload_json).line()
+    )
 
 
 # Damage read_journal must read exactly as the line oracle does.
@@ -1602,6 +1606,12 @@ DIALOGUE = Path(__file__).parent / "data" / "dialogue.txt"
 V1_STORE = Path(__file__).parent / "data" / "v1_store"
 # And as format 2 wrote it: one journal line per event, each with its seq.
 V2_STORE = Path(__file__).parent / "data" / "v2_store"
+# And as format 3 wrote it: one line per change, whole records throughout.
+V3_STORE = Path(__file__).parent / "data" / "v3_store"
+
+
+# The fields of a rewritten neighbor's delta record, derived.
+DERIVED_DELTA_KEYS = {"id", "tags", "context", "embedding_crc"}
 
 
 def pipeline_engine(store, encoder=None):
@@ -1634,12 +1644,15 @@ def test_mock_pipeline_store_bytes_are_pinned(tmp_path):
     write_pipeline_store(tmp_path)
     events, truncated = read_journal(tmp_path / JOURNAL_FILENAME)
     assert truncated is None
-    # one line per add, which carries 66 rewritten neighbors in all
+    # one line per add, which carries 66 rewritten neighbors in all, each
+    # as its delta record
     assert len(events) == 62
-    assert sum(len(json.loads(event.payload_json)) - 2 for event in events) == 66
+    rewritten = [record for e in events for record in json.loads(e.payload_json)[2:]]
+    assert len(rewritten) == 66
+    assert all(record.keys() == DERIVED_DELTA_KEYS for record in rewritten)
 
     assert file_digest(tmp_path / JOURNAL_FILENAME) == (
-        "acf8302374beed5a38d2de35deaede7fa337d5ec84c68968b4277716bbd68014"
+        "c9622c7082bd60f3ff13efe641c689a0cb2e09f055cdcf3df56f0d2031113f91"
     )
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
         "8dc844e96f4b910965c4bc682b6f20584ab4a689a42ec4cffab7a5eb9b47e844"
@@ -1687,7 +1700,7 @@ def test_mock_pipeline_float_record_store_bytes_are_pinned(tmp_path):
     assert b'"embedding":[' in journal and b"embedding_crc" not in journal
 
     assert file_digest(tmp_path / JOURNAL_FILENAME) == (
-        "1a324b0c9db3d654632f0d8a4798cff2edceacda7a94c945d0d05764c1a85c0f"
+        "49d603e252bcc0466242cfa0d3e87cda602e5f4b79a0498e15eba8e5611b5da5"
     )
     assert file_digest(tmp_path / SNAPSHOT_FILENAME) == (
         "b8c840d9d486b059b9fd064cb00d09c2b021950198a0ba155fd74d8371590eee"
@@ -1770,6 +1783,192 @@ def test_a_writable_open_of_the_v2_fixture_appends_change_lines(tmp_path):
         assert state_map(reopened.state_snapshot()[0]) == state_map(live)
         assert reopened.audit() == []
         reopened.close()
+
+
+def test_the_v3_fixture_loads_to_the_notes_of_the_same_format_4_store(tmp_path):
+    # The fixture's bytes are those the pinned digests gave before format 4:
+    # the same journal lines but with whole records for rewritten neighbors,
+    # and the very snapshot.
+    assert file_digest(V3_STORE / JOURNAL_FILENAME) == (
+        "acf8302374beed5a38d2de35deaede7fa337d5ec84c68968b4277716bbd68014"
+    )
+    assert file_digest(V3_STORE / SNAPSHOT_FILENAME) == (
+        "8dc844e96f4b910965c4bc682b6f20584ab4a689a42ec4cffab7a5eb9b47e844"
+    )
+    write_pipeline_store(tmp_path)
+    v3 = load_store(*store_paths(V3_STORE), encoder=HashEncoder())
+    v4 = load_store(*store_paths(tmp_path), encoder=HashEncoder())
+    assert len(v4.notes) == 62
+    assert state_map(v3.notes) == state_map(v4.notes)
+    assert (v3.config, v3.last_seq) == (v4.config, v4.last_seq) == (v4.config, 62)
+    assert (tmp_path / SNAPSHOT_FILENAME).read_bytes() == (
+        V3_STORE / SNAPSHOT_FILENAME
+    ).read_bytes()
+    # the journals differ only in the rewritten neighbors' records
+    v3_lines = (V3_STORE / JOURNAL_FILENAME).read_bytes().splitlines()
+    v4_lines = (tmp_path / JOURNAL_FILENAME).read_bytes().splitlines()
+    assert len(v4_lines) == len(v3_lines) == 62
+    for v3_line, v4_line in zip(v3_lines, v4_lines):
+        v3_payload, v4_payload = json.loads(v3_line)["payload"], json.loads(v4_line)["payload"]
+        assert v4_payload[:2] == v3_payload[:2]
+        assert [
+            {key: record[key] for key in DERIVED_DELTA_KEYS} for record in v3_payload[2:]
+        ] == v4_payload[2:]
+
+
+def test_a_writable_open_of_the_v3_fixture_appends_format_4_lines(tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(V3_STORE, store)
+    v3_journal = (store / JOURNAL_FILENAME).read_bytes()
+    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=5)
+    lines = DIALOGUE.read_text("utf-8").splitlines()
+    for i, content in enumerate(lines[:3]):
+        engine.add_memory(f"{content} Seen a third time.", TS[i])
+    live, live_seq = engine.state_snapshot()
+    engine.close()
+
+    # after the format 3 lines, one format 4 line per add, the seq counting on
+    journal = (store / JOURNAL_FILENAME).read_bytes()
+    assert journal.startswith(v3_journal)
+    tail = [json.loads(line)["payload"] for line in journal[len(v3_journal):].splitlines()]
+    assert [change[0] for change in tail] == [63, 64, 65] and live_seq == 65
+    rewritten = [record for change in tail for record in change[2:]]
+    assert rewritten and all(record.keys() == DERIVED_DELTA_KEYS for record in rewritten)
+    for read_only in (True, False):
+        reopened = open_engine(store, encoder=HashEncoder(), read_only=read_only)
+        assert reopened.state_snapshot()[1] == live_seq
+        assert state_map(reopened.state_snapshot()[0]) == state_map(live)
+        assert reopened.audit() == []
+        reopened.close()
+
+
+def derived_records(notes):
+    return {nid: note_record(note, derived=True) for nid, note in notes.items()}
+
+
+def test_each_change_line_replays_onto_the_records_before_it_to_the_commits_notes(
+    tmp_path, monkeypatch
+):
+    # The commit and replay agree: each line of the pinned history, replayed
+    # onto the records of the notes before its add, gives exactly the
+    # records of the notes after it, its links-only neighbors' included.
+    states = [{}]
+    commit = MemoryEngine._commit
+
+    def recording_commit(engine, events):
+        commit(engine, events)
+        states.append(engine.state_snapshot()[0])
+
+    monkeypatch.setattr(MemoryEngine, "_commit", recording_commit)
+    pipeline_engine(tmp_path).close()
+    events, truncated = read_journal(tmp_path / JOURNAL_FILENAME)
+    assert truncated is None and len(events) == len(states) - 1 == 62
+    links_only = 0
+    for event, before, after in zip(events, states, states[1:]):
+        records = derived_records(before)
+        assert replay_events(records, [event], start_after=event.seq - 1) == event.seq
+        assert records == derived_records(after)
+        change = json.loads(event.payload_json)
+        for delta in change[2:]:
+            assert delta.keys() == DERIVED_DELTA_KEYS
+            assert not delta.keys() & {"content", "keywords", "timestamp", "links"}
+        written = {record["id"] for record in change[1:]}
+        links_only += sum(
+            nid not in written and after[nid] is not before[nid] for nid in before
+        )
+    assert links_only > 0
+
+
+def delta_store(tmp_path, edit=lambda delta: delta, derived=True):
+    """A journal of two changes: alpha added, then beta added and linked to
+    alpha, whose context it rewrites, as its delta record with edit applied.
+    Returns the store, and alpha as the delta leaves it unedited."""
+    ids = IdGenerator(seed=6)
+    alpha, beta = hand_note(ids, "alpha"), hand_note(ids, "beta")
+    beta = replace(beta, links=frozenset({alpha.id}))
+    context = "Discusses alpha beside beta."
+    text = note_text(replace(alpha, context=context))
+    evolved = replace(alpha, context=context, embedding=encoder().encode(text))
+    delta = edit(json.loads(delta_json(evolved, derived)))
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / JOURNAL_FILENAME).write_text(
+        JournalEvent(1, "note_added", f"[1,{canonical_json(alpha, derived)}]").line()
+        + JournalEvent(
+            2, "note_added", f"[2,{canonical_json(beta, derived)},{json.dumps(delta)}]"
+        ).line(),
+        "utf-8",
+    )
+    return store, replace(evolved, links=frozenset({beta.id}))
+
+
+@pytest.mark.parametrize("derived", [True, False], ids=["derived", "stored"])
+def test_a_delta_record_keeps_what_it_does_not_carry(tmp_path, derived):
+    store, evolved = delta_store(tmp_path, derived=derived)
+    loader = encoder() if derived else UndeclaredHashEncoder(dimension=DIM, seed=0)
+    loaded = load_store(*store_paths(store), encoder=loader)
+    assert canonical_json(loaded.notes[evolved.id]) == canonical_json(evolved)
+
+
+@pytest.mark.parametrize(
+    "edit, derived, error",
+    [
+        (lambda d: {**d, "id": "f" * 32}, True, "does not exist"),
+        (lambda d: [d], True, "JSON object with a text id"),
+        (lambda d: {**d, "links": []}, True, "wrong field set"),
+        (lambda d: {**d, "content": "alpha note body"}, True, "wrong field set"),
+        (lambda d: {key: d[key] for key in ("id", "tags", "context")}, True, "wrong field set"),
+        (lambda d: {**d, "embedding_crc": -1}, True, "embedding_crc must be"),
+        (lambda d: {**d, "embedding_crc": 2**32}, True, "embedding_crc must be"),
+        (lambda d: {**d, "embedding_crc": "1"}, True, "embedding_crc must be"),
+        (lambda d: {**d, "embedding": d["embedding"][:-1]}, False, "of 31 floats"),
+        (lambda d: {**d, "embedding": [*d["embedding"], 0.0]}, False, "of 33 floats"),
+    ],
+    ids=[
+        "unknown-note",
+        "not-an-object",
+        "links",
+        "content",
+        "no-embedding",
+        "negative-crc",
+        "wide-crc",
+        "text-crc",
+        "narrow-floats",
+        "wide-floats",
+    ],
+)
+def test_a_bad_delta_record_fails_both_opens_naming_its_seq(tmp_path, edit, derived, error):
+    # The line frames, so it is never a tail: the load fails and no open
+    # cuts anything.
+    store, _ = delta_store(tmp_path, edit, derived)
+    journal = (store / JOURNAL_FILENAME).read_bytes()
+    loader = encoder() if derived else UndeclaredHashEncoder(dimension=DIM, seed=0)
+    for read_only in (True, False):
+        with pytest.raises(LoadIntegrityError, match=f"^journal event seq 2: .*{error}"):
+            open_engine(store, encoder=loader, read_only=read_only)
+    assert (store / JOURNAL_FILENAME).read_bytes() == journal
+
+
+def test_a_delta_whose_crc_does_not_match_its_text_fails_the_load(tmp_path):
+    # A well-formed CRC is checked where every derived record's is, against
+    # the encoding of the merged record's text.
+    store, evolved = delta_store(tmp_path, lambda d: {**d, "embedding_crc": d["embedding_crc"] ^ 1})
+    with pytest.raises(LoadIntegrityError, match=f"note {evolved.id}: .*embedding_crc"):
+        load_store(*store_paths(store), encoder=encoder())
+
+
+def test_a_format_3_build_refuses_a_delta_record(tmp_path):
+    # A format 3 build shape-checks every record of a change with
+    # is_derived_record, which refuses a delta's field set, so that build
+    # fails the load and cuts nothing.
+    store, evolved = delta_store(tmp_path)
+    events, truncated = read_journal(store / JOURNAL_FILENAME)
+    assert truncated is None and [event.seq for event in events] == [1, 2]
+    delta = json.loads(events[1].payload_json)[2]
+    whole = note_record(evolved, derived=True)
+    assert delta == {key: whole[key] for key in DERIVED_DELTA_KEYS}
+    with pytest.raises(ValueError, match="wrong field set"):
+        is_derived_record(delta)
 
 
 def test_a_v1_snapshot_with_a_v2_journal_tail_loads(tmp_path):
