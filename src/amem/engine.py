@@ -7,10 +7,10 @@ nearest neighbors by cosine similarity are fetched and the gateway is asked
 whether the new memory should evolve; an affirmative opinion yields a
 concrete directive that links the new note to chosen neighbors (both
 directions), extends the new note's tags, and may rewrite neighbor context
-or tags. Evolution turns the directive into the change's finished events,
-each changed note built once; a rewritten note carries its re-encoded
-embedding, so every stored embedding matches its note text. The commit
-only journals, syncs and publishes the events, as one change.
+or tags. Evolution turns the directive into one Change, each changed note
+built once; a rewritten note carries its re-encoded embedding, so every
+stored embedding matches its note text. The commit only journals, syncs
+and publishes the Change, whole.
 
 Backend calls and re-encodes happen strictly before anything is written,
 so a backend failure leaves the store exactly as it was.
@@ -22,7 +22,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,8 +110,18 @@ class RetrievedMemory:
     expanded: bool = False
 
 
-# A change's event: its kind and the note it leaves.
-_Event = tuple[str, MemoryNote]
+class Change(NamedTuple):
+    """One add, as the journal writes it in one line and the commit
+    publishes it at once: added, the new note as the change leaves it;
+    rewritten, the neighbors whose context or tags changed, re-encoded;
+    relinked, those whose links alone changed; both in rank order. The
+    backlink rule, which _replay_change applies to records too: relinked is
+    exactly the notes added links to less those in rewritten, and each note
+    added links to has added.id among its links."""
+
+    added: MemoryNote
+    rewritten: tuple[MemoryNote, ...] = ()
+    relinked: tuple[MemoryNote, ...] = ()
 
 
 def _evolve(
@@ -120,31 +130,26 @@ def _evolve(
     directive: EvolutionDirective,
     encoder: Encoder,
     rewrite_neighbors: bool,
-) -> list[_Event]:
-    """The events of the change that adds new_note under a directive: the
-    new note's note_added, with its links and any evolved tags folded in,
-    then the changed neighbors by rank. Here alone a directive meets the
-    neighbors: connections outside them and entries past them are ignored,
-    and without rewrite_neighbors (evolution off) no context or tags are
-    rewritten. A neighbor whose context or tags change is note_evolved, one
-    whose links alone change links_changed; each changed note is built
-    once, by revise, with its final fields and, if its text changed, its
-    embedding from one encode_many. revise checks only what changed, so a
-    links change keeps its note's embedding and checks one new link,
-    however many it has."""
+) -> Change:
+    """The change that adds new_note under a directive. Here alone a
+    directive meets the neighbors: connections outside them and entries
+    past them are ignored, and without rewrite_neighbors (evolution off) no
+    context or tags are rewritten. relinked follows from added's links by
+    the backlink rule. Each changed note is built once, by revise, with its
+    final fields and, if its text changed, its embedding from one
+    encode_many. revise checks only what changed, so a relinked note keeps
+    its embedding and checks one new link, however many it has."""
     if not directive.should_evolve:
-        return [("note_added", new_note)]
+        return Change(new_note)
 
     suggested = set(directive.suggested_connections)
     contexts = directive.new_context_neighborhood if rewrite_neighbors else ()
     tag_lists = directive.new_tags_neighborhood if rewrite_neighbors else ()
-    connections: list[NoteId] = []
-    updates: list[tuple[MemoryNote, dict[str, Any]]] = []
+    # Stored tags hold no duplicates, so this appends only unseen terms.
+    new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
+    rewrites = [(new_note, {"tags": new_tags})] if new_tags != new_note.tags else []
     for position, neighbor in enumerate(neighbors):
         update: dict[str, Any] = {}
-        if neighbor.id in suggested:
-            connections.append(neighbor.id)
-            update["links"] = neighbor.links | {new_note.id}
         # Blank or missing entries mean "leave this neighbor alone".
         new_context = contexts[position].strip() if position < len(contexts) else ""
         rewrite_tags = normalize_terms(tag_lists[position] if position < len(tag_lists) else ())
@@ -153,27 +158,29 @@ def _evolve(
         if rewrite_tags and rewrite_tags != neighbor.tags:
             update["tags"] = rewrite_tags
         if update:
-            updates.append((neighbor, update))
-
-    # A new note links to nothing yet, so any connection changes its links.
-    added = {"links": new_note.links.union(connections)} if connections else {}
-    # Stored tags hold no duplicates, so this appends only unseen terms.
-    new_tags = tuple(dict.fromkeys(new_note.tags + normalize_terms(directive.tags_to_update)))
-    if new_tags != new_note.tags:
-        added["tags"] = new_tags
-
-    changed = [(new_note, added), *updates]
-    rewrites = [(note, update) for note, update in changed if update.keys() - {"links"}]
+            rewrites.append((neighbor, update))
     texts = [
         compose_note_text(n.content, n.keywords, u.get("tags", n.tags), u.get("context", n.context))
         for n, u in rewrites
     ]
     for (_, update), vector in zip(rewrites, encoder.encode_many(texts) if texts else ()):
         update["embedding"] = vector
-    return [("note_added", revise(new_note, **added) if added else new_note)] + [
-        ("note_evolved" if "embedding" in update else "links_changed", revise(note, **update))
-        for note, update in updates
-    ]
+    updates = {note.id: update for note, update in rewrites}
+
+    links = new_note.links.union(n.id for n in neighbors if n.id in suggested)
+    added = revise(new_note, links=links, **updates.pop(new_note.id, {}))
+
+    def finished(note: MemoryNote, update: dict[str, Any]) -> MemoryNote:
+        if note.id in links:
+            update["links"] = note.links | {added.id}
+        return revise(note, **update)
+
+    relinked = links.difference(updates)
+    return Change(
+        added,
+        tuple(finished(n, updates[n.id]) for n in neighbors if n.id in updates),
+        tuple(finished(n, {}) for n in neighbors if n.id in relinked),
+    )
 
 
 # Notes per call of a whole-store pass (audit's and load_store's encodes,
@@ -324,7 +331,7 @@ class MemoryEngine:
     @contextmanager
     def _fail_stop(self) -> Iterator[None]:
         """Fail the engine if the journal write inside raises: the journal may
-        end in torn or unsynced bytes, or hold events memory lacks."""
+        end in torn or unsynced bytes, or hold a change memory lacks."""
         try:
             yield
         except BaseException as exc:
@@ -336,8 +343,8 @@ class MemoryEngine:
 
         The draft (s1 and the note's encode) reads no store state, and the
         id is drawn after it, so a failed draft draws none. _decide turns
-        the note into its change's events and _commit writes them together,
-        so a backend or journal failure leaves the store untouched.
+        the note into its Change and _commit writes it whole, so a backend
+        or journal failure leaves the store untouched.
         """
         if not isinstance(content, str) or not content.strip():
             raise EmptyContent("note content is empty or whitespace-only")
@@ -359,38 +366,35 @@ class MemoryEngine:
             self._commit(self._decide(note))
             return note.id
 
-    def _decide(self, note: MemoryNote) -> list[_Event]:
-        """The events adding note makes, as _evolve maps s3's directive to
-        them; without one, note's note_added alone. The neighbors are ranked
-        in the store as it was before this note, exactly a self-excluding
-        top-k over the store with the note inserted. A writer's read: it
-        changes nothing."""
-        events: list[_Event] = [("note_added", note)]
+    def _decide(self, note: MemoryNote) -> Change:
+        """The Change adding note makes, as _evolve maps s3's directive to it;
+        without one, note alone. The neighbors are ranked in the store as it
+        was before this note, exactly a self-excluding top-k over the store
+        with the note inserted. A writer's read: it changes nothing."""
         notes = self._notes
         if not (self.config.enable_link_generation and notes):
-            return events
+            return Change(note)
         ranked = self._index.top_k(note.embedding, self.config.k_link)
         neighbors = [notes[nid] for nid, _ in ranked]
         if not self._gateway.opine_links(note, neighbors).should_evolve:
-            return events
+            return Change(note)
         directive = self._gateway.propose_evolution(note, neighbors)
         return _evolve(note, neighbors, directive, self._encoder, self.config.enable_evolution)
 
-    def _commit(self, events: Sequence[_Event]) -> None:
-        """Journal and sync one change's finished events, then publish them
-        (the write-ahead rule): under the view lock, the index, the notes and
-        last_seq change at once. Called with the writer lock."""
-        journal = self._journal
+    def _commit(self, change: Change) -> None:
+        """Journal and sync one change, then publish it (the write-ahead rule):
+        under the view lock, the index (added's row inserted, each rewritten
+        row updated), the notes and last_seq change at once. Called with the
+        writer lock."""
+        journal, (added, rewritten, relinked) = self._journal, change
         with self._fail_stop():
             if journal is not None:
-                journal.write(events)
+                journal.write([change])
             with self._view.write():
-                for kind, note in events:
-                    if kind == "note_added":
-                        self._index.insert(note.id, note.embedding)
-                    elif kind == "note_evolved":
-                        self._index.update(note.id, note.embedding)
-                self._notes.update((note.id, note) for _, note in events)
+                self._index.insert(added.id, added.embedding)
+                for note in rewritten:
+                    self._index.update(note.id, note.embedding)
+                self._notes.update((note.id, note) for note in (added, *rewritten, *relinked))
                 if journal is not None:
                     self._last_seq = journal.last_seq
 

@@ -1,17 +1,18 @@
 """Durable storage: append-only journal, snapshots, and state reconstruction.
 
 The journal is a JSON-lines file with one line per change (journal format
-4): {"seq":N,"kind":"note_added","payload":[N,R0,R1,...],"crc":C}. R0 is
-the new note's final record, with its links and any evolved tags folded
-in; R1... are delta records of the neighbors the change rewrote, in rank
-order, each {"id":...,"tags":[...],"context":...,"embedding_crc":N} (with
-"embedding":[...] in place of the CRC under a non-deterministic encoder);
-C is the CRC-32 of the payload text, so it covers the seq as well. A
-neighbor's content, keywords, timestamp and links are not written, since
-evolution changes none of them but the links, and on replay every note R0
-links to gets R0's id back, as evolution gave it. So a neighbor whose links
-alone change is not written at all, a torn tail never splits a change, and
-any byte prefix of the journal reconstructs a store with no dangling or
+4), rendered from the engine's Change: {"seq":N,"kind":"note_added",
+"payload":[N,R0,R1,...],"crc":C}. R0 is the record of the added note, its
+links and any evolved tags folded in; R1... are delta records of the
+rewritten neighbors, in rank order, each {"id":...,"tags":[...],
+"context":...,"embedding_crc":N} (with "embedding":[...] in place of the
+CRC under a non-deterministic encoder); C is the CRC-32 of the payload
+text, so it covers the seq as well. A neighbor's content, keywords,
+timestamp and links are not written, since evolution changes none of them
+but the links, and on replay every note R0 links to gets R0's id back, by
+the Change's backlink rule. So a relinked neighbor, whose links alone
+change, is not written at all, a torn tail never splits a change, and any
+byte prefix of the journal reconstructs a store with no dangling or
 one-sided link.
 
 Replay merges each R1... onto its note's current record (merge_record):
@@ -71,12 +72,12 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, takewhile
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .embedding import Encoder, HashEncoder
-from .engine import _PASS_CHUNK, EngineConfig, MemoryEngine, _Event
+from .engine import _PASS_CHUNK, Change, EngineConfig, MemoryEngine
 from .errors import (
     EmptyContent,
     InvalidTimestamp,
@@ -232,11 +233,9 @@ def lock_journal(path: str | os.PathLike[str]) -> tuple[BinaryIO, bool]:
 class Journal:
     """Writable handle on a journal file, and the only code that shortens it.
 
-    Changes buffer in process memory until sync(), which writes each as one
-    line and fsyncs them; write() journals one change and then syncs. So a
-    change not synced at close() failed and was never acknowledged: close()
-    drops it, and cuts off any bytes a failed sync() left past the last
-    successful one.
+    write() appends changes, one line each, and fsyncs them once; nothing
+    is buffered between calls. A write that fails was never acknowledged,
+    so close() cuts off any bytes it left past the last successful one.
     open_engine continues it from the loaded last_seq through _adopt,
     which first cuts a torn tail back to its offset: appends after a torn
     line would be unreachable. With derived, note records carry
@@ -245,7 +244,7 @@ class Journal:
 
     A journal takes its file's exclusive flock through lock_journal and
     holds it until close(), so a store has one writer at a time; created
-    says whether that call created the file. Its first successful sync()
+    says whether that call created the file. Its first successful write()
     also fsyncs the journal's directory, so the file's entry is durable
     before the first change it acknowledges.
     """
@@ -254,8 +253,6 @@ class Journal:
         self._path = Path(path)
         self._derived = derived
         self._last = 0
-        # The changes begun since the last sync: each its seq, then its records.
-        self._pending: list[tuple[int, list[str]]] = []
         self._dir_synced = False
         self._file, self._created = lock_journal(self._path)
         try:
@@ -287,36 +284,18 @@ class Journal:
     def last_seq(self) -> int:
         return self._last
 
-    def write(self, events: Iterable[_Event]) -> None:
-        """Journal one change as one line, then sync. The change's
-        note_added and each note_evolved render their records through the
-        method of their kind; a links_changed note is not written, since its
-        new links are backlinks to the change's new note, which replay
-        gives back from the new note's record."""
-        for kind, note in events:
-            if kind == "note_added":
-                self.note_added(note)
-            elif kind == "note_evolved":
-                self.note_evolved(note)
-        self.sync()
-
-    def note_added(self, note: MemoryNote) -> None:
-        """Begin the next change, at the next seq, with note's record."""
-        record = canonical_json(note, self._derived)
-        self._last += 1
-        self._pending.append((self._last, [record]))
-
-    def note_evolved(self, note: MemoryNote) -> None:
-        """Add note's delta record, a rewritten neighbor's, to the begun change."""
-        self._pending[-1][1].append(delta_json(note, self._derived))
-
-    def sync(self) -> None:
-        """Write the begun changes, one line each, and fsync them."""
-        data = b"".join(
-            JournalEvent(seq, "note_added", f"[{seq},{','.join(records)}]").line().encode("utf-8")
-            for seq, records in self._pending
-        )
-        self._pending.clear()
+    def write(self, changes: Iterable[Change]) -> None:
+        """Journal each change as one line at the next seq, [seq, added's
+        record, each rewritten note's delta], then fsync once. Replay gives
+        the relinked notes their backlinks from added's record."""
+        seq, lines = self._last, []
+        for change in changes:
+            seq += 1
+            records = [canonical_json(change.added, self._derived)]
+            records += (delta_json(note, self._derived) for note in change.rewritten)
+            lines.append(JournalEvent(seq, "note_added", f"[{seq},{','.join(records)}]").line())
+        self._last = seq
+        data = "".join(lines).encode("utf-8")
         rest = memoryview(data)
         while rest:
             rest = rest[self._file.write(rest):]
@@ -327,9 +306,8 @@ class Journal:
         self._synced += len(data)
 
     def _cut(self, length: int) -> None:
-        """Drop the pending changes and cut the file to `length` bytes, durably.
-        The durable length is set first, so close() never pads after a failure."""
-        self._pending.clear()
+        """Cut the file to `length` bytes, durably. The durable length is set
+        first, so close() never pads after a failure."""
         self._synced = length
         self._file.truncate(length)
         os.fsync(self._file.fileno())
@@ -339,7 +317,7 @@ class Journal:
         self._cut(0)
 
     def close(self) -> None:
-        """Close the file, keeping exactly what the last sync() made durable."""
+        """Close the file, keeping what the last successful write() made durable."""
         if self._file.closed:
             return
         try:
@@ -606,10 +584,25 @@ def read_snapshot(
     return records, config, last_seq
 
 
+def _note_error(replayed: Sequence[JournalEvent], note_id: str, detail: str) -> LoadIntegrityError:
+    """The load error of note_id's record, naming the last replayed journal
+    line that holds a record of it (a backlink is none), else the snapshot.
+    It parses those lines again, so only a failed load asks."""
+    for event in reversed(replayed):
+        payload = json.loads(event.payload_json)
+        written = payload[1:] if isinstance(payload, list) else [payload]
+        if any(record["id"] == note_id for record in written):
+            source = f"journal seq {event.seq}"
+            break
+    else:
+        source = "the snapshot"
+    return LoadIntegrityError(f"note {note_id}{detail} (record from {source})")
+
+
 def _build_notes(
-    records: dict[str, dict[str, Any]], encoder: Encoder
+    records: dict[str, dict[str, Any]], encoder: Encoder, replayed: Sequence[JournalEvent]
 ) -> tuple[dict[str, MemoryNote], np.ndarray]:
-    """Build the note of every record in id order, or raise
+    """Build the note of every record in id order, or raise _note_error's
     LoadIntegrityError for the first that fails. Returns the notes and the
     read-only float32 matrix of their embeddings, one row per note in id
     order, whose rows the notes view.
@@ -660,8 +653,8 @@ def _build_notes(
             if "embedding_crc" in record:
                 if verify:
                     continue
-                raise LoadIntegrityError(
-                    f"note {record['id']}: record stores embedding_crc; only the "
+                raise _note_error(
+                    replayed, record["id"], ": record stores embedding_crc; only the "
                     "deterministic encoder that wrote it can derive its embedding"
                 )
             floats = record["embedding"]
@@ -674,23 +667,23 @@ def _build_notes(
             try:
                 _stored_floats(floats, rows[at])
             except ValueError as exc:
-                raise LoadIntegrityError(f"note {record['id']}: {exc}") from exc
+                raise _note_error(replayed, record["id"], f": {exc}") from exc
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             note_id = chunk[int(np.argmin(finite))]["id"]
-            raise LoadIntegrityError(f"note {note_id}: embedding contains NaN or Inf")
+            raise _note_error(replayed, note_id, ": embedding contains NaN or Inf")
         rows.setflags(write=False)
         for at, (record, text, row) in enumerate(zip(chunk, texts, rows)):
             note_id = record["id"]
             try:
                 note = note_from_fields(record, row, text)
             except (ValueError, EmptyContent, InvalidTimestamp) as exc:
-                raise LoadIntegrityError(f"note {note_id}: {exc}") from exc
+                raise _note_error(replayed, note_id, f": {exc}") from exc
             if not records.keys() >= note.links:
                 link = min(note.links - records.keys())
-                raise LoadIntegrityError(f"note {note_id} links to unknown id {link}")
+                raise _note_error(replayed, note_id, f" links to unknown id {link}")
             if at in expected and not np.array_equal(row, expected[at]):
-                raise LoadIntegrityError(f"note {note_id} embedding does not match its text")
+                raise _note_error(replayed, note_id, " embedding does not match its text")
             notes[note_id] = note
     matrix.setflags(write=False)
     return notes, matrix
@@ -733,12 +726,13 @@ def load_store(
     Either file may be absent; both absent yields an empty store. Records
     are shape-checked as they are read; then _build_notes builds and
     verifies every note, and a record that fails there fails the load as
-    "note <id>: ...". The result carries the read-only matrix of every
-    embedding in id order, whose rows the notes view; open_engine hands it
-    to adopt_state, and the index copies it only before its first write
-    into it (an insert or an update), so no note's embedding ever changes.
-    Until that write the store holds each embedding once; after it the
-    notes still view the load's matrix and the index holds its own copy.
+    "note <id>: ... (record from <its source>)". The result carries the
+    read-only matrix of every embedding in id order, whose rows the notes
+    view; open_engine hands it to adopt_state, and the index copies it only
+    before its first write into it (an insert or an update), so no note's
+    embedding ever changes. Until that write the store holds each embedding
+    once; after it the notes still view the load's matrix and the index
+    holds its own copy.
 
     The read takes no lock: it holds the snapshot open, reads it and then
     the journal, and is done again if the snapshot path no longer names the
@@ -754,6 +748,7 @@ def load_store(
         except FileNotFoundError:
             held = None
         truncated: int | None = None
+        fresh: list[JournalEvent] = []
         try:
             records, config, last_seq = (
                 read_snapshot(snapshot_file) if held is not None else ({}, None, 0)
@@ -773,7 +768,7 @@ def load_store(
                 raise
         else:
             if _still_names(snapshot_file, held):
-                notes, embeddings = _build_notes(records, encoder)
+                notes, embeddings = _build_notes(records, encoder, fresh)
                 return LoadResult(notes, last_seq, config, truncated, embeddings)
         finally:
             if held is not None:

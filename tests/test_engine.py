@@ -7,6 +7,7 @@ frequency, alphabetical on ties) yields known keyword sets.
 """
 
 import json
+import os
 import random
 from collections import Counter
 import sys
@@ -15,9 +16,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amem.embedding import HashEncoder, basis_vector
-from amem.engine import EngineConfig, MemoryEngine, RetrievedMemory
+from amem.engine import EngineConfig, MemoryEngine, RetrievedMemory, _evolve
 from amem.errors import (
     BackendUnavailable,
     EmptyContent,
@@ -29,7 +32,7 @@ from amem import gateway as gateway_module
 from amem import notes as notes_module
 from amem.gateway import EvolutionDirective, LinkOpinion, LlmGateway, MockBackend
 from amem.index import cosine
-from amem.notes import IdGenerator, MemoryNote, canonical_json, note_text
+from amem.notes import IdGenerator, MemoryNote, canonical_json, compose_note_text, note_text
 from amem.persistence import Journal, read_journal
 from oracles import full_sort_top_k
 
@@ -329,7 +332,6 @@ def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
     engine = fresh_engine(journal=journal)
     id_a = engine.add_memory(CONTENT_A, TS[0])
     id_b = engine.add_memory(CONTENT_B, TS[1])
-    journal.sync()
 
     changes = parsed_changes(tmp_path / "j.jsonl")
     # one line per add: the new note, then the neighbor it rewrote
@@ -344,23 +346,26 @@ def test_journal_event_order_for_a_rewriting_insert(tmp_path, journal):
     assert engine.get_note(id_a).links == frozenset({id_b})
 
 
-class CountingJournal(Journal):
-    syncs = 0
+def test_an_evolving_add_syncs_once(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    # Each fsync, as whether it was of the journal file (else its directory).
+    syncs = []
+    real_fsync = os.fsync
 
-    def sync(self):
-        self.syncs += 1
-        super().sync()
+    def recording_fsync(fd):
+        syncs.append(os.path.samestat(os.fstat(fd), os.stat(path)))
+        real_fsync(fd)
 
-
-def test_an_evolving_add_syncs_once(tmp_path):
-    with CountingJournal(tmp_path / "j.jsonl") as journal:
+    with Journal(path) as journal:
+        monkeypatch.setattr(os, "fsync", recording_fsync)
         engine = fresh_engine(journal=journal)
         engine.add_memory(CONTENT_A, TS[0])
-        assert journal.syncs == 1
+        # the first write also syncs the directory, once
+        assert syncs == [True, False]
         engine.add_memory(CONTENT_B, TS[1])
         # B was inserted, linked and rewrote A: one change, one line, one sync
         assert journal.last_seq == 2
-        assert journal.syncs == 2
+        assert syncs == [True, False, True]
 
 
 def test_journal_prefix_never_dangles(tmp_path, journal):
@@ -368,7 +373,6 @@ def test_journal_prefix_never_dangles(tmp_path, journal):
     engine = fresh_engine(journal=journal)
     for i, content in enumerate((CONTENT_A, CONTENT_B, CONTENT_C, CONTENT_D)):
         engine.add_memory(content, TS[i])
-    journal.sync()
 
     seen = set()
     for added, *evolved in parsed_changes(tmp_path / "j.jsonl"):
@@ -433,6 +437,76 @@ def test_evolution_extends_the_new_notes_tags(tmp_path, journal):
     assert changes[0][0]["links"] == [id_a]
     assert changes[0][0]["tags"] == list(note_d.tags)
     assert engine.audit() == []
+
+
+EVOLVE_ENCODER = HashEncoder(dimension=48, seed=0)
+
+
+def evolve_note(ids, word, links=()):
+    content, keywords, tags, context = f"{word} note body", (word,), (f"topic:{word}",), f"On {word}."
+    return MemoryNote(
+        id=ids.fresh(),
+        content=content,
+        timestamp=TS[0],
+        keywords=keywords,
+        tags=tags,
+        context=context,
+        links=frozenset(links),
+        embedding=EVOLVE_ENCODER.encode(compose_note_text(content, keywords, tags, context)),
+    )
+
+
+@st.composite
+def evolutions(draw):
+    """A new note, its ranked neighbors (some with links of their own), an
+    s3 directive naming neighbors and other ids, and the evolution switch."""
+    ids = IdGenerator(seed=draw(st.integers(0, 2**16)))
+    outside = ids.fresh()
+    count = draw(st.integers(1, 5))
+    neighbors = [
+        evolve_note(ids, f"n{i}", links=draw(st.sampled_from([(), (outside,)])))
+        for i in range(count)
+    ]
+    new_note = evolve_note(ids, "fresh")
+    named = [note.id for note in neighbors] + [outside, new_note.id, ids.fresh()]
+    context = st.sampled_from(["", "  ", "On n0.", "A rewritten context."])
+    tags = st.lists(st.sampled_from(["", " ", "topic:n0", "Rewritten", "extra"]), max_size=3)
+    directive = EvolutionDirective(
+        should_evolve=draw(st.booleans()),
+        suggested_connections=tuple(draw(st.lists(st.sampled_from(named), max_size=6))),
+        tags_to_update=tuple(draw(tags)),
+        new_context_neighborhood=tuple(draw(st.lists(context, max_size=count + 1))),
+        new_tags_neighborhood=tuple(map(tuple, draw(st.lists(tags, max_size=count + 1)))),
+    )
+    return new_note, neighbors, directive, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(evolutions())
+def test_an_evolved_change_follows_the_one_backlink_rule(case):
+    new_note, neighbors, directive, rewrite_neighbors = case
+    added, rewritten, relinked = _evolve(
+        new_note, neighbors, directive, EVOLVE_ENCODER, rewrite_neighbors
+    )
+    before = {note.id: note for note in neighbors}
+    rewritten_ids = [note.id for note in rewritten]
+    relinked_ids = [note.id for note in relinked]
+    every = [added.id, *rewritten_ids, *relinked_ids]
+    assert len(set(every)) == len(every)
+    assert set(relinked_ids) == added.links - set(rewritten_ids)
+    assert added.links <= before.keys()
+    for note in (*rewritten, *relinked):
+        backlink = {added.id} if note.id in added.links else set()
+        assert note.links == before[note.id].links | backlink
+    for note in relinked:
+        assert note.embedding is before[note.id].embedding
+    for note in (added, *rewritten):
+        assert np.array_equal(note.embedding, EVOLVE_ENCODER.encode(note_text(note)))
+    # a rewritten neighbor's text changed; none changes with evolution off
+    for note in rewritten:
+        assert note_text(note) != note_text(before[note.id])
+    if not rewrite_neighbors:
+        assert rewritten == ()
 
 
 def test_a_linked_and_rewritten_neighbor_is_one_evolved_event(tmp_path, journal):

@@ -30,7 +30,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from amem import persistence
 from amem.embedding import HashEncoder, basis_vector
-from amem.engine import EngineConfig, MemoryEngine
+from amem.engine import Change, EngineConfig, MemoryEngine
 from amem.errors import (
     BackendUnavailable,
     EngineFailed,
@@ -200,10 +200,7 @@ def test_journal_round_trip(tmp_path):
     b = hand_note(ids, "beta")
     path = tmp_path / "j.jsonl"
     with Journal(path) as journal:
-        journal.note_added(a)
-        journal.note_added(b)
-        journal.note_evolved(a)
-        journal.sync()
+        journal.write([Change(a), Change(b, rewritten=(a,))])
         assert journal.last_seq == 2
 
     events, truncated = read_journal(path)
@@ -340,13 +337,11 @@ def test_journal_truncate_keeps_the_sequence_counter(tmp_path):
     ids = IdGenerator(seed=3)
     path = tmp_path / "j.jsonl"
     journal = Journal(path)
-    journal.note_added(hand_note(ids, "alpha"))
-    journal.note_added(hand_note(ids, "beta"))
+    journal.write([Change(hand_note(ids, "alpha")), Change(hand_note(ids, "beta"))])
     journal.truncate()
     assert path.read_bytes() == b""
     assert journal.last_seq == 2
-    journal.note_added(hand_note(ids, "gamma"))
-    journal.sync()
+    journal.write([Change(hand_note(ids, "gamma"))])
     journal.close()
     events, truncated = read_journal(path)
     assert truncated is None
@@ -485,10 +480,7 @@ def test_reading_past_a_seq_agrees_with_a_full_read_on_every_prefix(tmp_path):
     )
     with Journal(path) as journal:
         journal._adopt(2, None)
-        journal.note_added(b)
-        journal.note_evolved(a)
-        journal.note_added(c)
-        journal.sync()
+        journal.write([Change(b, rewritten=(a,)), Change(c)])
     data = path.read_bytes()
     prefix = tmp_path / "prefix.jsonl"
     for cut in range(len(data) + 1):
@@ -717,8 +709,7 @@ def test_load_store_rejects_gap_between_snapshot_and_journal(tmp_path):
     journal_path.unlink()
     with Journal(journal_path) as journal:
         journal._adopt(last_seq + 5, None)
-        journal.note_added(hand_note(IdGenerator(seed=9), "omega"))
-        journal.sync()
+        journal.write([Change(hand_note(IdGenerator(seed=9), "omega"))])
     with pytest.raises(SequenceGap):
         load_store(tmp_path / SNAPSHOT_FILENAME, journal_path, encoder=encoder())
 
@@ -729,8 +720,7 @@ def test_load_store_rejects_dangling_links(tmp_path):
     note = hand_note(ids, "alpha", links={ghost})
     path = tmp_path / JOURNAL_FILENAME
     with Journal(path) as journal:
-        journal.note_added(note)
-        journal.sync()
+        journal.write([Change(note)])
     with pytest.raises(LoadIntegrityError, match="unknown id"):
         load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
 
@@ -740,8 +730,7 @@ def test_load_store_verifies_embeddings_deterministically(tmp_path):
     stale = hand_note(ids, "alpha", embedding=basis_vector(DIM))
     path = tmp_path / JOURNAL_FILENAME
     with Journal(path) as journal:
-        journal.note_added(stale)
-        journal.sync()
+        journal.write([Change(stale)])
     # a non-deterministic encoder cannot check embeddings
     result = load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=UndeclaredHashEncoder(DIM))
     assert len(result.notes) == 1
@@ -758,7 +747,7 @@ def test_a_stale_embedding_past_the_first_verification_chunk_fails_the_load(tmp_
     snapshot_path, journal_path = store_paths(tmp_path)
     write_snapshot(snapshot_path, notes, EngineConfig(), 0)
     stale = f"note {stale_id} embedding does not match its text"
-    with pytest.raises(LoadIntegrityError, match=f"^{stale}$"):
+    with pytest.raises(LoadIntegrityError, match=rf"^{stale} \(record from the snapshot\)$"):
         load_store(snapshot_path, journal_path, encoder=encoder())
 
     ghost = ids.fresh()
@@ -1114,7 +1103,7 @@ def test_read_only_open_of_a_missing_store_writes_nothing(tmp_path):
 
 
 class GatedJournal(Journal):
-    """Once armed, blocks in its next note_added until released."""
+    """Once armed, blocks in its next write until released."""
 
     def __init__(self, path):
         super().__init__(path)
@@ -1122,12 +1111,12 @@ class GatedJournal(Journal):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def note_added(self, note):
+    def write(self, changes):
         if self.armed:
             self.armed = False
             self.entered.set()
             assert self.release.wait(10)
-        super().note_added(note)
+        super().write(changes)
 
 
 def run_in_thread(target, *args):
@@ -1152,7 +1141,7 @@ def test_snapshot_taken_while_an_add_journals_reloads_to_the_live_store(tmp_path
     journal.armed = True
     writer, errors = run_in_thread(engine.add_memory, CONTENT_B, TS[1])
     assert journal.entered.wait(10)
-    # the add is between its gateway calls and its note_added event
+    # the add is between its gateway calls and its journal write
     snapshot_engine(engine, tmp_path)
     journal.release.set()
     writer.join(10)
@@ -1357,25 +1346,12 @@ def test_a_note_utf8_cannot_encode_is_refused_before_it_is_journaled(tmp_path):
     assert len(in_memory) == 0
 
 
-class FailingSyncJournal(Journal):
-    """A journal whose next `failures` syncs raise EIO."""
-
-    failures = 0
-
-    def sync(self):
-        if self.failures:
-            self.failures -= 1
-            raise OSError(errno.EIO, "injected fsync failure")
-        super().sync()
-
-
 def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
     store = tmp_path / "store"
-    monkeypatch.setattr(persistence, "Journal", FailingSyncJournal)
     engine = open_engine(store, encoder=encoder(), id_seed=7)
     engine.add_memory(CONTENT_A, TS[0])
     live = state_map(engine.state_snapshot()[0])
-    engine.journal.failures = 1
+    monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(store / JOURNAL_FILENAME))
 
     with pytest.raises(OSError):
         engine.add_memory(CONTENT_B, TS[1])
@@ -1392,7 +1368,7 @@ def test_a_failed_journal_sync_stops_later_mutations(tmp_path, monkeypatch):
     engine.close()
 
     reopened = open_engine(store, encoder=encoder())
-    # the failed add was never acknowledged, and close() did not write it
+    # the failed add was never acknowledged, and close() cut its unsynced line
     assert state_map(reopened.state_snapshot()[0]) == live
     assert reopened.audit() == []
     reopened.close()
@@ -1422,9 +1398,8 @@ def test_a_closed_engine_refuses_writes(tmp_path):
 
 
 def test_close_keeps_the_reason_of_an_earlier_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(persistence, "Journal", FailingSyncJournal)
     engine = open_engine(tmp_path / "store", encoder=encoder(), id_seed=7)
-    engine.journal.failures = 1
+    monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(engine.journal.path))
     with pytest.raises(OSError):
         engine.add_memory(CONTENT_A, TS[0])
     engine.close()
@@ -1432,33 +1407,25 @@ def test_close_keeps_the_reason_of_an_earlier_failure(tmp_path, monkeypatch):
         engine.add_memory(CONTENT_B, TS[1])
 
 
-class RewriteSyncFailingJournal(Journal):
-    """A journal whose sync raises EIO once a rewritten note's record is pending."""
-
-    rewriting = False
-
-    def note_evolved(self, note):
-        super().note_evolved(note)
-        self.rewriting = True
-
-    def sync(self):
-        if self.rewriting:
-            raise OSError(errno.EIO, "injected fsync failure")
-        super().sync()
-
-
 def test_a_failed_sync_of_an_evolving_add_keeps_none_of_it(tmp_path, monkeypatch):
     # B links to and rewrites A; the note, its links and the rewrite are one
     # change, so none of them may survive the failed sync.
     store = tmp_path / "store"
-    monkeypatch.setattr(persistence, "Journal", RewriteSyncFailingJournal)
+    journal_path = store / JOURNAL_FILENAME
     engine = open_engine(store, encoder=encoder(), id_seed=7)
-    engine.add_memory(CONTENT_A, TS[0])
+    id_a = engine.add_memory(CONTENT_A, TS[0])
     live = state_map(engine.state_snapshot()[0])
+    acknowledged = journal_path.read_bytes()
+    monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(journal_path))
     with pytest.raises(OSError):
         engine.add_memory(CONTENT_B, TS[1])
+    # the fsync failed after the change's line was written: B, then A's delta
+    events, _ = read_journal(journal_path)
+    _, added, *rewritten = json.loads(events[-1].payload_json)
+    assert added["links"] == [id_a] and [delta["id"] for delta in rewritten] == [id_a]
     assert state_map(engine.state_snapshot()[0]) == live
     engine.close()
+    assert journal_path.read_bytes() == acknowledged
 
     reopened = open_engine(store, encoder=encoder(), read_only=True)
     assert state_map(reopened.state_snapshot()[0]) == live
@@ -1559,13 +1526,11 @@ def test_a_journal_whose_cut_failed_closes_without_padding(tmp_path, monkeypatch
     ids = IdGenerator(seed=3)
     path = tmp_path / "j.jsonl"
     journal = Journal(path)
-    journal.note_added(hand_note(ids, "alpha"))
-    journal.sync()
+    journal.write([Change(hand_note(ids, "alpha"))])
     monkeypatch.setattr(os, "fsync", fail_the_next_fsync_of(path))
     with pytest.raises(OSError):
         journal.truncate()
-    journal.note_added(hand_note(ids, "beta"))
-    journal.sync()
+    journal.write([Change(hand_note(ids, "beta"))])
     written = path.read_bytes()
     journal.close()
     # close() cuts only bytes past the durable length, and never pads
@@ -1957,6 +1922,23 @@ def test_a_delta_whose_crc_does_not_match_its_text_fails_the_load(tmp_path):
         load_store(*store_paths(store), encoder=encoder())
 
 
+def test_a_load_error_names_the_journal_line_that_last_wrote_the_record(tmp_path, monkeypatch):
+    # alpha's record is written at seq 1 and its bad delta at seq 2: the
+    # error names seq 2, and a load that succeeds never asks.
+    store, evolved = delta_store(tmp_path, lambda d: {**d, "embedding_crc": d["embedding_crc"] ^ 1})
+    message = rf"^note {evolved.id}: .* \(record from journal seq 2\)$"
+    with pytest.raises(LoadIntegrityError, match=message):
+        load_store(*store_paths(store), encoder=encoder())
+
+    def unasked(*args):
+        raise AssertionError("a successful load named a record's source")
+
+    monkeypatch.setattr(persistence, "_note_error", unasked)
+    (tmp_path / "good").mkdir()
+    good, _ = delta_store(tmp_path / "good")
+    assert evolved.id in load_store(*store_paths(good), encoder=encoder()).notes
+
+
 def test_a_format_3_build_refuses_a_delta_record(tmp_path):
     # A format 3 build shape-checks every record of a change with
     # is_derived_record, which refuses a delta's field set, so that build
@@ -2063,7 +2045,7 @@ def test_a_derived_record_fails_a_non_deterministic_load_before_any_note_is_buil
     monkeypatch.setattr(persistence, "note_from_fields", counted)
     message = (
         f"note {min(records)}: record stores embedding_crc; only the "
-        "deterministic encoder that wrote it can derive its embedding"
+        "deterministic encoder that wrote it can derive its embedding (record from the snapshot)"
     )
     with pytest.raises(LoadIntegrityError, match=f"^{re.escape(message)}$"):
         load_store(*store_paths(store), encoder=FakeRemoteEncoder())
@@ -2327,7 +2309,10 @@ def test_a_non_finite_encoding_fails_the_load_naming_its_note(tmp_path):
     notes = load_store(*store_paths(tmp_path), encoder=HashEncoder()).notes
     victim = sorted(notes)[40]
     encoder = NonFiniteEncoder(note_text(notes[victim]))
-    with pytest.raises(LoadIntegrityError, match=f"^note {victim}: embedding contains NaN or Inf$"):
+    # The victim's record is last written by the change at seq 49 of the
+    # pinned history.
+    message = rf"^note {victim}: embedding contains NaN or Inf \(record from journal seq 49\)$"
+    with pytest.raises(LoadIntegrityError, match=message):
         load_store(*store_paths(tmp_path), encoder=encoder)
 
 
@@ -2376,8 +2361,7 @@ def test_a_stored_embedding_of_another_dimension_fails_the_load(tmp_path):
     note = hand_note(IdGenerator(seed=4), "alpha", embedding=basis_vector(16))
     path = tmp_path / JOURNAL_FILENAME
     with Journal(path) as journal:
-        journal.note_added(note)
-        journal.sync()
+        journal.write([Change(note)])
     with pytest.raises(LoadIntegrityError, match=r"dimension \[16\], encoder's 32"):
         load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
 
@@ -2495,6 +2479,27 @@ def test_a_new_store_is_durable_before_its_first_add_returns(tmp_path, monkeypat
         assert synced_since(synced, tmp_path, tmp_path / "new", store) == ([], 1)
     finally:
         engine.close()
+
+
+def test_a_write_of_several_changes_writes_a_line_each_and_fsyncs_once(tmp_path, monkeypatch):
+    # The shape a group commit needs: one write() of three changes.
+    ids = IdGenerator(seed=3)
+    a, b, c = (hand_note(ids, keyword) for keyword in ("alpha", "beta", "gamma"))
+    path = tmp_path / "j.jsonl"
+    synced = record_fsyncs(monkeypatch)
+    with Journal(path) as journal:
+        journal.write([Change(a), Change(b, rewritten=(a,)), Change(c)])
+        # one fsync of the file, and the one of its directory a first write makes
+        assert synced_since(synced, tmp_path) == ([tmp_path], 1)
+        assert journal.last_seq == 3
+    events, truncated = read_journal(path)
+    assert truncated is None and [event.seq for event in events] == [1, 2, 3]
+    assert path.read_bytes().count(b"\n") == 3
+    assert [event.payload_json for event in events] == [
+        f"[1,{canonical_json(a)}]",
+        f"[2,{canonical_json(b)},{delta_json(a)}]",
+        f"[3,{canonical_json(c)}]",
+    ]
 
 
 def test_opening_an_existing_empty_directory_fsyncs_nothing(tmp_path, monkeypatch):
