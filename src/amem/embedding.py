@@ -44,6 +44,11 @@ _MIN_TABLE_ROWS = 1024
 EMBED_API_KEY_ENV = "AMEM_EMBED_API_KEY"
 
 
+def _is_timeout(value: Any) -> bool:
+    """An int or float of seconds, finite and above 0; a bool is not one."""
+    return type(value) in (int, float) and 0 < value < float("inf")
+
+
 def post_json(
     session: requests.Session,
     url: str,
@@ -254,7 +259,7 @@ class RemoteEncoder:
     unit vectors regardless of service behavior, whatever the rows' scale.
     Transport failures, non-200 statuses and malformed responses or rows,
     among them a row of zeros or one holding a non-finite value, raise
-    BackendUnavailable.
+    BackendUnavailable. The timeout is a finite number of seconds above 0.
     """
 
     deterministic = False
@@ -270,6 +275,8 @@ class RemoteEncoder:
     ) -> None:
         if not _is_count(dimension):
             raise ValueError("dimension must be an integer >= 1")
+        if not _is_timeout(timeout):
+            raise ValueError(f"embedding timeout must be finite and > 0 seconds, got {timeout}")
         self.url = url
         self.model = model
         self.dimension = dimension

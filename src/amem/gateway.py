@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
 
-from .embedding import _tokenize, post_json
+from .embedding import _is_timeout, _tokenize, post_json
 from .errors import BackendUnavailable, EmptyContent, MissingSlot, SchemaViolation
 from .index import _is_count
 from .notes import MemoryNote, validate_timestamp
@@ -432,7 +432,8 @@ class RemoteChatBackend:
 
     Each request carries the model name, a single user message, and a JSON
     schema response-format block for the task at hand. A semaphore bounds
-    the requests in flight to max_in_flight, an int >= 1 and not a bool.
+    the requests in flight to max_in_flight, an int >= 1 and not a bool;
+    timeout is a finite number of seconds above 0.
     Transport failures and malformed response envelopes raise
     BackendUnavailable; completion text that fails to parse as a JSON
     object raises SchemaViolation so the gateway's retry loop can ask again.
@@ -451,6 +452,8 @@ class RemoteChatBackend:
     ) -> None:
         if not _is_count(max_in_flight):
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        if not _is_timeout(timeout):
+            raise ValueError(f"chat timeout must be finite and > 0 seconds, got {timeout}")
         self.url = url
         self.model = model
         self.timeout = timeout

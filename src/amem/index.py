@@ -113,10 +113,9 @@ class VectorIndex:
         self._norms = np.empty(0, dtype=np.float64)
         self._ids: list[str] = []
         self._slot: dict[str, int] = {}
-        self._count = 0
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._ids)
 
     def __contains__(self, note_id: str) -> bool:
         return note_id in self._slot
@@ -139,7 +138,8 @@ class VectorIndex:
         the index may write: its own when they have it, else new ones of
         _INITIAL_CAPACITY rows doubled until they fit, holding its rows.
         An adopted read-only matrix is copied before the first write."""
-        needed = self._count + extra
+        count = len(self._ids)
+        needed = count + extra
         capacity = self._rows.shape[0]
         if needed <= capacity and self._rows.flags.writeable:
             return self._rows, self._norms
@@ -147,9 +147,9 @@ class VectorIndex:
         while new_capacity < needed:
             new_capacity *= 2
         rows = np.empty((new_capacity, self._dim), dtype=np.float32)
-        rows[: self._count] = self._rows[: self._count]
+        rows[:count] = self._rows[:count]
         norms = np.empty(new_capacity, dtype=np.float64)
-        norms[: self._count] = self._norms[: self._count]
+        norms[:count] = self._norms[:count]
         return rows, norms
 
     def _set_norms(self, norms: np.ndarray, start: int, rows: np.ndarray) -> None:
@@ -171,12 +171,11 @@ class VectorIndex:
         if note_id in self._slot:
             raise DuplicateId(f"id already present in index: {note_id}")
         self._rows, self._norms = self._room(1)
-        row = self._count
+        row = len(self._ids)
         self._rows[row] = vec
         self._set_norms(self._norms, row, vec[None, :])
         self._ids.append(note_id)
         self._slot[note_id] = row
-        self._count += 1
 
     def update(self, note_id: str, vector: np.ndarray) -> None:
         vec = self._check_vector(vector)
@@ -211,7 +210,7 @@ class VectorIndex:
         computed before anything is published. A load that fails them
         leaves the index empty.
         """
-        if self._count:
+        if self._ids:
             raise ValueError("bulk_load fills an empty index")
         matrix = None
         if not isinstance(vectors, np.ndarray):
@@ -240,7 +239,6 @@ class VectorIndex:
         self._rows, self._norms = rows, norms
         self._ids = list(ids)
         self._slot = dict(zip(self._ids, range(n)))
-        self._count = n
 
     def top_k(
         self, query: np.ndarray, k: int, exclude: Iterable[str] = ()
@@ -256,7 +254,7 @@ class VectorIndex:
         q = self._check_vector(query)
         q64 = q.astype(np.float64)
         q_norm = float(np.sqrt(np.dot(q64, q64)))
-        n = self._count
+        n = len(self._ids)
         if n == 0:
             return []
         denom = self._norms[:n] * q_norm
@@ -302,7 +300,7 @@ class VectorIndex:
         with a dot kernel, not the matrix-vector kernel that a product over
         more rows uses. Zero-denominator rows score 0.0 and need no product.
         """
-        n = self._count
+        n = len(self._ids)
         dots = np.zeros(rows.size, dtype=np.float64)
         tail_start = max(n - 2, 0) // _RESCORE_BLOCK * _RESCORE_BLOCK
         tail: list[int] = []
@@ -334,4 +332,4 @@ class VectorIndex:
 
     def memory_bytes(self) -> tuple[int, int]:
         """(exact vector payload bytes, estimated bookkeeping bytes)."""
-        return self._count * self._dim * 4, self._count * _PER_ENTRY_OVERHEAD
+        return len(self) * self._dim * 4, len(self) * _PER_ENTRY_OVERHEAD

@@ -845,35 +845,33 @@ def open_engine(
     return engine
 
 
-# The start of a snapshot as _snapshot_parts writes it, around its config.
-_HEADER_HEAD_RE = re.compile(
-    r'\{"format_version":(?:' + "|".join(map(str, READABLE_VERSIONS)) + r'),"config":'
+# A snapshot's header as _snapshot_parts writes it, up to its first note.
+# The lazy config match cannot stop inside a config so written: a quote
+# inside a JSON string is escaped, no config key has an array value, and a
+# category named last_seq is a test case.
+_HEADER_RE = re.compile(
+    rb'\{"format_version":(?:'
+    + "|".join(map(str, READABLE_VERSIONS)).encode("ascii")
+    + rb'),"config":\{.*?\},"last_seq":(0|[1-9][0-9]*),"notes":\['
 )
-_HEADER_TAIL_RE = re.compile(r',"last_seq":(0|[1-9][0-9]*),"notes":\[')
 # Bytes read for a snapshot's header.
 _HEADER_BYTES = 4096
 
 
 def _snapshot_last_seq(path: Path) -> int:
-    """A snapshot's last_seq, read from its header and not its notes; 0 when
-    there is no snapshot. A header not laid out as _snapshot_parts writes
-    it, or longer than _HEADER_BYTES, is read with the whole snapshot."""
+    """A snapshot's last_seq, matched as bytes in its header by _HEADER_RE
+    and not read from its notes; 0 when there is no snapshot. A head the
+    pattern does not match (another layout, a header longer than
+    _HEADER_BYTES, a format this build cannot read) is read with the whole
+    snapshot, so read_snapshot raises for it."""
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
         return 0
     with handle:
-        head = handle.read(_HEADER_BYTES)
-    try:
-        text = head.decode("utf-8")
-        start = _HEADER_HEAD_RE.match(text)
-        if start is not None:
-            _, end = json.JSONDecoder().raw_decode(text, start.end())
-            match = _HEADER_TAIL_RE.match(text, end)
-            if match is not None:
-                return int(match.group(1))
-    except ValueError:
-        pass
+        match = _HEADER_RE.match(handle.read(_HEADER_BYTES))
+    if match is not None:
+        return int(match.group(1))
     return read_snapshot(path)[2]
 
 

@@ -380,6 +380,24 @@ def test_a_max_in_flight_below_one_exits_2_before_the_store_opens(tmp_path, monk
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("section, service", [("llm", "chat"), ("embedding", "embedding")])
+@pytest.mark.parametrize("seconds", [0, -1, "NaN", "Infinity"])
+def test_a_timeout_not_above_0_or_not_finite_exits_2_before_the_store_opens(
+    tmp_path, monkeypatch, section, service, seconds
+):
+    cfg = remote_config(tmp_path, monkeypatch, width=DEFAULT_DIMENSION)
+    with open(cfg, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data[section]["timeout"] = float(seconds)
+    with open(cfg, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "add", "camera"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{service} timeout must be finite and > 0 seconds, got" in err
+    assert not (tmp_path / "store").exists()
+
+
 def test_an_encoder_vector_of_the_wrong_dimension_exits_3(tmp_path, monkeypatch):
     cfg = remote_config(tmp_path, monkeypatch, width=7)
     code, out, err = run_cli(["--store", str(tmp_path / "store"), "--config", cfg, "query", "camera"])

@@ -359,6 +359,12 @@ def test_remote_encoder_refuses_a_dimension_that_is_not_a_count():
         RemoteEncoder(url="http://e", model="m", dimension=2.5)
 
 
+@pytest.mark.parametrize("seconds", [True, "30"])
+def test_remote_encoder_refuses_a_timeout_that_is_not_a_number(seconds):
+    with pytest.raises(ValueError, match="embedding timeout must be"):
+        RemoteEncoder(url="http://e", model="m", timeout=seconds)
+
+
 def test_disjoint_vocabularies_score_near_zero():
     # spread of random disjoint-token pairs stays decorrelated
     enc = HashEncoder(dimension=384, seed=0)

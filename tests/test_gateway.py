@@ -592,6 +592,12 @@ def test_remote_chat_backend_refuses_a_max_in_flight_that_is_not_a_count(slots):
         RemoteChatBackend(url="http://llm", model="m", session=FakeSession([]), max_in_flight=slots)
 
 
+@pytest.mark.parametrize("seconds", [True, "30"])
+def test_remote_chat_backend_refuses_a_timeout_that_is_not_a_number(seconds):
+    with pytest.raises(ValueError, match="chat timeout must be"):
+        RemoteChatBackend(url="http://llm", model="m", session=FakeSession([]), timeout=seconds)
+
+
 def test_remote_request_bodies_are_pinned():
     # One s1, one s2 and one s3 call through the gateway; the digests are of
     # the bytes requests puts on the wire for json=body.

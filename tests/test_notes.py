@@ -601,6 +601,13 @@ def test_is_derived_record_rejects_wrong_key_sets():
 
 
 
+@pytest.mark.parametrize("name", ["id", "content", "timestamp", "context"])
+def test_is_derived_record_rejects_a_text_field_that_is_not_text(name):
+    data = json.loads(canonical_json(make_note(random.Random(10))))
+    with pytest.raises(ValueError, match=f"^{name} must be text$"):
+        is_derived_record({**data, name: 5})
+
+
 def test_a_derived_record_swaps_the_floats_for_their_crc():
     note = make_note(random.Random(11))
     stored = json.loads(canonical_json(note))

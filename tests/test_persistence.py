@@ -370,6 +370,14 @@ def test_replay_rejects_inconsistent_streams():
             {},
             [JournalEvent(1, "links_changed", '{"id":"x","added":[],"removed":[]}')],
         )
+    # a format 3 change: a note added twice, and a change not at its line's seq
+    with pytest.raises(LoadIntegrityError, match=f"seq 2: note {note.id} added twice"):
+        replay_events(
+            {}, [JournalEvent(i, "note_added", f"[{i},{canonical_json(note)}]") for i in (1, 2)]
+        )
+    for first in ("2", "true"):
+        with pytest.raises(LoadIntegrityError, match=re.escape("change must be [1, note record")):
+            replay_events({}, [JournalEvent(1, "note_added", f"[{first},{canonical_json(note)}]")])
 
 
 def test_replay_rejects_an_event_at_or_below_start_after():
@@ -507,6 +515,26 @@ def test_a_line_with_a_bad_checksum_is_refused_unless_covered(tmp_path):
     assert journal_path.read_bytes() == data
 
 
+@pytest.mark.parametrize("followed", [False, True], ids=["tail", "damage"])
+def test_a_line_whose_checksummed_payload_is_not_utf8_fails_its_framing(tmp_path, followed):
+    # Its checksum matches, so only the UTF-8 check refuses it: as the last
+    # line it is a torn tail, before a note_added it is damage.
+    ids = IdGenerator(seed=4)
+    payload = b'[2,"\xff"]'
+    bad = b'{"seq":2,"kind":"note_added","payload":%s,"crc":%d}\n' % (payload, zlib.crc32(payload))
+    good = change_line(1, hand_note(ids, "alpha")).encode("utf-8")
+    after = change_line(3, hand_note(ids, "beta")).encode("utf-8") if followed else b""
+    path = tmp_path / JOURNAL_FILENAME
+    path.write_bytes(good + bad + after)
+    assert persistence._FRAME_RE.fullmatch(bad) is not None
+    if followed:
+        with pytest.raises(LoadIntegrityError, match=f"at byte {len(good)} is damaged"):
+            read_journal(path)
+    else:
+        events, truncated = read_journal(path)
+        assert [event.seq for event in events] == [1] and truncated == len(good)
+
+
 def test_read_journal_frames_only_the_lines_past_after(tmp_path, monkeypatch):
     _, journal_path = populated(tmp_path)
     full, _ = read_journal(journal_path)
@@ -622,10 +650,14 @@ def test_read_snapshot_rejects_damage(tmp_path):
         read_snapshot(path)
 
 
+def read_snapshot_text(path, text):
+    path.write_text(text, "utf-8")
+    return read_snapshot(path)
+
+
 def read_snapshot_with(path, **overrides):
     document = {"format_version": FORMAT_VERSION, "config": {}, "last_seq": 0, "notes": []}
-    path.write_text(json.dumps({**document, **overrides}), "utf-8")
-    return read_snapshot(path)
+    return read_snapshot_text(path, json.dumps({**document, **overrides}))
 
 
 def nested_link_note():
@@ -642,6 +674,8 @@ def replay_links_changed(added, removed):
 @pytest.mark.parametrize(
     "load",
     [
+        pytest.param(lambda p: read_snapshot_text(p, "[]"), id="document-array"),
+        pytest.param(lambda p: read_snapshot_with(p, config=[]), id="config-array"),
         pytest.param(lambda p: read_snapshot_with(p, notes=5), id="notes-int"),
         pytest.param(lambda p: read_snapshot_with(p, notes=None), id="notes-null"),
         pytest.param(lambda p: read_snapshot_with(p, notes=True), id="notes-bool"),
@@ -723,6 +757,29 @@ def test_load_store_rejects_dangling_links(tmp_path):
         journal.write([Change(note)])
     with pytest.raises(LoadIntegrityError, match="unknown id"):
         load_store(tmp_path / SNAPSHOT_FILENAME, path, encoder=encoder())
+
+
+@pytest.mark.parametrize("source", ["the snapshot", "journal seq 2"])
+def test_a_dangling_link_no_replay_checks_fails_the_load_naming_its_record(tmp_path, source):
+    # Replay checks a format 3 or 4 change's links; a snapshot record's, or
+    # those a format 2 links_changed adds, are checked as the notes are built.
+    ids = IdGenerator(seed=9)
+    ghost = ids.fresh()
+    note = hand_note(ids, "alpha")
+    snapshot_path, journal_path = store_paths(tmp_path)
+    if source == "the snapshot":
+        dangling = replace(note, links=frozenset({ghost}))
+        write_snapshot(snapshot_path, {note.id: dangling}, EngineConfig(), 0)
+    else:
+        links = json.dumps({"id": note.id, "added": [ghost], "removed": []})
+        journal_path.write_text(
+            JournalEvent(1, "note_added", canonical_json(note)).line()
+            + JournalEvent(2, "links_changed", links).line(),
+            "utf-8",
+        )
+    message = f"note {note.id} links to unknown id {ghost} (record from {source})"
+    with pytest.raises(LoadIntegrityError, match=f"^{re.escape(message)}$"):
+        load_store(snapshot_path, journal_path, encoder=encoder())
 
 
 def test_load_store_verifies_embeddings_deterministically(tmp_path):
@@ -2643,15 +2700,56 @@ def test_the_snapshot_check_reads_no_whole_store(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "categories", [{"last_seq": 3, "a": 2}, {f"c{i:05d}": 1 for i in range(900)}]
+    "categories, content, whole_reads",
+    [
+        pytest.param({"last_seq": 3, "a": 2}, None, 0, id="categories0"),
+        pytest.param({f"c{i:05d}": 1 for i in range(900)}, None, 1, id="categories1"),
+        pytest.param({}, "記憶" * 800, 0, id="split_character"),
+    ],
 )
-def test_a_snapshot_header_gives_the_last_seq_read_snapshot_gives(tmp_path, categories):
-    # A category named last_seq, and a config longer than the bytes read
-    # for a header, which then falls back on the whole snapshot.
+def test_a_snapshot_header_gives_the_last_seq_read_snapshot_gives(
+    tmp_path, monkeypatch, categories, content, whole_reads
+):
+    # A category named last_seq; a config longer than the bytes read for a
+    # header, which then falls back on the whole snapshot; and a note whose
+    # text the end of those bytes cuts inside a character.
     path = tmp_path / SNAPSHOT_FILENAME
-    write_snapshot(path, {}, EngineConfig(k_by_category=categories), 17)
+    notes = {}
+    if content is not None:
+        note = replace(hand_note(IdGenerator(seed=1), "memory"), content=content)
+        notes[note.id] = note
+    write_snapshot(path, notes, EngineConfig(k_by_category=categories), 17)
+    if content is not None:
+        # 10xxxxxx: a UTF-8 continuation byte
+        assert path.read_bytes()[persistence._HEADER_BYTES] >> 6 == 0b10
+    reads = []
+
+    def counted_read(*args):
+        reads.append(args)
+        return read_snapshot(*args)
+
+    monkeypatch.setattr(persistence, "read_snapshot", counted_read)
     assert persistence._snapshot_last_seq(path) == read_snapshot(path)[2] == 17
+    assert len(reads) == whole_reads
     assert persistence._snapshot_last_seq(tmp_path / "absent.json") == 0
+
+
+def test_a_snapshot_of_a_format_this_build_cannot_read_is_not_replaced(tmp_path):
+    # The header does not match, so the whole snapshot is read and refused.
+    store = tmp_path / "store"
+    store.mkdir()
+    path = store / SNAPSHOT_FILENAME
+    write_snapshot(path, {}, EngineConfig(), 5)
+    data = path.read_bytes().replace(
+        f'"format_version":{FORMAT_VERSION}'.encode(), b'"format_version":99'
+    )
+    path.write_bytes(data)
+    engine = live_engine()
+    engine.add_memory(CONTENT_A, TS[0])
+    with pytest.raises(VersionMismatch, match="format_version 99"):
+        snapshot_engine(engine, store)
+    assert path.read_bytes() == data
+    assert [entry.name for entry in store.iterdir()] == [SNAPSHOT_FILENAME]
 
 
 @pytest.fixture
