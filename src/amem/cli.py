@@ -273,6 +273,12 @@ def _open_store_engine(args: argparse.Namespace, read_only: bool) -> Iterator[Me
         engine.close()
 
 
+def _reads_only(args: argparse.Namespace) -> bool:
+    """Whether a read command opens its store read-only: under --read-only,
+    and when the store does not exist, so that the read creates nothing."""
+    return args.read_only or not Path(args.store).exists()
+
+
 def cmd_add(args: argparse.Namespace) -> int:
     if args.read_only:
         raise UsageError("add is a mutating command; drop --read-only")
@@ -301,7 +307,7 @@ def cmd_add(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 1:
         raise UsageError("--k must be >= 1")
-    with _open_store_engine(args, read_only=args.read_only) as engine:
+    with _open_store_engine(args, read_only=_reads_only(args)) as engine:
         hits = engine.retrieve(args.text, k=args.k, category=args.category)
         emit_json(
             [
@@ -320,7 +326,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
-    with _open_store_engine(args, read_only=args.read_only) as engine:
+    with _open_store_engine(args, read_only=_reads_only(args)) as engine:
         notes = list(engine.iter_notes())
         dimension = engine.encoder.dimension
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -37,7 +37,8 @@ Each check of a note's values runs once, where the note enters:
   record_text the load composed for its encode_many batch.
 - revise builds an evolved note from a checked one and checks only what
   changed: new tags or context and the text they make, a new embedding,
-  the links the note did not have. It keeps the note's embedding array.
+  the links the note did not have. It keeps the note's embedding array,
+  and with it the embedding's CRC.
 
 The once-checked builds refuse exactly what the constructor would refuse
 of the same values, with the same exception class. All three give every
@@ -47,14 +48,17 @@ A note keeps the derived record it was rendered to: canonical_json
 renders it once per note object and returns the same text on every later
 call. The journal renders each note it adds before the note is
 published, and a snapshot sees only published notes, so a snapshot
-renders only the notes changed since their last render: those a links
-change or a rewrite changed, of which the journal writes no whole record
-(a rewrite's delta is not kept). A note is immutable, so the text cannot
-go stale; dataclasses.replace and revise build a new note that carries
-none. A rendered note holds its record's text, about 0.1 KB more than
-the record's length. Stored records are not kept: one is about 4.6 KB,
-three times the float32 embedding it spells out. Two threads may render
-one note at once: both write the same text.
+renders only the notes a rewrite changed (the journal writes their delta,
+which is not kept) and each note of a freshly opened store. A links-only
+change carries its note's record over, with the links replaced. A note
+also keeps its embedding's CRC once known: the load verified it, or a
+render computed it, and revise keeps it while the embedding stays. So an
+engine computes each embedding's CRC at most once. A note is immutable,
+so neither can go stale; dataclasses.replace builds a new note that
+carries neither. A rendered note holds its record's text, about
+0.1 KB more than the record's length. Stored records are not kept: one
+is about 4.6 KB, three times the float32 embedding it spells out. Two
+threads may render one note at once: both write the same text.
 """
 
 from __future__ import annotations
@@ -312,22 +316,16 @@ class MemoryNote:
     def __hash__(self) -> int:
         return hash(self.id)
 
-    # The derived record canonical_json rendered this note to, kept on the
-    # note once rendered; a class attribute, not a field.
+    # The derived record canonical_json rendered this note to, and the CRC
+    # of its embedding, kept on the note once known; class attributes, not
+    # fields.
     _derived_json = None
+    _embedding_crc = None
 
 
 # Field order of the canonical JSON encoding. note_from_fields requires
 # exactly these keys and canonical_json writes them in exactly this order.
 CANONICAL_FIELDS = tuple(f.name for f in fields(MemoryNote))
-
-
-def json_text_list(terms: Iterable[str]) -> str:
-    """Compact JSON array of text, as json.dumps(list(terms),
-    ensure_ascii=False, separators=(",", ":")) writes it: each entry goes
-    through encode_basestring, the escaper json.dumps itself calls, without
-    the encoder json.dumps builds on every call with these arguments."""
-    return "[" + ",".join(map(encode_basestring, terms)) + "]"
 
 
 _NEGATIVE_ZERO_BITS = np.float32(-0.0).view(np.uint32)
@@ -369,19 +367,22 @@ def canonical_json(note: MemoryNote, derived: bool = False) -> str:
     embedding's floats, for a reader that derives them with the
     deterministic encoder. The text is what json.dumps with
     ensure_ascii=False and separators=(",", ":") writes: content, context,
-    keywords and tags go through encode_basestring, its escaper. Ids (the
+    keywords and tags go through encode_basestring, the escaper json.dumps
+    calls, without the encoder json.dumps builds on every call. Ids (the
     note's and its links') and the timestamp go between literal quotes:
     validation admits no quote, backslash or control character in them,
     the only characters that escaper changes.
 
-    A derived record is rendered once per note object and kept on the
-    note, and every later derived call returns that text: the journal's
-    render is reused by every snapshot, so a snapshot renders only the
-    notes changed since their last render. It costs the note about its
-    record's length in memory. A stored record, three times the size of
-    the embedding it spells out, is rendered on every call. Concurrent
-    calls on one note are safe: the note is immutable, and each call
-    writes the same text.
+    A derived record is rendered once per note object, in one pass, and
+    kept on the note, and every later derived call returns that text: the
+    journal's render is reused by every snapshot, so a snapshot renders
+    only the notes changed since their last render. It costs the note
+    about its record's length in memory. The CRC is computed at most once
+    per note: a note keeps the CRC its load verified or its first derived
+    render computed, and revise passes it on with the embedding. A stored
+    record, three times the size of the embedding it spells out, is
+    rendered on every call. Concurrent calls on one note are safe: the
+    note is immutable, and each call writes the same text.
     """
     if derived:
         text = note._derived_json
@@ -399,38 +400,40 @@ def delta_json(note: MemoryNote, derived: bool = False) -> str:
     evolution changes, but for the new note's backlink, which replay gives
     back from the new note's record; merge_record reads the delta back onto
     the note's record. It is rendered on every call and not kept on the
-    note, so a snapshot renders the note's whole record."""
-    return "".join(
-        (
-            '{"id":"', note.id,
-            '","tags":', json_text_list(note.tags),
-            ',"context":', encode_basestring(note.context),
-            _embedding_json(note, derived),
-            "}",
-        )
+    note, so a snapshot renders the note's whole record; the CRC it
+    computes is kept, so that render does not compute it again."""
+    return (
+        f'{{"id":"{note.id}","tags":[{",".join(map(encode_basestring, note.tags))}],'
+        f'"context":{encode_basestring(note.context)}{_embedding_json(note, derived)}}}'
     )
 
 
 def _embedding_json(note: MemoryNote, derived: bool) -> str:
     if derived:
-        return f',"embedding_crc":{embedding_crc(note.embedding)}'
+        crc = note._embedding_crc
+        if crc is None:
+            crc = embedding_crc(note.embedding)
+            object.__setattr__(note, "_embedding_crc", crc)
+        return f',"embedding_crc":{crc}'
     return f',"embedding":[{join_float32(note.embedding)}]'
 
 
+def _links_tail(links: frozenset[NoteId]) -> str:
+    """A note record's end: its links field, the ids sorted, and the brace
+    that closes the record."""
+    if not links:
+        return ',"links":[]}'
+    joined = '","'.join(sorted(links))
+    return f',"links":["{joined}"]}}'
+
+
 def _render(note: MemoryNote, embedding: str) -> str:
-    links = '","'.join(sorted(note.links))
-    return "".join(
-        (
-            '{"id":"', note.id,
-            '","content":', encode_basestring(note.content),
-            ',"timestamp":"', note.timestamp,
-            '","keywords":', json_text_list(note.keywords),
-            ',"tags":', json_text_list(note.tags),
-            ',"context":', encode_basestring(note.context),
-            embedding,
-            ',"links":', f'["{links}"]' if links else "[]",
-            "}",
-        )
+    return (
+        f'{{"id":"{note.id}","content":{encode_basestring(note.content)},'
+        f'"timestamp":"{note.timestamp}",'
+        f'"keywords":[{",".join(map(encode_basestring, note.keywords))}],'
+        f'"tags":[{",".join(map(encode_basestring, note.tags))}],'
+        f'"context":{encode_basestring(note.context)}{embedding}{_links_tail(note.links)}'
     )
 
 
@@ -517,8 +520,10 @@ def _assemble(
     context: str,
     embedding: np.ndarray,
     links: frozenset[NoteId],
+    crc: int | None,
 ) -> MemoryNote:
-    """A note of fields its caller has checked, built without __post_init__."""
+    """A note of fields its caller has checked, built without __post_init__,
+    keeping crc, its embedding's CRC if known, for canonical_json."""
     note = object.__new__(MemoryNote)
     note.__dict__.update(
         id=note_id,
@@ -529,6 +534,7 @@ def _assemble(
         context=context,
         embedding=embedding,
         links=links,
+        _embedding_crc=crc,
     )
     return note
 
@@ -552,11 +558,13 @@ def note_from_fields(data: dict[str, Any], embedding: np.ndarray, text: str) -> 
     the load's matrix (read-only, finite, 1-D float32, kept as it is, not
     copied) and text its record_text. A stored record's row holds its
     parsed floats; a derived record's holds the encoding of its text, which
-    must match the record's embedding_crc. Every other check of
+    must match the record's embedding_crc; the note keeps that CRC, so its
+    first derived render does not compute it again. Every other check of
     MemoryNote's constructor then runs once, in its order, on the record's
     values, and MemoryNote refuses exactly the records this refuses.
     """
-    if "embedding_crc" in data and embedding_crc(embedding) != data["embedding_crc"]:
+    crc = data.get("embedding_crc")
+    if crc is not None and embedding_crc(embedding) != crc:
         raise ValueError("derived embedding does not match its embedding_crc")
     note_id, content, timestamp, context = (
         data["id"], data["content"], data["timestamp"], data["context"]
@@ -565,7 +573,7 @@ def note_from_fields(data: dict[str, Any], embedding: np.ndarray, text: str) -> 
     _check_fields(note_id, content, timestamp, keywords, tags, context, text)
     links = frozenset(data["links"]) if data["links"] else _NO_LINKS
     _check_links(note_id, links)
-    return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links)
+    return _assemble(note_id, content, timestamp, keywords, tags, context, embedding, links, crc)
 
 
 def revise(
@@ -580,7 +588,12 @@ def revise(
     it, checking only what changed: the new tags or context and the text
     they add, the new embedding (a read-only float32 vector is kept, not
     copied), and the links the note did not have. Unchanged fields are the
-    note's own, its embedding included."""
+    note's own, its embedding included.
+
+    A note that keeps its embedding keeps its embedding's CRC, if known.
+    When only the links change, a note whose derived record is kept gets
+    that record with its links replaced: the text up to ',"links":' is the
+    same. Any other change leaves the new note's record to render."""
     if tags is not None:
         _check_terms("tags", tags)
     if context is not None:
@@ -595,7 +608,8 @@ def revise(
     else:
         links = (links if isinstance(links, frozenset) else frozenset(links)) or _NO_LINKS
         _check_links(note.id, links - note.links)
-    return _assemble(
+    kept = embedding is note.embedding
+    revised = _assemble(
         note.id,
         note.content,
         note.timestamp,
@@ -604,4 +618,10 @@ def revise(
         new_context,
         embedding,
         links,
+        note._embedding_crc if kept else None,
     )
+    text = note._derived_json
+    if text is not None and kept and tags is None and context is None:
+        text = text[: text.rindex(',"links":')] + _links_tail(links)
+        object.__setattr__(revised, "_derived_json", text)
+    return revised

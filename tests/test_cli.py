@@ -179,6 +179,15 @@ def test_read_only_query_of_a_missing_store_writes_nothing(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ["query", "export-embeddings"])
+def test_a_read_command_on_a_missing_store_creates_nothing(tmp_path, command):
+    # Without --read-only too: a store that does not exist is read as empty.
+    arguments = ["x"] if command == "query" else ["--out", str(tmp_path / "vectors.csv")]
+    code, _, err = run_cli(["--store", str(tmp_path / "q-store"), "--mock", command] + arguments)
+    assert code == EXIT_OK, err
+    assert not (tmp_path / "q-store").exists()
+
+
 def test_a_store_holds_only_its_journal_and_snapshot(tmp_path):
     add(tmp_path, CONTENT_A, "2023-06-01T00:00:00Z")
     code, _, _ = run_cli(store_args(tmp_path) + ["snapshot"])

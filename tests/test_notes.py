@@ -24,6 +24,7 @@ from amem.notes import (
     MemoryNote,
     canonical_json,
     compose_note_text,
+    delta_json,
     embedding_crc,
     is_derived_record,
     is_note_id,
@@ -507,17 +508,27 @@ def dumps(value):
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 
 
+def reference_embedding(note, derived):
+    if derived:
+        return f'"embedding_crc":{zlib.crc32(note.embedding.astype("<f4").tobytes())}'
+    return f'"embedding":{per_element_embedding(note.embedding)}'
+
+
 def reference_json(note, derived=False):
     """A note's canonical JSON as json.dumps writes it, field by field."""
-    if derived:
-        embedding = f'"embedding_crc":{zlib.crc32(note.embedding.astype("<f4").tobytes())}'
-    else:
-        embedding = f'"embedding":{per_element_embedding(note.embedding)}'
     return (
         f'{{"id":{dumps(note.id)},"content":{dumps(note.content)},'
         f'"timestamp":{dumps(note.timestamp)},"keywords":{dumps(list(note.keywords))},'
         f'"tags":{dumps(list(note.tags))},"context":{dumps(note.context)},'
-        f'{embedding},"links":{dumps(sorted(note.links))}}}'
+        f'{reference_embedding(note, derived)},"links":{dumps(sorted(note.links))}}}'
+    )
+
+
+def reference_delta_json(note, derived=False):
+    """A rewritten note's delta record as json.dumps writes it."""
+    return (
+        f'{{"id":{dumps(note.id)},"tags":{dumps(list(note.tags))},'
+        f'"context":{dumps(note.context)},{reference_embedding(note, derived)}}}'
     )
 
 
@@ -939,3 +950,53 @@ def test_revise_gives_the_constructors_verdict(fields, data):
     assert revised == verdict(lambda: replace(note, **change))
     if isinstance(revised, MemoryNote) and "embedding" not in change:
         assert revised.embedding is note.embedding
+
+
+# A parent as revise meets it: built, so it keeps neither its CRC nor its
+# derived record; loaded, so it keeps the CRC its load verified; or
+# rendered, so it keeps both.
+PARENT_STATES = ("built", "loaded", "rendered")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fields=valid_fields(),
+    state=st.sampled_from(PARENT_STATES),
+    changes=st.sets(st.sampled_from(("links", "tags", "context", "embedding"))),
+    delta_first=st.booleans(),
+    data=st.data(),
+)
+def test_a_revised_note_renders_what_json_dumps_writes(fields, state, changes, delta_first, data):
+    parent = MemoryNote(**fields)
+    if state == "loaded":
+        parent = read_back(json.loads(canonical_json(parent, True)), parent.embedding)
+    elif state == "rendered":
+        canonical_json(parent, True)
+    change = {}
+    if "links" in changes:
+        change["links"] = frozenset(data.draw(st.lists(NOTE_IDS, max_size=4))) - {parent.id}
+    if "tags" in changes:
+        change["tags"] = data.draw(VALID_TERMS)
+    if "context" in changes:
+        change["context"] = data.draw(VALID_TEXT)
+    if "embedding" in changes:
+        change["embedding"] = data.draw(FLOAT32_VECTORS)
+    child = revise(parent, **change)
+    renders = [(delta_json, reference_delta_json), (canonical_json, reference_json)]
+    for render, reference in renders if delta_first else renders[::-1]:
+        assert render(child, True) == reference(child, True)
+        assert render(child) == reference(child)
+    assert canonical_json(parent, True) == reference_json(parent, True)
+
+
+def test_a_revise_that_replaces_the_embedding_keeps_no_crc():
+    note = make_note(random.Random(41), links=[IDS.fresh()])
+    canonical_json(note, True)
+    crc = embedding_crc(note.embedding)
+    assert note._embedding_crc == crc
+    assert revise(note, links=[IDS.fresh()])._embedding_crc == crc
+    assert revise(note, context="Another context.")._embedding_crc == crc
+    # Even a copy of the same bits is a new embedding.
+    for embedding in (-note.embedding, note.embedding.copy()):
+        revised = revise(note, embedding=embedding)
+        assert revised._embedding_crc is None and revised._derived_json is None

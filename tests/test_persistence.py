@@ -1217,15 +1217,15 @@ def test_snapshot_taken_while_an_add_journals_reloads_to_the_live_store(tmp_path
 
 
 def count_renders(monkeypatch):
-    """Counts derived records rendered from here on: each calls embedding_crc once."""
+    """Counts the whole records rendered from here on: each is one _render call."""
     renders = []
-    real = notes_module.embedding_crc
+    real = notes_module._render
 
-    def counted(vec):
+    def counted(note, embedding):
         renders.append(1)
-        return real(vec)
+        return real(note, embedding)
 
-    monkeypatch.setattr(notes_module, "embedding_crc", counted)
+    monkeypatch.setattr(notes_module, "_render", counted)
     return renders
 
 
@@ -1705,6 +1705,46 @@ def test_snapshots_of_reused_records_are_the_bytes_of_a_fresh_render(tmp_path, m
     snapshot_bytes = (first / SNAPSHOT_FILENAME).read_bytes()
     assert (second / SNAPSHOT_FILENAME).read_bytes() == snapshot_bytes
     assert fresh.read_bytes() == snapshot_bytes
+
+
+def record_crcs(monkeypatch):
+    """Logs each vector embedding_crc is called on from here on."""
+    vectors = []
+    real = notes_module.embedding_crc
+
+    def recorded(vec):
+        vectors.append(vec)
+        return real(vec)
+
+    monkeypatch.setattr(notes_module, "embedding_crc", recorded)
+    return vectors
+
+
+def test_an_opened_store_computes_each_crc_once(tmp_path, monkeypatch):
+    # The load verifies each loaded note's CRC and the note keeps it; only
+    # an embedding the engine made afterwards gets its CRC computed, once.
+    store = tmp_path / "store"
+    write_pipeline_store(store)
+    crcs = record_crcs(monkeypatch)
+    engine = open_engine(store, encoder=HashEncoder(), gateway=LlmGateway(), id_seed=41)
+    loaded, _ = engine.state_snapshot()
+    assert len(crcs) == len(loaded)
+    crcs.clear()
+    engine.add_memory(DIALOGUE.read_text("utf-8").splitlines()[3], "2024-03-02T00:00:00Z")
+    notes, _ = engine.state_snapshot()
+    changed = {nid for nid, note in loaded.items() if notes[nid] is not note}
+    assert changed
+    at_add = len(crcs)
+    snapshot_engine(engine, store)
+    engine.close()
+    assert len(crcs) == at_add
+    loaded_rows = {id(note.embedding) for note in loaded.values()}
+    assert not any(id(vec) in loaded_rows for vec in crcs)
+    assert len({id(vec) for vec in crcs}) == len(crcs)
+    # Pinned from a build that rendered every record of the snapshot in full.
+    assert file_digest(store / SNAPSHOT_FILENAME) == (
+        "8d14ede899035ec5b2d1d47a52c8bd7650a39a515d8f6f0b85a11bebdb8618e4"
+    )
 
 
 class UndeclaredHashEncoder(HashEncoder):
@@ -2569,6 +2609,49 @@ def test_opening_an_existing_empty_directory_fsyncs_nothing(tmp_path, monkeypatc
     assert [(path.name, path.read_bytes()) for path in tmp_path.iterdir()] == [
         (JOURNAL_FILENAME, b"")
     ]
+
+
+# The os functions that reach the file system, recorded by record_os_calls.
+FILE_CALLS = (
+    "stat", "lstat", "fstat", "open", "read", "pread", "write", "fsync", "fdatasync",
+    "close", "mkdir", "replace", "rename", "unlink", "rmdir", "listdir",
+    "scandir", "truncate", "ftruncate",
+)
+
+
+def record_os_calls(patch):
+    """Logs each file-system call of os, and fcntl.flock, as (name, its
+    arguments), in order, into the returned list."""
+    calls = []
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in FILE_CALLS:
+        patch.setattr(os, name, recorded(name, getattr(os, name)))
+    patch.setattr(persistence.fcntl, "flock", recorded("flock", persistence.fcntl.flock))
+    return calls
+
+
+def test_an_empty_directory_open_makes_nine_os_calls(tmp_path, monkeypatch):
+    # The open perfbench's ingest setup_s times. A stat, a read or an fsync
+    # added here slows every new store's first open.
+    store_encoder = encoder()
+    snapshot, journal = store_paths(tmp_path)
+    with monkeypatch.context() as patch:
+        calls = record_os_calls(patch)
+        engine = open_engine(tmp_path, encoder=store_encoder, id_seed=7)
+    engine.close()
+    assert [name for name, _ in calls] == [
+        "stat", "open", "flock", "fstat", "stat", "fstat", "open", "stat", "stat"
+    ]
+    paths = [Path(args[0]) if name in ("stat", "open") else None for name, args in calls]
+    assert paths == [tmp_path, journal, None, None, journal, None, snapshot, journal, snapshot]
+    assert calls[1][1][1] & os.O_EXCL and not calls[6][1][1] & os.O_EXCL
 
 
 def store_files(store):
